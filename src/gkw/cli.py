@@ -286,39 +286,6 @@ def _cmd_props(args) -> int:
     return 0
 
 
-def _seeded_starts(rng, data: Dataset, sub) -> list[Params]:
-    """Two extra multi-start points with lognormal-jittered free coordinates."""
-    centre = np.array(estim.default_init(data, sub).as_tuple())
-    free = [i for i, nm in enumerate(_PARAM_NAMES) if nm in sub.free_names]
-    out = []
-    for _ in range(2):
-        v = centre.copy()
-        v[free] = v[free] * np.exp(0.5 * rng.standard_normal(len(free)))
-        out.append(Params(*v))
-    return out
-
-
-def _fit_models(data: Dataset, names: list[str], seed, quiet: bool) -> dict[str, FitResult]:
-    """Fit in increasing free-parameter order, warm-starting from nested fits."""
-    rng = np.random.default_rng(seed) if seed is not None else None
-    fits: dict[str, FitResult] = {}
-    for nm in sorted(names, key=lambda n: (SUBMODELS[n].free_count, n)):
-        sub = SUBMODELS[nm]
-        warm = [
-            r.theta_hat
-            for k, r in fits.items()
-            if SUBMODELS[k].nests_within(sub) and math.isfinite(r.loglik)
-        ]
-        if rng is not None:
-            warm.extend(_seeded_starts(rng, data, sub))
-        fits[nm] = estim.fit(data, sub, extra_starts=tuple(warm))
-        if not quiet:
-            r = fits[nm]
-            note = "" if r.converged else " (not converged)"
-            print(f"fit {nm}: loglik={r.loglik:.6f}{note}", file=sys.stderr)
-    return fits
-
-
 def _model_entry(nm: str, r: FitResult) -> dict:
     sub = SUBMODELS[nm]
     se = None
@@ -368,7 +335,11 @@ def _cmd_fit(args) -> int:
     _require_open_unit(values, lines, args.data, suggest_shrink=not args.shrink)
 
     data = Dataset(values)
-    fits = _fit_models(data, names, args.seed, args.quiet)
+    fits = estim.fit_family(data, tuple(names), seed=args.seed)
+    if not args.quiet:
+        for nm, r in fits.items():
+            note = "" if r.converged else " (not converged)"
+            print(f"fit {nm}: loglik={r.loglik:.6f}{note}", file=sys.stderr)
 
     lr_rows = []
     for alt in names:

@@ -238,13 +238,22 @@ def cdf(theta: Params, x: float) -> float:
     out[below] = 0.0
     out[above] = 1.0
     if np.any(inside):
-        z = np.exp(_log_z(theta, np.log(xs[inside])))
-        z = np.clip(z, 0.0, 1.0)
+        lz = _log_z(theta, np.log(xs[inside]))
+        z = np.clip(np.exp(lz), 0.0, 1.0)
         g, d = theta.gamma, theta.delta
         if inside.sum() > 8:
-            out[inside] = specfun._reg_inc_beta_arr(z, g, d + 1.0)
+            v = specfun._reg_inc_beta_arr(z, g, d + 1.0)
         else:
-            out[inside] = [specfun.reg_inc_beta(float(zi), g, d + 1.0) for zi in z]
+            v = np.array([specfun.reg_inc_beta(float(zi), g, d + 1.0) for zi in z])
+        # Where z underflows but log z is finite, I_z(g, d + 1) is its
+        # leading term z^g / (g B(g, d + 1)), taken from log z; the next
+        # term is smaller by a factor of order z, so below 1e-300 the
+        # leading term is exact in float64.
+        if not z.all():
+            tiny = (z == 0.0) & np.isfinite(lz)
+            lead = g * lz[tiny] - math.log(g) - specfun.ln_beta(g, d + 1.0)
+            v[tiny] = np.minimum(np.exp(lead), 1.0)
+        out[inside] = v
     return float(out[0]) if scalar else out
 
 

@@ -20,7 +20,7 @@ for such boundary nulls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -198,18 +198,18 @@ def score(theta: Params, data: Dataset) -> np.ndarray:
         return _score_from_parts(theta, data.n, _parts(theta, data))
 
 
-def _loglik_and_score(theta: Params, data: Dataset) -> tuple[float, np.ndarray | None]:
-    """log_likelihood and score from one pass through the log chain.
+def _loglik_and_parts(theta: Params, data: Dataset):
+    """log_likelihood and the :func:`_parts` blocks, from one pass.
 
-    The score is None when the log-likelihood is not finite.
+    The blocks are what :func:`_score_from_parts` builds the score from,
+    so a caller that needs the score only at some points pays for the
+    log chain once per point and for the score only where it asks.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         parts = _parts(theta, data)
         lx, _, la, _, ly, _, lu = parts[:7]
         ll = float(np.sum(core._log_pdf_from_chain(theta, lx, la, ly, lu)))
-        if not math.isfinite(ll):
-            return ll, None
-        return ll, _score_from_parts(theta, data.n, parts)
+    return ll, parts
 
 
 def _score_from_parts(theta: Params, n: int, parts) -> np.ndarray:
@@ -406,31 +406,46 @@ def _value_to_phi(v: float, i: int) -> float:
     return math.log(v)
 
 
-def _make_objective(data: Dataset, sub: SubModel, free_idx: list[int], fixed: np.ndarray):
-    """Return phi -> (negative loglik, gradient), None gradient on failure."""
+def _no_grad():
+    return None
 
-    def val_grad(phi: np.ndarray):
+
+def _make_objective(data: Dataset, free_idx: list[int], fixed: np.ndarray):
+    """Return phi -> (negative loglik, gradient thunk).
+
+    A call costs one pass through the log chain; the thunk builds the
+    gradient from that pass's blocks when called, and returns None
+    where there is no usable gradient (non-finite loglik, NaN score).
+    """
+
+    def objective(phi: np.ndarray):
         vec = fixed.copy()
         for j, i in enumerate(free_idx):
             vec[i] = _phi_to_value(float(phi[j]), i)
         try:
             theta = Params(*vec)
         except ValueError:
-            return math.inf, None
-        ll, full = _loglik_and_score(theta, data)
-        if full is None:
-            return math.inf, None
-        g = np.empty(len(free_idx))
-        for j, i in enumerate(free_idx):
-            scale = vec[i] + _DELTA_EPS if i == _PARAM_IDX["delta"] else vec[i]
-            g[j] = -full[i] * scale
-        if np.any(np.isnan(g)):
-            return -ll, None
-        # An infinite component still points somewhere useful; cap it so
-        # the line search can follow it to the wall.
-        return -ll, np.clip(g, -1e30, 1e30)
+            return math.inf, _no_grad
+        ll, parts = _loglik_and_parts(theta, data)
+        if not math.isfinite(ll):
+            return math.inf, _no_grad
 
-    return val_grad
+        def grad():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                full = _score_from_parts(theta, data.n, parts)
+            g = np.empty(len(free_idx))
+            for j, i in enumerate(free_idx):
+                scale = vec[i] + _DELTA_EPS if i == _PARAM_IDX["delta"] else vec[i]
+                g[j] = -full[i] * scale
+            if np.any(np.isnan(g)):
+                return None
+            # An infinite component still points somewhere useful; cap it
+            # so the line search can follow it to the wall.
+            return np.clip(g, -1e30, 1e30)
+
+        return -ll, grad
+
+    return objective
 
 
 def _project_grad(g: np.ndarray, phi: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -441,10 +456,13 @@ def _project_grad(g: np.ndarray, phi: np.ndarray, lower: np.ndarray, upper: np.n
     return gp
 
 
-def _bfgs(val_grad, phi0, lower, upper, *, gtol: float, max_iter: int, h0: float,
+def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int, h0: float,
           beat: float = math.inf):
-    """Minimize val_grad over the box via BFGS with Armijo backtracking.
+    """Minimize objective over the box via BFGS with Armijo backtracking.
 
+    ``objective(phi)`` returns (F, grad), ``grad()`` the gradient at phi
+    or None; it is called only for the first point and for trial points
+    that pass the Armijo test, so a rejected trial costs no gradient.
     Returns (phi, F, grad-or-None, iterations, converged).  Each trial
     step is scaled to move no coordinate by more than _MAX_STEP, so a
     long early step (the first direction is the raw gradient) cannot
@@ -468,7 +486,8 @@ def _bfgs(val_grad, phi0, lower, upper, *, gtol: float, max_iter: int, h0: float
     moves a run backwards, so a warm start's value is never lost.
     """
     phi = np.clip(np.asarray(phi0, dtype=float), lower, upper)
-    F, g = val_grad(phi)
+    F, grad = objective(phi)
+    g = grad()
     if g is None:
         return phi, F, None, 0, False
     k = phi.size
@@ -505,11 +524,12 @@ def _bfgs(val_grad, phi0, lower, upper, *, gtol: float, max_iter: int, h0: float
                 d = cand - phi
                 if not np.any(d):
                     break
-                Fc, gc = val_grad(cand)
+                Fc, grad = objective(cand)
                 evals += 1
                 slope = float(d @ g)
                 ok = (Fc <= F + 1e-4 * slope) if slope < 0.0 else (Fc < F)
-                if gc is not None and ok:
+                gc = grad() if ok else None
+                if gc is not None:
                     yv = gc - g
                     sy = float(d @ yv)
                     if sy > 1e-10 * float(np.linalg.norm(d) * np.linalg.norm(yv)):
@@ -546,7 +566,8 @@ def fit(
     that creeps along a ridge too slowly to overtake the best finished
     start is abandoned early (see :func:`_bfgs`).
     ``extra_starts`` appends additional starting points; each start is
-    projected onto the sub-model's fixed pattern first.
+    projected onto the sub-model's fixed pattern first, and a start
+    equal to an earlier one is run only once.
 
     Parameters
     ----------
@@ -567,11 +588,12 @@ def fit(
         raise EstimationError("degenerate sample: all values are identical")
 
     starts = [init] if init is not None else start_grid(data, sub)
-    starts = [_project(sub, p) for p in [*starts, *extra_starts]]
+    # a start equal to an earlier one would retrace its run and lose the tie
+    starts = list(dict.fromkeys(_project(sub, p) for p in [*starts, *extra_starts]))
     free_idx = [_PARAM_IDX[nm] for nm in sub.free_names]
     fixed = np.array(starts[0].as_tuple())
     lower, upper = _walls(free_idx)
-    objective = _make_objective(data, sub, free_idx, fixed)
+    objective = _make_objective(data, free_idx, fixed)
 
     best = None
     for si, p in enumerate(starts):
@@ -646,26 +668,50 @@ def fit(
     return result
 
 
-def fit_family(data: Dataset, names: tuple[str, ...] | None = None) -> dict[str, FitResult]:
+def _seeded_starts(rng: np.random.Generator, data: Dataset, sub: SubModel) -> list[Params]:
+    """Two extra multi-start points with lognormal-jittered free coordinates."""
+    centre = np.array(default_init(data, sub).as_tuple())
+    free = [_PARAM_IDX[nm] for nm in sub.free_names]
+    out = []
+    for _ in range(2):
+        v = centre.copy()
+        v[free] = v[free] * np.exp(0.5 * rng.standard_normal(len(free)))
+        out.append(Params(*v))
+    return out
+
+
+def fit_family(data: Dataset, names: tuple[str, ...] | None = None, *,
+               seed: int | None = None) -> dict[str, FitResult]:
     """Fit several sub-models, warm-starting richer ones from nested fits.
 
     Models are fitted in increasing order of free-parameter count; every
     completed fit whose pattern is a restriction of a later model is
     added to that model's start list.  This makes the maximized
     log-likelihoods respect the nesting order by construction (a warm
-    start can only be improved on).  Returns results keyed by model
+    start can only be improved on).  Names that share a pinned pattern
+    (``Mc`` and ``BP``) are fitted once, under the pattern's first
+    registry name, and the others get a relabelled copy of that fit.
+    With ``seed``, each fit also gets two jittered starts drawn from
+    ``numpy.random.default_rng(seed)``.  Returns results keyed by model
     name, in fitting order.
     """
     chosen = list(names) if names is not None else list(SUBMODELS)
     subs = sorted((SUBMODELS[nm] for nm in chosen), key=lambda m: (m.free_count, m.name))
+    rng = np.random.default_rng(seed) if seed is not None else None
     results: dict[str, FitResult] = {}
     for sub in subs:
-        warm = tuple(
-            r.theta_hat
-            for nm, r in results.items()
-            if SUBMODELS[nm].nests_within(sub) and math.isfinite(r.loglik)
-        )
-        results[sub.name] = fit(data, sub, extra_starts=warm)
+        twin = next((r for r in results.values() if r.submodel.fixed == sub.fixed), None)
+        if twin is None:
+            warm = [
+                r.theta_hat
+                for nm, r in results.items()
+                if SUBMODELS[nm].nests_within(sub) and math.isfinite(r.loglik)
+            ]
+            if rng is not None:
+                warm.extend(_seeded_starts(rng, data, sub))
+            first = next(m for m in SUBMODELS.values() if m.fixed == sub.fixed)
+            twin = fit(data, first, extra_starts=tuple(warm))
+        results[sub.name] = replace(twin, submodel=sub)
     return results
 
 

@@ -640,7 +640,11 @@ def _betacf_arr(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 
 def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Vectorized inverse incomplete beta (bracketed Newton), |I_z - u| <= 1e-10."""
+    """Vectorized inverse incomplete beta (bracketed Newton), |I_z - u| <= 1e-10.
+
+    Raises NonConvergenceError, naming the worst u, when the passes run
+    out with a residual above 1e-10 at any point.
+    """
     u = np.asarray(u, dtype=float)
     lnB = ln_beta(a, b)
     mean = a / (a + b)
@@ -654,7 +658,7 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
     z = np.where(u > 0.9, np.clip(hi_guess, mean, 1.0 - 1e-16), z)
     lo = np.zeros_like(u)
     hi = np.ones_like(u)
-    for _ in range(120):
+    for _ in range(119):
         g = _reg_inc_beta_arr(z, a, b) - u
         if np.all(np.abs(g) < 1e-13):
             break
@@ -666,6 +670,19 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
             zn = z - g / dens
         bad = ~np.isfinite(zn) | (zn <= lo) | (zn >= hi)
         z = np.where(bad, 0.5 * (lo + hi), zn)
+    else:
+        # The last of the 120 passes only measures the residual of the z
+        # that is returned, and raises if it misses the tolerance anywhere.
+        g = _reg_inc_beta_arr(z, a, b) - u
+        miss = np.where((u == 0.0) | (u == 1.0), 0.0, np.abs(g))
+        worst = int(np.argmax(miss))
+        if not miss[worst] <= 1e-10:
+            raise NonConvergenceError(
+                f"inverse incomplete beta (a={a}, b={b}) did not converge at "
+                f"u={float(u[worst])!r}: |I_z - u| = {miss[worst]:.3g} "
+                f"at z={float(z[worst])!r}",
+                bracket=(float(lo[worst]), float(hi[worst])),
+            )
     z = np.where(u == 0.0, 0.0, z)
     z = np.where(u == 1.0, 1.0, z)
     return z

@@ -393,6 +393,7 @@ _RECOVERY_TIMES: dict[str, float] = {}
 _CHI2_95 = {2: 5.991465, 3: 7.814728, 4: 9.487729, 5: 11.070498}
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name,truth,base", _RECOVERY_TRUTHS,
                          ids=[t[0] for t in _RECOVERY_TRUTHS])
 def test_mle_recovery_coverage(capsys, name, truth, base):
@@ -451,6 +452,7 @@ def test_mle_recovery_coverage(capsys, name, truth, base):
         assert wald_ok, f"Wald recovery out of range for {name}: {detail}"
 
 
+@pytest.mark.slow
 def test_mle_recovery_runtime_budget(capsys):
     dt = sum(_RECOVERY_TIMES.values())
     ok = len(_RECOVERY_TIMES) == len(_RECOVERY_TRUTHS) and dt < 900.0
@@ -465,6 +467,7 @@ def test_mle_recovery_runtime_budget(capsys):
 # 9. likelihood-ratio machinery: nesting order and null calibration
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_nested_loglik_ordering(capsys):
     worst = -math.inf
     rng = np.random.default_rng(60_000)
@@ -488,6 +491,7 @@ def test_nested_loglik_ordering(capsys):
     assert worst <= 1e-6
 
 
+@pytest.mark.slow
 def test_lr_null_rejection_rate(capsys):
     t0 = time.time()
     truth = Params(1, 1, 2, 1.5, 1)  # a Beta law inside the full family

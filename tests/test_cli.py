@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -20,6 +21,9 @@ from gkw import core, estim, series
 from gkw.cli import main
 from gkw.core import Params
 from gkw.estim import Dataset
+
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -405,3 +409,17 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert float(proc.stdout.split()[1]) == pytest.approx(0.25, abs=1e-12)
+
+
+class TestGoldenReports:
+    # Reports of `gkw fit` with the default models and no --seed, frozen
+    # from a version that fitted Mc and BP separately and ran every
+    # start, duplicates included.  The data are 300 draws from
+    # GKw(2, 3, 1.5, 0.5, 2) (seed 3001) and Mc(1, 1, 1, 4, 2) (seed 3002).
+    @pytest.mark.parametrize("name", ["workhorse-300", "mc-300"])
+    def test_default_fit_report_is_byte_identical(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(DATA_DIR)
+        out = tmp_path / "report.json"
+        code, _, _ = run_cli("fit", "--data", f"{name}.csv", "--out", str(out), "--quiet")
+        assert code == 0
+        assert out.read_bytes() == (DATA_DIR / f"{name}.json").read_bytes()

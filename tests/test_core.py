@@ -24,6 +24,7 @@ from gkw.core import (
     sample,
 )
 from gkw.oracle import adaptive_quad
+from gkw.specfun import NonConvergenceError
 
 
 class TestParams:
@@ -183,7 +184,32 @@ class TestDensity:
         assert log_pdf(t, x) == pytest.approx(want, rel=1e-10)
 
 
+class TestCdf:
+    # z = y^lambda underflows (about 1e-3776 and 1e-983) while I_z stays
+    # large because gamma is tiny; references from 50-digit mpmath betainc
+    # at the exact binary values of the parameters
+    UNDERFLOW = Params(1.59, 5.70, 9.7e-5, 3.86e10, 4388.0)
+    UNDERFLOW_CDF = {0.1: 0.431390052069271154935793157425,
+                     0.3: 0.804914172590921060344934558918}
+
+    @pytest.mark.parametrize("x", [0.1, 0.3])
+    def test_underflowing_z_scalar(self, x):
+        assert cdf(self.UNDERFLOW, x) == pytest.approx(self.UNDERFLOW_CDF[x], rel=1e-14)
+
+    def test_underflowing_z_array(self):
+        xs = np.array([0.1, 0.3] * 5)
+        want = np.array([self.UNDERFLOW_CDF[x] for x in xs])
+        assert cdf(self.UNDERFLOW, xs) == pytest.approx(want, rel=1e-14)
+
+
 class TestQuantile:
+    def test_unconverged_array_inverse_raises(self):
+        # the array path (more than 8 points) once returned 7.45e-39 at
+        # u = 0.1 for this law, where the true quantile is 1e-100
+        us = np.linspace(0.1, 0.9, 9)
+        with pytest.raises(NonConvergenceError, match=r"u=0\.1\b"):
+            quantile(Params(1.0, 1.0, 0.01, 0.0, 1.0), us)
+
     def test_round_trip(self):
         us = np.linspace(0.001, 0.999, 41)
         for theta in (WORKHORSE, Params(0.5, 1.0, 0.8, 0.0, 1.0)):

@@ -394,17 +394,73 @@ class TestFit:
         assert ll["KwKw"] <= ll["GKw"] + slack
 
 
+class _Counter:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def _same_fit(r, s):
+    return (r.theta_hat == s.theta_hat and r.loglik == s.loglik
+            and r.converged == s.converged and r.iterations == s.iterations
+            and r.grad_norm == s.grad_norm and r.boundary == s.boundary
+            and np.array_equal(r.std_errors, s.std_errors))
+
+
+class TestWorkCounts:
+    def test_duplicate_start_is_run_once(self, monkeypatch):
+        data = Dataset(core.sample(WORKHORSE, 300, seed=5))
+        start = default_init(data, SUBMODELS["EKw"])
+        chain = _Counter(core._log_chain)
+        monkeypatch.setattr(core, "_log_chain", chain)
+        once = fit(data, "EKw", init=start)
+        passes_once, chain.calls = chain.calls, 0
+        twice = fit(data, "EKw", init=start, extra_starts=(start,))
+        assert chain.calls == passes_once
+        assert _same_fit(once, twice)
+
+    def test_score_built_only_for_accepted_steps(self, monkeypatch):
+        data = Dataset(core.sample(WORKHORSE, 300, seed=5))
+        free_idx = [0, 1, 4]              # EKw: alpha, beta, lambda
+        start = default_init(data, SUBMODELS["EKw"])
+        phi0 = np.log(np.array(start.as_tuple())[free_idx])
+        lower, upper = estim._walls(free_idx)
+        objective = _Counter(estim._make_objective(data, free_idx, np.array(start.as_tuple())))
+        builds = _Counter(estim._score_from_parts)
+        monkeypatch.setattr(estim, "_score_from_parts", builds)
+        *_, it, conv = estim._bfgs(objective, phi0, lower, upper,
+                                   gtol=1e-6, max_iter=500, h0=1.0)
+        assert conv                     # so every iteration accepted a step
+        assert builds.calls == it + 1   # the first point and each accepted step
+        assert objective.calls > builds.calls
+
+    def test_fit_family_fits_shared_pattern_once(self, monkeypatch):
+        data = Dataset(core.sample(WORKHORSE, 300, seed=17))
+        calls = _Counter(estim.fit)
+        monkeypatch.setattr(estim, "fit", calls)
+        fam = fit_family(data, tuple(SUBMODELS))
+        assert calls.calls == 7
+        assert fam["BP"].submodel is SUBMODELS["BP"]
+        assert fam["Mc"].submodel is SUBMODELS["Mc"]
+        assert _same_fit(fam["BP"], fam["Mc"])
+
+
 class TestOptimizer:
     @pytest.mark.parametrize("theta", [WORKHORSE, Params(83.55, 3.147e6, 1.0, 2.658, 0.01724)])
     def test_shared_pass_matches_separate_calls(self, theta):
         data = _dataset(seed=5, n=300)
-        ll, u = estim._loglik_and_score(theta, data)
+        ll, parts = estim._loglik_and_parts(theta, data)
         assert ll == log_likelihood(theta, data)
-        assert np.array_equal(u, score(theta, data))
+        assert np.array_equal(estim._score_from_parts(theta, data.n, parts), score(theta, data))
 
     @staticmethod
     def _linear(slope):
-        return lambda phi: (slope * float(phi[0]), np.array([slope]))
+        return lambda phi: (slope * float(phi[0]), lambda: np.array([slope]))
 
     def test_stalled_run_stops_before_its_budget(self):
         # descends by ~1e-14 per iteration and never meets the gradient test
