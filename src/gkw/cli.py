@@ -264,8 +264,8 @@ def _cmd_props(args) -> int:
     if args.moments:
         if args.moments < 1:
             raise CliError(2, f"--moments must be a positive integer, got {args.moments}")
-        for r in range(1, args.moments + 1):
-            _annotate(out, f"mu{r}", series.moment(theta, r, ctl))
+        for r, mu in enumerate(series.moments(theta, range(1, args.moments + 1), ctl), 1):
+            _annotate(out, f"mu{r}", mu)
     if args.lmoments:
         for i, v in enumerate(series.l_moments(theta, 4, ctl), 1):
             out[f"l{i}"] = float(v)

@@ -12,9 +12,10 @@ are certified against finite differences in the test suite.
 Standard errors come from the inverse of the observed information
 restricted to the free coordinates, and nested models are compared with
 the usual likelihood-ratio chi-square.  A delta estimate that lands on
-its lower wall is reported as exactly 0 with a boundary flag; LR
-p-values are still the plain chi-square recipe, which is conservative
-for such boundary nulls.
+its lower wall is reported as exactly 0 with a boundary flag and a NaN
+standard error, the others then coming from the information on the
+interior coordinates; LR p-values are still the plain chi-square
+recipe, which is conservative for such boundary nulls.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class FitResult:
     when the fit failed or the restricted information matrix is not
     positive definite.  ``boundary`` names free parameters that ended
     on a transformation wall; delta on its lower wall is reported as
-    exactly 0.
+    exactly 0, with a NaN standard error.
     """
 
     submodel: SubModel
@@ -253,10 +254,15 @@ def observed_info(theta: Params, data: Dataset) -> np.ndarray:
     everything else is assembled from the same log-space blocks as the
     score.
     """
-    a, b, g, d, l = theta.as_tuple()
-    n = data.n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lx, s, la, bla, ly, lly, lu, llx, lla, lny = _parts(theta, data)
+        return _info_from_parts(theta, data.n, _parts(theta, data))
+
+
+def _info_from_parts(theta: Params, n: int, parts) -> np.ndarray:
+    """The information of :func:`observed_info`, from the blocks of :func:`_parts`."""
+    a, b, g, d, l = theta.as_tuple()
+    lx, s, la, bla, ly, lly, lu, llx, lla, lny = parts
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gl1 = g * l - 1.0
         lb = math.log(b)
         t = np.exp(s)
@@ -620,7 +626,7 @@ def fit(
             if i == di and phi[j] <= lower[j] + 5.0:
                 vec[i] = 0.0                  # the wall value is exactly zero
     theta_hat = Params(*vec)
-    loglik = log_likelihood(theta_hat, data)
+    loglik, parts = _loglik_and_parts(theta_hat, data)
 
     # In phi = log(delta + eps) the gradient (delta + eps) dl/d delta
     # meets the tolerance long before phi nears its wall, so a run can
@@ -629,15 +635,18 @@ def fit(
     # dl/d delta <= 0 at delta = 0, and no loss of likelihood there.
     if di in free_idx and vec[di] > 0.0:
         wall = theta_hat.replace(delta=0.0)
-        wall_ll = log_likelihood(wall, data)
-        if wall_ll >= loglik and score(wall, data)[di] <= 0.0:
+        wall_ll, wall_parts = _loglik_and_parts(wall, data)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            kkt = wall_ll >= loglik and _score_from_parts(wall, data.n, wall_parts)[di] <= 0.0
+        if kkt:
             vec[di] = 0.0
-            theta_hat, loglik = wall, wall_ll
+            theta_hat, loglik, parts = wall, wall_ll, wall_parts
             boundary = [nm for nm in sub.free_names if nm in boundary or nm == "delta"]
 
     grad_norm = math.inf
     if math.isfinite(loglik):
-        full = score(theta_hat, data)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            full = _score_from_parts(theta_hat, data.n, parts)
         g_phi = np.empty(len(free_idx))
         for j, i in enumerate(free_idx):
             scale = vec[i] + _DELTA_EPS if i == di else vec[i]
@@ -658,7 +667,8 @@ def fit(
         boundary=tuple(boundary),
     )
     if converged:
-        ses = _se_from_info(observed_info(theta_hat, data), free_idx)
+        ses = _se_from_info(_info_from_parts(theta_hat, data.n, parts), free_idx,
+                            _on_wall(theta_hat, boundary))
         if ses is not None:
             result = FitResult(
                 submodel=sub, theta_hat=theta_hat, loglik=loglik,
@@ -720,13 +730,24 @@ def fit_family(data: Dataset, names: tuple[str, ...] | None = None, *,
 # ----------------------------------------------------------------------
 
 
-def _se_from_info(info: np.ndarray, free_idx: list[int]) -> np.ndarray | None:
+def _on_wall(theta_hat: Params, boundary) -> tuple[int, ...]:
+    """Parameter indices of a fit that sit on a constraint: delta = 0."""
+    return (_PARAM_IDX["delta"],) if "delta" in boundary and theta_hat.delta == 0.0 else ()
+
+
+def _se_from_info(info: np.ndarray, free_idx: list[int],
+                  on_wall: tuple[int, ...] = ()) -> np.ndarray | None:
     """Square roots of the inverse information diagonal on free coords.
 
-    None when the restricted matrix has non-finite entries or is not
-    positive definite -- no numbers are fabricated for a singular fit.
+    A coordinate in ``on_wall`` gets NaN: its maximum is one-sided, so
+    no Wald interval exists for it, and the other coordinates are taken
+    from the information restricted to the interior ones.  None when
+    that matrix has non-finite entries or is not positive definite --
+    no numbers are fabricated for a singular fit.
     """
-    block = np.asarray(info, dtype=float)[np.ix_(free_idx, free_idx)]
+    inner = [k for k, i in enumerate(free_idx) if i not in on_wall]
+    idx = [free_idx[k] for k in inner]
+    block = np.asarray(info, dtype=float)[np.ix_(idx, idx)]
     if not np.all(np.isfinite(block)):
         return None
     try:
@@ -737,20 +758,24 @@ def _se_from_info(info: np.ndarray, free_idx: list[int]) -> np.ndarray | None:
     diag = np.diag(inv)
     if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
         return None
-    return np.sqrt(diag)
+    out = np.full(len(free_idx), np.nan)
+    out[inner] = np.sqrt(diag)
+    return out
 
 
 def std_errors(fit_result: FitResult, data: Dataset) -> np.ndarray | None:
     """Wald standard errors for the free parameters of a converged fit.
 
-    Ordered like ``fit_result.submodel.free_names``.  Returns None when
-    the information matrix restricted to the free coordinates is
+    Ordered like ``fit_result.submodel.free_names``, and equal to the
+    errors ``fit`` attaches: NaN for delta on its wall.  Returns None
+    when the information matrix restricted to the free coordinates is
     singular or indefinite.
     """
     if not fit_result.converged:
         raise ValueError("standard errors require a converged fit")
     free_idx = [_PARAM_IDX[nm] for nm in fit_result.submodel.free_names]
-    return _se_from_info(observed_info(fit_result.theta_hat, data), free_idx)
+    return _se_from_info(observed_info(fit_result.theta_hat, data), free_idx,
+                         _on_wall(fit_result.theta_hat, fit_result.boundary))
 
 
 def lr_test(null_fit: FitResult, alt_fit: FitResult) -> LrTestResult:

@@ -29,10 +29,18 @@ detected up front.
 Every sum-valued operation returns a SeriesValue: a float carrying the
 achieved tail bound, the number of terms used, the evaluation method
 ("exact" | "series" | "quadrature"), and a convergence flag.
+
+Work is shared within one call, never across calls.  moments() sweeps j
+once for all its orders, building each omega_j and Beta row once;
+l_moments() builds the v-table and each power h^q once for its ten
+order-statistic moments, and where those fall back to quadrature they
+evaluate (F, f) once per panel.  These tables are dropped when the call
+returns, so a repeated call repeats the work and no memory is held.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -55,6 +63,7 @@ __all__ = [
     "cdf_expansion",
     "pdf_expansion",
     "moment",
+    "moments",
     "central_moments_and_cumulants",
     "factorial_moment",
     "mgf",
@@ -316,43 +325,55 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
     return SeriesValue(partial[-1], abs(terms[-1]) * terms.size, terms.size, "series", False)
 
 
-def _sum_fn(term_fn, ctl: SeriesControl, *, warn_label: str | None = None,
-            extra_bound: float = 0.0) -> SeriesValue:
-    """Like _sum_terms but for expensive terms generated one at a time."""
-    terms = []
-    total = 0.0
-    small_run = 0
-    for j in range(ctl.max_terms):
-        t = float(term_fn(j))
+class _TermSum:
+    """The truncation rule of _sum_terms for expensive terms that arrive
+    one at a time, so that several sums can share one sweep over j.
+
+    add() takes the next term and returns True once the rule has fired;
+    the caller then stops feeding this sum.  value() gives the result, or,
+    when max_terms ran out first, the tail extrapolation or an
+    unconverged value.
+    """
+
+    def __init__(self, ctl: SeriesControl):
+        self.ctl = ctl
+        self.terms: list[float] = []
+        self.total = 0.0
+        self.small_run = 0
+        self.result: SeriesValue | None = None
+
+    def add(self, t: float) -> bool:
+        t = float(t)
+        terms = self.terms
         terms.append(t)
-        total += t
-        if abs(t) < ctl.tail_tol * max(abs(total), 1e-300) and total != 0.0:
-            small_run += 1
-            if small_run == 3:
-                fit = _power_tail(np.asarray(terms))
-                if fit is not None:
-                    tail, bound = fit
-                    return SeriesValue(total + tail, bound + extra_bound,
-                                       len(terms), "series", True)
-                prev = abs(terms[-2]) if len(terms) > 1 else 0.0
-                ratio = abs(t) / prev if prev > 0 else 0.0
-                bound = abs(t) * (ratio / (1 - ratio) if ratio < 0.9 else 10.0)
-                return SeriesValue(total, max(bound, abs(t)) + extra_bound,
-                                   len(terms), "series", True)
+        self.total += t
+        total = self.total
+        if not (abs(t) < self.ctl.tail_tol * max(abs(total), 1e-300) and total != 0.0):
+            self.small_run = 0
+            return False
+        self.small_run += 1
+        if self.small_run < 3:
+            return False
+        fit = _power_tail(np.asarray(terms))
+        if fit is not None:
+            tail, bound = fit
+            self.result = SeriesValue(total + tail, bound, len(terms), "series", True)
         else:
-            small_run = 0
-    fit = _power_tail(np.asarray(terms))
-    if fit is not None:
-        tail, bound = fit
-        return SeriesValue(total + tail, bound + extra_bound, len(terms), "series", True)
-    if warn_label:
-        warnings.warn(
-            f"{warn_label}: truncation criterion not met after {len(terms)} terms",
-            SeriesDivergenceWarning,
-            stacklevel=3,
-        )
-    return SeriesValue(total, abs(terms[-1]) * len(terms) + extra_bound,
-                       len(terms), "series", False)
+            prev = abs(terms[-2]) if len(terms) > 1 else 0.0
+            ratio = abs(t) / prev if prev > 0 else 0.0
+            bound = abs(t) * (ratio / (1 - ratio) if ratio < 0.9 else 10.0)
+            self.result = SeriesValue(total, max(bound, abs(t)), len(terms), "series", True)
+        return True
+
+    def value(self) -> SeriesValue:
+        if self.result is not None:
+            return self.result
+        terms, total = self.terms, self.total
+        fit = _power_tail(np.asarray(terms))
+        if fit is not None:
+            tail, bound = fit
+            return SeriesValue(total + tail, bound, len(terms), "series", True)
+        return SeriesValue(total, abs(terms[-1]) * len(terms), len(terms), "series", False)
 
 
 # ----------------------------------------------------------------------
@@ -510,34 +531,70 @@ def pdf_expansion(theta: Params, x: float, ctl: SeriesControl | None = None) -> 
 # ----------------------------------------------------------------------
 
 
-def _omega_term(theta: Params, j: int) -> float:
-    """omega_j computed standalone (for outer sums of unknown length)."""
+def _omegas(theta: Params):
+    """omega_j for j = 0, 1, 2, ..., the binomial carried along the sweep.
+
+    Step j multiplies in the factor (delta - (j-1))/j: the same products,
+    in the same order, as building C(delta, j) from scratch.
+    """
     g, d = theta.gamma, theta.delta
+    norm = math.exp(ln_beta(g, d + 1.0))
     binom = 1.0
-    for i in range(1, j + 1):
-        binom *= (d - (i - 1)) / i
-    return (-1.0) ** j * binom / ((g + j) * math.exp(ln_beta(g, d + 1.0)))
+    for j in itertools.count():
+        if j:
+            binom *= (d - (j - 1)) / j
+        yield (-1.0) ** j * binom / ((g + j) * norm)
 
 
-def _psi_moment(psi: float, rr: float, b: float, ctl: SeriesControl) -> tuple[float, float, bool]:
+def _beta_row(psi: float, b: float, count: int) -> np.ndarray:
+    """B(psi, m/b + 1) for m = 0..count-1, the r-independent factor of M(r)."""
+    return np.exp(_ln_beta_arr(psi, np.arange(count, dtype=float) / b + 1.0))
+
+
+def _psi_coeffs(rr: float, ctl: SeriesControl) -> tuple[int, np.ndarray, bool]:
+    """The psi-independent factors of M(r): (count, (-1)^m C(rr, m), exact).
+
+    The m-sum terminates exactly when rr = r/alpha is a nonnegative
+    integer and is truncated at max_terms otherwise.
+    """
+    exact = _is_nonneg_int(rr)
+    count = int(round(rr)) + 1 if exact else ctl.max_terms
+    m = np.arange(count, dtype=float)
+    signs = np.where(m.astype(int) % 2 == 0, 1.0, -1.0)
+    return count, signs * _binom_seq(rr, count), exact
+
+
+def _psi_moment(psi: float, row: np.ndarray, coeffs,
+                ctl: SeriesControl) -> tuple[float, float, bool]:
     """psi * M(r) = psi * sum_m (-1)^m C(rr, m) B(psi, m/b + 1).
 
     This equals E[x(Y)^r] for Y ~ Beta(psi, 1), hence tends to 1 as psi
-    grows.  Terminates exactly when rr = r/alpha is a nonnegative integer.
-    Returns (value, tail_bound, converged).
+    grows.  row is :func:`_beta_row` for psi, at least count long, and
+    coeffs is :func:`_psi_coeffs` for rr.  Returns (value, tail_bound,
+    converged).
     """
-    if _is_nonneg_int(rr):
-        count = int(round(rr)) + 1
-        m = np.arange(count, dtype=float)
-        signs = np.where(m.astype(int) % 2 == 0, 1.0, -1.0)
-        terms = signs * _binom_seq(rr, count) * np.exp(_ln_beta_arr(psi, m / b + 1.0))
+    count, signed_binom, exact = coeffs
+    if exact:
+        terms = signed_binom * row[:count]
         return psi * float(terms.sum()), 0.0, True
-    count = ctl.max_terms
-    m = np.arange(count, dtype=float)
-    signs = np.where(m.astype(int) % 2 == 0, 1.0, -1.0)
-    terms = psi * signs * _binom_seq(rr, count) * np.exp(_ln_beta_arr(psi, m / b + 1.0))
-    sv = _sum_terms(terms, ctl)
+    sv = _sum_terms(psi * signed_binom * row[:count], ctl)
     return float(sv), sv.tail_bound, sv.converged
+
+
+def _moment_finite(b: float, rr: float, omegas, psis) -> SeriesValue:
+    """The fully finite double sum over j and k (integer delta and psi_j)."""
+    total = 0.0
+    n_terms = 0
+    for om, psi in zip(omegas, psis):
+        K = int(round(psi))
+        k = np.arange(K, dtype=float)
+        signs = np.where(k.astype(int) % 2 == 0, 1.0, -1.0)
+        tau = signs * _binom_seq(psi - 1.0, K) * b * np.exp(
+            _ln_beta_arr(1.0 + rr, (k + 1.0) * b)
+        )
+        total += om * psi * float(tau.sum())
+        n_terms += K
+    return SeriesValue(total, 0.0, n_terms, "exact", True)
 
 
 def moment(theta: Params, r: float, ctl: SeriesControl | None = None) -> SeriesValue:
@@ -556,63 +613,81 @@ def moment(theta: Params, r: float, ctl: SeriesControl | None = None) -> SeriesV
         leaving terms that decay one power faster.
     Falls back to quadrature of x^r f(x) when truncation fails.
     """
+    return moments(theta, (r,), ctl)[0]
+
+
+def moments(theta: Params, rs, ctl: SeriesControl | None = None) -> list[SeriesValue]:
+    """E[X^r] for every r in rs; each value is what moment(theta, r) gives.
+
+    One sweep over j serves every r: omega_j and the Beta row
+    B(psi_j, m/beta + 1) do not depend on r, so each is built once per
+    call.  Each r keeps its own truncation of the j-sum and its own
+    quadrature fallback.
+    """
     ctl = ctl or _DEFAULT_CTL
     a, b, g, d, l = theta.as_tuple()
-    if not (r > -a):
-        raise ValueError(f"moment requires r > -alpha = {-a:g}, got r={r:g}")
-    rr = r / a
+    rs = list(rs)
+    for r in rs:
+        if not (r > -a):
+            raise ValueError(f"moment requires r > -alpha = {-a:g}, got r={r:g}")
+    rrs = [r / a for r in rs]
+    out: list[SeriesValue | None] = [None] * len(rs)
     int_delta = _is_nonneg_int(d)
 
     if int_delta:
         nj = int(round(d)) + 1
         psis = [l * (g + j) for j in range(nj)]
-        omegas = [_omega_term(theta, j) for j in range(nj)]
+        omegas = list(itertools.islice(_omegas(theta), nj))
         if all(_is_pos_int(ps) for ps in psis) and max(psis) <= 25.0:
             # fully finite double sum; safe from cancellation at these sizes
-            total = 0.0
-            n_terms = 0
-            for om, psi in zip(omegas, psis):
-                K = int(round(psi))
-                k = np.arange(K, dtype=float)
-                signs = np.where(k.astype(int) % 2 == 0, 1.0, -1.0)
-                tau = signs * _binom_seq(psi - 1.0, K) * b * np.exp(
-                    _ln_beta_arr(1.0 + rr, (k + 1.0) * b)
-                )
-                total += om * psi * float(tau.sum())
-                n_terms += K
-            return SeriesValue(total, 0.0, n_terms, "exact", True)
-        total = 0.0
-        bound = 0.0
-        ok = True
-        exact = _is_nonneg_int(rr)
+            return [_moment_finite(b, rr, omegas, psis) for rr in rrs]
+    coeffs = [_psi_coeffs(rr, ctl) for rr in rrs]
+    width = max((c[0] for c in coeffs), default=0)
+    bounds = [0.0] * len(rs)
+    oks = [True] * len(rs)
+
+    if int_delta:
+        totals = [0.0] * len(rs)
         for om, psi in zip(omegas, psis):
-            val, tb, conv = _psi_moment(psi, rr, b, ctl)
-            total += om * val
-            bound += abs(om) * tb
-            ok = ok and conv
-        if ok:
-            return SeriesValue(total, bound, len(psis), "exact" if exact else "series", True)
+            row = _beta_row(psi, b, width)
+            for k, c in enumerate(coeffs):
+                val, tb, conv = _psi_moment(psi, row, c, ctl)
+                totals[k] += om * val
+                bounds[k] += abs(om) * tb
+                oks[k] = oks[k] and conv
+        for k, rr in enumerate(rrs):
+            if oks[k]:
+                method = "exact" if _is_nonneg_int(rr) else "series"
+                out[k] = SeriesValue(totals[k], bounds[k], nj, method, True)
     else:
-        inner_bound = 0.0
-        inner_ok = True
+        sums = [_TermSum(ctl) for _ in rs]
+        active = list(range(len(rs)))
+        for j, om in zip(range(ctl.max_terms), _omegas(theta)):
+            if not active:
+                break
+            psi = l * (g + j)
+            row = _beta_row(psi, b, width)
+            still = []
+            for k in active:
+                val, tb, conv = _psi_moment(psi, row, coeffs[k], ctl)
+                bounds[k] += abs(om) * tb
+                oks[k] = oks[k] and conv
+                if not sums[k].add(om * (val - 1.0)):
+                    still.append(k)
+            active = still
+        for k in range(len(rs)):
+            sv = sums[k].value()
+            if sv.converged and oks[k]:
+                out[k] = SeriesValue(1.0 + float(sv), sv.tail_bound + bounds[k],
+                                     sv.terms, "series", True)
 
-        def term(j: int) -> float:
-            nonlocal inner_bound, inner_ok
-            val, tb, conv = _psi_moment(l * (g + j), rr, b, ctl)
-            om = _omega_term(theta, j)
-            inner_bound += abs(om) * tb
-            inner_ok = inner_ok and conv
-            return om * (val - 1.0)
-
-        sv = _sum_fn(term, ctl)
-        if sv.converged and inner_ok:
-            return SeriesValue(1.0 + float(sv), sv.tail_bound + inner_bound,
-                               sv.terms, "series", True)
-
-    quad = oracle.adaptive_quad(lambda x: np.power(x, r) * core.pdf(theta, x),
-                                0.0, 1.0, tol=1e-11)
-    return SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
-                       "quadrature", quad.reliable)
+    for k, r in enumerate(rs):
+        if out[k] is None:
+            quad = oracle.adaptive_quad(lambda x, r=r: np.power(x, r) * core.pdf(theta, x),
+                                        0.0, 1.0, tol=1e-11)
+            out[k] = SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
+                                 "quadrature", quad.reliable)
+    return out
 
 
 _CUMULANT_FORMULAS = {
@@ -641,7 +716,8 @@ def central_moments_and_cumulants(
     if not (isinstance(up_to, (int, np.integer)) and 1 <= up_to <= 6):
         raise ValueError(f"up_to must be an integer in 1..6, got {up_to!r}")
     ctl = ctl or _DEFAULT_CTL
-    raw = [1.0] + [float(moment(theta, float(s), ctl)) for s in range(1, up_to + 1)]
+    orders = [float(s) for s in range(1, up_to + 1)]
+    raw = [1.0] + [float(m) for m in moments(theta, orders, ctl)]
     mean = raw[1]
     central = []
     for s in range(1, up_to + 1):
@@ -669,7 +745,8 @@ def factorial_moment(theta: Params, r: int, ctl: SeriesControl | None = None) ->
             nxt[mm + 1] += s[mm]
             nxt[mm] -= row * s[mm]
         s = nxt
-    raw = [1.0] + [float(moment(theta, float(k), ctl)) for k in range(1, r + 1)]
+    orders = [float(k) for k in range(1, r + 1)]
+    raw = [1.0] + [float(m) for m in moments(theta, orders, ctl)]
     return float(sum(s[m] * raw[m] for m in range(0, r + 1)))
 
 
@@ -767,27 +844,32 @@ def quantile_series_coeffs(theta: Params, n_coeffs: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _j_integral(theta: Params, upper: float, ctl: SeriesControl) -> SeriesValue:
-    """J(a) = integral_0^a x f(x) dx.
+def _j_integrals(theta: Params, uppers, ctl: SeriesControl) -> list[SeriesValue]:
+    """J(a) = integral_0^a x f(x) dx at each upper limit a, one v-table for all.
 
     Series form sum_i v_i a^{(i+1)alpha + 1} / ((i+1)alpha + 1) when the
     v-table exists (geometric in a^alpha, converges fast for a < 1);
     quadrature otherwise.
     """
-    if upper <= 0.0:
-        return SeriesValue(0.0, 0.0, 0, "exact", True)
-    if _v_validity(theta) and upper < 1.0:
-        a = theta.alpha
-        v = _v_coeffs(theta, ctl.max_terms)
-        i = np.arange(len(v), dtype=float)
-        expo = (i + 1.0) * a + 1.0
-        sv = _sum_terms(v * np.power(upper, expo) / expo, ctl)
-        if sv.converged:
-            return sv
-    hi = min(upper, 1.0)
-    quad = oracle.adaptive_quad(lambda x: x * core.pdf(theta, x), 0.0, hi, tol=1e-11)
-    return SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
-                       "quadrature", quad.reliable)
+    expo = v = None
+    out = []
+    for upper in uppers:
+        if upper <= 0.0:
+            out.append(SeriesValue(0.0, 0.0, 0, "exact", True))
+            continue
+        if _v_validity(theta) and upper < 1.0:
+            if v is None:
+                v = _v_coeffs(theta, ctl.max_terms)
+                expo = (np.arange(len(v), dtype=float) + 1.0) * theta.alpha + 1.0
+            sv = _sum_terms(v * np.power(upper, expo) / expo, ctl)
+            if sv.converged:
+                out.append(sv)
+                continue
+        hi = min(upper, 1.0)
+        quad = oracle.adaptive_quad(lambda x: x * core.pdf(theta, x), 0.0, hi, tol=1e-11)
+        out.append(SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
+                               "quadrature", quad.reliable))
+    return out
 
 
 def mean_deviations(theta: Params, ctl: SeriesControl | None = None) -> tuple[SeriesValue, SeriesValue]:
@@ -799,8 +881,7 @@ def mean_deviations(theta: Params, ctl: SeriesControl | None = None) -> tuple[Se
     ctl = ctl or _DEFAULT_CTL
     mu = float(moment(theta, 1.0, ctl))
     med = core.quantile(theta, 0.5)
-    j_mu = _j_integral(theta, mu, ctl)
-    j_med = _j_integral(theta, med, ctl)
+    j_mu, j_med = _j_integrals(theta, (mu, med), ctl)
     d1 = 2.0 * (mu * core.cdf(theta, mu) - float(j_mu))
     d2 = mu - 2.0 * float(j_med)
     meth1 = j_mu.method if j_mu.method != "exact" else "series"
@@ -818,7 +899,7 @@ def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl | None = None)
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     mu = float(moment(theta, 1.0, ctl))
     q = core.quantile(theta, p)
-    jq = _j_integral(theta, q, ctl)
+    (jq,) = _j_integrals(theta, (q,), ctl)
     lorenz = float(jq) / mu
     bound = jq.tail_bound / mu
     return (
@@ -832,12 +913,17 @@ def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl | None = None)
 # ----------------------------------------------------------------------
 
 
-def _order_stat_quad(theta: Params, i: int, n: int, r: float) -> SeriesValue:
+def _order_stat_quad(theta: Params, i: int, n: int, r: float,
+                     at_nodes=None) -> SeriesValue:
+    """E[X_{i:n}^r] by quadrature; at_nodes(x) gives (F(x), f(x)) when set."""
     lnb = ln_beta(float(i), float(n - i + 1))
 
     def integrand(x):
-        F = core.cdf(theta, x)
-        dens = core.pdf(theta, x) * math.exp(-lnb)
+        if at_nodes is None:
+            F, f = core.cdf(theta, x), core.pdf(theta, x)
+        else:
+            F, f = at_nodes(x)
+        dens = f * math.exp(-lnb)
         return np.power(x, r) * dens * F ** (i - 1) * (1.0 - F) ** (n - i)
 
     quad = oracle.adaptive_quad(integrand, 0.0, 1.0, tol=1e-11)
@@ -849,6 +935,40 @@ def _check_order_args(i: int, n: int) -> None:
     if not (isinstance(i, (int, np.integer)) and isinstance(n, (int, np.integer))
             and 1 <= i <= n):
         raise ValueError(f"order statistic needs integers 1 <= i <= n, got i={i!r}, n={n!r}")
+
+
+class _OrderStatTables:
+    """What the order-statistic moments of one theta share within a call.
+
+    The cdf power series F = x^{alpha L'} h(x^alpha) is built once (from
+    the v-table, when it exists), each power h^q once on first use, and
+    for the quadrature fallback (F, f) once per panel node array.  The
+    tables live only as long as the call that made them.
+    """
+
+    def __init__(self, theta: Params, ctl: SeriesControl):
+        self.theta = theta
+        self.ctl = ctl
+        self.valid = _v_validity(theta)
+        if self.valid:
+            v = _v_coeffs(theta, ctl.max_terms)
+            idx = np.arange(len(v), dtype=float)
+            g_seq = v / ((idx + 1.0) * theta.alpha)  # F(x) = sum_s g_s x^{(s+1) alpha}
+            self.lead = int(np.flatnonzero(g_seq)[0])  # = gamma*lambda - 1, exact zeros before
+            self.h = g_seq[self.lead:]
+        self._powers: dict[int, np.ndarray] = {}
+        self._nodes: dict[bytes, tuple] = {}
+
+    def h_power(self, q: int) -> np.ndarray:
+        if q not in self._powers:
+            self._powers[q] = _ps_pow(self.h, float(q), len(self.h))
+        return self._powers[q]
+
+    def at_nodes(self, x: np.ndarray) -> tuple:
+        key = x.tobytes()
+        if key not in self._nodes:
+            self._nodes[key] = (core.cdf(self.theta, x), core.pdf(self.theta, x))
+        return self._nodes[key]
 
 
 def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
@@ -865,15 +985,16 @@ def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
     _check_order_args(i, n)
     if not r > 0:
         raise ValueError(f"r must be positive, got {r!r}")
-    if not _v_validity(theta):
-        return _order_stat_quad(theta, i, n, r)
+    return _order_stat_series(_OrderStatTables(theta, ctl), i, n, r)
+
+
+def _order_stat_series(tables: _OrderStatTables, i: int, n: int, r: float) -> SeriesValue:
+    """order_stat_moment_series from tables shared with other (i, n)."""
+    theta = tables.theta
+    if not tables.valid:
+        return _order_stat_quad(theta, i, n, r, tables.at_nodes)
     a = theta.alpha
-    N = ctl.max_terms
-    v = _v_coeffs(theta, N)
-    idx = np.arange(len(v), dtype=float)
-    g_seq = v / ((idx + 1.0) * a)  # F(x) = sum_s g_s x^{(s+1) alpha}
-    lead = int(np.flatnonzero(g_seq)[0])  # = gamma*lambda - 1, exact zeros before
-    h = g_seq[lead:]
+    lead = tables.lead
     total = 0.0
     bound = 0.0
     terms_used = 0
@@ -881,10 +1002,10 @@ def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
     inv_b = math.exp(-ln_beta(float(i), float(n - i + 1)))
     for j in range(0, n - i + 1):
         q = i + j
-        hq = _ps_pow(h, float(q), len(h))
+        hq = tables.h_power(q)
         s = np.arange(len(hq), dtype=float)
         denom = r + (s + q * (lead + 1.0)) * a
-        sv = _sum_terms(hq / denom, ctl)
+        sv = _sum_terms(hq / denom, tables.ctl)
         coeff = inv_b * (-1.0) ** j * math.comb(n - i, j)
         t_q = 1.0 / q - (r / q) * float(sv)
         total += coeff * t_q
@@ -892,7 +1013,7 @@ def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
         terms_used = max(terms_used, sv.terms)
         converged = converged and sv.converged
     if not converged:
-        return _order_stat_quad(theta, i, n, r)
+        return _order_stat_quad(theta, i, n, r, tables.at_nodes)
     return SeriesValue(total, bound, terms_used, "series", True)
 
 
@@ -948,9 +1069,10 @@ def l_moments(theta: Params, up_to: int, ctl: SeriesControl | None = None) -> li
     if not (isinstance(up_to, (int, np.integer)) and 1 <= up_to <= 4):
         raise ValueError(f"up_to must be an integer in 1..4, got {up_to!r}")
     ctl = ctl or _DEFAULT_CTL
+    tables = _OrderStatTables(theta, ctl)
 
     def m(i: int, n: int) -> float:
-        return float(order_stat_moment_series(theta, i, n, 1.0, ctl))
+        return float(_order_stat_series(tables, i, n, 1.0))
 
     out = [m(1, 1)]
     if up_to >= 2:

@@ -215,6 +215,18 @@ class TestFit:
             theta = Params(*[m["theta"][nm] for nm in ("alpha", "beta", "gamma", "delta", "lam")])
             assert estim.log_likelihood(theta, data) == pytest.approx(m["loglik"], abs=1e-6)
 
+    def test_delta_on_wall_se_is_null(self, tmp_path):
+        csv = write_csv(tmp_path / "bkw.csv",
+                        core.sample(Params(2, 4, 0.5, 1, 1), 2000, seed=915003))
+        rep = tmp_path / "rep.json"
+        code, _, _ = run_cli("fit", "--data", csv, "--models", "bkw", "--out", str(rep),
+                             "--quiet")
+        assert code == 0
+        (bkw,) = json.loads(rep.read_text())["models"]
+        assert bkw["theta"]["delta"] == 0.0 and "delta" in bkw["boundary"]
+        assert bkw["se"]["delta"] is None
+        assert all(bkw["se"][nm] > 0.0 for nm in ("alpha", "beta", "gamma"))
+
     def test_rerun_is_byte_identical(self, kw_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for p in (a, b):
@@ -423,3 +435,19 @@ class TestGoldenReports:
         code, _, _ = run_cli("fit", "--data", f"{name}.csv", "--out", str(out), "--quiet")
         assert code == 0
         assert out.read_bytes() == (DATA_DIR / f"{name}.json").read_bytes()
+
+    # `gkw props` output frozen from a version in which every moment and
+    # every order-statistic moment built its own tables.  The three shapes
+    # take the three routes: general-delta moment sweep with v-table
+    # L-moments (workhorse), the same with delta > 1 (kwkw), and
+    # quadrature L-moments and mean deviations without a v-table (bathtub).
+    @pytest.mark.parametrize("name, theta", [
+        ("workhorse", "2,3,1.5,0.5,2"),
+        ("kwkw", "2,2,1,1.5,2"),
+        ("bathtub", "0.7,0.8,0.6,0,0.9"),
+    ])
+    def test_props_output_is_byte_identical(self, name, theta):
+        code, out, _ = run_cli("props", "--theta", theta, "--moments", "4", "--lmoments",
+                               "--entropy", "0.5", "--deviations", "--quiet")
+        assert code == 0
+        assert out == (DATA_DIR / f"props-{name}.json").read_text()

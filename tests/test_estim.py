@@ -439,6 +439,22 @@ class TestWorkCounts:
         assert builds.calls == it + 1   # the first point and each accepted step
         assert objective.calls > builds.calls
 
+    def test_closing_evaluations_share_one_pass(self, monkeypatch):
+        # delta stalls short of its wall here, so the KKT point is tried too
+        data = Dataset(core.sample(Params(2.0, 3.0, 1.0, 1.0, 0.7), 2000, seed=916004))
+        want = fit(data, "KwKw")
+
+        def forbidden(*args):
+            raise AssertionError("fit evaluated a point outside the shared pass")
+
+        for name in ("log_likelihood", "score", "observed_info"):
+            monkeypatch.setattr(estim, name, forbidden)
+        got = fit(data, "KwKw")
+        assert got.theta_hat.delta == 0.0 and "delta" in got.boundary
+        assert (got.theta_hat, got.loglik, got.grad_norm) == (want.theta_hat, want.loglik,
+                                                              want.grad_norm)
+        assert np.array_equal(got.std_errors, want.std_errors, equal_nan=True)
+
     def test_fit_family_fits_shared_pattern_once(self, monkeypatch):
         data = Dataset(core.sample(WORKHORSE, 300, seed=17))
         calls = _Counter(estim.fit)
@@ -514,6 +530,26 @@ class TestStdErrors:
         data = Dataset(core.sample(KW22, 1000, seed=3))
         r = fit(data, "Kw")
         assert std_errors(r, data) == pytest.approx(r.std_errors, rel=1e-12)
+
+    # delta = 0 on its wall is a one-sided maximum: no Wald interval for
+    # delta, and the others come from the information on the interior
+    # coordinates (the full free block gave delta SEs of 1.65 and 1.24)
+    @pytest.mark.parametrize("name, truth, seed", [
+        ("BKw", Params(2, 4, 0.5, 1, 1), 915003),
+        ("KwKw", Params(2, 3, 1, 1, 0.7), 916024),
+    ])
+    def test_delta_on_wall_has_no_standard_error(self, name, truth, seed):
+        data = Dataset(core.sample(truth, 2000, seed=seed))
+        r = fit(data, name)
+        assert r.converged and r.theta_hat.delta == 0.0 and "delta" in r.boundary
+        free = list(SUBMODELS[name].free_names)
+        k = free.index("delta")
+        assert math.isnan(r.std_errors[k])
+        inner = [PARAM_NAMES.index(nm) for nm in free if nm != "delta"]
+        info = observed_info(r.theta_hat, data)[np.ix_(inner, inner)]
+        want = np.sqrt(np.diag(np.linalg.inv(info)))
+        assert np.delete(r.std_errors, k) == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(std_errors(r, data), r.std_errors, equal_nan=True)
 
 
 def _fake_fit(name, loglik):

@@ -650,3 +650,71 @@ class TestTruncationMachinery:
         assert isinstance(ct, CoeffTable)
         assert ct.theta == KW22
         assert ct.notes == ()
+
+
+class _Recorder:
+    """Wraps a function and records a key of each call's arguments."""
+
+    def __init__(self, fn, key):
+        self.fn, self.key, self.keys = fn, key, []
+
+    def __call__(self, *args, **kwargs):
+        self.keys.append(self.key(*args))
+        return self.fn(*args, **kwargs)
+
+
+def _same_value(x, y):
+    return (float(x) == float(y) and x.tail_bound == y.tail_bound and x.terms == y.terms
+            and x.method == y.method and x.converged == y.converged)
+
+
+class TestSharedTables:
+    # Within one call, each table a theta's series need is built once;
+    # nothing is kept from one call to the next.
+
+    # general delta (infinite j-sum) and integer delta with non-integer psi_j
+    @pytest.mark.parametrize("theta", [WORKHORSE, Params(2, 3, 1.5, 2, 1.3)])
+    def test_moments_build_each_beta_row_once(self, theta, monkeypatch):
+        rows = _Recorder(series._ln_beta_arr, lambda a, b: float(a))
+        monkeypatch.setattr(series, "_ln_beta_arr", rows)
+        got = series.moments(theta, [1, 2, 3, 4])
+        assert len(rows.keys) == len(set(rows.keys)) > 0
+        monkeypatch.undo()
+        for r, value in zip([1, 2, 3, 4], got):
+            assert _same_value(value, series.moment(theta, r))
+
+    def test_central_moments_share_the_sweep(self, monkeypatch):
+        rows = _Recorder(series._ln_beta_arr, lambda a, b: float(a))
+        monkeypatch.setattr(series, "_ln_beta_arr", rows)
+        series.central_moments_and_cumulants(KWKW, 4)
+        assert len(rows.keys) == len(set(rows.keys)) > 0
+
+    def test_l_moments_build_v_table_and_powers_once(self, monkeypatch):
+        tables = _Recorder(series._v_coeffs, lambda theta, n: n)
+        monkeypatch.setattr(series, "_v_coeffs", tables)
+        powers = _Recorder(series._ps_pow, lambda a, p, n: p)
+        monkeypatch.setattr(series, "_ps_pow", powers)
+        series.l_moments(EKW, 4)
+        assert len(tables.keys) == 1
+        # EKW's v-table takes one power (S/w)^{gamma lambda - 1}; then h^1..h^4
+        assert sorted(powers.keys) == [1.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_l_moment_quadratures_share_panels(self, monkeypatch):
+        cdf = _Recorder(core.cdf, lambda theta, x: np.asarray(x).tobytes())
+        monkeypatch.setattr(core, "cdf", cdf)
+        series.l_moments(BATHTUB, 4)
+        assert len(cdf.keys) == len(set(cdf.keys)) > 0
+
+    def test_no_work_is_kept_between_calls(self, monkeypatch):
+        cdf = _Recorder(core.cdf, lambda theta, x: None)
+        rows = _Recorder(series._ln_beta_arr, lambda a, b: None)
+        monkeypatch.setattr(core, "cdf", cdf)
+        monkeypatch.setattr(series, "_ln_beta_arr", rows)
+        counts = []
+        for _ in range(2):
+            first = (len(cdf.keys), len(rows.keys))
+            series.l_moments(BATHTUB, 4)
+            series.moments(WORKHORSE, [1, 2])
+            counts.append((len(cdf.keys) - first[0], len(rows.keys) - first[1]))
+        assert counts[0] == counts[1]
+        assert min(counts[0]) > 0
