@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__, core, estim, series
 from .core import _PARAM_NAMES, Params, SUBMODELS
 from .estim import Dataset, EstimationError, FitResult
+from .specfun import NonConvergenceError
 
 __all__ = ["main"]
 
@@ -527,7 +528,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"gkw {args.verb}: {e}", file=sys.stderr)
         return 3
-    except EstimationError as e:
+    except (EstimationError, NonConvergenceError, ArithmeticError) as e:
         print(f"gkw {args.verb}: numerical failure: {e}", file=sys.stderr)
         return 4
     except ValueError as e:

@@ -31,7 +31,8 @@ achieved tail bound, the number of terms used, the evaluation method
 ("exact" | "series" | "quadrature"), and a convergence flag.
 
 Work is shared within one call, never across calls.  moments() sweeps j
-once for all its orders, building each omega_j and Beta row once;
+once for all its orders, building each omega_j once and the Beta rows a
+block of j at a time, one vectorized call per block;
 l_moments() builds the v-table and each power h^q once for its ten
 order-statistic moments, and where those fall back to quadrature they
 evaluate (F, f) once per panel.  These tables are dropped when the call
@@ -206,10 +207,10 @@ def _ps_pow(a: np.ndarray, p: float, n: int) -> np.ndarray:
     c[0] = a[0] ** p
     # series with growing coefficients can overflow in high orders; the
     # resulting non-finite entries are caught by callers' convergence checks
+    jp = np.arange(1, n) * (p + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, n):
-            j = np.arange(1, s + 1)
-            c[s] = np.dot((j * (p + 1.0) - s) * a[1 : s + 1], c[s - 1 :: -1][:s]) / (
+            c[s] = np.dot((jp[:s] - s) * a[1 : s + 1], c[s - 1 :: -1][:s]) / (
                 s * a[0]
             )
     return c
@@ -546,9 +547,16 @@ def _omegas(theta: Params):
         yield (-1.0) ** j * binom / ((g + j) * norm)
 
 
-def _beta_row(psi: float, b: float, count: int) -> np.ndarray:
-    """B(psi, m/b + 1) for m = 0..count-1, the r-independent factor of M(r)."""
-    return np.exp(_ln_beta_arr(psi, np.arange(count, dtype=float) / b + 1.0))
+# Rows per _ln_beta_arr call in the j-sweep: a call costs about the same
+# for 1 row as for 32, and a sweep that stops early wastes at most 31.
+_ROW_BLOCK = 32
+
+
+def _beta_rows(psis: np.ndarray, b: float, count: int) -> np.ndarray:
+    """B(psi, m/b + 1) for each psi (rows) and m = 0..count-1 (columns):
+    the r-independent factor of M(r) for a block of psi in one call."""
+    cols = np.arange(count, dtype=float) / b + 1.0
+    return np.exp(_ln_beta_arr(psis[:, None], cols[None, :]))
 
 
 def _psi_coeffs(rr: float, ctl: SeriesControl) -> tuple[int, np.ndarray, bool]:
@@ -569,7 +577,7 @@ def _psi_moment(psi: float, row: np.ndarray, coeffs,
     """psi * M(r) = psi * sum_m (-1)^m C(rr, m) B(psi, m/b + 1).
 
     This equals E[x(Y)^r] for Y ~ Beta(psi, 1), hence tends to 1 as psi
-    grows.  row is :func:`_beta_row` for psi, at least count long, and
+    grows.  row is psi's row of :func:`_beta_rows`, at least count long, and
     coeffs is :func:`_psi_coeffs` for rr.  Returns (value, tail_bound,
     converged).
     """
@@ -621,8 +629,10 @@ def moments(theta: Params, rs, ctl: SeriesControl | None = None) -> list[SeriesV
 
     One sweep over j serves every r: omega_j and the Beta row
     B(psi_j, m/beta + 1) do not depend on r, so each is built once per
-    call.  Each r keeps its own truncation of the j-sum and its own
-    quadrature fallback.
+    call.  The rows are built _ROW_BLOCK values of j at a time in one
+    vectorized call (all delta+1 of them at once for integer delta) and
+    are never kept across calls.  Each r keeps its own truncation of the
+    j-sum and its own quadrature fallback.
     """
     ctl = ctl or _DEFAULT_CTL
     a, b, g, d, l = theta.as_tuple()
@@ -648,8 +658,8 @@ def moments(theta: Params, rs, ctl: SeriesControl | None = None) -> list[SeriesV
 
     if int_delta:
         totals = [0.0] * len(rs)
-        for om, psi in zip(omegas, psis):
-            row = _beta_row(psi, b, width)
+        rows = _beta_rows(np.array(psis), b, width)
+        for om, psi, row in zip(omegas, psis, rows):
             for k, c in enumerate(coeffs):
                 val, tb, conv = _psi_moment(psi, row, c, ctl)
                 totals[k] += om * val
@@ -666,7 +676,10 @@ def moments(theta: Params, rs, ctl: SeriesControl | None = None) -> list[SeriesV
             if not active:
                 break
             psi = l * (g + j)
-            row = _beta_row(psi, b, width)
+            if j % _ROW_BLOCK == 0:
+                js = np.arange(j, min(j + _ROW_BLOCK, ctl.max_terms), dtype=float)
+                rows = _beta_rows(l * (g + js), b, width)
+            row = rows[j % _ROW_BLOCK]
             still = []
             for k in active:
                 val, tb, conv = _psi_moment(psi, row, coeffs[k], ctl)

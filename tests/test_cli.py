@@ -423,6 +423,37 @@ class TestPlumbing:
         assert float(proc.stdout.split()[1]) == pytest.approx(0.25, abs=1e-12)
 
 
+class TestNumericalFailure:
+    # exit 4 with a one-line message, not a traceback, for each way the
+    # numerics can give up: an iteration that does not converge, a
+    # division by an underflowed zero, and a float overflow
+    HUGE = "2,3,1e4,9999,1"
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--theta", "1,1,0.01,0,1", "--n", "100", "--seed", "1"),
+        ("eval", "--theta", "1,1,0.01,0,1", "--what", "quantile",
+         "--at", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"),
+    ], ids=["sample", "eval-quantile"])
+    def test_nonconvergence_is_exit_4(self, argv, tmp_path):
+        if argv[0] == "sample":
+            argv = (*argv, "--out", str(tmp_path / "d.csv"))
+        code, _, err = run_cli(*argv)
+        assert code == 4
+        assert err.startswith(f"gkw {argv[0]}: numerical failure: ")
+
+    @pytest.mark.parametrize("flag", [("--moments", "2"), ("--deviations",)],
+                             ids=["moments", "deviations"])
+    def test_division_by_underflow_is_exit_4(self, flag):
+        code, _, err = run_cli("props", "--theta", self.HUGE, *flag)
+        assert code == 4
+        assert err.startswith("gkw props: numerical failure: ")
+
+    def test_overflow_is_exit_4(self):
+        code, _, err = run_cli("props", "--theta", self.HUGE, "--lmoments")
+        assert code == 4
+        assert err.startswith("gkw props: numerical failure: ")
+
+
 class TestGoldenReports:
     # Reports of `gkw fit` with the default models and no --seed, frozen
     # from a version that fitted Mc and BP separately and ran every

@@ -652,6 +652,54 @@ class TestTruncationMachinery:
         assert ct.notes == ()
 
 
+def _ps_pow_reference(a, p, n):
+    """The Miller recurrence with its j(p+1) vector built afresh at every
+    order: the reference _ps_pow must match bit for bit."""
+    a = np.asarray(a, dtype=float)
+    if a.size < n:
+        a = np.concatenate([a, np.zeros(n - a.size)])
+    c = np.zeros(n)
+    c[0] = a[0] ** p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, n):
+            j = np.arange(1, s + 1)
+            c[s] = np.dot((j * (p + 1.0) - s) * a[1 : s + 1], c[s - 1 :: -1][:s]) / (
+                s * a[0]
+            )
+    return c
+
+
+class TestKernelsBitForBit:
+    # the vectorized kernels give exactly the bits of their per-row and
+    # per-order forms
+
+    @pytest.mark.parametrize("g, l, b", [
+        (1.5, 2.0, 3.0),        # workhorse's first block of psi_j
+        (0.6, 0.9, 0.8),        # bathtub: psi below 1, 1/b columns
+        (1e5 - 10.25, 1.0, 2.0),  # psi crosses 1e5 inside the block
+    ])
+    def test_beta_rows_equal_per_psi_rows(self, g, l, b):
+        width = 400
+        psis = l * (g + np.arange(series._ROW_BLOCK, dtype=float))
+        rows = series._beta_rows(psis, b, width)
+        assert rows.shape == (series._ROW_BLOCK, width)
+        cols = np.arange(width, dtype=float) / b + 1.0
+        for psi, row in zip(psis, rows):
+            want = np.exp(series._ln_beta_arr(float(psi), cols))
+            assert row.tobytes() == want.tobytes()
+        if g > 1e4:
+            assert psis.min() < 1e5 <= psis.max()
+
+    @pytest.mark.parametrize("p", [3.0, 0.5, -1.5, 2.4])
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    def test_ps_pow_equals_the_per_order_loop(self, p, n):
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-1.0, 1.0, 300) / (1.0 + np.arange(300)) ** 2
+        a[0] = 1.3
+        got = series._ps_pow(a, p, n)
+        assert got.tobytes() == _ps_pow_reference(a, p, n).tobytes()
+
+
 class _Recorder:
     """Wraps a function and records a key of each call's arguments."""
 
@@ -668,6 +716,15 @@ def _same_value(x, y):
             and x.method == y.method and x.converged == y.converged)
 
 
+def _psi_key(a, b):
+    """The psi of every Beta row one _ln_beta_arr call builds."""
+    return tuple(np.ravel(a))
+
+
+def _psis(keys):
+    return [psi for key in keys for psi in key]
+
+
 class TestSharedTables:
     # Within one call, each table a theta's series need is built once;
     # nothing is kept from one call to the next.
@@ -675,19 +732,30 @@ class TestSharedTables:
     # general delta (infinite j-sum) and integer delta with non-integer psi_j
     @pytest.mark.parametrize("theta", [WORKHORSE, Params(2, 3, 1.5, 2, 1.3)])
     def test_moments_build_each_beta_row_once(self, theta, monkeypatch):
-        rows = _Recorder(series._ln_beta_arr, lambda a, b: float(a))
+        rows = _Recorder(series._ln_beta_arr, _psi_key)
         monkeypatch.setattr(series, "_ln_beta_arr", rows)
         got = series.moments(theta, [1, 2, 3, 4])
-        assert len(rows.keys) == len(set(rows.keys)) > 0
+        psis = _psis(rows.keys)
+        assert len(psis) == len(set(psis)) > 0
         monkeypatch.undo()
         for r, value in zip([1, 2, 3, 4], got):
             assert _same_value(value, series.moment(theta, r))
 
+    def test_moments_build_rows_a_block_at_a_time(self, monkeypatch):
+        rows = _Recorder(series._ln_beta_arr, _psi_key)
+        monkeypatch.setattr(series, "_ln_beta_arr", rows)
+        got = series.moments(WORKHORSE, [1, 2, 3, 4])
+        # each r's j-sum stops after its own terms; the sweep visits the longest
+        assert all(v.method == "series" for v in got)
+        visited = max(v.terms for v in got)
+        assert 0 < len(rows.keys) <= math.ceil(visited / series._ROW_BLOCK)
+
     def test_central_moments_share_the_sweep(self, monkeypatch):
-        rows = _Recorder(series._ln_beta_arr, lambda a, b: float(a))
+        rows = _Recorder(series._ln_beta_arr, _psi_key)
         monkeypatch.setattr(series, "_ln_beta_arr", rows)
         series.central_moments_and_cumulants(KWKW, 4)
-        assert len(rows.keys) == len(set(rows.keys)) > 0
+        psis = _psis(rows.keys)
+        assert len(psis) == len(set(psis)) > 0
 
     def test_l_moments_build_v_table_and_powers_once(self, monkeypatch):
         tables = _Recorder(series._v_coeffs, lambda theta, n: n)
