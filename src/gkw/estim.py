@@ -412,6 +412,14 @@ def _value_to_phi(v: float, i: int) -> float:
     return math.log(v)
 
 
+def _phi_score(full: np.ndarray, vec: np.ndarray, free_idx: list[int]) -> np.ndarray:
+    """dl/dphi on the free coordinates from the score dl/dtheta: the chain
+    rule through value = exp(phi) (delta + eps = exp(phi) for delta)."""
+    di = _PARAM_IDX["delta"]
+    return np.array([full[i] * (vec[i] + _DELTA_EPS if i == di else vec[i])
+                     for i in free_idx], dtype=float)
+
+
 def _no_grad():
     return None
 
@@ -439,10 +447,7 @@ def _make_objective(data: Dataset, free_idx: list[int], fixed: np.ndarray):
         def grad():
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 full = _score_from_parts(theta, data.n, parts)
-            g = np.empty(len(free_idx))
-            for j, i in enumerate(free_idx):
-                scale = vec[i] + _DELTA_EPS if i == _PARAM_IDX["delta"] else vec[i]
-                g[j] = -full[i] * scale
+            g = -_phi_score(full, vec, free_idx)
             if np.any(np.isnan(g)):
                 return None
             # An infinite component still points somewhere useful; cap it
@@ -647,10 +652,7 @@ def fit(
     if math.isfinite(loglik):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             full = _score_from_parts(theta_hat, data.n, parts)
-        g_phi = np.empty(len(free_idx))
-        for j, i in enumerate(free_idx):
-            scale = vec[i] + _DELTA_EPS if i == di else vec[i]
-            g_phi[j] = full[i] * scale
+        g_phi = _phi_score(full, vec, free_idx)
         g_phi = np.where(np.isnan(g_phi), np.inf, g_phi)
         phi_hat = np.array([_value_to_phi(vec[i], i) for i in free_idx])
         grad_norm = float(np.max(np.abs(_project_grad(-g_phi, phi_hat, lower, upper))))
@@ -670,11 +672,7 @@ def fit(
         ses = _se_from_info(_info_from_parts(theta_hat, data.n, parts), free_idx,
                             _on_wall(theta_hat, boundary))
         if ses is not None:
-            result = FitResult(
-                submodel=sub, theta_hat=theta_hat, loglik=loglik,
-                std_errors=ses, converged=converged, iterations=iterations,
-                grad_norm=grad_norm, boundary=tuple(boundary),
-            )
+            result = replace(result, std_errors=ses)
     return result
 
 

@@ -13,12 +13,13 @@ series coefficients, mean deviations, Bonferroni and Lorenz curves,
 order-statistic moments by two independent routes, L-moments, and Renyi
 entropy.
 
-Truncation policy: infinite sums stop at the first index where |term| <
+Truncation policy, implemented once in _sum_terms (_TermSum streams
+terms into it): infinite sums stop at the first index where |term| <
 tail_tol * |partial sum| holds for 3 consecutive terms.  When max_terms is
 exhausted first, an algebraic tail extrapolation is attempted (the sums
 here decay like j^{-s}).  Failing that, operations with an integral
-representation switch to adaptive quadrature and tag the result
-(method="quadrature") -- the coefficient expansions have finite
+representation switch to adaptive quadrature, all through _quad, and tag
+the result (method="quadrature") -- the coefficient expansions have finite
 convergence radii for some parameter points, so this is a routine,
 documented event, not a warning.  Only the bare expansion evaluators
 (cdf_expansion / pdf_expansion), which have nothing to fall back on, emit
@@ -101,7 +102,6 @@ class SeriesControl:
 
     max_terms: int = 400
     tail_tol: float = 1e-10
-    report: bool = False
 
     def __post_init__(self) -> None:
         if not (isinstance(self.max_terms, int) and self.max_terms >= 1):
@@ -184,6 +184,13 @@ def _binom_seq(p: float, count: int) -> np.ndarray:
     out[0] = 1.0
     if count > 1:
         out[1:] = np.cumprod((p - m + 1.0) / m)
+    return out
+
+
+def _signed_binom(p: float, count: int) -> np.ndarray:
+    """(-1)^m C(p, m) for m = 0..count-1 (a sign flip is exact)."""
+    out = _binom_seq(p, count)
+    out[1::2] *= -1.0
     return out
 
 
@@ -327,13 +334,13 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
 
 
 class _TermSum:
-    """The truncation rule of _sum_terms for expensive terms that arrive
-    one at a time, so that several sums can share one sweep over j.
+    """_sum_terms for expensive terms that arrive one at a time, so that
+    several sums can share one sweep over j.
 
     add() takes the next term and returns True once the rule has fired;
-    the caller then stops feeding this sum.  value() gives the result, or,
-    when max_terms ran out first, the tail extrapolation or an
-    unconverged value.
+    the caller then stops feeding this sum.  The running total is the
+    same sequence of additions as _sum_terms' cumsum, so value() -- which
+    is _sum_terms on the terms fed -- stops at the same index.
     """
 
     def __init__(self, ctl: SeriesControl):
@@ -341,40 +348,27 @@ class _TermSum:
         self.terms: list[float] = []
         self.total = 0.0
         self.small_run = 0
-        self.result: SeriesValue | None = None
 
     def add(self, t: float) -> bool:
         t = float(t)
-        terms = self.terms
-        terms.append(t)
+        self.terms.append(t)
         self.total += t
         total = self.total
-        if not (abs(t) < self.ctl.tail_tol * max(abs(total), 1e-300) and total != 0.0):
-            self.small_run = 0
-            return False
-        self.small_run += 1
-        if self.small_run < 3:
-            return False
-        fit = _power_tail(np.asarray(terms))
-        if fit is not None:
-            tail, bound = fit
-            self.result = SeriesValue(total + tail, bound, len(terms), "series", True)
+        if abs(t) < self.ctl.tail_tol * max(abs(total), 1e-300) and total != 0.0:
+            self.small_run += 1
         else:
-            prev = abs(terms[-2]) if len(terms) > 1 else 0.0
-            ratio = abs(t) / prev if prev > 0 else 0.0
-            bound = abs(t) * (ratio / (1 - ratio) if ratio < 0.9 else 10.0)
-            self.result = SeriesValue(total, max(bound, abs(t)), len(terms), "series", True)
-        return True
+            self.small_run = 0
+        return self.small_run >= 3
 
     def value(self) -> SeriesValue:
-        if self.result is not None:
-            return self.result
-        terms, total = self.terms, self.total
-        fit = _power_tail(np.asarray(terms))
-        if fit is not None:
-            tail, bound = fit
-            return SeriesValue(total + tail, bound, len(terms), "series", True)
-        return SeriesValue(total, abs(terms[-1]) * len(terms), len(terms), "series", False)
+        return _sum_terms(self.terms, self.ctl)
+
+
+def _quad(f, hi: float = 1.0) -> SeriesValue:
+    """The one quadrature fallback: integral_0^hi f, tagged "quadrature"."""
+    quad = oracle.adaptive_quad(f, 0.0, hi, tol=1e-11)
+    return SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
+                       "quadrature", quad.reliable)
 
 
 # ----------------------------------------------------------------------
@@ -393,10 +387,8 @@ def omega_weights(theta: Params, ctl: SeriesControl | None = None) -> np.ndarray
     ctl = ctl or _DEFAULT_CTL
     g, d = theta.gamma, theta.delta
     count = int(round(d)) + 1 if _is_nonneg_int(d) else ctl.max_terms
-    binom = _binom_seq(d, count)
     j = np.arange(count, dtype=float)
-    signs = np.where(j.astype(int) % 2 == 0, 1.0, -1.0)
-    return signs * binom / ((g + j) * math.exp(ln_beta(g, d + 1.0)))
+    return _signed_binom(d, count) / ((g + j) * math.exp(ln_beta(g, d + 1.0)))
 
 
 def _v_validity(theta: Params) -> bool:
@@ -418,11 +410,9 @@ def _v_coeffs(theta: Params, n: int) -> np.ndarray:
     a, b, g, d, l = theta.as_tuple()
     m = int(round(g * l)) - 1
     # A(w) = S(w)/w: A_k = (-1)^k C(beta, k+1), A_0 = beta
-    cb = _binom_seq(b, n + 1)
-    k = np.arange(n, dtype=float)
-    A = np.where(k.astype(int) % 2 == 0, 1.0, -1.0) * cb[1 : n + 1]
+    A = -_signed_binom(b, n + 1)[1:]
     # (1-w)^{beta-1}
-    q = np.where(k.astype(int) % 2 == 0, 1.0, -1.0) * _binom_seq(b - 1.0, n)
+    q = _signed_binom(b - 1.0, n)
     T = _ps_mul(q, _ps_pow(A, float(m), n), n) if m > 0 else q.copy()
     if d != 0.0:
         L = int(round(l))
@@ -462,10 +452,9 @@ def mixture_coeffs(theta: Params, ctl: SeriesControl | None = None) -> CoeffTabl
         else:
             K = ctl.max_terms
         ks = np.arange(K, dtype=float)
-        signs = np.where(ks.astype(int) % 2 == 0, 1.0, -1.0)
         p = np.zeros(K)
         for om, psi in zip(omega, psis):
-            p += om * psi * signs * _binom_seq(psi - 1.0, K) / (ks + 1.0)
+            p += om * psi * _signed_binom(psi - 1.0, K) / (ks + 1.0)
         if not np.all(np.isfinite(p)):
             p_valid = False
             p = np.empty(0)
@@ -567,9 +556,7 @@ def _psi_coeffs(rr: float, ctl: SeriesControl) -> tuple[int, np.ndarray, bool]:
     """
     exact = _is_nonneg_int(rr)
     count = int(round(rr)) + 1 if exact else ctl.max_terms
-    m = np.arange(count, dtype=float)
-    signs = np.where(m.astype(int) % 2 == 0, 1.0, -1.0)
-    return count, signs * _binom_seq(rr, count), exact
+    return count, _signed_binom(rr, count), exact
 
 
 def _psi_moment(psi: float, row: np.ndarray, coeffs,
@@ -596,8 +583,7 @@ def _moment_finite(b: float, rr: float, omegas, psis) -> SeriesValue:
     for om, psi in zip(omegas, psis):
         K = int(round(psi))
         k = np.arange(K, dtype=float)
-        signs = np.where(k.astype(int) % 2 == 0, 1.0, -1.0)
-        tau = signs * _binom_seq(psi - 1.0, K) * b * np.exp(
+        tau = _signed_binom(psi - 1.0, K) * b * np.exp(
             _ln_beta_arr(1.0 + rr, (k + 1.0) * b)
         )
         total += om * psi * float(tau.sum())
@@ -696,10 +682,7 @@ def moments(theta: Params, rs, ctl: SeriesControl | None = None) -> list[SeriesV
 
     for k, r in enumerate(rs):
         if out[k] is None:
-            quad = oracle.adaptive_quad(lambda x, r=r: np.power(x, r) * core.pdf(theta, x),
-                                        0.0, 1.0, tol=1e-11)
-            out[k] = SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
-                                 "quadrature", quad.reliable)
+            out[k] = _quad(lambda x, r=r: np.power(x, r) * core.pdf(theta, x))
     return out
 
 
@@ -804,11 +787,7 @@ def mgf(theta: Params, t: float, ctl: SeriesControl | None = None) -> SeriesValu
         if sv.converged:
             return SeriesValue(math.exp(t) - t * float(sv), abs(t) * sv.tail_bound,
                                sv.terms, "series", True)
-    quad = oracle.adaptive_quad(
-        lambda x: np.exp(t * x) * core.pdf(theta, x), 0.0, 1.0, tol=1e-11
-    )
-    return SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
-                       "quadrature", quad.reliable)
+    return _quad(lambda x: np.exp(t * x) * core.pdf(theta, x))
 
 
 # ----------------------------------------------------------------------
@@ -878,10 +857,7 @@ def _j_integrals(theta: Params, uppers, ctl: SeriesControl) -> list[SeriesValue]
             if sv.converged:
                 out.append(sv)
                 continue
-        hi = min(upper, 1.0)
-        quad = oracle.adaptive_quad(lambda x: x * core.pdf(theta, x), 0.0, hi, tol=1e-11)
-        out.append(SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
-                               "quadrature", quad.reliable))
+        out.append(_quad(lambda x: x * core.pdf(theta, x), min(upper, 1.0)))
     return out
 
 
@@ -939,9 +915,7 @@ def _order_stat_quad(theta: Params, i: int, n: int, r: float,
         dens = f * math.exp(-lnb)
         return np.power(x, r) * dens * F ** (i - 1) * (1.0 - F) ** (n - i)
 
-    quad = oracle.adaptive_quad(integrand, 0.0, 1.0, tol=1e-11)
-    return SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
-                       "quadrature", quad.reliable)
+    return _quad(integrand)
 
 
 def _check_order_args(i: int, n: int) -> None:
@@ -1138,8 +1112,7 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl | None = None) -
     rd = rho * d
     if b_exp > 0.0 and _is_nonneg_int(rd):
         N = ctl.max_terms
-        k = np.arange(N, dtype=float)
-        A = np.where(k.astype(int) % 2 == 0, 1.0, -1.0) * _binom_seq(b, N + 1)[1 : N + 1]
+        A = -_signed_binom(b, N + 1)[1:]
         a0 = (rho * (a * g * l - 1.0) + 1.0) / a
         m_count = int(round(rd)) + 1
         # signed-coefficient cancellation guard: l1(A)^p_max over the
@@ -1175,9 +1148,7 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl | None = None) -
                         "series",
                         True,
                     )
-    quad = oracle.adaptive_quad(
-        lambda x: np.power(core.pdf(theta, x), rho), 0.0, 1.0, tol=1e-11
-    )
-    val = math.log(quad.value) / (1.0 - rho)
-    return SeriesValue(val, quad.err_estimate / (quad.value * abs(1.0 - rho)),
-                       quad.subdivisions, "quadrature", quad.reliable)
+    quad = _quad(lambda x: np.power(core.pdf(theta, x), rho))
+    return SeriesValue(math.log(quad) / (1.0 - rho),
+                       quad.tail_bound / (float(quad) * abs(1.0 - rho)),
+                       quad.terms, "quadrature", quad.converged)

@@ -78,14 +78,12 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Accuracy:
-    """Tolerance policy for the iterative routines."""
+    """Iteration budget for the iterative routines (their stopping
+    tolerances are fixed)."""
 
-    abs_tol: float = 1e-12
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0):
-            raise ValueError("abs_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -112,7 +110,8 @@ def ln_gamma(x: float) -> float:
 
 
 def _stirling_tail(z: float) -> float:
-    """Remainder S(z) in ln Gamma(z) = (z-1/2)ln z - z + ln sqrt(2pi) + S(z)."""
+    """Remainder S(z) in ln Gamma(z) = (z-1/2)ln z - z + ln sqrt(2pi) + S(z);
+    elementwise on arrays."""
     w = 1.0 / (z * z)
     return (1.0 / 12.0 - (1.0 / 360.0 - w / 1260.0) * w) / z
 
@@ -172,18 +171,13 @@ def _ln_beta_arr(a, b) -> np.ndarray:
         return naive
     hi_s = np.where(big, hi, 2e5)
     lo_s = np.where(big, lo, 1.0)
-
-    def tail(z):
-        w = 1.0 / (z * z)
-        return (1.0 / 12.0 - (1.0 / 360.0 - w / 1260.0) * w) / z
-
     stable = (
         _ln_gamma_arr(lo_s)
         + lo_s
         - (hi_s - 0.5) * np.log1p(lo_s / hi_s)
         - lo_s * np.log(hi_s + lo_s)
-        + tail(hi_s)
-        - tail(hi_s + lo_s)
+        + _stirling_tail(hi_s)
+        - _stirling_tail(hi_s + lo_s)
     )
     return np.where(big, stable, naive)
 

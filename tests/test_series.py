@@ -85,7 +85,6 @@ class TestControlAndValue:
         ctl = SeriesControl()
         assert ctl.max_terms == 400
         assert ctl.tail_tol == 1e-10
-        assert ctl.report is False
 
     @pytest.mark.parametrize("kw", [
         {"max_terms": 0}, {"max_terms": -3}, {"max_terms": 2.5},
@@ -641,9 +640,31 @@ class TestTruncationMachinery:
         assert not got.converged
         assert got.terms == 8
 
-    def test_report_flag_is_carried(self):
-        ctl = SeriesControl(max_terms=50, tail_tol=1e-8, report=True)
-        assert ctl.report
+    _J = np.arange(1.0, 201.0)
+    _NAN_AT_3 = np.where(np.arange(200) == 3, np.nan, _J**-2.0)
+
+    @pytest.mark.parametrize("terms, max_terms, fires, fit", [
+        (_J**-6.0, 200, True, True),           # rule fires, power tail fitted
+        ((-0.5) ** _J, 200, True, False),      # rule fires, alternating: no fit
+        (_J**-2.0, 100, False, True),          # cap reached, tail extrapolated
+        (1.0 / _J, 100, False, False),         # cap reached, unconverged
+        (_NAN_AT_3, 100, False, True),         # NaN in the stream
+    ], ids=["fires-fit", "fires-nofit", "cap-fit", "cap-unconverged", "nan"])
+    def test_streamed_sum_matches_array_sum(self, terms, max_terms, fires, fit):
+        ctl = SeriesControl(max_terms=max_terms)
+        stream = series._TermSum(ctl)
+        assert any(stream.add(t) for t in terms[:max_terms]) == fires
+        assert (series._power_tail(np.asarray(stream.terms)) is not None) == fit
+        got = stream.value()
+        want = series._sum_terms(terms[: len(stream.terms)], ctl)
+        assert got.terms == want.terms == len(stream.terms)
+        assert (got.tail_bound, got.method, got.converged) == (
+            want.tail_bound, want.method, want.converged)
+        assert float(got) == float(want) or (math.isnan(got) and math.isnan(want))
+        # the array sum over the full cap stops at the same index
+        assert series._sum_terms(terms[:max_terms], ctl).terms == len(stream.terms)
+        if np.isnan(terms[:max_terms]).any():
+            assert not got.converged
 
     def test_coeff_table_records_theta(self):
         ct = series.mixture_coeffs(KW22)

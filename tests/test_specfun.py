@@ -178,11 +178,9 @@ class TestInvRegIncBeta:
             assert abs(reg_inc_beta(z, 1.7, 2.9) - u) <= 1e-10
 
     def test_accuracy_object(self):
-        acc = Accuracy(abs_tol=1e-12, max_iter=300)
+        acc = Accuracy(max_iter=300)
         z = inv_reg_inc_beta(0.73, 2.2, 0.4, acc)
         assert abs(reg_inc_beta(z, 2.2, 0.4) - 0.73) < 1e-10
-        with pytest.raises(ValueError):
-            Accuracy(abs_tol=-1.0)
         with pytest.raises(ValueError):
             Accuracy(max_iter=0)
 
