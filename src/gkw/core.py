@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .specfun import log1mexp, log1mexp_tiny, log_neg_log1mexp
+from .specfun import _log1mexp_arr, _log1mexp_tiny_arr, _log_neg_log1mexp_arr, log1mexp
 
 __all__ = [
     "Params",
@@ -136,61 +136,82 @@ def apply_submodel(sub: SubModel, free_values) -> Params:
 
 
 # ----------------------------------------------------------------------
-# Stable building blocks.  All take/return either floats or arrays.
+# Stable building blocks: the log chain and the log-density pass.
 # ----------------------------------------------------------------------
 
 
-def _log_chain(theta: Params, log_x):
-    """The nested one-minus-power logarithms of the density, from log x.
+class _Head:
+    """The links of the log chain that alpha and beta fix, from log x.
 
-    Returns (s, la, lla, bla, ly, lny, lu) with s = alpha log x,
-    la = log(1 - x^alpha), lla = log(-la), bla = beta la, ly = log y
-    for y = 1 - (1 - x^alpha)^beta, lny = log(-ly) and
-    lu = log(1 - y^lambda).  Each logarithm is carried from the one
-    before it, never from the exponentiated factor: when x^alpha
-    underflows, ly follows log beta + s, and when y rounds to 1, lu
-    follows log lambda + log(-ly), so neither tail produces a zero or
-    subnormal that the next log turns into +-inf.
+    s = alpha log x, la = log(1 - x^alpha), lla = log(-la),
+    bla = beta la, ly = log y for y = 1 - (1 - x^alpha)^beta and
+    lny = log(-ly); a1lx = (alpha - 1) log x and b1la = (beta - 1) la
+    are the two density terms they fix.  :meth:`tail` adds lly =
+    lambda ly and lu = log(1 - y^lambda) for one lambda, keeping the
+    last pair built.
+
+    Each logarithm is carried from the one before it, never from the
+    exponentiated factor: when x^alpha underflows, ly follows
+    log beta + s, and when y rounds to 1, lu follows
+    log lambda + log(-ly), so neither tail produces a zero or subnormal
+    that the next log turns into +-inf.  log_x is a 1-d float array;
+    build it and call tail() under np.errstate(divide="ignore",
+    invalid="ignore"): the raw logs make infinities that the tiny
+    branches then patch.
     """
-    a, b, _, _, l = theta.as_tuple()
-    s = a * np.asarray(log_x, dtype=float)
-    la = log1mexp(s)
-    lla = log_neg_log1mexp(s, la)
-    bla = b * la
-    ly = log1mexp_tiny(bla, math.log(b) + lla)
-    lny = log_neg_log1mexp(bla, ly)
-    lu = log1mexp_tiny(l * ly, math.log(l) + lny)
-    return s, la, lla, bla, ly, lny, lu
+
+    __slots__ = ("ab", "s", "la", "lla", "bla", "ly", "lny", "a1lx", "b1la", "_tail")
+
+    def __init__(self, a: float, b: float, log_x: np.ndarray):
+        self.ab = (a, b)
+        self.s = s = a * log_x
+        self.la = la = _log1mexp_arr(s)
+        self.lla = lla = _log_neg_log1mexp_arr(s, la)
+        self.bla = bla = b * la
+        self.ly = ly = _log1mexp_tiny_arr(bla, math.log(b) + lla)
+        self.lny = _log_neg_log1mexp_arr(bla, ly)
+        self.a1lx = (a - 1.0) * log_x
+        self.b1la = (b - 1.0) * la
+        self._tail = None
+
+    def tail(self, lam: float):
+        """(lly, lu) for this lambda."""
+        if self._tail is None or self._tail[0] != lam:
+            lly = lam * self.ly
+            lu = _log1mexp_tiny_arr(lly, math.log(lam) + self.lny)
+            self._tail = (lam, lly, lu)
+        return self._tail[1:]
 
 
-def _log_pdf_terms(theta: Params, log_x):
-    """log-density from log(x), term by term in log space.
+def _log_density(theta: Params, log_x: np.ndarray, head: _Head | None = None):
+    """Per-element log-density at a 1-d float array of log x, and its head.
 
-    Returns the elementwise log pdf; log_x may be scalar or ndarray and
-    must be strictly negative (x inside the open unit interval).
+    The one pass behind the log-density, the log-likelihood and its
+    score and information.  ``head`` is the :class:`_Head` of an earlier
+    call on the same log_x; it is reused as it is when alpha and beta
+    have not changed, and rebuilt otherwise.  lu is built only where
+    delta != 0.  Run under np.errstate(divide="ignore",
+    invalid="ignore"), as the head is.
     """
-    log_x = np.asarray(log_x, dtype=float)
-    _, la, _, _, ly, _, lu = _log_chain(theta, log_x)
-    return _log_pdf_from_chain(theta, log_x, la, ly, lu)
-
-
-def _log_pdf_from_chain(theta: Params, log_x, la, ly, lu):
-    """log-density assembled from log x and the :func:`_log_chain` logs."""
     a, b, g, d, l = theta.as_tuple()
-    out = (
-        math.log(l)
-        + math.log(a)
-        + math.log(b)
-        - specfun.ln_beta(g, d + 1.0)
-        + (a - 1.0) * log_x
-        + (b - 1.0) * la
-    )
+    if head is None or head.ab != (a, b):
+        head = _Head(a, b, log_x)
+    out = head.a1lx + (math.log(l) + math.log(a) + math.log(b) - specfun.ln_beta(g, d + 1.0))
+    out += head.b1la
     gl1 = g * l - 1.0
     if gl1 != 0.0:
-        out = out + gl1 * ly
+        out += gl1 * head.ly
     if d != 0.0:
-        out = out + d * lu
-    return out
+        out += d * head.tail(l)[1]
+    return out, head
+
+
+def _log_pdf_at(theta: Params, log_x):
+    """log-density at log x of any shape (a 0-d array for a scalar)."""
+    lx = np.asarray(log_x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out, _ = _log_density(theta, lx.reshape(-1))
+    return out.reshape(lx.shape)
 
 
 def log_pdf(theta: Params, x: float) -> float:
@@ -203,7 +224,7 @@ def log_pdf(theta: Params, x: float) -> float:
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise ValueError("log_pdf requires x strictly inside (0, 1)")
-    out = _log_pdf_terms(theta, np.log(xs))
+    out = _log_pdf_at(theta, np.log(xs))
     if out.ndim == 0:
         return float(out)
     return out
@@ -214,7 +235,7 @@ def pdf(theta: Params, x: float) -> float:
     xs = np.asarray(x, dtype=float)
     inside = (xs > 0.0) & (xs < 1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lp = _log_pdf_terms(theta, np.log(np.where(inside, xs, 0.5)))
+        lp = _log_pdf_at(theta, np.log(np.where(inside, xs, 0.5)))
         out = np.where(inside, np.exp(lp), 0.0)
     if out.ndim == 0:
         return float(out)
@@ -222,8 +243,9 @@ def pdf(theta: Params, x: float) -> float:
 
 
 def _log_z(theta: Params, log_x):
-    """log z with z = [1 - (1 - x^alpha)^beta]^lambda."""
-    return theta.lam * _log_chain(theta, log_x)[4]
+    """log z with z = [1 - (1 - x^alpha)^beta]^lambda, at a 1-d array of log x."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return theta.lam * _Head(theta.alpha, theta.beta, log_x).ly
 
 
 def cdf(theta: Params, x: float) -> float:
@@ -336,7 +358,7 @@ def lgkw_pdf(theta: Params, y: float) -> float:
     if np.any(ys <= 0.0):
         raise ValueError("lgkw_pdf requires y > 0")
     with np.errstate(over="ignore"):
-        out = np.exp(_log_pdf_terms(theta, -ys) - ys)
+        out = np.exp(_log_pdf_at(theta, -ys) - ys)
     if out.ndim == 0:
         return float(out)
     return out

@@ -9,6 +9,16 @@ analytic, written in compensated log-space forms so that observations
 far into either tail do not overflow the intermediate products; both
 are certified against finite differences in the test suite.
 
+One evaluation is one pass over the data: the log chain of the density
+(log x^alpha, log(1 - x^alpha), log y, log(1 - y^lambda) and the logs
+of their negatives), the log-density terms summed in one array, and
+the sum.  The score and information are built from the blocks that
+pass leaves, the score only for the coordinates asked for -- in a fit,
+the free ones.  log x, log|log x| and their sum are computed once per
+Dataset.  Within one fit the links fixed by alpha and beta are reused
+while those two do not move (so Mc, Beta and BP build them once), and
+log(1 - y^lambda) while lambda does not; nothing is kept across fits.
+
 Standard errors come from the inverse of the observed information
 restricted to the free coordinates, and nested models are compared with
 the usual likelihood-ratio chi-square.  A delta estimate that lands on
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,14 +76,16 @@ class Dataset:
 
     Values exactly at 0 or 1 are rejected, not nudged; shrink the data
     explicitly first if it contains endpoints.  ``source`` is free-text
-    provenance carried along for reports.
+    provenance carried along for reports.  log x, log|log x| and the
+    sum of log x are computed once, here, for every likelihood
+    evaluation; nothing that depends on the parameters is stored.
     """
 
     values: np.ndarray
     source: str = ""
-    # log x and log|log x|, computed once for every likelihood evaluation
     log_values: np.ndarray = field(init=False, repr=False)
     log_neg_log: np.ndarray = field(init=False, repr=False)
+    sum_log: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float).ravel()
@@ -93,6 +106,7 @@ class Dataset:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "log_values", lx)
         object.__setattr__(self, "log_neg_log", llx)
+        object.__setattr__(self, "sum_log", float(np.sum(lx)))
 
     @property
     def n(self) -> int:
@@ -163,15 +177,34 @@ class LrTestResult:
 # ----------------------------------------------------------------------
 
 
-def log_likelihood(theta: Params, data: Dataset) -> float:
-    """Sum of the log-density over the sample (may be -inf)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = core._log_pdf_terms(theta, data.log_values)
-    return float(np.sum(terms))
+_ALL = range(5)
 
 
-def _parts(theta: Params, data: Dataset):
-    """Per-observation log-space building blocks shared by score/info.
+class _Pass:
+    """Log-likelihood passes over one data set.
+
+    A call at theta returns the log-likelihood and the parts the score
+    and information are built from; the :class:`core._Head` of the last
+    call is reused while alpha and beta stay where they were, so a fit
+    that pins both (Mc, Beta, BP) builds it once.  One is made per fit
+    (or per public call); nothing is kept across fits.
+    """
+
+    __slots__ = ("data", "head")
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self.head = None
+
+    def __call__(self, theta: Params):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            logf, self.head = core._log_density(theta, self.data.log_values, self.head)
+            ll = float(np.add.reduce(logf))
+        return ll, _Parts(self.head, self.data)
+
+
+class _Parts(NamedTuple):
+    """The blocks one pass leaves for the score and information.
 
     Everything downstream is assembled as exp(sum of logs) so that a
     large magnitude in one factor (say |log x| for a datum near zero)
@@ -180,11 +213,19 @@ def _parts(theta: Params, data: Dataset):
     score and information stay finite where x^alpha underflows or y
     rounds to 1.
     """
-    lx = data.log_values
-    s, la, lla, bla, ly, lny, lu = core._log_chain(theta, lx)
-    lly = theta.lam * ly
-    llx = data.log_neg_log           # log|log x|
-    return lx, s, la, bla, ly, lly, lu, llx, lla, lny
+
+    head: core._Head
+    data: Dataset
+
+
+def _loglik_and_parts(theta: Params, data: Dataset):
+    """log_likelihood and the :class:`_Parts` blocks, from one pass."""
+    return _Pass(data)(theta)
+
+
+def log_likelihood(theta: Params, data: Dataset) -> float:
+    """Sum of the log-density over the sample (may be -inf)."""
+    return _loglik_and_parts(theta, data)[0]
 
 
 def score(theta: Params, data: Dataset) -> np.ndarray:
@@ -195,55 +236,83 @@ def score(theta: Params, data: Dataset) -> np.ndarray:
     without evaluating that term, so the zero coefficient never
     multiplies an overflowing factor.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _score_from_parts(theta, data.n, _parts(theta, data))
+    return _score_from_parts(theta, data.n, _loglik_and_parts(theta, data)[1])
 
 
-def _loglik_and_parts(theta: Params, data: Dataset):
-    """log_likelihood and the :func:`_parts` blocks, from one pass.
-
-    The blocks are what :func:`_score_from_parts` builds the score from,
-    so a caller that needs the score only at some points pays for the
-    log chain once per point and for the score only where it asks.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        parts = _parts(theta, data)
-        lx, _, la, _, ly, _, lu = parts[:7]
-        ll = float(np.sum(core._log_pdf_from_chain(theta, lx, la, ly, lu)))
-    return ll, parts
+def _sum_exp(t: np.ndarray, sign: float) -> float:
+    """Sum of sign * exp(t), computed in t."""
+    np.exp(t, out=t)
+    if sign < 0.0:
+        np.negative(t, out=t)
+    return float(np.add.reduce(t))
 
 
-def _score_from_parts(theta: Params, n: int, parts) -> np.ndarray:
-    """The score of :func:`score`, from the blocks of :func:`_parts`."""
+def _score_from_parts(theta: Params, n: int, parts: _Parts, idx=_ALL) -> np.ndarray:
+    """The :func:`score` components at parameter indices ``idx``, in that
+    order, from the blocks of one pass; no other component is built."""
     a, b, g, d, l = theta.as_tuple()
-    lx, s, la, bla, ly, lly, lu, llx, lla, lny = parts
+    h, data = parts
+    s, la, ly = h.s, h.la, h.ly
+    llx = data.log_neg_log
     gl1 = g * l - 1.0
     lb = math.log(b)
-    u_alpha = n / a + float(np.sum(lx))
-    u_beta = n / b + float(np.sum(la))
-    if b != 1.0:
-        # d/d alpha of (beta-1) log(1-x^alpha):  -(beta-1) x^alpha log x / (1-x^alpha)
-        u_alpha -= (b - 1.0) * float(np.sum(-np.exp(s - la + llx)))
-    if gl1 != 0.0:
-        r_a = -np.exp(lb + s + (b - 1.0) * la - ly + llx)   # (dy/d alpha)/y
-        r_b = np.exp(bla - ly + lla)                        # (dy/d beta)/y
-        u_alpha += gl1 * float(np.sum(r_a))
-        u_beta += gl1 * float(np.sum(r_b))
-    if d != 0.0:
-        va = -np.exp(lb + (l - 1.0) * ly - lu + s + (b - 1.0) * la + llx)
-        vb = np.exp((l - 1.0) * ly - lu + bla + lla)
-        u_alpha -= d * l * float(np.sum(va))
-        u_beta -= d * l * float(np.sum(vb))
-
-    # -n d/dg log B(g, d+1) = n [psi(g+d+1) - psi(g)], differenced
-    # without cancellation so the gamma -> inf ridge stays resolvable
-    u_gamma = n * specfun.digamma_diff(g, d + 1.0) + l * float(np.sum(ly))
-    u_delta = n * specfun.digamma_diff(d + 1.0, g) + float(np.sum(lu))
-    u_lam = n / l + g * float(np.sum(ly))
-    if d != 0.0:
-        q = -np.exp(lly - lu + lny)                         # y^l log y / (1-y^l)
-        u_lam -= d * float(np.sum(q))
-    return np.array([u_alpha, u_beta, u_gamma, u_delta, u_lam])
+    t = np.empty_like(ly)                 # scratch for each summand
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lly, lu = h.tail(l) if d != 0.0 or 3 in idx else (None, None)
+        if d != 0.0 and (0 in idx or 1 in idx):
+            l1ly = (l - 1.0) * ly
+        if 2 in idx or 4 in idx:
+            sum_ly = float(np.add.reduce(ly))
+        for i in idx:
+            if i == 0:
+                u = n / a + data.sum_log
+                if b != 1.0:
+                    # d/d alpha of (beta-1) log(1-x^alpha):  -(beta-1) x^alpha log x / (1-x^alpha)
+                    np.subtract(s, la, out=t)
+                    t += llx
+                    u -= (b - 1.0) * _sum_exp(t, -1.0)
+                if gl1 != 0.0:
+                    # (dy/d alpha)/y
+                    np.add(s, lb, out=t)
+                    t += h.b1la
+                    t -= ly
+                    t += llx
+                    u += gl1 * _sum_exp(t, -1.0)
+                if d != 0.0:
+                    np.add(l1ly, lb, out=t)
+                    t -= lu
+                    t += s
+                    t += h.b1la
+                    t += llx
+                    u -= d * l * _sum_exp(t, -1.0)
+            elif i == 1:
+                u = n / b + float(np.add.reduce(la))
+                if gl1 != 0.0:
+                    # (dy/d beta)/y
+                    np.subtract(h.bla, ly, out=t)
+                    t += h.lla
+                    u += gl1 * _sum_exp(t, 1.0)
+                if d != 0.0:
+                    np.subtract(l1ly, lu, out=t)
+                    t += h.bla
+                    t += h.lla
+                    u -= d * l * _sum_exp(t, 1.0)
+            elif i == 2:
+                # -n d/dg log B(g, d+1) = n [psi(g+d+1) - psi(g)], differenced
+                # without cancellation so the gamma -> inf ridge stays resolvable
+                u = n * specfun.digamma_diff(g, d + 1.0) + l * sum_ly
+            elif i == 3:
+                u = n * specfun.digamma_diff(d + 1.0, g) + float(np.add.reduce(lu))
+            else:
+                u = n / l + g * sum_ly
+                if d != 0.0:
+                    # y^l log y / (1-y^l)
+                    np.subtract(lly, lu, out=t)
+                    t += h.lny
+                    u -= d * _sum_exp(t, -1.0)
+            out.append(u)
+    return np.array(out)
 
 
 def observed_info(theta: Params, data: Dataset) -> np.ndarray:
@@ -254,15 +323,17 @@ def observed_info(theta: Params, data: Dataset) -> np.ndarray:
     everything else is assembled from the same log-space blocks as the
     score.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _info_from_parts(theta, data.n, _parts(theta, data))
+    return _info_from_parts(theta, data.n, _loglik_and_parts(theta, data)[1])
 
 
 def _info_from_parts(theta: Params, n: int, parts) -> np.ndarray:
-    """The information of :func:`observed_info`, from the blocks of :func:`_parts`."""
+    """The information of :func:`observed_info`, from the blocks of one pass."""
     a, b, g, d, l = theta.as_tuple()
-    lx, s, la, bla, ly, lly, lu, llx, lla, lny = parts
+    h, data = parts
+    s, la, lla, bla, ly, lny = h.s, h.la, h.lla, h.bla, h.ly, h.lny
+    llx = data.log_neg_log
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lly, lu = h.tail(l)
         gl1 = g * l - 1.0
         lb = math.log(b)
         t = np.exp(s)
@@ -412,25 +483,28 @@ def _value_to_phi(v: float, i: int) -> float:
     return math.log(v)
 
 
-def _phi_score(full: np.ndarray, vec: np.ndarray, free_idx: list[int]) -> np.ndarray:
-    """dl/dphi on the free coordinates from the score dl/dtheta: the chain
-    rule through value = exp(phi) (delta + eps = exp(phi) for delta)."""
+def _phi_score(u: np.ndarray, vec: np.ndarray, free_idx: list[int]) -> np.ndarray:
+    """dl/dphi from the score components u = dl/dtheta on the free
+    coordinates (in free_idx order): the chain rule through
+    value = exp(phi) (delta + eps = exp(phi) for delta)."""
     di = _PARAM_IDX["delta"]
-    return np.array([full[i] * (vec[i] + _DELTA_EPS if i == di else vec[i])
-                     for i in free_idx], dtype=float)
+    return np.array([ui * (vec[i] + _DELTA_EPS if i == di else vec[i])
+                     for ui, i in zip(u, free_idx)], dtype=float)
 
 
 def _no_grad():
     return None
 
 
-def _make_objective(data: Dataset, free_idx: list[int], fixed: np.ndarray):
+def _make_objective(ll_pass: _Pass, free_idx: list[int], fixed: np.ndarray):
     """Return phi -> (negative loglik, gradient thunk).
 
-    A call costs one pass through the log chain; the thunk builds the
-    gradient from that pass's blocks when called, and returns None
-    where there is no usable gradient (non-finite loglik, NaN score).
+    A call costs one pass of ``ll_pass``; the thunk builds the score
+    components of the free coordinates from that pass's blocks when
+    called, and returns None where there is no usable gradient
+    (non-finite loglik, NaN score).
     """
+    n = ll_pass.data.n
 
     def objective(phi: np.ndarray):
         vec = fixed.copy()
@@ -440,14 +514,12 @@ def _make_objective(data: Dataset, free_idx: list[int], fixed: np.ndarray):
             theta = Params(*vec)
         except ValueError:
             return math.inf, _no_grad
-        ll, parts = _loglik_and_parts(theta, data)
+        ll, parts = ll_pass(theta)
         if not math.isfinite(ll):
             return math.inf, _no_grad
 
         def grad():
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                full = _score_from_parts(theta, data.n, parts)
-            g = -_phi_score(full, vec, free_idx)
+            g = -_phi_score(_score_from_parts(theta, n, parts, free_idx), vec, free_idx)
             if np.any(np.isnan(g)):
                 return None
             # An infinite component still points somewhere useful; cap it
@@ -604,7 +676,8 @@ def fit(
     free_idx = [_PARAM_IDX[nm] for nm in sub.free_names]
     fixed = np.array(starts[0].as_tuple())
     lower, upper = _walls(free_idx)
-    objective = _make_objective(data, free_idx, fixed)
+    ll_pass = _Pass(data)                    # shared by every start and the closing pass
+    objective = _make_objective(ll_pass, free_idx, fixed)
 
     best = None
     for si, p in enumerate(starts):
@@ -631,7 +704,7 @@ def fit(
             if i == di and phi[j] <= lower[j] + 5.0:
                 vec[i] = 0.0                  # the wall value is exactly zero
     theta_hat = Params(*vec)
-    loglik, parts = _loglik_and_parts(theta_hat, data)
+    loglik, parts = ll_pass(theta_hat)
 
     # In phi = log(delta + eps) the gradient (delta + eps) dl/d delta
     # meets the tolerance long before phi nears its wall, so a run can
@@ -640,9 +713,8 @@ def fit(
     # dl/d delta <= 0 at delta = 0, and no loss of likelihood there.
     if di in free_idx and vec[di] > 0.0:
         wall = theta_hat.replace(delta=0.0)
-        wall_ll, wall_parts = _loglik_and_parts(wall, data)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            kkt = wall_ll >= loglik and _score_from_parts(wall, data.n, wall_parts)[di] <= 0.0
+        wall_ll, wall_parts = ll_pass(wall)
+        kkt = wall_ll >= loglik and _score_from_parts(wall, data.n, wall_parts, (di,))[0] <= 0.0
         if kkt:
             vec[di] = 0.0
             theta_hat, loglik, parts = wall, wall_ll, wall_parts
@@ -650,9 +722,7 @@ def fit(
 
     grad_norm = math.inf
     if math.isfinite(loglik):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            full = _score_from_parts(theta_hat, data.n, parts)
-        g_phi = _phi_score(full, vec, free_idx)
+        g_phi = _phi_score(_score_from_parts(theta_hat, data.n, parts, free_idx), vec, free_idx)
         g_phi = np.where(np.isnan(g_phi), np.inf, g_phi)
         phi_hat = np.array([_value_to_phi(vec[i], i) for i in free_idx])
         grad_norm = float(np.max(np.abs(_project_grad(-g_phi, phi_hat, lower, upper))))

@@ -301,8 +301,8 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
     partial = np.cumsum(terms)
     scale = ctl.tail_tol * np.maximum(np.abs(partial), 1e-300)
     # a zero partial sum means the series has not started (leading zeros),
-    # not that it has converged
-    small = (np.abs(terms) < scale) & (partial != 0.0)
+    # and an infinite one that it has diverged: neither has converged
+    small = (np.abs(terms) < scale) & (partial != 0.0) & np.isfinite(partial)
     if terms.size >= 3:
         hit = small[2:] & small[1:-1] & small[:-2]
         idx = np.flatnonzero(hit)
@@ -354,7 +354,8 @@ class _TermSum:
         self.terms.append(t)
         self.total += t
         total = self.total
-        if abs(t) < self.ctl.tail_tol * max(abs(total), 1e-300) and total != 0.0:
+        if (abs(t) < self.ctl.tail_tol * max(abs(total), 1e-300) and total != 0.0
+                and math.isfinite(total)):
             self.small_run += 1
         else:
             self.small_run = 0

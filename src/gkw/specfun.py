@@ -187,6 +187,9 @@ def beta_fn(a: float, b: float) -> float:
     return math.exp(ln_beta(a, b))
 
 
+_LN_HALF = -0.6931471805599453
+
+
 def log1mexp(s):
     """log(1 - exp(s)) for s < 0, accurate across the whole range.
 
@@ -194,14 +197,10 @@ def log1mexp(s):
     Accepts scalars or numpy arrays; s == 0 maps to -inf.
     """
     s = np.asarray(s, dtype=float)
-    near = s > -0.6931471805599453
     with np.errstate(divide="ignore", invalid="ignore"):
         if s.ndim == 0:
-            return float(np.log(-np.expm1(min(s, 0.0))) if near else np.log1p(-np.exp(s)))
-        out = np.log1p(-np.exp(s))
-        if near.any():
-            out[near] = np.log(-np.expm1(np.minimum(s[near], 0.0)))
-    return out
+            return float(np.log(-np.expm1(min(s, 0.0))) if s > _LN_HALF else np.log1p(-np.exp(s)))
+        return _log1mexp_arr(s)
 
 
 # Below this log-magnitude, e^t < 2.1e-9 and the first-order expansions
@@ -218,20 +217,11 @@ def log_neg_log1mexp(s, l1m_s):
     log(-l1m_s).
     """
     s = np.asarray(s, dtype=float)
-    tiny = s < _TINY_LOG
+    l1m_s = np.asarray(l1m_s, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(-np.asarray(l1m_s, dtype=float))
-    return _tiny_branch(out, tiny, s, 0.5)
-
-
-def _tiny_branch(out, tiny, v, half):
-    """out, with the first-order expansion v + half e^v where tiny holds."""
-    if out.ndim == 0:
-        return float(v + half * np.exp(v)) if tiny else float(out)
-    if tiny.any():
-        vt = v[tiny]
-        out[tiny] = vt + half * np.exp(vt)
-    return out
+        if l1m_s.ndim == 0:
+            return float(s + 0.5 * np.exp(s)) if s < _TINY_LOG else float(np.log(-l1m_s))
+        return _log_neg_log1mexp_arr(s, l1m_s)
 
 
 def log1mexp_tiny(s, log_neg_s):
@@ -242,10 +232,52 @@ def log1mexp_tiny(s, log_neg_s):
     to be stored (or stored only as a subnormal) costs no precision.
     Otherwise it is :func:`log1mexp` of s.
     """
+    s = np.asarray(s, dtype=float)
     w = np.asarray(log_neg_s, dtype=float)
-    tiny = w < _TINY_LOG
-    out = np.asarray(log1mexp(s), dtype=float)
-    return _tiny_branch(out, tiny, w, -0.5)
+    if s.ndim == 0:
+        return float(w + -0.5 * np.exp(w)) if w < _TINY_LOG else log1mexp(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _log1mexp_tiny_arr(s, w)
+
+
+# The array paths of the three helpers above.  Each fills one new array
+# in place, and recomputes only the elements that its other branch
+# covers, after a NaN-blind min or max has shown that there are some.
+# None sets np.errstate: the log chain of core runs all of them under the
+# one errstate (divide and invalid ignored) of its caller.
+
+
+def _log1mexp_arr(s: np.ndarray) -> np.ndarray:
+    out = np.exp(s)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    if np.fmax.reduce(s, initial=-np.inf) > _LN_HALF:
+        near = s > _LN_HALF
+        v = np.minimum(s[near], 0.0)
+        np.expm1(v, out=v)
+        np.negative(v, out=v)
+        np.log(v, out=v)
+        out[near] = v
+    return out
+
+
+def _log_neg_log1mexp_arr(s: np.ndarray, l1m_s: np.ndarray) -> np.ndarray:
+    out = np.negative(l1m_s)
+    np.log(out, out=out)
+    return _patch_tiny(out, s, 0.5)
+
+
+def _log1mexp_tiny_arr(s: np.ndarray, log_neg_s: np.ndarray) -> np.ndarray:
+    return _patch_tiny(_log1mexp_arr(s), log_neg_s, -0.5)
+
+
+def _patch_tiny(out, v, half):
+    """out, with the first-order expansion v + half e^v where v < _TINY_LOG."""
+    if np.fmin.reduce(v, initial=np.inf) < _TINY_LOG:
+        tiny = v < _TINY_LOG
+        vt = v[tiny]
+        out[tiny] = vt + half * np.exp(vt)
+    return out
 
 
 def _betacf(a: float, b: float, x: float, acc: Accuracy) -> float:

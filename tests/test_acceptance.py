@@ -76,7 +76,7 @@ def _half_integrand(theta, side, weight_r=0.0, rho=1.0):
     def g(s):
         s = np.asarray(s, dtype=float)
         log_x = s if side == "left" else np.log1p(-np.exp(s))
-        lp = core._log_pdf_terms(theta, log_x)
+        lp = core._log_pdf_at(theta, log_x)
         return np.exp(s + weight_r * log_x + rho * lp)
 
     return g

@@ -33,6 +33,7 @@ from gkw.estim import (
     std_errors,
 )
 
+from frozen_fits import FROZEN_FITS, frozen_fit_data
 from gridpoints import (
     BATHTUB,
     BETA52,
@@ -416,13 +417,43 @@ class TestWorkCounts:
     def test_duplicate_start_is_run_once(self, monkeypatch):
         data = Dataset(core.sample(WORKHORSE, 300, seed=5))
         start = default_init(data, SUBMODELS["EKw"])
-        chain = _Counter(core._log_chain)
-        monkeypatch.setattr(core, "_log_chain", chain)
+        passes = _Counter(core._log_density)
+        monkeypatch.setattr(core, "_log_density", passes)
         once = fit(data, "EKw", init=start)
-        passes_once, chain.calls = chain.calls, 0
+        passes_once, passes.calls = passes.calls, 0
         twice = fit(data, "EKw", init=start, extra_starts=(start,))
-        assert chain.calls == passes_once
+        assert passes_once > 0
+        assert passes.calls == passes_once
         assert _same_fit(once, twice)
+
+    def test_pinned_head_is_built_once_per_fit(self, monkeypatch):
+        # Mc pins alpha = beta = 1: one head serves every start, every
+        # evaluation and the closing pass
+        data = Dataset(core.sample(Params(1.0, 1.0, 2.0, 1.5, 0.7), 300, seed=5))
+        passes = _Counter(core._log_density)
+        heads = _Counter(core._Head)
+        monkeypatch.setattr(core, "_log_density", passes)
+        monkeypatch.setattr(core, "_Head", heads)
+        fit(data, "Mc")
+        assert passes.calls > 100
+        assert heads.calls == 1
+        heads.calls = 0
+        fit(data, "Mc")
+        assert heads.calls == 1           # nothing is kept across fits
+
+    def test_pinned_coordinates_get_no_score_component(self, monkeypatch):
+        data = Dataset(core.sample(Params(1.0, 1.0, 2.0, 1.5, 0.7), 300, seed=5))
+        asked = []
+        real = estim._score_from_parts
+
+        def recording(theta, n, parts, idx=range(5)):
+            asked.append(tuple(idx))
+            return real(theta, n, parts, idx)
+
+        monkeypatch.setattr(estim, "_score_from_parts", recording)
+        fit(data, "Mc")
+        assert asked.count((2, 3, 4)) > 10   # the optimizer's gradients
+        assert not any(0 in idx or 1 in idx for idx in asked)
 
     def test_score_built_only_for_accepted_steps(self, monkeypatch):
         data = Dataset(core.sample(WORKHORSE, 300, seed=5))
@@ -430,7 +461,8 @@ class TestWorkCounts:
         start = default_init(data, SUBMODELS["EKw"])
         phi0 = np.log(np.array(start.as_tuple())[free_idx])
         lower, upper = estim._walls(free_idx)
-        objective = _Counter(estim._make_objective(data, free_idx, np.array(start.as_tuple())))
+        objective = _Counter(estim._make_objective(estim._Pass(data), free_idx,
+                                                   np.array(start.as_tuple())))
         builds = _Counter(estim._score_from_parts)
         monkeypatch.setattr(estim, "_score_from_parts", builds)
         *_, it, conv = estim._bfgs(objective, phi0, lower, upper,
@@ -593,3 +625,212 @@ class TestLrTest:
         assert 0.0 <= r.p_value <= 1.0
         assert r.df == 3
         assert r.null_model.name == "Kw" and r.alt_model.name == "GKw"
+
+
+# ----------------------------------------------------------------------
+# The log-likelihood pass, bit for bit against the chain it replaced.
+# The reference below is that chain as it stood: the three log1mexp
+# helpers with their array branches written out, the seven-log chain,
+# the density sum and the score, each array built afresh.
+# ----------------------------------------------------------------------
+
+_REF_TINY = -20.0
+
+
+def _ref_tiny_branch(out, tiny, v, half):
+    if out.ndim == 0:
+        return float(v + half * np.exp(v)) if tiny else float(out)
+    if tiny.any():
+        vt = v[tiny]
+        out[tiny] = vt + half * np.exp(vt)
+    return out
+
+
+def _ref_log1mexp(s):
+    s = np.asarray(s, dtype=float)
+    near = s > -0.6931471805599453
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if s.ndim == 0:
+            return float(np.log(-np.expm1(min(s, 0.0))) if near else np.log1p(-np.exp(s)))
+        out = np.log1p(-np.exp(s))
+        if near.any():
+            out[near] = np.log(-np.expm1(np.minimum(s[near], 0.0)))
+    return out
+
+
+def _ref_log_neg_log1mexp(s, l1m_s):
+    s = np.asarray(s, dtype=float)
+    tiny = s < _REF_TINY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(-np.asarray(l1m_s, dtype=float))
+    return _ref_tiny_branch(out, tiny, s, 0.5)
+
+
+def _ref_log1mexp_tiny(s, log_neg_s):
+    w = np.asarray(log_neg_s, dtype=float)
+    tiny = w < _REF_TINY
+    out = np.asarray(_ref_log1mexp(s), dtype=float)
+    return _ref_tiny_branch(out, tiny, w, -0.5)
+
+
+def _ref_log_chain(theta, log_x):
+    a, b, _, _, l = theta.as_tuple()
+    s = a * np.asarray(log_x, dtype=float)
+    la = _ref_log1mexp(s)
+    lla = _ref_log_neg_log1mexp(s, la)
+    bla = b * la
+    ly = _ref_log1mexp_tiny(bla, math.log(b) + lla)
+    lny = _ref_log_neg_log1mexp(bla, ly)
+    lu = _ref_log1mexp_tiny(l * ly, math.log(l) + lny)
+    return s, la, lla, bla, ly, lny, lu
+
+
+def _ref_log_pdf_from_chain(theta, log_x, la, ly, lu):
+    a, b, g, d, l = theta.as_tuple()
+    out = (
+        math.log(l) + math.log(a) + math.log(b) - specfun.ln_beta(g, d + 1.0)
+        + (a - 1.0) * log_x + (b - 1.0) * la
+    )
+    gl1 = g * l - 1.0
+    if gl1 != 0.0:
+        out = out + gl1 * ly
+    if d != 0.0:
+        out = out + d * lu
+    return out
+
+
+def _ref_loglik_and_score(theta, log_x):
+    """(per-element log-density, log-likelihood, score) as the old pass
+    built them; log_x is 0-d for a scalar."""
+    log_x = np.asarray(log_x, dtype=float)
+    n = log_x.size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s, la, lla, bla, ly, lny, lu = _ref_log_chain(theta, log_x)
+        logf = _ref_log_pdf_from_chain(theta, log_x, la, ly, lu)
+        lly = theta.lam * ly
+        llx = np.log(-log_x)
+        lx = log_x
+        a, b, g, d, l = theta.as_tuple()
+        gl1 = g * l - 1.0
+        lb = math.log(b)
+        u_alpha = n / a + float(np.sum(lx))
+        u_beta = n / b + float(np.sum(la))
+        if b != 1.0:
+            u_alpha -= (b - 1.0) * float(np.sum(-np.exp(s - la + llx)))
+        if gl1 != 0.0:
+            r_a = -np.exp(lb + s + (b - 1.0) * la - ly + llx)
+            r_b = np.exp(bla - ly + lla)
+            u_alpha += gl1 * float(np.sum(r_a))
+            u_beta += gl1 * float(np.sum(r_b))
+        if d != 0.0:
+            va = -np.exp(lb + (l - 1.0) * ly - lu + s + (b - 1.0) * la + llx)
+            vb = np.exp((l - 1.0) * ly - lu + bla + lla)
+            u_alpha -= d * l * float(np.sum(va))
+            u_beta -= d * l * float(np.sum(vb))
+        u_gamma = n * specfun.digamma_diff(g, d + 1.0) + l * float(np.sum(ly))
+        u_delta = n * specfun.digamma_diff(d + 1.0, g) + float(np.sum(lu))
+        u_lam = n / l + g * float(np.sum(ly))
+        if d != 0.0:
+            q = -np.exp(lly - lu + lny)
+            u_lam -= d * float(np.sum(q))
+    score_ = np.array([u_alpha, u_beta, u_gamma, u_delta, u_lam])
+    return logf, float(np.sum(logf)), score_
+
+
+def _same_bits(got, want) -> bool:
+    """Equal float bits, with NaN equal to NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if got.shape != want.shape:
+        return False
+    nan = np.isnan(got) & np.isnan(want)
+    return np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
+_UNIFORM_150 = tuple(np.random.default_rng(2024).uniform(0.001, 0.999, 150))
+
+# (theta, points): each point set reaches a branch of the chain
+_PASS_CASES = {
+    # x^alpha underflows at 1e-4 and 1e-300; y rounds to 1 at 0.93
+    "alpha-power-underflow": (Params(83.55, 3.147e6, 1.0, 2.658, 0.01724),
+                              (1e-4, 1.354e-4, 0.93, 0.5, 1e-300, 0.999999)),
+    # (1 - x^alpha)^beta underflows: y == 1 and ly == -0.0
+    "y-to-one": (Params(2.0, 1e4, 1.5, 0.5, 2.0), (0.3, 0.5, 0.9, 0.999, 0.01)),
+    # x^alpha > 1/2 for nearly every x: the near branch of log1mexp
+    "near-branch": (Params(0.05, 3.0, 1.5, 0.5, 2.0), _UNIFORM_150),
+    # x^alpha < e^-20: the tiny branch of log(-log(1 - e^s))
+    "tiny-x-power": (Params(50.0, 2.0, 1.5, 0.5, 2.0), (0.5, 0.3, 0.01, 0.999, 0.9)),
+    # beta log(1 - x^alpha) > -e^-20: the tiny branch of log(1 - e^s)
+    "tiny-y": (Params(2.0, 1e-12, 3.0, 0.5, 2.0), (0.5, 0.3, 0.01, 0.999, 1e-200)),
+    # lambda log y > -e^-20: the same branch one link further
+    "tiny-y-power": (Params(2.0, 3.0, 1.5, 0.5, 1e-12), (0.5, 0.3, 0.01, 0.999)),
+    "delta-zero": (Params(2.0, 3.0, 1.5, 0.0, 2.0), _UNIFORM_150),
+    "gamma-lambda-one": (Params(2.0, 3.0, 0.5, 0.5, 2.0), _UNIFORM_150),
+    "beta-one": (Params(2.0, 1.0, 1.5, 0.5, 2.0), _UNIFORM_150),
+    "alpha-beta-one": (Params(1.0, 1.0, 2.0, 1.5, 0.7), _UNIFORM_150),
+    "beta-law": (Params(1.0, 1.0, 2.0, 1.5, 1.0), _UNIFORM_150),
+    "workhorse": (WORKHORSE, _UNIFORM_150),
+    "n-one": (WORKHORSE, (0.37,)),
+}
+
+
+class TestPassBitForBit:
+    @pytest.mark.parametrize("case", sorted(_PASS_CASES))
+    def test_density_loglik_and_score(self, case):
+        theta, xs = _PASS_CASES[case]
+        data = Dataset(xs)
+        logf_ref, ll_ref, score_ref = _ref_loglik_and_score(theta, data.log_values)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            logf, _ = core._log_density(theta, data.log_values)
+        assert _same_bits(logf, logf_ref)
+        assert _same_bits(core.log_pdf(theta, data.values), logf_ref)
+        assert _same_bits(log_likelihood(theta, data), ll_ref)
+        assert _same_bits(score(theta, data), score_ref)
+
+    @pytest.mark.parametrize("case", ["alpha-power-underflow", "y-to-one", "tiny-x-power",
+                                      "tiny-y", "n-one"])
+    def test_scalar_input(self, case):
+        theta, xs = _PASS_CASES[case]
+        for x in xs:
+            logf_ref, _, _ = _ref_loglik_and_score(theta, math.log(x))
+            got = core.log_pdf(theta, x)
+            assert isinstance(got, float)
+            assert _same_bits(got, logf_ref)
+
+    @pytest.mark.parametrize("case", ["workhorse", "alpha-power-underflow", "tiny-y"])
+    def test_reused_head_and_any_score_subset(self, case):
+        # one pass object walked through points that share alpha and beta,
+        # in an order that revisits lambda, gives each point's own bits
+        base, xs = _PASS_CASES[case]
+        data = Dataset(xs)
+        ll_pass = estim._Pass(data)
+        points = [base, base.replace(gamma=2.5), base.replace(lam=0.3),
+                  base.replace(delta=0.0), base.replace(delta=4.0, lam=0.3), base,
+                  base.replace(alpha=base.alpha * 1.5)]
+        for theta in points:
+            _, ll_ref, score_ref = _ref_loglik_and_score(theta, data.log_values)
+            ll, parts = ll_pass(theta)
+            assert _same_bits(ll, ll_ref)
+            for idx in ([0, 1, 2, 3, 4], [2, 3, 4], [0, 1, 4], [3], [4, 0]):
+                got = estim._score_from_parts(theta, data.n, parts, idx)
+                assert _same_bits(got, score_ref[idx])
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)
+
+
+class TestFrozenFits:
+    # every fit follows the trajectory it followed before the pass was
+    # rewritten, so estimates, counts and errors agree to the last bit
+    @pytest.mark.parametrize("name", sorted(FROZEN_FITS))
+    def test_fit_family_equals_frozen_results(self, name):
+        fam = fit_family(Dataset(frozen_fit_data(name)))
+        want = FROZEN_FITS[name]
+        assert list(fam) == list(want)
+        for nm, r in fam.items():
+            theta, loglik, iterations, grad_norm, converged, ses, boundary = want[nm]
+            assert _hex(r.theta_hat.as_tuple()) == theta, nm
+            assert (r.loglik.hex(), r.iterations, r.grad_norm.hex(), r.converged) == (
+                loglik, iterations, grad_norm, converged), nm
+            assert (None if r.std_errors is None else _hex(r.std_errors)) == ses, nm
+            assert r.boundary == boundary, nm

@@ -666,6 +666,20 @@ class TestTruncationMachinery:
         if np.isnan(terms[:max_terms]).any():
             assert not got.converged
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_partial_sum_is_not_converged(self, sign):
+        # once the partial sum is infinite every finite term is small
+        # against it; three of them must not read as convergence
+        ctl = SeriesControl(max_terms=100)
+        terms = self._J[:100] ** -3.0
+        terms[1] = sign * math.inf
+        got = series._sum_terms(terms, ctl)
+        assert float(got) == sign * math.inf
+        assert not got.converged and got.terms == 100
+        stream = series._TermSum(ctl)
+        assert not any(stream.add(t) for t in terms)
+        assert not stream.value().converged
+
     def test_coeff_table_records_theta(self):
         ct = series.mixture_coeffs(KW22)
         assert isinstance(ct, CoeffTable)
