@@ -4,7 +4,11 @@ Fitting works on any of the named sub-model patterns: the free
 parameters are log-transformed (delta as log(delta + 1e-10) so the
 boundary delta = 0 stays reachable), and a BFGS iteration with Armijo
 backtracking climbs the log-likelihood from a small moment-matched
-multi-start grid.  The score vector and observed information matrix are
+multi-start grid.  The starts are raced: they advance together, the
+one with the fewest objective evaluations so far taking the next
+step, and a start too slow to overtake the best current value of the
+others (``beat``) is abandoned; each fit keeps a trace of how every
+start ended.  The score vector and observed information matrix are
 analytic, written in compensated log-space forms so that observations
 far into either tail do not overflow the intermediate products; both
 are certified against finite differences in the test suite.
@@ -44,6 +48,7 @@ __all__ = [
     "Dataset",
     "FitOptions",
     "FitResult",
+    "StartTrace",
     "LrTestResult",
     "log_likelihood",
     "score",
@@ -137,6 +142,18 @@ class FitOptions:
                 raise ValueError(f"{name} must be a positive finite real, got {v!r}")
 
 
+class StartTrace(NamedTuple):
+    """One start of a fit: its index in the fit's start list, why its
+    run stopped (a :func:`_bfgs` reason), and its iterations,
+    objective evaluations and final log-likelihood."""
+
+    start: int
+    reason: str
+    iterations: int
+    evaluations: int
+    loglik: float
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of one maximum-likelihood fit.
@@ -148,7 +165,9 @@ class FitResult:
     when the fit failed or the restricted information matrix is not
     positive definite.  ``boundary`` names free parameters that ended
     on a transformation wall; delta on its lower wall is reported as
-    exactly 0, with a NaN standard error.
+    exactly 0, with a NaN standard error.  ``trace`` holds one
+    :class:`StartTrace` per start, in start order; ``iterations`` is
+    the kept start's.
     """
 
     submodel: SubModel
@@ -159,6 +178,7 @@ class FitResult:
     iterations: int
     grad_norm: float
     boundary: tuple[str, ...] = ()
+    trace: tuple[StartTrace, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -178,6 +198,10 @@ class LrTestResult:
 
 
 _ALL = range(5)
+# The raw logs of the chain make infinities that its tiny branches then
+# patch: passes and score builds run under one np.errstate of their
+# caller (one per fit, or per public call).
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 class _Pass:
@@ -187,7 +211,8 @@ class _Pass:
     and information are built from; the :class:`core._Head` of the last
     call is reused while alpha and beta stay where they were, so a fit
     that pins both (Mc, Beta, BP) builds it once.  One is made per fit
-    (or per public call); nothing is kept across fits.
+    (or per public call); nothing is kept across fits.  Call it under
+    ``np.errstate(**_QUIET)``.
     """
 
     __slots__ = ("data", "head")
@@ -197,10 +222,8 @@ class _Pass:
         self.head = None
 
     def __call__(self, theta: Params):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            logf, self.head = core._log_density(theta, self.data.log_values, self.head)
-            ll = float(np.add.reduce(logf))
-        return ll, _Parts(self.head, self.data)
+        logf, self.head = core._log_density(theta, self.data.log_values, self.head)
+        return float(np.add.reduce(logf)), _Parts(self.head, self.data)
 
 
 class _Parts(NamedTuple):
@@ -220,7 +243,8 @@ class _Parts(NamedTuple):
 
 def _loglik_and_parts(theta: Params, data: Dataset):
     """log_likelihood and the :class:`_Parts` blocks, from one pass."""
-    return _Pass(data)(theta)
+    with np.errstate(**_QUIET):
+        return _Pass(data)(theta)
 
 
 def log_likelihood(theta: Params, data: Dataset) -> float:
@@ -236,7 +260,8 @@ def score(theta: Params, data: Dataset) -> np.ndarray:
     without evaluating that term, so the zero coefficient never
     multiplies an overflowing factor.
     """
-    return _score_from_parts(theta, data.n, _loglik_and_parts(theta, data)[1])
+    with np.errstate(**_QUIET):
+        return _score_from_parts(theta, data.n, _Pass(data)(theta)[1])
 
 
 def _sum_exp(t: np.ndarray, sign: float) -> float:
@@ -249,7 +274,8 @@ def _sum_exp(t: np.ndarray, sign: float) -> float:
 
 def _score_from_parts(theta: Params, n: int, parts: _Parts, idx=_ALL) -> np.ndarray:
     """The :func:`score` components at parameter indices ``idx``, in that
-    order, from the blocks of one pass; no other component is built."""
+    order, from the blocks of one pass; no other component is built.
+    Call it under ``np.errstate(**_QUIET)``."""
     a, b, g, d, l = theta.as_tuple()
     h, data = parts
     s, la, ly = h.s, h.la, h.ly
@@ -258,60 +284,59 @@ def _score_from_parts(theta: Params, n: int, parts: _Parts, idx=_ALL) -> np.ndar
     lb = math.log(b)
     t = np.empty_like(ly)                 # scratch for each summand
     out = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lly, lu = h.tail(l) if d != 0.0 or 3 in idx else (None, None)
-        if d != 0.0 and (0 in idx or 1 in idx):
-            l1ly = (l - 1.0) * ly
-        if 2 in idx or 4 in idx:
-            sum_ly = float(np.add.reduce(ly))
-        for i in idx:
-            if i == 0:
-                u = n / a + data.sum_log
-                if b != 1.0:
-                    # d/d alpha of (beta-1) log(1-x^alpha):  -(beta-1) x^alpha log x / (1-x^alpha)
-                    np.subtract(s, la, out=t)
-                    t += llx
-                    u -= (b - 1.0) * _sum_exp(t, -1.0)
-                if gl1 != 0.0:
-                    # (dy/d alpha)/y
-                    np.add(s, lb, out=t)
-                    t += h.b1la
-                    t -= ly
-                    t += llx
-                    u += gl1 * _sum_exp(t, -1.0)
-                if d != 0.0:
-                    np.add(l1ly, lb, out=t)
-                    t -= lu
-                    t += s
-                    t += h.b1la
-                    t += llx
-                    u -= d * l * _sum_exp(t, -1.0)
-            elif i == 1:
-                u = n / b + float(np.add.reduce(la))
-                if gl1 != 0.0:
-                    # (dy/d beta)/y
-                    np.subtract(h.bla, ly, out=t)
-                    t += h.lla
-                    u += gl1 * _sum_exp(t, 1.0)
-                if d != 0.0:
-                    np.subtract(l1ly, lu, out=t)
-                    t += h.bla
-                    t += h.lla
-                    u -= d * l * _sum_exp(t, 1.0)
-            elif i == 2:
-                # -n d/dg log B(g, d+1) = n [psi(g+d+1) - psi(g)], differenced
-                # without cancellation so the gamma -> inf ridge stays resolvable
-                u = n * specfun.digamma_diff(g, d + 1.0) + l * sum_ly
-            elif i == 3:
-                u = n * specfun.digamma_diff(d + 1.0, g) + float(np.add.reduce(lu))
-            else:
-                u = n / l + g * sum_ly
-                if d != 0.0:
-                    # y^l log y / (1-y^l)
-                    np.subtract(lly, lu, out=t)
-                    t += h.lny
-                    u -= d * _sum_exp(t, -1.0)
-            out.append(u)
+    lly, lu = h.tail(l) if d != 0.0 or 3 in idx else (None, None)
+    if d != 0.0 and (0 in idx or 1 in idx):
+        l1ly = (l - 1.0) * ly
+    if 2 in idx or 4 in idx:
+        sum_ly = float(np.add.reduce(ly))
+    for i in idx:
+        if i == 0:
+            u = n / a + data.sum_log
+            if b != 1.0:
+                # d/d alpha of (beta-1) log(1-x^alpha):  -(beta-1) x^alpha log x / (1-x^alpha)
+                np.subtract(s, la, out=t)
+                t += llx
+                u -= (b - 1.0) * _sum_exp(t, -1.0)
+            if gl1 != 0.0:
+                # (dy/d alpha)/y
+                np.add(s, lb, out=t)
+                t += h.b1la
+                t -= ly
+                t += llx
+                u += gl1 * _sum_exp(t, -1.0)
+            if d != 0.0:
+                np.add(l1ly, lb, out=t)
+                t -= lu
+                t += s
+                t += h.b1la
+                t += llx
+                u -= d * l * _sum_exp(t, -1.0)
+        elif i == 1:
+            u = n / b + float(np.add.reduce(la))
+            if gl1 != 0.0:
+                # (dy/d beta)/y
+                np.subtract(h.bla, ly, out=t)
+                t += h.lla
+                u += gl1 * _sum_exp(t, 1.0)
+            if d != 0.0:
+                np.subtract(l1ly, lu, out=t)
+                t += h.bla
+                t += h.lla
+                u -= d * l * _sum_exp(t, 1.0)
+        elif i == 2:
+            # -n d/dg log B(g, d+1) = n [psi(g+d+1) - psi(g)], differenced
+            # without cancellation so the gamma -> inf ridge stays resolvable
+            u = n * specfun.digamma_diff(g, d + 1.0) + l * sum_ly
+        elif i == 3:
+            u = n * specfun.digamma_diff(d + 1.0, g) + float(np.add.reduce(lu))
+        else:
+            u = n / l + g * sum_ly
+            if d != 0.0:
+                # y^l log y / (1-y^l)
+                np.subtract(lly, lu, out=t)
+                t += h.lny
+                u -= d * _sum_exp(t, -1.0)
+        out.append(u)
     return np.array(out)
 
 
@@ -502,7 +527,8 @@ def _make_objective(ll_pass: _Pass, free_idx: list[int], fixed: np.ndarray):
     A call costs one pass of ``ll_pass``; the thunk builds the score
     components of the free coordinates from that pass's blocks when
     called, and returns None where there is no usable gradient
-    (non-finite loglik, NaN score).
+    (non-finite loglik, NaN score).  Call it under
+    ``np.errstate(**_QUIET)``, as :func:`fit` does.
     """
     n = ll_pass.data.n
 
@@ -520,11 +546,11 @@ def _make_objective(ll_pass: _Pass, free_idx: list[int], fixed: np.ndarray):
 
         def grad():
             g = -_phi_score(_score_from_parts(theta, n, parts, free_idx), vec, free_idx)
-            if np.any(np.isnan(g)):
+            if np.isnan(g).any():
                 return None
             # An infinite component still points somewhere useful; cap it
             # so the line search can follow it to the wall.
-            return np.clip(g, -1e30, 1e30)
+            return np.minimum(np.maximum(g, -1e30), 1e30)
 
         return -ll, grad
 
@@ -539,97 +565,141 @@ def _project_grad(g: np.ndarray, phi: np.ndarray, lower: np.ndarray, upper: np.n
     return gp
 
 
-def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int, h0: float,
-          beat: float = math.inf):
+class _Stop(NamedTuple):
+    """How one run of :func:`_bfgs` ended: its last accepted point and
+    objective, its counts, and why it stopped."""
+
+    phi: np.ndarray
+    F: float
+    iterations: int
+    evaluations: int
+    reason: str
+
+
+def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int, h0: float):
     """Minimize objective over the box via BFGS with Armijo backtracking.
+
+    A generator, so that :func:`fit` can advance its starts together.
+    It yields (F, evaluations) after the first evaluation and after
+    every accepted iteration; the value sent back in is ``beat``, the
+    objective this run has to overtake to be kept (see below; send None
+    to start it).  It returns a :class:`_Stop`, whose reason is
+    ``gradient`` (converged), ``max_iter``, ``stalled``, ``abandoned``,
+    ``line_search`` (both searches exhausted) or ``nonfinite`` (no
+    objective or gradient at the start).
 
     ``objective(phi)`` returns (F, grad), ``grad()`` the gradient at phi
     or None; it is called only for the first point and for trial points
     that pass the Armijo test, so a rejected trial costs no gradient.
-    Returns (phi, F, grad-or-None, iterations, converged).  Each trial
-    step is scaled to move no coordinate by more than _MAX_STEP, so a
-    long early step (the first direction is the raw gradient) cannot
-    leap from a moderate point onto the far walls, where the likelihood
-    is finite but nearly flat.  A direction that still fails the Armijo
-    test after _MAX_HALVINGS halvings (a step below ~2e-6 in log
-    units) is given up: the quasi-Newton model has failed there, as it
-    does when a run crawls along a wall of the gamma/lambda ridge, and
-    accepting ever tinier steps would spend hundreds of evaluations
-    for no change in the estimate.  Steps are clipped to the box; the
-    convergence test uses the wall-projected gradient so a maximum
-    pinned on a wall still counts as converged.
+    Each trial step is scaled to move no coordinate by more than
+    _MAX_STEP, so a long early step (the first direction is the raw
+    gradient) cannot leap from a moderate point onto the far walls,
+    where the likelihood is finite but nearly flat.  A direction that
+    still fails the Armijo test after _MAX_HALVINGS halvings (a step
+    below ~2e-6 in log units) is given up: the quasi-Newton model has
+    failed there, as it does when a run crawls along a wall of the
+    gamma/lambda ridge, and accepting ever tinier steps would spend
+    hundreds of evaluations for no change in the estimate.  Steps are
+    clipped to the box; the convergence test uses the wall-projected
+    gradient so a maximum pinned on a wall still counts as converged.
 
     Along that ridge the gradient test can stay out of reach while the
     objective creeps down by a few 1e-9 per iteration, so a run also
     stops, unconverged, when its last _STALL_EVALS evaluations gained
-    less than _STALL_GAIN.  ``beat`` is the objective of the best run
-    finished so far: a run whose gain over that window, kept up for
-    the rest of its max_iter budget, would still not reach ``beat`` is
-    abandoned, since it cannot be the one that is kept.  Neither rule
-    moves a run backwards, so a warm start's value is never lost.
+    less than _STALL_GAIN.  A run whose gain over that window, kept up
+    for the rest of its max_iter budget, would still not reach
+    ``beat`` is abandoned, since it cannot be the one that is kept.
+    Neither rule moves a run backwards, so a warm start's value is
+    never lost.  A suspended run holds no gradient thunk, so it keeps
+    no pass arrays alive.
     """
-    phi = np.clip(np.asarray(phi0, dtype=float), lower, upper)
+    phi = np.minimum(np.maximum(np.asarray(phi0, dtype=float), lower), upper)
     F, grad = objective(phi)
     g = grad()
-    if g is None:
-        return phi, F, None, 0, False
-    k = phi.size
-    H = np.eye(k) * h0 * h0
-    it = 0
-    converged = False
+    grad = None
     evals = 1
+    if g is None:
+        return _Stop(phi, F, 0, evals, "nonfinite")
+    eye = np.eye(phi.size)
+    H0 = eye * h0 * h0
+    H = H0
+    it = 0
     trail = [(evals, F)]                      # (evaluations, objective) per iteration
     j = 0                                     # newest trail entry >= _STALL_EVALS old
     while True:
+        beat = yield F, evals
         gp = _project_grad(g, phi, lower, upper)
-        if float(np.max(np.abs(gp))) <= gtol * max(1.0, abs(F)):
-            converged = True
-            break
+        if float(abs(gp).max()) <= gtol * max(1.0, abs(F)):
+            return _Stop(phi, F, it, evals, "gradient")
         if it >= max_iter:
-            break
+            return _Stop(phi, F, it, evals, "max_iter")
         while j + 1 < len(trail) and trail[j + 1][0] <= evals - _STALL_EVALS:
             j += 1
         if trail[j][0] <= evals - _STALL_EVALS:
             gain = trail[j][1] - F
             if gain < _STALL_GAIN:
-                break
+                return _Stop(phi, F, it, evals, "stalled")
             if F - gain / (it - j) * (max_iter - it) > beat:
-                break                         # cannot catch up at this pace
+                return _Stop(phi, F, it, evals, "abandoned")  # cannot catch up at this pace
         it += 1
         moved = False
         for attempt in (0, 1):
             p = -(H @ g) if attempt == 0 else -gp
             if attempt == 0 and float(p @ g) >= 0.0:
                 continue                      # H lost descent; use steepest
-            step = min(1.0, _MAX_STEP / max(float(np.max(np.abs(p))), 1e-300))
+            step = min(1.0, _MAX_STEP / max(float(abs(p).max()), 1e-300))
             for _ in range(_MAX_HALVINGS):
-                cand = np.clip(phi + step * p, lower, upper)
+                cand = np.minimum(np.maximum(phi + step * p, lower), upper)
                 d = cand - phi
-                if not np.any(d):
+                if not d.any():
                     break
                 Fc, grad = objective(cand)
                 evals += 1
                 slope = float(d @ g)
                 ok = (Fc <= F + 1e-4 * slope) if slope < 0.0 else (Fc < F)
                 gc = grad() if ok else None
+                grad = None
                 if gc is not None:
                     yv = gc - g
                     sy = float(d @ yv)
-                    if sy > 1e-10 * float(np.linalg.norm(d) * np.linalg.norm(yv)):
+                    if sy > 1e-10 * (math.sqrt(d.dot(d)) * math.sqrt(yv.dot(yv))):
                         rho = 1.0 / sy
-                        V = np.eye(k) - rho * np.outer(d, yv)
-                        H = V @ H @ V.T + rho * np.outer(d, d)
+                        V = eye - rho * (d[:, None] * yv)
+                        H = V @ H @ V.T + rho * (d[:, None] * d)
                     phi, F, g = cand, Fc, gc
                     moved = True
                     break
                 step *= 0.5
             if moved:
                 break
-            H = np.eye(k) * h0 * h0           # curvature reset before retry
+            H = H0                            # curvature reset before retry
         if not moved:
-            break                             # both line searches exhausted
+            return _Stop(phi, F, it, evals, "line_search")
         trail.append((evals, F))
-    return phi, F, g, it, converged
+
+
+def _race(runs: list) -> list[_Stop]:
+    """Advance :func:`_bfgs` runs together until each has stopped.
+
+    The run with the fewest evaluations so far takes the next step
+    (ties go to the lower index), and its ``beat`` is the best current
+    objective among the other runs, finished or not.  Returns each
+    run's :class:`_Stop`, in run order.
+    """
+    now = [(0, math.inf)] * len(runs)          # (evaluations, objective) per run
+    stops = [None] * len(runs)
+    live = dict(enumerate(runs))
+    while live:
+        si = min(live, key=lambda i: (now[i][0], i))
+        beat = min((F for i, (_, F) in enumerate(now) if i != si), default=math.inf)
+        try:
+            F, evals = live[si].send(beat if now[si][0] else None)
+            now[si] = (evals, F)
+        except StopIteration as done:
+            stops[si] = done.value
+            now[si] = (done.value.evaluations, done.value.F)
+            del live[si]
+    return stops
 
 
 def fit(
@@ -645,12 +715,15 @@ def fit(
     Runs BFGS on log-transformed coordinates from the moment-matched
     multi-start grid (or from ``init`` when given), keeps the best run
     (ties broken by start order), and reports the result even when the
-    gradient test was not met, flagged ``converged=False``.  A start
-    that creeps along a ridge too slowly to overtake the best finished
-    start is abandoned early (see :func:`_bfgs`).
-    ``extra_starts`` appends additional starting points; each start is
-    projected onto the sub-model's fixed pattern first, and a start
-    equal to an earlier one is run only once.
+    gradient test was not met, flagged ``converged=False``.  The starts
+    are raced: they advance together, the one with the fewest
+    objective evaluations so far stepping next, and a start that
+    creeps along a ridge too slowly to overtake the best current value
+    of the others is abandoned early (see :func:`_bfgs`).  The result's
+    ``trace`` says how each start ended.  ``extra_starts`` appends
+    additional starting points; each start is projected onto the
+    sub-model's fixed pattern first, and a start equal to an earlier
+    one is run only once.
 
     Parameters
     ----------
@@ -679,70 +752,69 @@ def fit(
     ll_pass = _Pass(data)                    # shared by every start and the closing pass
     objective = _make_objective(ll_pass, free_idx, fixed)
 
-    best = None
-    for si, p in enumerate(starts):
-        phi0 = np.array([_value_to_phi(p.as_tuple()[i], i) for i in free_idx])
-        phi, F, g, it, conv = _bfgs(
-            objective, phi0, lower, upper,
-            gtol=opts.grad_tol, max_iter=opts.max_iter, h0=opts.coord_scale,
-            beat=math.inf if best is None else best[0][0],
+    with np.errstate(**_QUIET):
+        stops = _race([
+            _bfgs(objective, [_value_to_phi(p.as_tuple()[i], i) for i in free_idx],
+                  lower, upper, gtol=opts.grad_tol, max_iter=opts.max_iter,
+                  h0=opts.coord_scale)
+            for p in starts
+        ])
+        best = min(stops, key=lambda stop: stop.F)   # ties go to the earlier start
+        phi = best.phi
+
+        # A run that stalls on the flat plateau a few transformed units short
+        # of a wall is still a boundary estimate for reporting purposes.
+        vec = fixed.copy()
+        boundary = []
+        di = _PARAM_IDX["delta"]
+        for j, i in enumerate(free_idx):
+            vec[i] = _phi_to_value(float(phi[j]), i)
+            if phi[j] <= lower[j] + 5.0 or phi[j] >= upper[j] - 5.0:
+                boundary.append(_PARAM_NAMES[i])
+                if i == di and phi[j] <= lower[j] + 5.0:
+                    vec[i] = 0.0                  # the wall value is exactly zero
+        theta_hat = Params(*vec)
+        loglik, parts = ll_pass(theta_hat)
+
+        # In phi = log(delta + eps) the gradient (delta + eps) dl/d delta
+        # meets the tolerance long before phi nears its wall, so a run can
+        # stop at delta ~ 1e-7 while the likelihood still rises towards 0.
+        # The KKT conditions for a maximum on the wall decide it instead:
+        # dl/d delta <= 0 at delta = 0, and no loss of likelihood there.
+        if di in free_idx and vec[di] > 0.0:
+            wall = theta_hat.replace(delta=0.0)
+            wall_ll, wall_parts = ll_pass(wall)
+            kkt = wall_ll >= loglik and _score_from_parts(wall, data.n, wall_parts, (di,))[0] <= 0.0
+            if kkt:
+                vec[di] = 0.0
+                theta_hat, loglik, parts = wall, wall_ll, wall_parts
+                boundary = [nm for nm in sub.free_names if nm in boundary or nm == "delta"]
+
+        grad_norm = math.inf
+        if math.isfinite(loglik):
+            g_phi = _phi_score(_score_from_parts(theta_hat, data.n, parts, free_idx), vec, free_idx)
+            g_phi = np.where(np.isnan(g_phi), np.inf, g_phi)
+            phi_hat = np.array([_value_to_phi(vec[i], i) for i in free_idx])
+            grad_norm = float(np.max(np.abs(_project_grad(-g_phi, phi_hat, lower, upper))))
+        converged = grad_norm <= opts.grad_tol * max(1.0, abs(loglik))
+
+        result = FitResult(
+            submodel=sub,
+            theta_hat=theta_hat,
+            loglik=loglik,
+            std_errors=None,
+            converged=converged,
+            iterations=best.iterations,
+            grad_norm=grad_norm,
+            boundary=tuple(boundary),
+            trace=tuple(StartTrace(si, s.reason, s.iterations, s.evaluations, -s.F)
+                        for si, s in enumerate(stops)),
         )
-        key = (F, si)
-        if best is None or key < best[0]:
-            best = (key, phi, it, conv)
-    (_, _), phi, iterations, _ = best
-
-    # A run that stalls on the flat plateau a few transformed units short
-    # of a wall is still a boundary estimate for reporting purposes.
-    vec = fixed.copy()
-    boundary = []
-    di = _PARAM_IDX["delta"]
-    for j, i in enumerate(free_idx):
-        vec[i] = _phi_to_value(float(phi[j]), i)
-        if phi[j] <= lower[j] + 5.0 or phi[j] >= upper[j] - 5.0:
-            boundary.append(_PARAM_NAMES[i])
-            if i == di and phi[j] <= lower[j] + 5.0:
-                vec[i] = 0.0                  # the wall value is exactly zero
-    theta_hat = Params(*vec)
-    loglik, parts = ll_pass(theta_hat)
-
-    # In phi = log(delta + eps) the gradient (delta + eps) dl/d delta
-    # meets the tolerance long before phi nears its wall, so a run can
-    # stop at delta ~ 1e-7 while the likelihood still rises towards 0.
-    # The KKT conditions for a maximum on the wall decide it instead:
-    # dl/d delta <= 0 at delta = 0, and no loss of likelihood there.
-    if di in free_idx and vec[di] > 0.0:
-        wall = theta_hat.replace(delta=0.0)
-        wall_ll, wall_parts = ll_pass(wall)
-        kkt = wall_ll >= loglik and _score_from_parts(wall, data.n, wall_parts, (di,))[0] <= 0.0
-        if kkt:
-            vec[di] = 0.0
-            theta_hat, loglik, parts = wall, wall_ll, wall_parts
-            boundary = [nm for nm in sub.free_names if nm in boundary or nm == "delta"]
-
-    grad_norm = math.inf
-    if math.isfinite(loglik):
-        g_phi = _phi_score(_score_from_parts(theta_hat, data.n, parts, free_idx), vec, free_idx)
-        g_phi = np.where(np.isnan(g_phi), np.inf, g_phi)
-        phi_hat = np.array([_value_to_phi(vec[i], i) for i in free_idx])
-        grad_norm = float(np.max(np.abs(_project_grad(-g_phi, phi_hat, lower, upper))))
-    converged = grad_norm <= opts.grad_tol * max(1.0, abs(loglik))
-
-    result = FitResult(
-        submodel=sub,
-        theta_hat=theta_hat,
-        loglik=loglik,
-        std_errors=None,
-        converged=converged,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        boundary=tuple(boundary),
-    )
-    if converged:
-        ses = _se_from_info(_info_from_parts(theta_hat, data.n, parts), free_idx,
-                            _on_wall(theta_hat, boundary))
-        if ses is not None:
-            result = replace(result, std_errors=ses)
+        if converged:
+            ses = _se_from_info(_info_from_parts(theta_hat, data.n, parts), free_idx,
+                                _on_wall(theta_hat, boundary))
+            if ses is not None:
+                result = replace(result, std_errors=ses)
     return result
 
 

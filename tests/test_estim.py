@@ -406,6 +406,16 @@ class _Counter:
         return self.fn(*args, **kwargs)
 
 
+def _run_alone(run, beat=math.inf):
+    """Drive one estim._bfgs run to its end, sending it a fixed beat."""
+    try:
+        run.send(None)
+        while True:
+            run.send(beat)
+    except StopIteration as done:
+        return done.value
+
+
 def _same_fit(r, s):
     return (r.theta_hat == s.theta_hat and r.loglik == s.loglik
             and r.converged == s.converged and r.iterations == s.iterations
@@ -465,10 +475,10 @@ class TestWorkCounts:
                                                    np.array(start.as_tuple())))
         builds = _Counter(estim._score_from_parts)
         monkeypatch.setattr(estim, "_score_from_parts", builds)
-        *_, it, conv = estim._bfgs(objective, phi0, lower, upper,
-                                   gtol=1e-6, max_iter=500, h0=1.0)
-        assert conv                     # so every iteration accepted a step
-        assert builds.calls == it + 1   # the first point and each accepted step
+        stop = _run_alone(estim._bfgs(objective, phi0, lower, upper,
+                                      gtol=1e-6, max_iter=500, h0=1.0))
+        assert stop.reason == "gradient"          # so every iteration accepted a step
+        assert builds.calls == stop.iterations + 1  # the first point and each accepted step
         assert objective.calls > builds.calls
 
     def test_closing_evaluations_share_one_pass(self, monkeypatch):
@@ -486,6 +496,23 @@ class TestWorkCounts:
         assert (got.theta_hat, got.loglik, got.grad_norm) == (want.theta_hat, want.loglik,
                                                               want.grad_norm)
         assert np.array_equal(got.std_errors, want.std_errors, equal_nan=True)
+
+    def test_raced_gkw_fit_costs_a_third_of_sequential(self, monkeypatch):
+        # nested-0: run one after another, the second of the nine GKw
+        # starts crawled along the ridge for 7,249 of the fit's 8,810
+        # passes; raced, it is abandoned once the starts that beat it lead
+        data = Dataset(frozen_fit_data("nested-0"))
+        fam = fit_family(data)
+        warm = tuple(r.theta_hat for nm, r in fam.items() if nm != "GKw")
+        passes = _Counter(core._log_density)
+        monkeypatch.setattr(core, "_log_density", passes)
+        got = fit(data, "GKw", extra_starts=warm)
+        assert _same_fit(got, fam["GKw"])
+        assert passes.calls <= 8810 // 3
+        assert sum(t.evaluations for t in got.trace) < passes.calls
+        crawler = got.trace[1]
+        assert crawler.reason == "abandoned"
+        assert crawler.evaluations < 7249 // 10
 
     def test_fit_family_fits_shared_pattern_once(self, monkeypatch):
         data = Dataset(core.sample(WORKHORSE, 300, seed=17))
@@ -513,22 +540,121 @@ class TestOptimizer:
     def test_stalled_run_stops_before_its_budget(self):
         # descends by ~1e-14 per iteration and never meets the gradient test
         lo, hi = np.array([-1e4]), np.array([1e4])
-        phi, F, _, it, conv = estim._bfgs(self._linear(1e-7), np.array([0.0]), lo, hi,
-                                          gtol=1e-12, max_iter=500, h0=1.0)
-        assert not conv
-        assert it < 500
-        assert F < 0.0
+        stop = _run_alone(estim._bfgs(self._linear(1e-7), np.array([0.0]), lo, hi,
+                                      gtol=1e-12, max_iter=500, h0=1.0))
+        assert stop.reason == "stalled"
+        assert stop.iterations < 500
+        assert stop.F < 0.0
 
     def test_run_that_cannot_catch_up_is_abandoned(self):
         # one unit of progress per iteration: 500 iterations cannot reach -1e6
         lo, hi = np.array([-1e4]), np.array([1e4])
         kw = dict(gtol=1e-12, max_iter=500, h0=1.0)
-        *_, it_free, _ = estim._bfgs(self._linear(1.0), np.array([0.0]), lo, hi, **kw)
-        _, F, _, it, conv = estim._bfgs(self._linear(1.0), np.array([0.0]), lo, hi,
-                                        beat=-1e6, **kw)
-        assert it_free == 500
-        assert it < 500 and not conv
-        assert F < 0.0
+        free = _run_alone(estim._bfgs(self._linear(1.0), np.array([0.0]), lo, hi, **kw))
+        stop = _run_alone(estim._bfgs(self._linear(1.0), np.array([0.0]), lo, hi, **kw),
+                          beat=-1e6)
+        assert (free.iterations, free.reason) == (500, "max_iter")
+        assert stop.iterations < 500 and stop.reason == "abandoned"
+        assert stop.F < 0.0
+
+    @pytest.mark.parametrize("leader", ["converged", "running"])
+    def test_crawler_listed_first_is_abandoned_once_another_start_leads(self, leader):
+        # alone, the crawler spends its whole budget: one unit per
+        # evaluation.  The start that leads it either converges at once or
+        # is itself still running (down the same slope, far lower) when
+        # the crawler reaches its first catch-up check.
+        lo, hi = np.array([-1e4]), np.array([1e4])
+        kw = dict(gtol=1e-12, max_iter=500, h0=1.0)
+
+        def bowl(phi):
+            r = float(phi[0]) - 3.0
+            return r * r - 1e6, lambda: np.array([2.0 * r])
+
+        def far_slope(phi):
+            return float(phi[0]) - 1e6, lambda: np.array([1.0])
+
+        def crawler():
+            return estim._bfgs(self._linear(1.0), np.array([0.0]), lo, hi, **kw)
+
+        def lead():
+            return estim._bfgs(bowl if leader == "converged" else far_slope,
+                               np.array([0.0]), lo, hi, **kw)
+
+        alone = _run_alone(crawler())
+        crawl, won = estim._race([crawler(), lead()])
+        assert (alone.reason, alone.evaluations) == ("max_iter", 501)
+        assert crawl.reason == "abandoned"
+        assert crawl.evaluations == estim._STALL_EVALS + 1
+        want = _run_alone(lead())
+        assert won.reason == want.reason == ("gradient" if leader == "converged" else "max_iter")
+        assert np.array_equal(won.phi, want.phi)
+        assert (won.F, won.iterations, won.evaluations) == (want.F, want.iterations,
+                                                            want.evaluations)
+
+    def test_suspended_run_holds_no_pass(self):
+        # between steps a run keeps no gradient thunk, and so no pass arrays
+        data = Dataset(core.sample(WORKHORSE, 300, seed=5))
+        free_idx = [0, 1, 4]
+        start = default_init(data, SUBMODELS["EKw"])
+        objective = estim._make_objective(estim._Pass(data), free_idx,
+                                          np.array(start.as_tuple()))
+        run = estim._bfgs(objective, np.log(np.array(start.as_tuple())[free_idx]),
+                          *estim._walls(free_idx), gtol=1e-6, max_iter=500, h0=1.0)
+        with np.errstate(**estim._QUIET):
+            run.send(None)
+            for _ in range(5):
+                assert run.gi_frame.f_locals["grad"] is None
+                run.send(math.inf)
+
+    def test_race_steps_the_start_with_fewest_evaluations(self):
+        order = []
+
+        def run(name, evals):
+            for k in evals:
+                beat = yield 0.0, k
+                order.append((name, beat))
+            return estim._Stop(np.zeros(1), 0.0, 0, evals[-1], "gradient")
+
+        estim._race([run("a", [1, 5]), run("b", [1, 2, 3])])
+        # a and b tie at one evaluation, and a, the lower index, steps;
+        # then b, behind a, steps until it stops, and a finishes
+        assert [nm for nm, _ in order] == ["a", "b", "b", "b", "a"]
+
+
+class TestTrace:
+    REASONS = {"gradient", "max_iter", "stalled", "abandoned", "line_search", "nonfinite"}
+
+    def test_one_record_per_start(self):
+        data = Dataset(frozen_fit_data("nested-0"))
+        r = fit(data, "GKw")
+        assert [t.start for t in r.trace] == [0, 1, 2]
+        assert {t.reason for t in r.trace} <= self.REASONS
+        kept = max(r.trace, key=lambda t: (t.loglik, -t.start))
+        assert kept.iterations == r.iterations
+        assert all(0 <= t.iterations < t.evaluations for t in r.trace)
+
+    def test_converged_single_start(self):
+        data = Dataset(core.sample(WORKHORSE, 300, seed=5))
+        r = fit(data, "Kw", init=default_init(data, SUBMODELS["Kw"]))
+        (t,) = r.trace
+        assert (t.start, t.reason, t.iterations) == (0, "gradient", r.iterations)
+        assert r.converged and t.loglik == r.loglik
+
+    def test_budget_reason(self):
+        data = Dataset(core.sample(WORKHORSE, 300, seed=5))
+        r = fit(data, "GKw", opts=FitOptions(max_iter=2))
+        assert [(t.reason, t.iterations) for t in r.trace] == [("max_iter", 2)] * 3
+
+    def test_line_search_and_nonfinite_reasons(self):
+        lo, hi = np.array([-1e4]), np.array([1e4])
+        kw = dict(gtol=1e-12, max_iter=500, h0=1.0)
+        flat = _run_alone(estim._bfgs(lambda phi: (0.0, lambda: np.array([1.0])),
+                                      np.array([0.0]), lo, hi, **kw))
+        assert (flat.reason, flat.iterations) == ("line_search", 1)
+        assert flat.evaluations == 1 + 2 * estim._MAX_HALVINGS
+        nowhere = _run_alone(estim._bfgs(lambda phi: (math.inf, lambda: None),
+                                         np.array([0.0]), lo, hi, **kw))
+        assert (nowhere.reason, nowhere.iterations, nowhere.evaluations) == ("nonfinite", 0, 1)
 
 
 class TestStdErrors:
@@ -808,11 +934,12 @@ class TestPassBitForBit:
                   base.replace(alpha=base.alpha * 1.5)]
         for theta in points:
             _, ll_ref, score_ref = _ref_loglik_and_score(theta, data.log_values)
-            ll, parts = ll_pass(theta)
-            assert _same_bits(ll, ll_ref)
-            for idx in ([0, 1, 2, 3, 4], [2, 3, 4], [0, 1, 4], [3], [4, 0]):
-                got = estim._score_from_parts(theta, data.n, parts, idx)
-                assert _same_bits(got, score_ref[idx])
+            with np.errstate(**estim._QUIET):    # as a fit runs its passes
+                ll, parts = ll_pass(theta)
+                assert _same_bits(ll, ll_ref)
+                for idx in ([0, 1, 2, 3, 4], [2, 3, 4], [0, 1, 4], [3], [4, 0]):
+                    got = estim._score_from_parts(theta, data.n, parts, idx)
+                    assert _same_bits(got, score_ref[idx])
 
 
 def _hex(values):

@@ -249,6 +249,45 @@ class TestPolygamma:
         assert digamma_diff(x, h) == pytest.approx(d0, rel=1e-13)
         assert trigamma_diff(x, h) == pytest.approx(d1, rel=1e-13)
 
+    def test_differences_equal_the_pow_diff_form_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        xs = np.exp(rng.uniform(math.log(1e-8), math.log(1e30), 20_000))
+        hs = np.exp(rng.uniform(math.log(1e-9), math.log(1e11), 20_000))
+        pairs = [*zip(xs.tolist(), hs.tolist()),
+                 (1.5, 1.5), (19.999999999999996, 1.0), (20.0, 1.0), (1.0, 1.0)]
+        for x, h in pairs:
+            assert digamma_diff(x, h).hex() == _ref_digamma_diff(x, h).hex(), (x, h)
+            assert trigamma_diff(x, h).hex() == _ref_trigamma_diff(x, h).hex(), (x, h)
+
+
+# The differences as they were written before _pow_diff was inlined:
+# the reference for the bit-for-bit test below.
+def _ref_pow_diff(m, log_ratio, x):
+    return -math.expm1(-m * log_ratio) * (1.0 / x) ** m
+
+
+def _ref_digamma_diff(x, h):
+    acc = 0.0
+    while x < 20.0:
+        acc += _ref_pow_diff(1, math.log1p(h / x), x)
+        x += 1.0
+    r = math.log1p(h / x)
+    acc += r + 0.5 * _ref_pow_diff(1, r, x)
+    for m, c in specfun._PSI_ASYM:
+        acc += c * _ref_pow_diff(m, r, x)
+    return acc
+
+
+def _ref_trigamma_diff(x, h):
+    acc = 0.0
+    while x < 20.0:
+        acc += _ref_pow_diff(2, math.log1p(h / x), x)
+        x += 1.0
+    r = math.log1p(h / x)
+    for m, t in specfun._PSI1_ASYM:
+        acc += t * _ref_pow_diff(m, r, x)
+    return -acc
+
 
 class TestIncGamma:
     def test_exponential_cdf(self):
