@@ -15,7 +15,6 @@ from .core import (
 )
 from .estim import (
     Dataset,
-    FitOptions,
     FitResult,
     LrTestResult,
     fit,
@@ -39,7 +38,6 @@ __all__ = [
     "quantile",
     "sample",
     "Dataset",
-    "FitOptions",
     "FitResult",
     "LrTestResult",
     "fit",

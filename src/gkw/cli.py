@@ -443,10 +443,6 @@ def _cmd_lr(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("global options")
-    g.add_argument("--series-max-terms", type=int, default=400, metavar="N",
-                   help="series truncation cap (default 400)")
-    g.add_argument("--series-tol", type=float, default=1e-10, metavar="TOL",
-                   help="relative series tail tolerance (default 1e-10)")
     g.add_argument("--quiet", action="store_true",
                    help="suppress informational messages on stderr")
 
@@ -485,6 +481,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="Renyi entropy of order RHO (RHO > 0, RHO != 1)")
     pp.add_argument("--deviations", action="store_true",
                     help="mean deviations about the mean and the median")
+    pp.add_argument("--series-max-terms", type=int, default=400, metavar="N",
+                    help="series truncation cap (default 400)")
+    pp.add_argument("--series-tol", type=float, default=1e-10, metavar="TOL",
+                    help="relative series tail tolerance (default 1e-10)")
     pp.set_defaults(func=_cmd_props)
 
     pf = sub.add_parser("fit", parents=[common],

@@ -46,7 +46,6 @@ from .core import _PARAM_NAMES, Params, SubModel, SUBMODELS
 __all__ = [
     "EstimationError",
     "Dataset",
-    "FitOptions",
     "FitResult",
     "StartTrace",
     "LrTestResult",
@@ -69,6 +68,9 @@ _MAX_STEP = 2.0    # longest trial step of one iteration, per log-coordinate
 _MAX_HALVINGS = 20  # backtracking halvings before a search direction is given up
 _STALL_EVALS = 200  # a run whose loglik rose by less than _STALL_GAIN over
 _STALL_GAIN = 1e-4  # its last _STALL_EVALS evaluations is stopped as stalled
+_MAX_ITER = 500     # BFGS iterations per start
+_GRAD_TOL = 1e-6    # converged once the sup-norm of the wall-projected
+                    # log-coordinate gradient is <= _GRAD_TOL * max(1, |loglik|)
 
 
 class EstimationError(RuntimeError):
@@ -116,30 +118,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Optimizer settings for :func:`fit`.
-
-    ``grad_tol`` is relative: iteration stops when the sup-norm of the
-    log-parameter gradient drops below grad_tol * max(1, |loglik|).
-    ``coord_scale`` rescales the optimizer's internal coordinates (it
-    seeds the initial inverse-Hessian guess); the maximizer itself must
-    not depend on it, which the tests exercise.
-    """
-
-    max_iter: int = 500
-    grad_tol: float = 1e-6
-    coord_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
-        for name in ("grad_tol", "coord_scale"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {v!r}")
 
 
 class StartTrace(NamedTuple):
@@ -576,7 +554,7 @@ class _Stop(NamedTuple):
     reason: str
 
 
-def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int, h0: float):
+def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int):
     """Minimize objective over the box via BFGS with Armijo backtracking.
 
     A generator, so that :func:`fit` can advance its starts together.
@@ -621,8 +599,7 @@ def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int, h0: floa
     if g is None:
         return _Stop(phi, F, 0, evals, "nonfinite")
     eye = np.eye(phi.size)
-    H0 = eye * h0 * h0
-    H = H0
+    H = eye                                   # initial inverse-Hessian guess
     it = 0
     trail = [(evals, F)]                      # (evaluations, objective) per iteration
     j = 0                                     # newest trail entry >= _STALL_EVALS old
@@ -672,7 +649,7 @@ def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int, h0: floa
                 step *= 0.5
             if moved:
                 break
-            H = H0                            # curvature reset before retry
+            H = eye                           # curvature reset before retry
         if not moved:
             return _Stop(phi, F, it, evals, "line_search")
         trail.append((evals, F))
@@ -706,7 +683,6 @@ def fit(
     data: Dataset,
     sub: SubModel | str,
     init: Params | None = None,
-    opts: FitOptions | None = None,
     *,
     extra_starts: tuple[Params, ...] = (),
 ) -> FitResult:
@@ -730,11 +706,9 @@ def fit(
     data : Dataset
     sub : SubModel or registry key such as ``"Kw"``
     init : optional Params, replaces the default start grid
-    opts : optional FitOptions
     """
     if isinstance(sub, str):
         sub = SUBMODELS[sub]
-    opts = opts if opts is not None else FitOptions()
     if data.n < sub.free_count + 1:
         raise ValueError(
             f"{sub.name} has {sub.free_count} free parameters; need at least "
@@ -755,8 +729,7 @@ def fit(
     with np.errstate(**_QUIET):
         stops = _race([
             _bfgs(objective, [_value_to_phi(p.as_tuple()[i], i) for i in free_idx],
-                  lower, upper, gtol=opts.grad_tol, max_iter=opts.max_iter,
-                  h0=opts.coord_scale)
+                  lower, upper, gtol=_GRAD_TOL, max_iter=_MAX_ITER)
             for p in starts
         ])
         best = min(stops, key=lambda stop: stop.F)   # ties go to the earlier start
@@ -796,7 +769,7 @@ def fit(
             g_phi = np.where(np.isnan(g_phi), np.inf, g_phi)
             phi_hat = np.array([_value_to_phi(vec[i], i) for i in free_idx])
             grad_norm = float(np.max(np.abs(_project_grad(-g_phi, phi_hat, lower, upper))))
-        converged = grad_norm <= opts.grad_tol * max(1.0, abs(loglik))
+        converged = grad_norm <= _GRAD_TOL * max(1.0, abs(loglik))
 
         result = FitResult(
             submodel=sub,

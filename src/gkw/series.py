@@ -42,6 +42,7 @@ returns, so a repeated call repeats the work and no memory is held.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -365,11 +366,28 @@ class _TermSum:
         return _sum_terms(self.terms, self.ctl)
 
 
-def _quad(f, hi: float = 1.0) -> SeriesValue:
-    """The one quadrature fallback: integral_0^hi f, tagged "quadrature"."""
-    quad = oracle.adaptive_quad(f, 0.0, hi, tol=1e-11)
-    return SeriesValue(quad.value, quad.err_estimate, quad.subdivisions,
-                       "quadrature", quad.reliable)
+# Quantile levels at which _quad cuts the range of a narrow law: the outer
+# pieces hold 1e-15 of the mass, the inner ones a few standard deviations.
+_CUT_LEVELS = (1e-15, 1e-9, 1e-4, 0.5, 1.0 - 1e-4, 1.0 - 1e-9, 1.0 - 1e-15)
+
+
+def _quad(theta: Params, f, hi: float = 1.0) -> SeriesValue:
+    """The one quadrature fallback: integral_0^hi f, tagged "quadrature".
+
+    A law without series tables (see :func:`_norm_ok`) is narrow enough
+    for the panels over (0, hi) to miss its mass: at (2, 3, 1e4, 9999, 1),
+    sd 0.002, every node of E[X_{1:4}] read zero.  Its range is cut at the
+    quantiles _CUT_LEVELS, and the pieces share the subdivision budget.
+    """
+    cuts = {0.0, hi}
+    if not _norm_ok(theta):
+        cuts.update(x for x in (core.quantile(theta, u) for u in _CUT_LEVELS) if x < hi)
+    pieces = list(itertools.pairwise(sorted(cuts)))
+    parts = [oracle.adaptive_quad(f, lo, up, tol=1e-11, max_subdiv=2000 // len(pieces))
+             for lo, up in pieces]
+    return SeriesValue(math.fsum(q.value for q in parts), sum(q.err_estimate for q in parts),
+                       sum(q.subdivisions for q in parts), "quadrature",
+                       all(q.reliable for q in parts))
 
 
 # ----------------------------------------------------------------------
@@ -392,10 +410,17 @@ def omega_weights(theta: Params, ctl: SeriesControl | None = None) -> np.ndarray
     return _signed_binom(d, count) / ((g + j) * math.exp(ln_beta(g, d + 1.0)))
 
 
+def _norm_ok(theta: Params) -> bool:
+    """Whether B(gamma, delta + 1) and 1/B are finite, nonzero floats, as the
+    omega weights (over B) and the v-table (times 1/B) need; at
+    (2, 3, 1e4, 9999, 1), ln B = -13,866."""
+    return abs(ln_beta(theta.gamma, theta.delta + 1.0)) < math.log(np.finfo(float).max)
+
+
 def _v_validity(theta: Params) -> bool:
     return _is_pos_int(theta.gamma * theta.lam) and (
         theta.delta == 0.0 or _is_pos_int(theta.lam)
-    )
+    ) and _norm_ok(theta)
 
 
 def _v_coeffs(theta: Params, n: int) -> np.ndarray:
@@ -469,8 +494,8 @@ def mixture_coeffs(theta: Params, ctl: SeriesControl | None = None) -> CoeffTabl
     else:
         v = np.empty(0)
         notes.append(
-            "v-table requires gamma*lambda a positive integer and "
-            "(delta = 0 or integer lambda)"
+            "v-table requires gamma*lambda a positive integer, "
+            "(delta = 0 or integer lambda) and 1/B(gamma, delta + 1) in float64 range"
         )
     return CoeffTable(omega=omega, p=p, v=v, theta=theta,
                       p_valid=p_valid, v_valid=v_valid, notes=tuple(notes))
@@ -506,8 +531,8 @@ def pdf_expansion(theta: Params, x: float, ctl: SeriesControl | None = None) -> 
         raise ValueError("pdf_expansion requires x strictly inside (0, 1)")
     if not _v_validity(theta):
         raise ExpansionDomainError(
-            "density power series requires gamma*lambda a positive integer "
-            "and (delta = 0 or integer lambda); "
+            "density power series requires gamma*lambda a positive integer, "
+            "(delta = 0 or integer lambda) and 1/B(gamma, delta + 1) in float64 range; "
             f"got gamma*lambda={theta.gamma * theta.lam:g}, "
             f"delta={theta.delta:g}, lambda={theta.lam:g}"
         )
@@ -627,6 +652,8 @@ def moments(theta: Params, rs, ctl: SeriesControl | None = None) -> list[SeriesV
     for r in rs:
         if not (r > -a):
             raise ValueError(f"moment requires r > -alpha = {-a:g}, got r={r:g}")
+    if not _norm_ok(theta):
+        return [_moment_quad(theta, r) for r in rs]
     rrs = [r / a for r in rs]
     out: list[SeriesValue | None] = [None] * len(rs)
     int_delta = _is_nonneg_int(d)
@@ -683,8 +710,12 @@ def moments(theta: Params, rs, ctl: SeriesControl | None = None) -> list[SeriesV
 
     for k, r in enumerate(rs):
         if out[k] is None:
-            out[k] = _quad(lambda x, r=r: np.power(x, r) * core.pdf(theta, x))
+            out[k] = _moment_quad(theta, r)
     return out
+
+
+def _moment_quad(theta: Params, r: float) -> SeriesValue:
+    return _quad(theta, lambda x: np.power(x, r) * core.pdf(theta, x))
 
 
 _CUMULANT_FORMULAS = {
@@ -788,7 +819,7 @@ def mgf(theta: Params, t: float, ctl: SeriesControl | None = None) -> SeriesValu
         if sv.converged:
             return SeriesValue(math.exp(t) - t * float(sv), abs(t) * sv.tail_bound,
                                sv.terms, "series", True)
-    return _quad(lambda x: np.exp(t * x) * core.pdf(theta, x))
+    return _quad(theta, lambda x: np.exp(t * x) * core.pdf(theta, x))
 
 
 # ----------------------------------------------------------------------
@@ -858,7 +889,7 @@ def _j_integrals(theta: Params, uppers, ctl: SeriesControl) -> list[SeriesValue]
             if sv.converged:
                 out.append(sv)
                 continue
-        out.append(_quad(lambda x: x * core.pdf(theta, x), min(upper, 1.0)))
+        out.append(_quad(theta, lambda x: x * core.pdf(theta, x), min(upper, 1.0)))
     return out
 
 
@@ -903,20 +934,25 @@ def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl | None = None)
 # ----------------------------------------------------------------------
 
 
+def _cdf_pdf(theta: Params, x: np.ndarray, pointwise: bool) -> tuple:
+    """(F, f) at the nodes x; F point by point, so that core takes the scalar
+    incomplete beta, where the array one can stall (fault F3)."""
+    F = np.array([core.cdf(theta, float(v)) for v in x]) if pointwise else core.cdf(theta, x)
+    return F, core.pdf(theta, x)
+
+
 def _order_stat_quad(theta: Params, i: int, n: int, r: float,
                      at_nodes=None) -> SeriesValue:
     """E[X_{i:n}^r] by quadrature; at_nodes(x) gives (F(x), f(x)) when set."""
     lnb = ln_beta(float(i), float(n - i + 1))
+    at_nodes = at_nodes or functools.partial(_cdf_pdf, theta, pointwise=not _norm_ok(theta))
 
     def integrand(x):
-        if at_nodes is None:
-            F, f = core.cdf(theta, x), core.pdf(theta, x)
-        else:
-            F, f = at_nodes(x)
+        F, f = at_nodes(x)
         dens = f * math.exp(-lnb)
         return np.power(x, r) * dens * F ** (i - 1) * (1.0 - F) ** (n - i)
 
-    return _quad(integrand)
+    return _quad(theta, integrand)
 
 
 def _check_order_args(i: int, n: int) -> None:
@@ -944,6 +980,7 @@ class _OrderStatTables:
             g_seq = v / ((idx + 1.0) * theta.alpha)  # F(x) = sum_s g_s x^{(s+1) alpha}
             self.lead = int(np.flatnonzero(g_seq)[0])  # = gamma*lambda - 1, exact zeros before
             self.h = g_seq[self.lead:]
+        self._pointwise = not _norm_ok(theta)
         self._powers: dict[int, np.ndarray] = {}
         self._nodes: dict[bytes, tuple] = {}
 
@@ -955,7 +992,7 @@ class _OrderStatTables:
     def at_nodes(self, x: np.ndarray) -> tuple:
         key = x.tobytes()
         if key not in self._nodes:
-            self._nodes[key] = (core.cdf(self.theta, x), core.pdf(self.theta, x))
+            self._nodes[key] = _cdf_pdf(self.theta, x, self._pointwise)
         return self._nodes[key]
 
 
@@ -1149,7 +1186,7 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl | None = None) -
                         "series",
                         True,
                     )
-    quad = _quad(lambda x: np.power(core.pdf(theta, x), rho))
+    quad = _quad(theta, lambda x: np.power(core.pdf(theta, x), rho))
     return SeriesValue(math.log(quad) / (1.0 - rho),
                        quad.tail_bound / (float(quad) * abs(1.0 - rho)),
                        quad.terms, "quadrature", quad.converged)

@@ -12,20 +12,19 @@ relative for large ones where float64 spacing dominates),
 reg_inc_beta 1e-12 absolute, inv_reg_inc_beta 1e-10 in function value,
 digamma/trigamma 1e-10 absolute.
 
-All functions are pure; scalar entry points take and return floats.
-A few array variants (prefixed ``_``) exist for the hot paths of the
-sampler and are verified against the scalar versions in the tests.
+All functions are pure; scalar entry points take and return floats,
+and the three log-space helpers also take arrays (they wrap their array
+kernels).  A few array variants (prefixed ``_``) exist for the hot paths
+of the sampler and are verified against the scalar versions in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Accuracy",
     "NonConvergenceError",
     "ln_gamma",
     "beta_fn",
@@ -46,7 +45,8 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
 _FPMIN = 1e-300  # guard against division underflow in Lentz recurrences
-_ITMAX = 500
+_ITMAX = 500  # continued-fraction steps before NonConvergenceError
+_NEWTON_ITMAX = 200  # Newton/bisection steps of the scalar inverse
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
 
 # Lanczos approximation, g = 7, 9 coefficients: relative error < 1e-14
@@ -74,18 +74,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, bracket: tuple[float, float] | None = None):
         super().__init__(message)
         self.bracket = bracket
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Iteration budget for the iterative routines (their stopping
-    tolerances are fixed)."""
-
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 def _check_positive(name: str, x: float) -> None:
@@ -196,11 +184,7 @@ def log1mexp(s):
     Uses log(-expm1(s)) for s > -log 2 and log1p(-exp(s)) otherwise.
     Accepts scalars or numpy arrays; s == 0 maps to -inf.
     """
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if s.ndim == 0:
-            return float(np.log(-np.expm1(min(s, 0.0))) if s > _LN_HALF else np.log1p(-np.exp(s)))
-        return _log1mexp_arr(s)
+    return _on_arrays(_log1mexp_arr, s)
 
 
 # Below this log-magnitude, e^t < 2.1e-9 and the first-order expansions
@@ -216,12 +200,7 @@ def log_neg_log1mexp(s, l1m_s):
     zero or subnormal when e^s underflows.  Otherwise it is
     log(-l1m_s).
     """
-    s = np.asarray(s, dtype=float)
-    l1m_s = np.asarray(l1m_s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if l1m_s.ndim == 0:
-            return float(s + 0.5 * np.exp(s)) if s < _TINY_LOG else float(np.log(-l1m_s))
-        return _log_neg_log1mexp_arr(s, l1m_s)
+    return _on_arrays(_log_neg_log1mexp_arr, s, l1m_s)
 
 
 def log1mexp_tiny(s, log_neg_s):
@@ -232,12 +211,16 @@ def log1mexp_tiny(s, log_neg_s):
     to be stored (or stored only as a subnormal) costs no precision.
     Otherwise it is :func:`log1mexp` of s.
     """
-    s = np.asarray(s, dtype=float)
-    w = np.asarray(log_neg_s, dtype=float)
-    if s.ndim == 0:
-        return float(w + -0.5 * np.exp(w)) if w < _TINY_LOG else log1mexp(s)
+    return _on_arrays(_log1mexp_tiny_arr, s, log_neg_s)
+
+
+def _on_arrays(kernel, *args):
+    """kernel on the arguments as float arrays, a 0-d one taken as 1-d;
+    a float back for a 0-d first argument."""
+    arrs = [np.asarray(a, dtype=float) for a in args]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _log1mexp_tiny_arr(s, w)
+        out = kernel(*(np.atleast_1d(a) for a in arrs))
+    return float(out[0]) if arrs[0].ndim == 0 else out
 
 
 # The array paths of the three helpers above.  Each fills one new array
@@ -280,7 +263,7 @@ def _patch_tiny(out, v, half):
     return out
 
 
-def _betacf(a: float, b: float, x: float, acc: Accuracy) -> float:
+def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
     qap = a + 1.0
@@ -291,7 +274,7 @@ def _betacf(a: float, b: float, x: float, acc: Accuracy) -> float:
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, max(acc.max_iter, _ITMAX) + 1):
+    for m in range(1, _ITMAX + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -319,7 +302,7 @@ def _betacf(a: float, b: float, x: float, acc: Accuracy) -> float:
     )
 
 
-def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = Accuracy()) -> float:
+def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b), absolute error <= 1e-12."""
     _check_positive("a", a)
     _check_positive("b", b)
@@ -331,20 +314,20 @@ def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = Accuracy()) -> fl
     if x == 1.0:
         return 1.0
     if x > a / (a + b):
-        return 1.0 - reg_inc_beta(1.0 - x, b, a, acc)
+        return 1.0 - reg_inc_beta(1.0 - x, b, a)
     lf = a * math.log(x) + b * math.log1p(-x) - ln_beta(a, b)
     front = math.exp(lf) / a
     if front == 0.0:
         return 0.0
-    return min(1.0, front * _betacf(a, b, x, acc))
+    return min(1.0, front * _betacf(a, b, x))
 
 
-def inv_reg_inc_beta(u: float, a: float, b: float, acc: Accuracy = Accuracy()) -> float:
+def inv_reg_inc_beta(u: float, a: float, b: float) -> float:
     """Inverse of I_x(a, b): the z with |I_z(a, b) - u| <= 1e-10.
 
     Bracketed Newton iteration with bisection fallback; endpoints are
     returned exactly.  Raises NonConvergenceError (carrying the last
-    bracket) if the tolerance is not met within max_iter steps.
+    bracket) if the tolerance is not met within 200 steps.
     """
     _check_positive("a", a)
     _check_positive("b", b)
@@ -372,9 +355,8 @@ def inv_reg_inc_beta(u: float, a: float, b: float, acc: Accuracy = Accuracy()) -
         z = mean
 
     lo, hi = 0.0, 1.0
-    g = reg_inc_beta(z, a, b, acc) - u
-    it_cap = max(acc.max_iter, 200)
-    for _ in range(it_cap):
+    g = reg_inc_beta(z, a, b) - u
+    for _ in range(_NEWTON_ITMAX):
         if abs(g) < 1e-13:
             return z
         if g > 0.0:
@@ -393,11 +375,11 @@ def inv_reg_inc_beta(u: float, a: float, b: float, acc: Accuracy = Accuracy()) -
         if not step_ok:
             z = 0.5 * (lo + hi)
         if hi - lo < 4.0 * _EPS * max(z, 1e-300):
-            gz = reg_inc_beta(z, a, b, acc) - u
+            gz = reg_inc_beta(z, a, b) - u
             if abs(gz) < 1e-10:
                 return z
             break
-        g = reg_inc_beta(z, a, b, acc) - u
+        g = reg_inc_beta(z, a, b) - u
     if abs(g) < 1e-10:
         return z
     raise NonConvergenceError(
@@ -560,30 +542,31 @@ def _gamma_q_cf(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
 
 
-def reg_lower_inc_gamma(a: float, x: float) -> float:
-    """Regularized P(a, x) = gamma(a, x) / Gamma(a)."""
+def _reg_inc_gamma(a: float, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)): the power series below x = a + 1 and the
+    continued fraction above give the one on their side, and the other
+    is its complement."""
     _check_positive("a", a)
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
         raise ValueError(f"x must be a nonnegative finite real, got {x!r}")
     x = float(x)
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x < a + 1.0:
-        return min(1.0, _gamma_p_series(a, x))
-    return max(0.0, 1.0 - _gamma_q_cf(a, x))
+        p = _gamma_p_series(a, x)
+        return min(1.0, p), max(0.0, 1.0 - p)
+    q = _gamma_q_cf(a, x)
+    return max(0.0, 1.0 - q), min(1.0, q)
+
+
+def reg_lower_inc_gamma(a: float, x: float) -> float:
+    """Regularized P(a, x) = gamma(a, x) / Gamma(a)."""
+    return _reg_inc_gamma(a, x)[0]
 
 
 def reg_upper_inc_gamma(a: float, x: float) -> float:
     """Regularized Q(a, x) = 1 - P(a, x), computed tail-accurately."""
-    _check_positive("a", a)
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise ValueError(f"x must be a nonnegative finite real, got {x!r}")
-    x = float(x)
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return max(0.0, 1.0 - _gamma_p_series(a, x))
-    return min(1.0, _gamma_q_cf(a, x))
+    return _reg_inc_gamma(a, x)[1]
 
 
 def lower_inc_gamma(a: float, x: float) -> float:

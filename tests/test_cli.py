@@ -189,6 +189,43 @@ class TestProps:
                              "--series-max-terms", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--theta", "2,2,1,0,1", "--at", "0.5"),
+        ("sample", "--theta", "2,2,1,0,1", "--n", "3", "--out", "d.csv"),
+        ("fit", "--data", "d.csv", "--out", "r.json"),
+        ("lr", "--report", "r.json", "--null", "kw", "--alt", "gkw"),
+    ], ids=["eval", "sample", "fit", "lr"])
+    def test_series_flags_belong_to_props_alone(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(*argv, "--series-tol", "1e-8")
+        assert code == 2
+        assert "unrecognized arguments: --series-tol 1e-8" in err
+
+    # (2, 3, 1e4, 9999, 1): ln B(gamma, delta + 1) = -13,866, so no series
+    # table exists in float64 and every value comes from quadrature; the
+    # law is narrow (sd 0.002).  References: mpmath at 30 digits in the
+    # Beta variable for the moments and mean deviations, SciPy quadrature
+    # in u = F(x) (beta.ppf) for the L-moments, where two routes (order
+    # statistics and probability-weighted moments) agree to 2e-16.  The
+    # tolerance is what the inputs allow: quadrature to 1e-11 and the
+    # incomplete beta to 1e-12 absolute.
+    NARROW = {
+        "mu1": 0.45420220423665483, "mu2": 0.20630388348776073,
+        "delta1": 0.0016431744832405308, "delta2": 0.0016431744765898866,
+        "l1": 0.45420220423665483, "l2": 0.0011618976952996185,
+        "l3": 1.0215720597228639e-07, "l4": 0.00014244588422301918,
+    }
+
+    def test_narrow_law_without_series_tables(self):
+        code, out, _ = run_cli("props", "--theta", "2,3,1e4,9999,1", "--moments", "2",
+                               "--deviations", "--lmoments")
+        assert code == 0
+        doc = json.loads(out)
+        for key, want in self.NARROW.items():
+            assert doc[key] == pytest.approx(want, rel=0, abs=5e-13), key
+        for key in ("mu1", "mu2", "delta1", "delta2"):
+            assert doc[f"{key}_method"] == "quadrature"
+
 
 class TestFit:
     def test_recovers_kw_and_orders_logliks(self, kw_csv, tmp_path):
@@ -427,8 +464,6 @@ class TestNumericalFailure:
     # exit 4 with a one-line message, not a traceback, for each way the
     # numerics can give up: an iteration that does not converge, a
     # division by an underflowed zero, and a float overflow
-    HUGE = "2,3,1e4,9999,1"
-
     @pytest.mark.parametrize("argv", [
         ("sample", "--theta", "1,1,0.01,0,1", "--n", "100", "--seed", "1"),
         ("eval", "--theta", "1,1,0.01,0,1", "--what", "quantile",
@@ -441,17 +476,15 @@ class TestNumericalFailure:
         assert code == 4
         assert err.startswith(f"gkw {argv[0]}: numerical failure: ")
 
-    @pytest.mark.parametrize("flag", [("--moments", "2"), ("--deviations",)],
-                             ids=["moments", "deviations"])
-    def test_division_by_underflow_is_exit_4(self, flag):
-        code, _, err = run_cli("props", "--theta", self.HUGE, *flag)
-        assert code == 4
-        assert err.startswith("gkw props: numerical failure: ")
+    @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+    def test_arithmetic_error_is_exit_4(self, error, monkeypatch):
+        def fail(*args):
+            raise error("float trouble")
 
-    def test_overflow_is_exit_4(self):
-        code, _, err = run_cli("props", "--theta", self.HUGE, "--lmoments")
+        monkeypatch.setattr(series, "moments", fail)
+        code, _, err = run_cli("props", "--theta", "2,3,1.5,0.5,2", "--moments", "2")
         assert code == 4
-        assert err.startswith("gkw props: numerical failure: ")
+        assert err == "gkw props: numerical failure: float trouble\n"
 
 
 class TestGoldenReports:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from gkw import core
 from gkw.core import (
     SUBMODELS,
     Params,
@@ -228,6 +229,43 @@ class TestQuantile:
         us = np.linspace(0.0, 1.0, 101)
         xs = quantile(WORKHORSE, us)
         assert np.all(np.diff(xs) >= 0)
+
+
+class TestSizeSwitch:
+    # cdf and quantile take the scalar incomplete-beta kernels up to
+    # core._SCALAR_POINTS points and the array kernels above; on both
+    # sides they must meet the benchmark's tolerances (cdf 1e-12 absolute
+    # plus 1e-10 relative, |F(q) - u| <= 1e-9 beyond the float step at q).
+    # The shapes are the benchmark's five and the F4 law, whose z
+    # underflows and whose quantiles underflow float64.
+    SHAPES = {
+        "kw": (2, 3, 1, 0, 1), "beta": (1, 1, 2, 1.5, 1), "workhorse": (2, 3, 1.5, 0.5, 2),
+        "kwkw": (2, 2, 1, 1.5, 2), "spike": (0.5, 0.5, 3, 0, 2),
+        "F4": (1.59, 5.70, 9.7e-5, 3.86e10, 4388),
+    }
+    N = core._SCALAR_POINTS
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_cdf_agrees_across_the_switch(self, name):
+        theta = Params(*map(float, self.SHAPES[name]))
+        x = np.random.default_rng(11).random(self.N + 1)
+        few, many = cdf(theta, x[:-1]), cdf(theta, x)[:-1]
+        assert np.all(np.abs(few - many) <= 1e-12 + 1e-10 * few)
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_quantile_meets_tolerance_on_both_sides(self, name):
+        theta = Params(*map(float, self.SHAPES[name]))
+        u = np.random.default_rng(12).random(self.N + 1)
+        if name == "F4":
+            for us in (u[:-1], u):
+                with pytest.raises(NonConvergenceError):
+                    quantile(theta, us)
+            return
+        for q in (quantile(theta, u[:-1]), quantile(theta, u)[:-1]):
+            f = cdf(theta, q)
+            step = np.maximum(np.abs(cdf(theta, np.nextafter(q, 1.0)) - f),
+                              np.abs(f - cdf(theta, np.nextafter(q, 0.0))))
+            assert np.all(np.abs(f - u[:-1]) <= 1e-9 + step)
 
 
 class TestSample:

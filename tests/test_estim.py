@@ -19,7 +19,6 @@ from gkw.core import Params, SUBMODELS
 from gkw.estim import (
     Dataset,
     EstimationError,
-    FitOptions,
     FitResult,
     LrTestResult,
     default_init,
@@ -349,13 +348,6 @@ class TestFit:
         assert r.converged
         assert r.theta_hat.alpha == pytest.approx(2.0, abs=0.3)
 
-    def test_coordinate_scaling_does_not_move_estimate(self):
-        data = Dataset(core.sample(Params(2.0, 3.0, 1.0, 0.0, 1.0), 2000, seed=14))
-        r1 = fit(data, "Kw", opts=FitOptions(coord_scale=1.0))
-        r3 = fit(data, "Kw", opts=FitOptions(coord_scale=3.0))
-        for v1, v3 in zip(r1.theta_hat.as_tuple(), r3.theta_hat.as_tuple()):
-            assert v3 == pytest.approx(v1, abs=1e-5)
-
     def test_delta_wall_reported_as_exact_zero(self):
         truth = Params(2.0, 3.0, 1.0, 0.0, 2.0)       # delta truly on the boundary
         data = Dataset(core.sample(truth, 2000, seed=21))
@@ -476,7 +468,7 @@ class TestWorkCounts:
         builds = _Counter(estim._score_from_parts)
         monkeypatch.setattr(estim, "_score_from_parts", builds)
         stop = _run_alone(estim._bfgs(objective, phi0, lower, upper,
-                                      gtol=1e-6, max_iter=500, h0=1.0))
+                                      gtol=1e-6, max_iter=500))
         assert stop.reason == "gradient"          # so every iteration accepted a step
         assert builds.calls == stop.iterations + 1  # the first point and each accepted step
         assert objective.calls > builds.calls
@@ -541,7 +533,7 @@ class TestOptimizer:
         # descends by ~1e-14 per iteration and never meets the gradient test
         lo, hi = np.array([-1e4]), np.array([1e4])
         stop = _run_alone(estim._bfgs(self._linear(1e-7), np.array([0.0]), lo, hi,
-                                      gtol=1e-12, max_iter=500, h0=1.0))
+                                      gtol=1e-12, max_iter=500))
         assert stop.reason == "stalled"
         assert stop.iterations < 500
         assert stop.F < 0.0
@@ -549,7 +541,7 @@ class TestOptimizer:
     def test_run_that_cannot_catch_up_is_abandoned(self):
         # one unit of progress per iteration: 500 iterations cannot reach -1e6
         lo, hi = np.array([-1e4]), np.array([1e4])
-        kw = dict(gtol=1e-12, max_iter=500, h0=1.0)
+        kw = dict(gtol=1e-12, max_iter=500)
         free = _run_alone(estim._bfgs(self._linear(1.0), np.array([0.0]), lo, hi, **kw))
         stop = _run_alone(estim._bfgs(self._linear(1.0), np.array([0.0]), lo, hi, **kw),
                           beat=-1e6)
@@ -564,7 +556,7 @@ class TestOptimizer:
         # is itself still running (down the same slope, far lower) when
         # the crawler reaches its first catch-up check.
         lo, hi = np.array([-1e4]), np.array([1e4])
-        kw = dict(gtol=1e-12, max_iter=500, h0=1.0)
+        kw = dict(gtol=1e-12, max_iter=500)
 
         def bowl(phi):
             r = float(phi[0]) - 3.0
@@ -599,7 +591,7 @@ class TestOptimizer:
         objective = estim._make_objective(estim._Pass(data), free_idx,
                                           np.array(start.as_tuple()))
         run = estim._bfgs(objective, np.log(np.array(start.as_tuple())[free_idx]),
-                          *estim._walls(free_idx), gtol=1e-6, max_iter=500, h0=1.0)
+                          *estim._walls(free_idx), gtol=1e-6, max_iter=500)
         with np.errstate(**estim._QUIET):
             run.send(None)
             for _ in range(5):
@@ -640,14 +632,15 @@ class TestTrace:
         assert (t.start, t.reason, t.iterations) == (0, "gradient", r.iterations)
         assert r.converged and t.loglik == r.loglik
 
-    def test_budget_reason(self):
+    def test_budget_reason(self, monkeypatch):
+        monkeypatch.setattr(estim, "_MAX_ITER", 2)
         data = Dataset(core.sample(WORKHORSE, 300, seed=5))
-        r = fit(data, "GKw", opts=FitOptions(max_iter=2))
+        r = fit(data, "GKw")
         assert [(t.reason, t.iterations) for t in r.trace] == [("max_iter", 2)] * 3
 
     def test_line_search_and_nonfinite_reasons(self):
         lo, hi = np.array([-1e4]), np.array([1e4])
-        kw = dict(gtol=1e-12, max_iter=500, h0=1.0)
+        kw = dict(gtol=1e-12, max_iter=500)
         flat = _run_alone(estim._bfgs(lambda phi: (0.0, lambda: np.array([1.0])),
                                       np.array([0.0]), lo, hi, **kw))
         assert (flat.reason, flat.iterations) == ("line_search", 1)

@@ -568,6 +568,22 @@ class TestLMoments:
         lams = series.l_moments(EKW, 2)
         assert lams[1] == pytest.approx(ref.value, abs=1e-9)
 
+    # ln B(gamma, delta + 1) is out of float64 range at these laws, so no
+    # series table exists and every value comes from quadrature, where the
+    # array cdf stalls on some node arrays (fault F3).  Both laws are nearly
+    # normal: tau3 ~ 0, tau4 ~ 30 atan(sqrt 2) / pi - 9 = 0.1226 and
+    # lambda_2 / delta_1 ~ 1 / sqrt 2.
+    @pytest.mark.parametrize("theta", [Params(2, 3, 1e5, 1e5, 1), Params(0.5, 2, 2e4, 2e4, 2)])
+    def test_narrow_law_without_series_tables(self, theta):
+        l1, l2, l3, l4 = series.l_moments(theta, 4)
+        (mu,) = series.moments(theta, [1.0])
+        d1, _ = series.mean_deviations(theta)
+        assert mu.method == "quadrature" and mu.converged
+        assert l1 == pytest.approx(float(mu), abs=1e-12)
+        assert abs(l3 / l2) < 0.01
+        assert l4 / l2 == pytest.approx(30.0 * math.atan(math.sqrt(2.0)) / math.pi - 9.0, abs=1e-3)
+        assert l2 / float(d1) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-3)
+
     @pytest.mark.parametrize("bad", [0, 5, -1, 1.5])
     def test_up_to_validation(self, bad):
         with pytest.raises(ValueError):

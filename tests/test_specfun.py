@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from gkw import specfun
 from gkw.specfun import (
-    Accuracy,
     NonConvergenceError,
     beta_fn,
     digamma,
@@ -176,13 +175,6 @@ class TestInvRegIncBeta:
         for u in (1e-12, 1e-8, 1.0 - 1e-10):
             z = inv_reg_inc_beta(u, 1.7, 2.9)
             assert abs(reg_inc_beta(z, 1.7, 2.9) - u) <= 1e-10
-
-    def test_accuracy_object(self):
-        acc = Accuracy(max_iter=300)
-        z = inv_reg_inc_beta(0.73, 2.2, 0.4, acc)
-        assert abs(reg_inc_beta(z, 2.2, 0.4) - 0.73) < 1e-10
-        with pytest.raises(ValueError):
-            Accuracy(max_iter=0)
 
     def test_nonconvergence_error_type(self):
         assert issubclass(NonConvergenceError, RuntimeError)
