@@ -25,19 +25,24 @@ documented event, not a warning.  Only the bare expansion evaluators
 (cdf_expansion / pdf_expansion), which have nothing to fall back on, emit
 a SeriesDivergenceWarning and flag the value as unconverged.  Several
 parameter combinations admit fully finite ("exact") evaluations and are
-detected up front.
+detected up front.  A sum of large alternating terms can also cancel
+below rounding; the moment sweeps, the Renyi m-sum, the incomplete first
+moment, the mgf and the bare evaluators test for that (_rounding_ok) and
+take the same fallback or flag.
 
 Every sum-valued operation returns a SeriesValue: a float carrying the
 achieved tail bound, the number of terms used, the evaluation method
 ("exact" | "series" | "quadrature"), and a convergence flag.
 
-Work is shared within one call, never across calls.  moments() sweeps j
-once for all its orders, building each omega_j once and the Beta rows a
-block of j at a time, one vectorized call per block;
-l_moments() builds the v-table and each power h^q once for its ten
-order-statistic moments, and where those fall back to quadrature they
-evaluate (F, f) once per panel.  These tables are dropped when the call
-returns, so a repeated call repeats the work and no memory is held.
+Work is shared within one call, never across calls.  Every entry point
+builds one _Tables for its theta: it takes ln B(gamma, delta + 1) once,
+decides which tables exist (norm_ok, v_ok), and builds each of omega, v,
+the cdf series v_i/((i+1) alpha), the powers h^q and the quadrature
+panels' (F, f) at most once, on first use.  moments() sweeps j once for
+all its orders, building the Beta rows a block of j at a time, one
+vectorized call per block; l_moments() shares one _Tables among its ten
+order-statistic moments.  The tables are dropped when the call returns,
+so a repeated call repeats the work and no memory is held.
 """
 
 from __future__ import annotations
@@ -46,11 +51,11 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, oracle, specfun
+from . import core, oracle
 from .core import Params
 from .specfun import _ln_beta_arr, ln_beta
 
@@ -112,6 +117,8 @@ class SeriesControl:
 
 
 _DEFAULT_CTL = SeriesControl()
+
+_EPS = float(np.finfo(float).eps)
 
 
 class SeriesValue(float):
@@ -176,21 +183,25 @@ def _is_pos_int(x: float) -> bool:
     return x >= 0.5 and abs(x - round(x)) < 1e-12
 
 
-def _binom_seq(p: float, count: int) -> np.ndarray:
-    """Generalized binomial coefficients C(p, m) for m = 0..count-1."""
-    if count <= 0:
-        return np.empty(0)
-    m = np.arange(1, count, dtype=float)
-    out = np.empty(count)
-    out[0] = 1.0
-    if count > 1:
-        out[1:] = np.cumprod((p - m + 1.0) / m)
-    return out
+def _rounding_ok(total: float, mass: float, ctl: SeriesControl) -> bool:
+    """Whether a signed sum of terms with sum |terms| = mass is finite and
+    its rounding error, about eps * mass, is below tail_tol * |total|.
+    Large alternating tables cancel that far: omega_j = C(10, j) / ((10 + j) B)
+    at Beta(10, 11) reaches 1e7, and its mean came out 6e-7 off."""
+    return math.isfinite(total) and _EPS * mass <= ctl.tail_tol * abs(total)
+
+
+def _count(p: float, ctl: SeriesControl) -> int:
+    """Terms of a binomial sum in p: p + 1 where it terminates (p a
+    nonnegative integer), max_terms otherwise."""
+    return int(round(p)) + 1 if _is_nonneg_int(p) else ctl.max_terms
 
 
 def _signed_binom(p: float, count: int) -> np.ndarray:
-    """(-1)^m C(p, m) for m = 0..count-1 (a sign flip is exact)."""
-    out = _binom_seq(p, count)
+    """(-1)^m C(p, m) for m = 0..count-1 (count >= 1), C(p, m) as the
+    running product of (p - m + 1)/m; the sign flip is exact."""
+    m = np.arange(1, count, dtype=float)
+    out = np.concatenate(([1.0], np.cumprod((p - m + 1.0) / m)))
     out[1::2] *= -1.0
     return out
 
@@ -208,15 +219,16 @@ def _ps_pow(a: np.ndarray, p: float, n: int) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0 or a[0] == 0.0:
-        raise ValueError("power of a series requires a nonzero leading coefficient")
+        raise ValueError("power of a series requires a nonzero leading coefficient; "
+                         "factor out powers of x first")
     if a.size < n:
         a = np.concatenate([a, np.zeros(n - a.size)])
     c = np.zeros(n)
-    c[0] = a[0] ** p
-    # series with growing coefficients can overflow in high orders; the
-    # resulting non-finite entries are caught by callers' convergence checks
     jp = np.arange(1, n) * (p + 1.0)
+    # series with large or growing coefficients can overflow; the resulting
+    # non-finite entries are caught by callers' convergence checks
     with np.errstate(over="ignore", invalid="ignore"):
+        c[0] = a[0] ** p
         for s in range(1, n):
             c[s] = np.dot((jp[:s] - s) * a[1 : s + 1], c[s - 1 :: -1][:s]) / (
                 s * a[0]
@@ -237,9 +249,6 @@ def power_series_power(a, p: int, n: int) -> np.ndarray:
         raise ValueError(f"p must be a positive integer, got {p!r}")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    a = np.asarray(a, dtype=float)
-    if a.size == 0 or a[0] == 0.0:
-        raise ValueError("leading coefficient must be nonzero; factor out powers of x first")
     return _ps_pow(a, float(p), int(n))
 
 
@@ -299,7 +308,9 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
         return SeriesValue(0.0, 0.0, 0, "exact", True)
     if complete:
         return SeriesValue(math.fsum(terms), 0.0, terms.size, "exact", True)
-    partial = np.cumsum(terms)
+    # a non-finite partial sum is not converged (below); it needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = np.cumsum(terms)
     scale = ctl.tail_tol * np.maximum(np.abs(partial), 1e-300)
     # a zero partial sum means the series has not started (leading zeros),
     # and an infinite one that it has diverged: neither has converged
@@ -332,6 +343,18 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
             stacklevel=3,
         )
     return SeriesValue(partial[-1], abs(terms[-1]) * terms.size, terms.size, "series", False)
+
+
+def _flag_cancellation(sv: SeriesValue, terms: np.ndarray, ctl: SeriesControl,
+                       label: str) -> SeriesValue:
+    """A bare expansion evaluator's sum, warned about and flagged
+    unconverged where its summed terms cancel below rounding."""
+    mass = float(np.abs(terms[: sv.terms]).sum())
+    if not sv.converged or _rounding_ok(sv, mass, ctl):
+        return sv
+    warnings.warn(f"{label}: terms cancel below rounding (sum of |terms| {mass:.3g})",
+                  SeriesDivergenceWarning, stacklevel=3)
+    return SeriesValue(sv, _EPS * mass, sv.terms, sv.method, False)
 
 
 class _TermSum:
@@ -371,16 +394,17 @@ class _TermSum:
 _CUT_LEVELS = (1e-15, 1e-9, 1e-4, 0.5, 1.0 - 1e-4, 1.0 - 1e-9, 1.0 - 1e-15)
 
 
-def _quad(theta: Params, f, hi: float = 1.0) -> SeriesValue:
+def _quad(tables: _Tables, f, hi: float = 1.0) -> SeriesValue:
     """The one quadrature fallback: integral_0^hi f, tagged "quadrature".
 
-    A law without series tables (see :func:`_norm_ok`) is narrow enough
+    A law without series tables (not tables.norm_ok) is narrow enough
     for the panels over (0, hi) to miss its mass: at (2, 3, 1e4, 9999, 1),
     sd 0.002, every node of E[X_{1:4}] read zero.  Its range is cut at the
     quantiles _CUT_LEVELS, and the pieces share the subdivision budget.
     """
     cuts = {0.0, hi}
-    if not _norm_ok(theta):
+    if not tables.norm_ok:
+        theta = tables.theta
         cuts.update(x for x in (core.quantile(theta, u) for u in _CUT_LEVELS) if x < hi)
     pieces = list(itertools.pairwise(sorted(cuts)))
     parts = [oracle.adaptive_quad(f, lo, up, tol=1e-11, max_subdiv=2000 // len(pieces))
@@ -395,36 +419,113 @@ def _quad(theta: Params, f, hi: float = 1.0) -> SeriesValue:
 # ----------------------------------------------------------------------
 
 
-def omega_weights(theta: Params, ctl: SeriesControl | None = None) -> np.ndarray:
+# Largest argument of math.exp that stays finite.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+_V_DOMAIN = ("v-table requires gamma*lambda a positive integer, "
+             "(delta = 0 or integer lambda) and 1/B(gamma, delta + 1) in float64 range")
+
+
+class _Tables:
+    """The expansion tables of one theta, decided once and built lazily.
+
+    ln B(gamma, delta + 1) is taken once.  norm_ok says whether B and 1/B
+    are finite, nonzero floats, as omega (over B) and v (times 1/B) need;
+    at (2, 3, 1e4, 9999, 1), ln B = -13,866.  v_ok says whether the density
+    power series exists.  omega, v, cdf_coeffs, each power h^q and the
+    quadrature panels' (F, f) are built on first use, at most once.  The
+    tables live only as long as the call that made them.
+    """
+
+    def __init__(self, theta: Params, ctl: SeriesControl):
+        g, d, l = theta.gamma, theta.delta, theta.lam
+        self.theta = theta
+        self.ctl = ctl
+        self.ln_b = ln_beta(g, d + 1.0)
+        self.norm_ok = abs(self.ln_b) < _LOG_MAX
+        self.v_ok = self.norm_ok and _is_pos_int(g * l) and (d == 0.0 or _is_pos_int(l))
+        self._powers: dict[int, np.ndarray] = {}
+        self._nodes: dict[bytes, tuple] = {}
+
+    @functools.cached_property
+    def omega(self) -> np.ndarray:
+        """omega_j = (-1)^j C(delta, j) / [(gamma + j) B], C(delta, j) as a
+        running product of (delta - (j-1))/j; ExpansionDomainError where a
+        weight is not a finite float."""
+        g, d = self.theta.gamma, self.theta.delta
+        if self.norm_ok:
+            j = np.arange(_count(d, self.ctl), dtype=float)
+            binom = np.cumprod(np.concatenate(([1.0], (d - (j[1:] - 1.0)) / j[1:])))
+            binom[1::2] *= -1.0
+            with np.errstate(over="ignore"):
+                omega = binom / ((g + j) * math.exp(self.ln_b))
+            if np.all(np.isfinite(omega)):
+                return omega
+        raise ExpansionDomainError(
+            "omega weights require B(gamma, delta + 1) and C(delta, j) / B in float64 range; "
+            f"got ln B = {self.ln_b:g}")
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        """Density power-series coefficients v_i, i < max_terms."""
+        if not self.v_ok:
+            th = self.theta
+            raise ExpansionDomainError(
+                f"{_V_DOMAIN}; got gamma*lambda={th.gamma * th.lam:g}, "
+                f"delta={th.delta:g}, lambda={th.lam:g}")
+        a, b, _, _, l = self.theta.as_tuple()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return l * a * b * math.exp(-self.ln_b) * _v_coeffs(self.theta, self.ctl.max_terms)
+
+    @functools.cached_property
+    def cdf_coeffs(self) -> np.ndarray:
+        """v_i / ((i+1) alpha): F(x) = sum_i v_i/((i+1) alpha) x^{(i+1) alpha}."""
+        v = self.v
+        return v / ((np.arange(len(v), dtype=float) + 1.0) * self.theta.alpha)
+
+    @functools.cached_property
+    def lead(self) -> int:
+        """Exact leading zeros of cdf_coeffs (gamma*lambda - 1 of them)."""
+        return int(np.flatnonzero(self.cdf_coeffs)[0])
+
+    def h_power(self, q: int) -> np.ndarray:
+        """h^q, with F = x^{alpha (lead + 1)} h(x^alpha)."""
+        if q not in self._powers:
+            h = self.cdf_coeffs[self.lead:]
+            self._powers[q] = _ps_pow(h, float(q), len(h))
+        return self._powers[q]
+
+    def at_nodes(self, x: np.ndarray) -> tuple:
+        """(F, f) at the nodes x, once per node array.  Without norm_ok F is
+        taken point by point, so that core takes the scalar incomplete
+        beta, where the array one can stall (fault F3)."""
+        key = x.tobytes()
+        if key not in self._nodes:
+            th = self.theta
+            if self.norm_ok:
+                F = core.cdf(th, x)
+            else:
+                F = np.array([core.cdf(th, float(u)) for u in x])
+            self._nodes[key] = F, core.pdf(th, x)
+        return self._nodes[key]
+
+
+def omega_weights(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
     """cdf-expansion weights omega_j.
 
     omega_j = (-1)^j C(delta, j) / [(gamma + j) B(gamma, delta + 1)], the
     generalized binomial carrying the 1/j! of the descending factorial.
     For integer delta the sequence terminates after delta + 1 entries and
-    sums to exactly 1; otherwise it is truncated at max_terms.
+    sums to exactly 1; otherwise it is truncated at max_terms.  Raises
+    ExpansionDomainError where the weights do not fit in float64.
     """
-    ctl = ctl or _DEFAULT_CTL
-    g, d = theta.gamma, theta.delta
-    count = int(round(d)) + 1 if _is_nonneg_int(d) else ctl.max_terms
-    j = np.arange(count, dtype=float)
-    return _signed_binom(d, count) / ((g + j) * math.exp(ln_beta(g, d + 1.0)))
-
-
-def _norm_ok(theta: Params) -> bool:
-    """Whether B(gamma, delta + 1) and 1/B are finite, nonzero floats, as the
-    omega weights (over B) and the v-table (times 1/B) need; at
-    (2, 3, 1e4, 9999, 1), ln B = -13,866."""
-    return abs(ln_beta(theta.gamma, theta.delta + 1.0)) < math.log(np.finfo(float).max)
-
-
-def _v_validity(theta: Params) -> bool:
-    return _is_pos_int(theta.gamma * theta.lam) and (
-        theta.delta == 0.0 or _is_pos_int(theta.lam)
-    ) and _norm_ok(theta)
+    return _Tables(theta, ctl).omega
 
 
 def _v_coeffs(theta: Params, n: int) -> np.ndarray:
-    """Power-series density coefficients v_i (validity assumed checked).
+    """Power-series density coefficients v_i up to their constant factor
+    lambda alpha beta / B(gamma, delta + 1), which _Tables.v applies
+    (validity assumed checked).
 
     f(x) = sum_i v_i x^{(i+1) alpha - 1}.  Writing w = x^alpha and
     S(w) = 1 - (1-w)^beta, the density is (lambda alpha beta / B) *
@@ -433,7 +534,7 @@ def _v_coeffs(theta: Params, n: int) -> np.ndarray:
     S^m factors as w^m (S/w)^m with S/w analytic and nonzero at 0, which
     is what makes the construction a finite-coefficient recurrence.
     """
-    a, b, g, d, l = theta.as_tuple()
+    _, b, g, d, l = theta.as_tuple()
     m = int(round(g * l)) - 1
     # A(w) = S(w)/w: A_k = (-1)^k C(beta, k+1), A_0 = beta
     A = -_signed_binom(b, n + 1)[1:]
@@ -450,10 +551,10 @@ def _v_coeffs(theta: Params, n: int) -> np.ndarray:
         T = _ps_mul(T, _ps_pow(U, d, n), n)
     v = np.zeros(n)
     v[m:] = T[: n - m]
-    return l * a * b * math.exp(-ln_beta(g, d + 1.0)) * v
+    return v
 
 
-def mixture_coeffs(theta: Params, ctl: SeriesControl | None = None) -> CoeffTable:
+def mixture_coeffs(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> CoeffTable:
     """Build the omega / p / v coefficient tables for theta.
 
     p_k = sum_j omega_j psi_j (-1)^k C(psi_j - 1, k) / (k+1) with
@@ -462,11 +563,12 @@ def mixture_coeffs(theta: Params, ctl: SeriesControl | None = None) -> CoeffTabl
     v is flagged invalid unless gamma*lambda is a positive integer and
     (delta = 0 or lambda is a positive integer); outside that set the
     density has a branch point at x = 0 in the x^alpha variable and no
-    power series of the stated form exists.
+    power series of the stated form exists.  Raises ExpansionDomainError
+    where the omega weights do not fit in float64.
     """
-    ctl = ctl or _DEFAULT_CTL
     a, b, g, d, l = theta.as_tuple()
-    omega = omega_weights(theta, ctl)
+    tables = _Tables(theta, ctl)
+    omega = tables.omega
     notes: list[str] = []
 
     p_valid = _is_nonneg_int(d)
@@ -488,78 +590,52 @@ def mixture_coeffs(theta: Params, ctl: SeriesControl | None = None) -> CoeffTabl
     else:
         notes.append("p-table requires integer delta; its defining j-sum diverges otherwise")
 
-    v_valid = _v_validity(theta)
-    if v_valid:
-        v = _v_coeffs(theta, ctl.max_terms)
+    if tables.v_ok:
+        v = tables.v
     else:
         v = np.empty(0)
-        notes.append(
-            "v-table requires gamma*lambda a positive integer, "
-            "(delta = 0 or integer lambda) and 1/B(gamma, delta + 1) in float64 range"
-        )
+        notes.append(_V_DOMAIN)
     return CoeffTable(omega=omega, p=p, v=v, theta=theta,
-                      p_valid=p_valid, v_valid=v_valid, notes=tuple(notes))
+                      p_valid=p_valid, v_valid=tables.v_ok, notes=tuple(notes))
 
 
-def cdf_expansion(theta: Params, x: float, ctl: SeriesControl | None = None) -> SeriesValue:
+def cdf_expansion(theta: Params, x: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
     """Evaluate the weighted cdf expansion sum_j omega_j G1(x)^{psi_j}.
 
     Converges for every x in (0,1) (the Kumaraswamy cdf G1 < 1 supplies a
     geometric factor); this is the series counterpart of core.cdf.
+    Raises ExpansionDomainError where the omega weights do not fit in
+    float64.
     """
-    ctl = ctl or _DEFAULT_CTL
     if not (0.0 < x < 1.0):
         raise ValueError("cdf_expansion requires x strictly inside (0, 1)")
     a, b, g, d, l = theta.as_tuple()
     lg1 = math.log(-math.expm1(b * math.log1p(-(x**a))))  # log G1(x)
-    int_d = _is_nonneg_int(d)
-    count = int(round(d)) + 1 if int_d else ctl.max_terms
-    omega = omega_weights(theta, ctl)
-    j = np.arange(count, dtype=float)
+    omega = _Tables(theta, ctl).omega
+    j = np.arange(len(omega), dtype=float)
     terms = omega * np.exp(l * (g + j) * lg1)
-    return _sum_terms(terms, ctl, warn_label="cdf_expansion", complete=int_d)
+    sv = _sum_terms(terms, ctl, warn_label="cdf_expansion", complete=_is_nonneg_int(d))
+    return _flag_cancellation(sv, terms, ctl, "cdf_expansion")
 
 
-def pdf_expansion(theta: Params, x: float, ctl: SeriesControl | None = None) -> SeriesValue:
+def pdf_expansion(theta: Params, x: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
     """Evaluate the density power series sum_i v_i x^{(i+1) alpha - 1}.
 
     Raises ExpansionDomainError when the v-table does not exist for theta
     (flagged, never silently wrong).
     """
-    ctl = ctl or _DEFAULT_CTL
     if not (0.0 < x < 1.0):
         raise ValueError("pdf_expansion requires x strictly inside (0, 1)")
-    if not _v_validity(theta):
-        raise ExpansionDomainError(
-            "density power series requires gamma*lambda a positive integer, "
-            "(delta = 0 or integer lambda) and 1/B(gamma, delta + 1) in float64 range; "
-            f"got gamma*lambda={theta.gamma * theta.lam:g}, "
-            f"delta={theta.delta:g}, lambda={theta.lam:g}"
-        )
-    v = _v_coeffs(theta, ctl.max_terms)
+    v = _Tables(theta, ctl).v
     i = np.arange(len(v), dtype=float)
     terms = v * np.power(x, (i + 1.0) * theta.alpha - 1.0)
-    return _sum_terms(terms, ctl, warn_label="pdf_expansion")
+    return _flag_cancellation(_sum_terms(terms, ctl, warn_label="pdf_expansion"), terms, ctl,
+                              "pdf_expansion")
 
 
 # ----------------------------------------------------------------------
 # Ordinary moments
 # ----------------------------------------------------------------------
-
-
-def _omegas(theta: Params):
-    """omega_j for j = 0, 1, 2, ..., the binomial carried along the sweep.
-
-    Step j multiplies in the factor (delta - (j-1))/j: the same products,
-    in the same order, as building C(delta, j) from scratch.
-    """
-    g, d = theta.gamma, theta.delta
-    norm = math.exp(ln_beta(g, d + 1.0))
-    binom = 1.0
-    for j in itertools.count():
-        if j:
-            binom *= (d - (j - 1)) / j
-        yield (-1.0) ** j * binom / ((g + j) * norm)
 
 
 # Rows per _ln_beta_arr call in the j-sweep: a call costs about the same
@@ -580,9 +656,8 @@ def _psi_coeffs(rr: float, ctl: SeriesControl) -> tuple[int, np.ndarray, bool]:
     The m-sum terminates exactly when rr = r/alpha is a nonnegative
     integer and is truncated at max_terms otherwise.
     """
-    exact = _is_nonneg_int(rr)
-    count = int(round(rr)) + 1 if exact else ctl.max_terms
-    return count, _signed_binom(rr, count), exact
+    count = _count(rr, ctl)
+    return count, _signed_binom(rr, count), _is_nonneg_int(rr)
 
 
 def _psi_moment(psi: float, row: np.ndarray, coeffs,
@@ -602,9 +677,11 @@ def _psi_moment(psi: float, row: np.ndarray, coeffs,
     return float(sv), sv.tail_bound, sv.converged
 
 
-def _moment_finite(b: float, rr: float, omegas, psis) -> SeriesValue:
-    """The fully finite double sum over j and k (integer delta and psi_j)."""
+def _moment_finite(b: float, rr: float, omegas, psis, ctl: SeriesControl) -> SeriesValue:
+    """The fully finite double sum over j and k (integer delta and psi_j);
+    not converged where its terms cancel below rounding (_rounding_ok)."""
     total = 0.0
+    mass = 0.0
     n_terms = 0
     for om, psi in zip(omegas, psis):
         K = int(round(psi))
@@ -613,11 +690,12 @@ def _moment_finite(b: float, rr: float, omegas, psis) -> SeriesValue:
             _ln_beta_arr(1.0 + rr, (k + 1.0) * b)
         )
         total += om * psi * float(tau.sum())
+        mass += abs(om * psi) * float(np.abs(tau).sum())
         n_terms += K
-    return SeriesValue(total, 0.0, n_terms, "exact", True)
+    return SeriesValue(total, 0.0, n_terms, "exact", _rounding_ok(total, mass, ctl))
 
 
-def moment(theta: Params, r: float, ctl: SeriesControl | None = None) -> SeriesValue:
+def moment(theta: Params, r: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
     """The r-th ordinary moment E[X^r], r > -alpha.
 
     Three routes, most exact first:
@@ -631,91 +709,90 @@ def moment(theta: Params, r: float, ctl: SeriesControl | None = None) -> SeriesV
       * general delta: the same sum accelerated by splitting off the
         j -> infinity limit (psi_j M_j -> 1 and sum_j omega_j = 1 exactly),
         leaving terms that decay one power faster.
-    Falls back to quadrature of x^r f(x) when truncation fails.
+    Falls back to quadrature of x^r f(x) when truncation fails, and where
+    the omega weights do not fit in float64 or the sum cancels below
+    rounding.
     """
     return moments(theta, (r,), ctl)[0]
 
 
-def moments(theta: Params, rs, ctl: SeriesControl | None = None) -> list[SeriesValue]:
+def moments(theta: Params, rs, ctl: SeriesControl = _DEFAULT_CTL) -> list[SeriesValue]:
     """E[X^r] for every r in rs; each value is what moment(theta, r) gives.
 
     One sweep over j serves every r: omega_j and the Beta row
     B(psi_j, m/beta + 1) do not depend on r, so each is built once per
     call.  The rows are built _ROW_BLOCK values of j at a time in one
-    vectorized call (all delta+1 of them at once for integer delta) and
-    are never kept across calls.  Each r keeps its own truncation of the
-    j-sum and its own quadrature fallback.
+    vectorized call and are never kept across calls.  Each r keeps its
+    own truncation of the j-sum and its own quadrature fallback.
     """
-    ctl = ctl or _DEFAULT_CTL
     a, b, g, d, l = theta.as_tuple()
     rs = list(rs)
     for r in rs:
         if not (r > -a):
             raise ValueError(f"moment requires r > -alpha = {-a:g}, got r={r:g}")
-    if not _norm_ok(theta):
-        return [_moment_quad(theta, r) for r in rs]
+    tables = _Tables(theta, ctl)
+    try:
+        # Python floats: NumPy scalars would slow the j loop below
+        omega = tables.omega.tolist()
+    except ExpansionDomainError:
+        return [_moment_quad(tables, r) for r in rs]
     rrs = [r / a for r in rs]
-    out: list[SeriesValue | None] = [None] * len(rs)
     int_delta = _is_nonneg_int(d)
-
     if int_delta:
-        nj = int(round(d)) + 1
-        psis = [l * (g + j) for j in range(nj)]
-        omegas = list(itertools.islice(_omegas(theta), nj))
+        psis = [l * (g + j) for j in range(len(omega))]
         if all(_is_pos_int(ps) for ps in psis) and max(psis) <= 25.0:
-            # fully finite double sum; safe from cancellation at these sizes
-            return [_moment_finite(b, rr, omegas, psis) for rr in rrs]
+            # fully finite double sum; large psi cancel catastrophically
+            finite = [_moment_finite(b, rr, omega, psis, ctl) for rr in rrs]
+            if all(v.converged for v in finite):
+                return finite
     coeffs = [_psi_coeffs(rr, ctl) for rr in rrs]
     width = max((c[0] for c in coeffs), default=0)
+    # integer delta sums omega_j psi_j M_j over every j; general delta sums
+    # omega_j (psi_j M_j - 1) until its own truncation rule fires
+    sums = [_TermSum(ctl) for _ in rs]
     bounds = [0.0] * len(rs)
     oks = [True] * len(rs)
+    active = list(range(len(rs)))
+    for j, om in enumerate(omega):
+        if not active:
+            break
+        psi = l * (g + j)
+        if j % _ROW_BLOCK == 0:
+            js = np.arange(j, min(j + _ROW_BLOCK, len(omega)), dtype=float)
+            rows = _beta_rows(l * (g + js), b, width)
+        row = rows[j % _ROW_BLOCK]
+        still = []
+        for k in active:
+            val, tb, conv = _psi_moment(psi, row, coeffs[k], ctl)
+            bounds[k] += abs(om) * tb
+            oks[k] = oks[k] and conv
+            if int_delta:
+                sums[k].add(om * val)
+                still.append(k)
+            elif not sums[k].add(om * (val - 1.0)):
+                still.append(k)
+        active = still
 
-    if int_delta:
-        totals = [0.0] * len(rs)
-        rows = _beta_rows(np.array(psis), b, width)
-        for om, psi, row in zip(omegas, psis, rows):
-            for k, c in enumerate(coeffs):
-                val, tb, conv = _psi_moment(psi, row, c, ctl)
-                totals[k] += om * val
-                bounds[k] += abs(om) * tb
-                oks[k] = oks[k] and conv
-        for k, rr in enumerate(rrs):
-            if oks[k]:
-                method = "exact" if _is_nonneg_int(rr) else "series"
-                out[k] = SeriesValue(totals[k], bounds[k], nj, method, True)
-    else:
-        sums = [_TermSum(ctl) for _ in rs]
-        active = list(range(len(rs)))
-        for j, om in zip(range(ctl.max_terms), _omegas(theta)):
-            if not active:
-                break
-            psi = l * (g + j)
-            if j % _ROW_BLOCK == 0:
-                js = np.arange(j, min(j + _ROW_BLOCK, ctl.max_terms), dtype=float)
-                rows = _beta_rows(l * (g + js), b, width)
-            row = rows[j % _ROW_BLOCK]
-            still = []
-            for k in active:
-                val, tb, conv = _psi_moment(psi, row, coeffs[k], ctl)
-                bounds[k] += abs(om) * tb
-                oks[k] = oks[k] and conv
-                if not sums[k].add(om * (val - 1.0)):
-                    still.append(k)
-            active = still
-        for k in range(len(rs)):
-            sv = sums[k].value()
-            if sv.converged and oks[k]:
-                out[k] = SeriesValue(1.0 + float(sv), sv.tail_bound + bounds[k],
-                                     sv.terms, "series", True)
-
+    out = []
     for k, r in enumerate(rs):
-        if out[k] is None:
-            out[k] = _moment_quad(theta, r)
+        mass = sum(map(abs, sums[k].terms))
+        if int_delta:
+            total = sums[k].total
+            ok = oks[k] and _rounding_ok(total, mass, ctl)
+            method = "exact" if _is_nonneg_int(rrs[k]) else "series"
+            value = SeriesValue(total, bounds[k], len(omega), method, True)
+        else:
+            sv = sums[k].value()
+            ok = oks[k] and sv.converged and _rounding_ok(1.0 + float(sv), mass, ctl)
+            value = SeriesValue(1.0 + float(sv), sv.tail_bound + bounds[k], sv.terms,
+                                "series", True)
+        out.append(value if ok else _moment_quad(tables, r))
     return out
 
 
-def _moment_quad(theta: Params, r: float) -> SeriesValue:
-    return _quad(theta, lambda x: np.power(x, r) * core.pdf(theta, x))
+def _moment_quad(tables: _Tables, r: float) -> SeriesValue:
+    theta = tables.theta
+    return _quad(tables, lambda x: np.power(x, r) * core.pdf(theta, x))
 
 
 _CUMULANT_FORMULAS = {
@@ -734,7 +811,7 @@ _CUMULANT_FORMULAS = {
 
 
 def central_moments_and_cumulants(
-    theta: Params, up_to: int, ctl: SeriesControl | None = None
+    theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL
 ) -> tuple[list[float], list[float]]:
     """Central moments mu_s and cumulants kappa_s for s = 1..up_to (<= 6).
 
@@ -743,7 +820,6 @@ def central_moments_and_cumulants(
     """
     if not (isinstance(up_to, (int, np.integer)) and 1 <= up_to <= 6):
         raise ValueError(f"up_to must be an integer in 1..6, got {up_to!r}")
-    ctl = ctl or _DEFAULT_CTL
     orders = [float(s) for s in range(1, up_to + 1)]
     raw = [1.0] + [float(m) for m in moments(theta, orders, ctl)]
     mean = raw[1]
@@ -757,7 +833,7 @@ def central_moments_and_cumulants(
     return central, kappas
 
 
-def factorial_moment(theta: Params, r: int, ctl: SeriesControl | None = None) -> float:
+def factorial_moment(theta: Params, r: int, ctl: SeriesControl = _DEFAULT_CTL) -> float:
     """Descending factorial moment E[X(X-1)...(X-r+1)].
 
     Signed Stirling numbers of the first kind from the recurrence
@@ -765,7 +841,6 @@ def factorial_moment(theta: Params, r: int, ctl: SeriesControl | None = None) ->
     """
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    ctl = ctl or _DEFAULT_CTL
     s = [1.0]  # s(0, 0)
     for row in range(0, r):
         nxt = [0.0] * (row + 2)
@@ -796,7 +871,7 @@ def _phi_kernel(c: float, t: float) -> float:
     return total
 
 
-def mgf(theta: Params, t: float, ctl: SeriesControl | None = None) -> SeriesValue:
+def mgf(theta: Params, t: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
     """Moment generating function E[e^{tX}] via the density power series.
 
     Uses the integrated-by-parts form M(t) = e^t - t sum_i v*_i
@@ -806,20 +881,19 @@ def mgf(theta: Params, t: float, ctl: SeriesControl | None = None) -> SeriesValu
     reproduced to machine precision.  Quadrature fallback when the
     v-table does not exist.
     """
-    ctl = ctl or _DEFAULT_CTL
     if t == 0.0:
         return SeriesValue(1.0, 0.0, 0, "exact", True)
-    if _v_validity(theta):
-        a = theta.alpha
-        v = _v_coeffs(theta, ctl.max_terms)
-        i = np.arange(len(v), dtype=float)
-        vstar = v / ((i + 1.0) * a)
-        phis = np.array([_phi_kernel((ii + 1.0) * a + 1.0, t) for ii in i])
-        sv = _sum_terms(vstar * phis, ctl)
-        if sv.converged:
+    tables = _Tables(theta, ctl)
+    if tables.v_ok:
+        vstar = tables.cdf_coeffs
+        i = np.arange(len(vstar), dtype=float)
+        phis = np.array([_phi_kernel((ii + 1.0) * theta.alpha + 1.0, t) for ii in i])
+        terms = vstar * phis
+        sv = _sum_terms(terms, ctl)
+        if sv.converged and _rounding_ok(sv, np.abs(terms[:sv.terms]).sum(), ctl):
             return SeriesValue(math.exp(t) - t * float(sv), abs(t) * sv.tail_bound,
                                sv.terms, "series", True)
-    return _quad(theta, lambda x: np.exp(t * x) * core.pdf(theta, x))
+    return _quad(tables, lambda x: np.exp(t * x) * core.pdf(theta, x))
 
 
 # ----------------------------------------------------------------------
@@ -868,41 +942,40 @@ def quantile_series_coeffs(theta: Params, n_coeffs: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _j_integrals(theta: Params, uppers, ctl: SeriesControl) -> list[SeriesValue]:
+def _j_integrals(tables: _Tables, uppers) -> list[SeriesValue]:
     """J(a) = integral_0^a x f(x) dx at each upper limit a, one v-table for all.
 
     Series form sum_i v_i a^{(i+1)alpha + 1} / ((i+1)alpha + 1) when the
     v-table exists (geometric in a^alpha, converges fast for a < 1);
     quadrature otherwise.
     """
-    expo = v = None
+    theta = tables.theta
     out = []
     for upper in uppers:
         if upper <= 0.0:
             out.append(SeriesValue(0.0, 0.0, 0, "exact", True))
             continue
-        if _v_validity(theta) and upper < 1.0:
-            if v is None:
-                v = _v_coeffs(theta, ctl.max_terms)
-                expo = (np.arange(len(v), dtype=float) + 1.0) * theta.alpha + 1.0
-            sv = _sum_terms(v * np.power(upper, expo) / expo, ctl)
-            if sv.converged:
+        if tables.v_ok and upper < 1.0:
+            v = tables.v
+            expo = (np.arange(len(v), dtype=float) + 1.0) * theta.alpha + 1.0
+            terms = v * np.power(upper, expo) / expo
+            sv = _sum_terms(terms, tables.ctl)
+            if sv.converged and _rounding_ok(sv, np.abs(terms[:sv.terms]).sum(), tables.ctl):
                 out.append(sv)
                 continue
-        out.append(_quad(theta, lambda x: x * core.pdf(theta, x), min(upper, 1.0)))
+        out.append(_quad(tables, lambda x: x * core.pdf(theta, x), min(upper, 1.0)))
     return out
 
 
-def mean_deviations(theta: Params, ctl: SeriesControl | None = None) -> tuple[SeriesValue, SeriesValue]:
+def mean_deviations(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> tuple[SeriesValue, SeriesValue]:
     """Mean absolute deviations about the mean and about the median.
 
     delta1 = 2 [mu F(mu) - J(mu)], delta2 = mu - 2 J(M) with M the median
     and J the incomplete first moment.
     """
-    ctl = ctl or _DEFAULT_CTL
     mu = float(moment(theta, 1.0, ctl))
     med = core.quantile(theta, 0.5)
-    j_mu, j_med = _j_integrals(theta, (mu, med), ctl)
+    j_mu, j_med = _j_integrals(_Tables(theta, ctl), (mu, med))
     d1 = 2.0 * (mu * core.cdf(theta, mu) - float(j_mu))
     d2 = mu - 2.0 * float(j_med)
     meth1 = j_mu.method if j_mu.method != "exact" else "series"
@@ -913,14 +986,13 @@ def mean_deviations(theta: Params, ctl: SeriesControl | None = None) -> tuple[Se
     )
 
 
-def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl | None = None) -> tuple[SeriesValue, SeriesValue]:
+def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl = _DEFAULT_CTL) -> tuple[SeriesValue, SeriesValue]:
     """Bonferroni B(p) = J(q)/(p mu) and Lorenz L(p) = J(q)/mu, q = Q(p)."""
-    ctl = ctl or _DEFAULT_CTL
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     mu = float(moment(theta, 1.0, ctl))
     q = core.quantile(theta, p)
-    (jq,) = _j_integrals(theta, (q,), ctl)
+    (jq,) = _j_integrals(_Tables(theta, ctl), (q,))
     lorenz = float(jq) / mu
     bound = jq.tail_bound / mu
     return (
@@ -934,25 +1006,16 @@ def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl | None = None)
 # ----------------------------------------------------------------------
 
 
-def _cdf_pdf(theta: Params, x: np.ndarray, pointwise: bool) -> tuple:
-    """(F, f) at the nodes x; F point by point, so that core takes the scalar
-    incomplete beta, where the array one can stall (fault F3)."""
-    F = np.array([core.cdf(theta, float(v)) for v in x]) if pointwise else core.cdf(theta, x)
-    return F, core.pdf(theta, x)
-
-
-def _order_stat_quad(theta: Params, i: int, n: int, r: float,
-                     at_nodes=None) -> SeriesValue:
-    """E[X_{i:n}^r] by quadrature; at_nodes(x) gives (F(x), f(x)) when set."""
+def _order_stat_quad(tables: _Tables, i: int, n: int, r: float) -> SeriesValue:
+    """E[X_{i:n}^r] by quadrature, (F, f) from tables.at_nodes."""
     lnb = ln_beta(float(i), float(n - i + 1))
-    at_nodes = at_nodes or functools.partial(_cdf_pdf, theta, pointwise=not _norm_ok(theta))
 
     def integrand(x):
-        F, f = at_nodes(x)
+        F, f = tables.at_nodes(x)
         dens = f * math.exp(-lnb)
         return np.power(x, r) * dens * F ** (i - 1) * (1.0 - F) ** (n - i)
 
-    return _quad(theta, integrand)
+    return _quad(tables, integrand)
 
 
 def _check_order_args(i: int, n: int) -> None:
@@ -961,43 +1024,8 @@ def _check_order_args(i: int, n: int) -> None:
         raise ValueError(f"order statistic needs integers 1 <= i <= n, got i={i!r}, n={n!r}")
 
 
-class _OrderStatTables:
-    """What the order-statistic moments of one theta share within a call.
-
-    The cdf power series F = x^{alpha L'} h(x^alpha) is built once (from
-    the v-table, when it exists), each power h^q once on first use, and
-    for the quadrature fallback (F, f) once per panel node array.  The
-    tables live only as long as the call that made them.
-    """
-
-    def __init__(self, theta: Params, ctl: SeriesControl):
-        self.theta = theta
-        self.ctl = ctl
-        self.valid = _v_validity(theta)
-        if self.valid:
-            v = _v_coeffs(theta, ctl.max_terms)
-            idx = np.arange(len(v), dtype=float)
-            g_seq = v / ((idx + 1.0) * theta.alpha)  # F(x) = sum_s g_s x^{(s+1) alpha}
-            self.lead = int(np.flatnonzero(g_seq)[0])  # = gamma*lambda - 1, exact zeros before
-            self.h = g_seq[self.lead:]
-        self._pointwise = not _norm_ok(theta)
-        self._powers: dict[int, np.ndarray] = {}
-        self._nodes: dict[bytes, tuple] = {}
-
-    def h_power(self, q: int) -> np.ndarray:
-        if q not in self._powers:
-            self._powers[q] = _ps_pow(self.h, float(q), len(self.h))
-        return self._powers[q]
-
-    def at_nodes(self, x: np.ndarray) -> tuple:
-        key = x.tobytes()
-        if key not in self._nodes:
-            self._nodes[key] = _cdf_pdf(self.theta, x, self._pointwise)
-        return self._nodes[key]
-
-
 def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
-                             ctl: SeriesControl | None = None) -> SeriesValue:
+                             ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
     """E[X_{i:n}^r] via the binomial-in-(1-F) route.
 
     Expanding (1-F)^{n-i} binomially reduces the target to terms
@@ -1006,19 +1034,17 @@ def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
     (leading zeros of the coefficient table factored out).  Quadrature
     fallback when the v-table does not exist.
     """
-    ctl = ctl or _DEFAULT_CTL
     _check_order_args(i, n)
     if not r > 0:
         raise ValueError(f"r must be positive, got {r!r}")
-    return _order_stat_series(_OrderStatTables(theta, ctl), i, n, r)
+    return _order_stat_series(_Tables(theta, ctl), i, n, r)
 
 
-def _order_stat_series(tables: _OrderStatTables, i: int, n: int, r: float) -> SeriesValue:
+def _order_stat_series(tables: _Tables, i: int, n: int, r: float) -> SeriesValue:
     """order_stat_moment_series from tables shared with other (i, n)."""
-    theta = tables.theta
-    if not tables.valid:
-        return _order_stat_quad(theta, i, n, r, tables.at_nodes)
-    a = theta.alpha
+    if not tables.v_ok:
+        return _order_stat_quad(tables, i, n, r)
+    a = tables.theta.alpha
     lead = tables.lead
     total = 0.0
     bound = 0.0
@@ -1038,12 +1064,12 @@ def _order_stat_series(tables: _OrderStatTables, i: int, n: int, r: float) -> Se
         terms_used = max(terms_used, sv.terms)
         converged = converged and sv.converged
     if not converged:
-        return _order_stat_quad(theta, i, n, r, tables.at_nodes)
+        return _order_stat_quad(tables, i, n, r)
     return SeriesValue(total, bound, terms_used, "series", True)
 
 
 def order_stat_moment_barakat(theta: Params, i: int, n: int, r: int,
-                              ctl: SeriesControl | None = None) -> SeriesValue:
+                              ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
     """E[X_{i:n}^r] via the survival-power route.
 
     E = r sum_{p=n-i+1}^{n} (-1)^{p-(n-i+1)} C(p-1, n-i) C(n, p) I_p(r)
@@ -1052,25 +1078,20 @@ def order_stat_moment_barakat(theta: Params, i: int, n: int, r: int,
     from the power-series power recurrence.  An independent rearrangement
     used to cross-check the other route.
     """
-    ctl = ctl or _DEFAULT_CTL
     _check_order_args(i, n)
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    if not _v_validity(theta):
-        return _order_stat_quad(theta, i, n, float(r))
+    tables = _Tables(theta, ctl)
+    if not tables.v_ok:
+        return _order_stat_quad(tables, i, n, float(r))
     a = theta.alpha
-    N = ctl.max_terms
-    v = _v_coeffs(theta, N)
-    idx = np.arange(len(v), dtype=float)
-    H = np.zeros(N + 1)
-    H[0] = 1.0
-    H[1:] = -v / ((idx + 1.0) * a)  # 1 - F in powers of x^alpha
+    H = np.concatenate(([1.0], -tables.cdf_coeffs))  # 1 - F in powers of x^alpha
     total = 0.0
     bound = 0.0
     terms_used = 0
     converged = True
     for p in range(n - i + 1, n + 1):
-        Hp = _ps_pow(H, float(p), N + 1)
+        Hp = _ps_pow(H, float(p), len(H))
         s = np.arange(len(Hp), dtype=float)
         sv = _sum_terms(Hp / (r + s * a), ctl)
         coeff = r * (-1.0) ** (p - (n - i + 1)) * math.comb(p - 1, n - i) * math.comb(n, p)
@@ -1079,11 +1100,11 @@ def order_stat_moment_barakat(theta: Params, i: int, n: int, r: int,
         terms_used = max(terms_used, sv.terms)
         converged = converged and sv.converged
     if not converged:
-        return _order_stat_quad(theta, i, n, float(r))
+        return _order_stat_quad(tables, i, n, float(r))
     return SeriesValue(total, bound, terms_used, "series", True)
 
 
-def l_moments(theta: Params, up_to: int, ctl: SeriesControl | None = None) -> list[float]:
+def l_moments(theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL) -> list[float]:
     """L-moments lambda_1..lambda_{up_to} (up_to <= 4).
 
     Built from first moments of order statistics:
@@ -1093,8 +1114,7 @@ def l_moments(theta: Params, up_to: int, ctl: SeriesControl | None = None) -> li
     """
     if not (isinstance(up_to, (int, np.integer)) and 1 <= up_to <= 4):
         raise ValueError(f"up_to must be an integer in 1..4, got {up_to!r}")
-    ctl = ctl or _DEFAULT_CTL
-    tables = _OrderStatTables(theta, ctl)
+    tables = _Tables(theta, ctl)
 
     def m(i: int, n: int) -> float:
         return float(_order_stat_series(tables, i, n, 1.0))
@@ -1114,7 +1134,7 @@ def l_moments(theta: Params, up_to: int, ctl: SeriesControl | None = None) -> li
 # ----------------------------------------------------------------------
 
 
-def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl | None = None) -> SeriesValue:
+def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
     """Renyi entropy J_R(rho) = log(integral f^rho) / (1 - rho).
 
     Existence first: f ~ x^{alpha gamma lambda - 1} at 0 and
@@ -1128,10 +1148,10 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl | None = None) -
     function B(a_m + s, b') with b' = rho(beta-1) + 1.  It is used when
     rho*delta is a nonnegative integer (finite m-sum; the powers A^{p_m}
     stay small enough that their signed coefficients do not cancel away
-    the result) and b' > 0.  Outside that region -- or should truncation
+    the result), b' > 0 and the front factor (lambda alpha beta / B)^rho
+    / alpha is a finite float.  Outside that region -- or should truncation
     fail -- quadrature of exp(rho log f) takes over, tagged as such.
     """
-    ctl = ctl or _DEFAULT_CTL
     if not (rho > 0.0) or rho == 1.0:
         raise ValueError(f"rho must be positive and different from 1, got {rho!r}")
     a, b, g, d, l = theta.as_tuple()
@@ -1145,14 +1165,15 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl | None = None) -
         raise DivergentIntegralError(
             f"integral of f^rho diverges at x=1 (exponent {e1:g} <= -1)"
         )
+    tables = _Tables(theta, ctl)
     b_exp = rho * (b - 1.0) + 1.0
-    log_front = rho * (math.log(l) + math.log(a) + math.log(b) - ln_beta(g, d + 1.0)) - math.log(a)
+    log_front = rho * (math.log(l) + math.log(a) + math.log(b) - tables.ln_b) - math.log(a)
     rd = rho * d
-    if b_exp > 0.0 and _is_nonneg_int(rd):
+    if b_exp > 0.0 and _is_nonneg_int(rd) and log_front < _LOG_MAX:
         N = ctl.max_terms
         A = -_signed_binom(b, N + 1)[1:]
         a0 = (rho * (a * g * l - 1.0) + 1.0) / a
-        m_count = int(round(rd)) + 1
+        m_count = _count(rd, ctl)
         # signed-coefficient cancellation guard: l1(A)^p_max over the
         # integral's own scale must leave headroom below 1/eps
         p_max = rho * (g * l - 1.0) + l * (m_count - 1)
@@ -1174,9 +1195,10 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl | None = None) -
                 inner_bound += abs(binom_m) * sv.tail_bound
                 inner_ok = inner_ok and sv.converged
                 m_terms.append((-1.0) ** mm * binom_m * float(sv))
-            if inner_ok:
-                integral = math.exp(log_front) * math.fsum(m_terms)
-                if integral > 0.0:
+            m_sum = math.fsum(m_terms)
+            if inner_ok and _rounding_ok(m_sum, sum(map(abs, m_terms)), ctl):
+                integral = math.exp(log_front) * m_sum
+                if 0.0 < integral < math.inf:
                     total_bound = math.exp(log_front) * inner_bound
                     val = math.log(integral) / (1.0 - rho)
                     return SeriesValue(
@@ -1186,7 +1208,7 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl | None = None) -
                         "series",
                         True,
                     )
-    quad = _quad(theta, lambda x: np.power(core.pdf(theta, x), rho))
+    quad = _quad(tables, lambda x: np.power(core.pdf(theta, x), rho))
     return SeriesValue(math.log(quad) / (1.0 - rho),
                        quad.tail_bound / (float(quad) * abs(1.0 - rho)),
                        quad.terms, "quadrature", quad.converged)

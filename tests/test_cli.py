@@ -22,6 +22,8 @@ from gkw.cli import main
 from gkw.core import Params
 from gkw.estim import Dataset
 
+from gridpoints import BATHTUB, GRID12, WORKHORSE
+
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -224,6 +226,20 @@ class TestProps:
         for key, want in self.NARROW.items():
             assert doc[key] == pytest.approx(want, rel=0, abs=5e-13), key
         for key in ("mu1", "mu2", "delta1", "delta2"):
+            assert doc[f"{key}_method"] == "quadrature"
+
+    # Beta(400, 401) = (1, 1, 400, 400, 1) has ln B(gamma, delta + 1) in
+    # range, but its omega weights and the Renyi series' front factor
+    # overflow float64; at (2, 3, 1e4, 9999, 1) no table exists.  Every
+    # value then comes from quadrature, with no warning on the way.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta", ["1,1,400,400,1", "2,3,1e4,9999,1"])
+    def test_laws_whose_tables_overflow_take_quadrature(self, theta):
+        code, out, err = run_cli("props", "--theta", theta, "--moments", "2", "--lmoments",
+                                 "--deviations", "--entropy", "2")
+        assert code == 0, err
+        doc = json.loads(out)
+        for key in ("mu1", "mu2", "renyi", "delta1", "delta2"):
             assert doc[f"{key}_method"] == "quadrature"
 
 
@@ -501,17 +517,21 @@ class TestGoldenReports:
         assert out.read_bytes() == (DATA_DIR / f"{name}.json").read_bytes()
 
     # `gkw props` output frozen from a version in which every moment and
-    # every order-statistic moment built its own tables.  The three shapes
-    # take the three routes: general-delta moment sweep with v-table
-    # L-moments (workhorse), the same with delta > 1 (kwkw), and
-    # quadrature L-moments and mean deviations without a v-table (bathtub).
+    # every order-statistic moment built its own tables (workhorse, kwkw,
+    # bathtub), and the rest of the test grid frozen from the version just
+    # before one per-call table object decided and built them all.  The
+    # shapes take every route: the general- and integer-delta moment
+    # sweeps, the finite double sum, v-table and quadrature L-moments and
+    # mean deviations, and the series and quadrature entropy.  With
+    # --series-max-terms 7 the sweeps and the v-table sums fall back to
+    # quadrature (workhorse: general delta; bathtub: integer delta).
     @pytest.mark.parametrize("name, theta", [
-        ("workhorse", "2,3,1.5,0.5,2"),
-        ("kwkw", "2,2,1,1.5,2"),
-        ("bathtub", "0.7,0.8,0.6,0,0.9"),
+        (name, ",".join(f"{v:g}" for v in theta.as_tuple()))
+        for name, theta in GRID12 + [("workhorse-t7", WORKHORSE), ("bathtub-t7", BATHTUB)]
     ])
     def test_props_output_is_byte_identical(self, name, theta):
+        extra = ("--series-max-terms", "7") if name.endswith("-t7") else ()
         code, out, _ = run_cli("props", "--theta", theta, "--moments", "4", "--lmoments",
-                               "--entropy", "0.5", "--deviations", "--quiet")
+                               "--entropy", "0.5", "--deviations", "--quiet", *extra)
         assert code == 0
         assert out == (DATA_DIR / f"props-{name}.json").read_text()

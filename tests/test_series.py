@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkw import core, oracle, series
+from gkw import core, oracle, series, specfun
 from gkw.core import Params
 from gkw.series import (
     CoeffTable,
@@ -648,6 +648,105 @@ class TestRenyiEntropy:
             series.renyi_entropy(UNIFORM, rho)
 
 
+class TestOverflowingTables:
+    # Beta(400, 401) = (1, 1, 400, 400, 1): ln B(gamma, delta + 1) = -557 is
+    # in range, but omega_j = C(400, j) / ((400 + j) B) overflows float64,
+    # and so does the Renyi series' front factor (1/B)^2.  At
+    # (2, 3, 1e4, 9999, 1), ln B = -13,866 and no table exists at all.
+    # References: closed forms for Beta(a, b) (mean deviation about the
+    # median from mpmath's median and incomplete beta) and the L-moments
+    # from probability-weighted moments by 30-digit mpmath quadrature.
+    # The tolerance is what quadrature to 1e-11 absolute allows, also on
+    # integral f^2 ~ 16 for the entropy.
+    BETA400 = Params(1, 1, 400, 400, 1)
+    NARROW = Params(2, 3, 1e4, 9999, 1)
+    BETA400_REF = {
+        "mu1": 400 / 801, "mu2": 400 * 401 / (801 * 802),
+        "delta1": 0.014091522599775088241, "delta2": 0.014091522593675759724,
+        "renyi2": -2.7707229529635037805,
+        "l1": 400 / 801, "l2": 0.0099626563420512199462,
+        "l3": 2.86433735313633662e-7, "l4": 0.0012179400112629182003,
+    }
+
+    def _check(self, key, got):
+        assert float(got) == pytest.approx(self.BETA400_REF[key], rel=1e-12, abs=1e-12), key
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_moments_take_quadrature_where_omega_overflows(self):
+        for key, got in zip(("mu1", "mu2"), series.moments(self.BETA400, [1, 2])):
+            assert got.method == "quadrature" and got.converged
+            self._check(key, got)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_renyi_takes_quadrature_where_its_front_factor_overflows(self):
+        got = series.renyi_entropy(self.BETA400, 2.0)
+        assert got.method == "quadrature" and got.converged
+        self._check("renyi2", got)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_l_moments_and_mean_deviations_warn_nothing(self):
+        for i, got in enumerate(series.l_moments(self.BETA400, 4), 1):
+            self._check(f"l{i}", got)
+        for key, got in zip(("delta1", "delta2"), series.mean_deviations(self.BETA400)):
+            self._check(key, got)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta", [BETA400, NARROW], ids=["beta400", "narrow"])
+    def test_omega_tables_raise_where_they_do_not_fit(self, theta):
+        with pytest.raises(ExpansionDomainError):
+            series.omega_weights(theta)
+        with pytest.raises(ExpansionDomainError):
+            series.mixture_coeffs(theta)
+        with pytest.raises(ExpansionDomainError):
+            series.cdf_expansion(theta, 0.45)
+
+
+def _beta_law(a, b):
+    """Beta(a, b) as a GKw law, with its first two moments."""
+    return Params(1, 1, a, b - 1, 1), a / (a + b), a * (a + 1) / ((a + b) * (a + b + 1))
+
+
+class TestCancellingTables:
+    # At Beta(a, b) = (1, 1, a, b - 1, 1) with a and b of 10 or more, omega
+    # and v are alternating binomials over B(a, b) (up to 1e7 at Beta(10, 11),
+    # 1e17 at Beta(30, 31)) whose finite sums cancel below rounding.  Those
+    # sums must give way to quadrature, or be flagged; references are Beta
+    # closed forms, and mpmath's 1F1 for the mgf.
+
+    # the finite double sum, the integer-delta and the general-delta sweeps
+    @pytest.mark.parametrize("a, b", [(10, 11), (30, 31), (60, 61.5)])
+    def test_moments_take_quadrature_where_the_sweep_cancels(self, a, b):
+        theta, mu1, mu2 = _beta_law(a, b)
+        got = series.moments(theta, [1, 2])
+        assert [v.method for v in got] == ["quadrature", "quadrature"]
+        assert float(got[0]) == pytest.approx(mu1, rel=1e-12, abs=1e-12)
+        assert float(got[1]) == pytest.approx(mu2, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("theta, rho", [(Params(1, 1, 10, 10, 1), 2.0), (BETA25, 3.0)])
+    def test_renyi_m_sum_that_cancels_takes_quadrature(self, theta, rho):
+        a, b = theta.gamma, theta.delta + 1.0
+        ln_int = specfun.ln_beta(rho * (a - 1) + 1, rho * (b - 1) + 1) - rho * specfun.ln_beta(a, b)
+        got = series.renyi_entropy(theta, rho)
+        assert got.method == "quadrature"
+        assert float(got) == pytest.approx(ln_int / (1.0 - rho), rel=1e-12, abs=1e-12)
+
+    def test_mean_deviation_and_mgf_series_that_cancel_take_quadrature(self):
+        theta, mu1, _ = _beta_law(20, 21)
+        d1, _ = series.mean_deviations(theta)
+        assert d1.method == "quadrature"
+        assert float(d1) == pytest.approx(0.0619068841794441870759, rel=1e-12)
+        got = series.mgf(_beta_law(5, 40)[0], 0.7)
+        assert got.method == "quadrature"
+        assert float(got) == pytest.approx(1.08145559013562963301, rel=1e-12)
+
+    def test_bare_expansions_flag_cancellation(self):
+        theta, _, _ = _beta_law(30, 31)
+        for expansion in (series.cdf_expansion, series.pdf_expansion):
+            with pytest.warns(SeriesDivergenceWarning, match="cancel"):
+                got = expansion(theta, 0.8)
+            assert not got.converged
+
+
 class TestTruncationMachinery:
     def test_tiny_budget_warns_and_flags(self):
         ctl = SeriesControl(max_terms=8)
@@ -720,9 +819,29 @@ def _ps_pow_reference(a, p, n):
     return c
 
 
+def _omega_reference(theta, count):
+    """omega_j with the binomial carried along a loop over j: the bits
+    the vectorized omega table must reproduce."""
+    g, d = theta.gamma, theta.delta
+    norm = math.exp(specfun.ln_beta(g, d + 1.0))
+    out, binom = [], 1.0
+    for j in range(count):
+        if j:
+            binom *= (d - (j - 1)) / j
+        out.append((-1.0) ** j * binom / ((g + j) * norm))
+    return np.array(out)
+
+
 class TestKernelsBitForBit:
     # the vectorized kernels give exactly the bits of their per-row and
     # per-order forms
+
+    @pytest.mark.parametrize("theta, count", [
+        (WORKHORSE, 400), (MOUND, 400), (BETA25, 5), (Params(1.2, 0.9, 0.8, 2.5, 1.1), 60),
+    ])
+    def test_omega_equals_the_running_product(self, theta, count):
+        got = series.omega_weights(theta, SeriesControl(max_terms=count))
+        assert got.tobytes() == _omega_reference(theta, count).tobytes()
 
     @pytest.mark.parametrize("g, l, b", [
         (1.5, 2.0, 3.0),        # workhorse's first block of psi_j
