@@ -1,10 +1,9 @@
-"""Independent numerical checks: adaptive quadrature, finite-difference
-derivatives, and Monte Carlo order-statistic means.
+"""Adaptive Gauss-Legendre quadrature: the fallback that ``series`` takes
+where an expansion does not exist, does not converge or cancels below
+rounding, and which the tests also use as a reference.
 
-Nothing in here knows about the series expansions it is used to verify;
-the only shared code is the exact density layer in ``core``.  Keeping
-this separation honest is what makes agreement between the two routes
-meaningful.
+It knows nothing of the series expansions; it integrates whatever
+function it is given.
 """
 
 from __future__ import annotations
@@ -16,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
-
-__all__ = [
-    "QuadResult",
-    "adaptive_quad",
-    "fd_grad",
-    "fd_hess",
-    "mc_order_stat_mean",
-]
+__all__ = ["QuadResult", "adaptive_quad"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -102,82 +93,3 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10,
         subdivisions=n_split,
         reliable=total_err <= tol,
     )
-
-
-def fd_grad(f, x, h_rel: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector.
-
-    Step per coordinate is h_rel * max(1, |x_i|).  Raises if the
-    function comes back non-finite at a probe point, naming the
-    coordinate, since silently returning NaN derivatives has a habit of
-    burying the actual failure several layers up.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = h_rel * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp, fm = f(xp), f(xm)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise ValueError(
-                f"non-finite evaluation while differencing coordinate {i} "
-                f"(f+={fp!r}, f-={fm!r})"
-            )
-        g[i] = (fp - fm) / (2.0 * h)
-    return g
-
-
-def fd_hess(f, x, h_rel: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian (symmetric by construction)."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    H = np.empty((n, n))
-    hs = np.array([h_rel * max(1.0, abs(xi)) for xi in x])
-    f0 = f(x)
-    if not math.isfinite(f0):
-        raise ValueError(f"non-finite evaluation at the expansion point: {f0!r}")
-    for i in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += hs[i]
-        xm[i] -= hs[i]
-        fp, fm = f(xp), f(xm)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise ValueError(f"non-finite evaluation while differencing coordinate {i}")
-        H[i, i] = (fp - 2.0 * f0 + fm) / hs[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-            xpp[[i, j]] += [hs[i], hs[j]]
-            xpm[i] += hs[i]
-            xpm[j] -= hs[j]
-            xmp[i] -= hs[i]
-            xmp[j] += hs[j]
-            xmm[[i, j]] -= [hs[i], hs[j]]
-            vals = [f(xpp), f(xpm), f(xmp), f(xmm)]
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError(
-                    f"non-finite evaluation while differencing coordinates ({i}, {j})"
-                )
-            H[i, j] = H[j, i] = (vals[0] - vals[1] - vals[2] + vals[3]) / (
-                4.0 * hs[i] * hs[j]
-            )
-    return H
-
-
-def mc_order_stat_mean(theta: core.Params, i: int, n: int, r: float,
-                       n_rep: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of E[X_{i:n}^r] with its standard error.
-
-    Draws n_rep independent samples of size n, sorts each, and averages
-    the r-th power of the i-th smallest value.  Returns (mean, se).
-    """
-    if not (1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    draws = core.sample(theta, n_rep * n, seed).reshape(n_rep, n)
-    draws.sort(axis=1)
-    vals = draws[:, i - 1] ** r
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_rep))
-    return mean, se

@@ -10,8 +10,8 @@ power series sum_i v_i x^{(i+1) alpha - 1}.  This module builds those
 coefficient tables and everything derived from them: ordinary, central,
 factorial moments and cumulants, the moment generating function, quantile
 series coefficients, mean deviations, Bonferroni and Lorenz curves,
-order-statistic moments by two independent routes, L-moments, and Renyi
-entropy.
+order-statistic moments (one route, binomial in 1 - F), L-moments, and
+Renyi entropy.
 
 Truncation policy, implemented once in _sum_terms (_TermSum streams
 terms into it): infinite sums stop at the first index where |term| <
@@ -26,9 +26,9 @@ documented event, not a warning.  Only the bare expansion evaluators
 a SeriesDivergenceWarning and flag the value as unconverged.  Several
 parameter combinations admit fully finite ("exact") evaluations and are
 detected up front.  A sum of large alternating terms can also cancel
-below rounding; the moment sweeps, the Renyi m-sum, the incomplete first
-moment, the mgf and the bare evaluators test for that (_rounding_ok) and
-take the same fallback or flag.
+below rounding; the moment sweeps, the order-statistic q-sums, the Renyi
+m-sum, the incomplete first moment, the mgf and the bare evaluators test
+for that (_rounding_ok) and take the same fallback or flag.
 
 Every sum-valued operation returns a SeriesValue: a float carrying the
 achieved tail bound, the number of terms used, the evaluation method
@@ -80,7 +80,6 @@ __all__ = [
     "bonferroni_lorenz",
     "power_series_power",
     "order_stat_moment_series",
-    "order_stat_moment_barakat",
     "l_moments",
     "renyi_entropy",
 ]
@@ -1018,12 +1017,6 @@ def _order_stat_quad(tables: _Tables, i: int, n: int, r: float) -> SeriesValue:
     return _quad(tables, integrand)
 
 
-def _check_order_args(i: int, n: int) -> None:
-    if not (isinstance(i, (int, np.integer)) and isinstance(n, (int, np.integer))
-            and 1 <= i <= n):
-        raise ValueError(f"order statistic needs integers 1 <= i <= n, got i={i!r}, n={n!r}")
-
-
 def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
                              ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
     """E[X_{i:n}^r] via the binomial-in-(1-F) route.
@@ -1032,9 +1025,12 @@ def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
     T_q = integral x^r d(F^q)/q = 1/q - (r/q) integral x^{r-1} F^q dx, and
     F^q is a power of the cdf power series F = x^{alpha L'} h(x^alpha)
     (leading zeros of the coefficient table factored out).  Quadrature
-    fallback when the v-table does not exist.
+    fallback when the v-table does not exist, when a q-sum fails to
+    converge, or when its terms cancel below rounding (_rounding_ok).
     """
-    _check_order_args(i, n)
+    if not (isinstance(i, (int, np.integer)) and isinstance(n, (int, np.integer))
+            and 1 <= i <= n):
+        raise ValueError(f"order statistic needs integers 1 <= i <= n, got i={i!r}, n={n!r}")
     if not r > 0:
         raise ValueError(f"r must be positive, got {r!r}")
     return _order_stat_series(_Tables(theta, ctl), i, n, r)
@@ -1049,58 +1045,20 @@ def _order_stat_series(tables: _Tables, i: int, n: int, r: float) -> SeriesValue
     total = 0.0
     bound = 0.0
     terms_used = 0
-    converged = True
     inv_b = math.exp(-ln_beta(float(i), float(n - i + 1)))
     for j in range(0, n - i + 1):
         q = i + j
         hq = tables.h_power(q)
         s = np.arange(len(hq), dtype=float)
-        denom = r + (s + q * (lead + 1.0)) * a
-        sv = _sum_terms(hq / denom, tables.ctl)
+        terms = hq / (r + (s + q * (lead + 1.0)) * a)
+        sv = _sum_terms(terms, tables.ctl)
+        if not (sv.converged and _rounding_ok(sv, np.abs(terms[:sv.terms]).sum(), tables.ctl)):
+            return _order_stat_quad(tables, i, n, r)
         coeff = inv_b * (-1.0) ** j * math.comb(n - i, j)
         t_q = 1.0 / q - (r / q) * float(sv)
         total += coeff * t_q
         bound += abs(coeff) * (r / q) * sv.tail_bound
         terms_used = max(terms_used, sv.terms)
-        converged = converged and sv.converged
-    if not converged:
-        return _order_stat_quad(tables, i, n, r)
-    return SeriesValue(total, bound, terms_used, "series", True)
-
-
-def order_stat_moment_barakat(theta: Params, i: int, n: int, r: int,
-                              ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
-    """E[X_{i:n}^r] via the survival-power route.
-
-    E = r sum_{p=n-i+1}^{n} (-1)^{p-(n-i+1)} C(p-1, n-i) C(n, p) I_p(r)
-    with I_p(r) = integral_0^1 x^{r-1} (1-F)^p dx; (1-F) as a series in
-    x^alpha has leading coefficient 1, so its integer powers come straight
-    from the power-series power recurrence.  An independent rearrangement
-    used to cross-check the other route.
-    """
-    _check_order_args(i, n)
-    if not (isinstance(r, (int, np.integer)) and r >= 1):
-        raise ValueError(f"r must be a positive integer, got {r!r}")
-    tables = _Tables(theta, ctl)
-    if not tables.v_ok:
-        return _order_stat_quad(tables, i, n, float(r))
-    a = theta.alpha
-    H = np.concatenate(([1.0], -tables.cdf_coeffs))  # 1 - F in powers of x^alpha
-    total = 0.0
-    bound = 0.0
-    terms_used = 0
-    converged = True
-    for p in range(n - i + 1, n + 1):
-        Hp = _ps_pow(H, float(p), len(H))
-        s = np.arange(len(Hp), dtype=float)
-        sv = _sum_terms(Hp / (r + s * a), ctl)
-        coeff = r * (-1.0) ** (p - (n - i + 1)) * math.comb(p - 1, n - i) * math.comb(n, p)
-        total += coeff * float(sv)
-        bound += abs(coeff) * sv.tail_bound
-        terms_used = max(terms_used, sv.terms)
-        converged = converged and sv.converged
-    if not converged:
-        return _order_stat_quad(tables, i, n, float(r))
     return SeriesValue(total, bound, terms_used, "series", True)
 
 

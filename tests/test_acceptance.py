@@ -30,6 +30,7 @@ from gkw.series import (
 )
 from gkw.specfun import inv_reg_inc_beta, ln_beta
 
+from crosscheck import fd_grad, fd_hess, mc_order_stat_mean, order_stat_moment_barakat
 from gridpoints import (
     BETA25,
     BETA52,
@@ -278,11 +279,11 @@ def test_score_and_information_vs_fd(capsys):
 
         v0 = np.array(theta.as_tuple())
         s = estim.score(theta, data)
-        fd_s = oracle.fd_grad(ll, v0)
+        fd_s = fd_grad(ll, v0)
         worst_g = max(worst_g,
                       float(np.max(np.abs(s - fd_s) / np.maximum(1.0, np.abs(s)))))
         info = estim.observed_info(theta, data)
-        fd_h = oracle.fd_hess(ll, v0)
+        fd_h = fd_hess(ll, v0)
         worst_h = max(worst_h,
                       float(np.max(np.abs(info + fd_h) / np.maximum(1.0, np.abs(info)))))
     dt = time.time() - t0
@@ -297,24 +298,27 @@ def test_score_and_information_vs_fd(capsys):
 
 
 # ----------------------------------------------------------------------
-# 6. order-statistic means: two series routes and Monte Carlo agree
+# 6. order-statistic means: the series route, the survival-power route
+#    (tests/crosscheck.py) and Monte Carlo agree
 # ----------------------------------------------------------------------
 
 def test_order_stat_three_routes(capsys):
     worst_rel = 0.0
     worst_mc = 0.0
+    # beta52 (gamma*lambda = 5): 1 - F has four leading zeros and, as a
+    # polynomial, interior zero runs
     for j, (_, theta) in enumerate((("kw22", KW22), ("ekw", EKW),
-                                    ("workhorse", WORKHORSE))):
+                                    ("workhorse", WORKHORSE), ("beta52", BETA52))):
         for k, (i, n) in enumerate(((1, 2), (2, 3), (3, 3))):
             a = float(series.order_stat_moment_series(theta, i, n, 1.0))
-            b = float(series.order_stat_moment_barakat(theta, i, n, 1))
+            b = float(order_stat_moment_barakat(theta, i, n, 1))
             worst_rel = max(worst_rel, abs(a - b) / abs(a))
-            mc, se = oracle.mc_order_stat_mean(theta, i, n, 1.0, 100_000,
-                                               seed=52_100 + 10 * k + j)
+            mc, se = mc_order_stat_mean(theta, i, n, 1.0, 100_000,
+                                        seed=52_100 + 10 * k + j)
             worst_mc = max(worst_mc, abs(a - mc) / (3.0 * se))
     ok = worst_rel <= 1e-4 and worst_mc <= 1.0
     _emit(capsys,
-          f"order-stat means (3 shapes x 3 (i,n)): {'PASS' if ok else 'FAIL'} "
+          f"order-stat means (4 shapes x 3 (i,n)): {'PASS' if ok else 'FAIL'} "
           f"(route diff = {worst_rel:.2e}, max |diff|/3SE = {worst_mc:.2f})")
     assert worst_rel <= 1e-4
     assert worst_mc <= 1.0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkw import core, estim, oracle, specfun
+from gkw import core, estim, specfun
 from gkw.core import Params, SUBMODELS
 from gkw.estim import (
     Dataset,
@@ -32,6 +32,7 @@ from gkw.estim import (
     std_errors,
 )
 
+from crosscheck import fd_grad, fd_hess
 from frozen_fits import FROZEN_FITS, frozen_fit_data
 from gridpoints import (
     BATHTUB,
@@ -121,7 +122,7 @@ class TestScore:
             theta = theta.replace(delta=5e-4)
         data = _dataset()
         f = lambda v: log_likelihood(Params(*v), data)
-        g_fd = oracle.fd_grad(f, np.array(theta.as_tuple(), dtype=float))
+        g_fd = fd_grad(f, np.array(theta.as_tuple(), dtype=float))
         g = score(theta, data)
         for i in range(5):
             if abs(g_fd[i]) < 1e-6:
@@ -140,7 +141,7 @@ class TestScore:
         )
         data = Dataset(x)
         f = lambda v: log_likelihood(Params(*v), data)
-        g_fd = oracle.fd_grad(f, np.array(WORKHORSE.as_tuple(), dtype=float))
+        g_fd = fd_grad(f, np.array(WORKHORSE.as_tuple(), dtype=float))
         assert np.allclose(score(WORKHORSE, data), g_fd, rtol=1e-5, atol=1e-8)
 
     def test_fifty_random_instances(self):
@@ -148,7 +149,7 @@ class TestScore:
         for _ in range(50):
             theta, data = _random_instance(rng)
             f = lambda v: log_likelihood(Params(*v), data)
-            g_fd = oracle.fd_grad(f, np.array(theta.as_tuple(), dtype=float))
+            g_fd = fd_grad(f, np.array(theta.as_tuple(), dtype=float))
             g = score(theta, data)
             for i in range(5):
                 if abs(g_fd[i]) < 1e-6:
@@ -220,7 +221,7 @@ class TestObservedInfo:
             theta = theta.replace(delta=5e-4)
         data = _dataset()
         f = lambda v: log_likelihood(Params(*v), data)
-        H_fd = oracle.fd_hess(f, np.array(theta.as_tuple(), dtype=float))
+        H_fd = fd_hess(f, np.array(theta.as_tuple(), dtype=float))
         J = observed_info(theta, data)
         scale = np.maximum(np.abs(H_fd), 1.0)
         assert np.max(np.abs(-H_fd - J) / scale) < 1e-4

@@ -1,8 +1,11 @@
-"""Checks for the verification machinery itself.
+"""Checks for the verification machinery itself: gkw.oracle's quadrature
+and the reference routes of tests/crosscheck.py.
 
 The quadrature battery includes endpoint singularities and an
 oscillatory case; finite differences are checked for the expected
-second-order step scaling.
+second-order step scaling; the survival-power order-statistic route is
+checked against the library's binomial route where 1 - F starts with
+zeros.
 """
 
 import math
@@ -10,8 +13,12 @@ import math
 import numpy as np
 import pytest
 
+from gkw import series
 from gkw.core import Params
-from gkw.oracle import adaptive_quad, fd_grad, fd_hess, mc_order_stat_mean
+from gkw.oracle import adaptive_quad
+
+from crosscheck import fd_grad, fd_hess, mc_order_stat_mean, order_stat_moment_barakat
+from gridpoints import BETA25, BETA52, UNIFORM
 
 
 class TestAdaptiveQuad:
@@ -143,3 +150,34 @@ class TestMcOrderStat:
         t = Params(1.0, 1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             mc_order_stat_mean(t, 3, 2, 1.0, n_rep=10, seed=0)
+
+
+# (i, n, r) for i <= n <= 4 and r in {1, 2}
+RANKS = [(i, n, r) for n in range(1, 5) for i in range(1, n + 1) for r in (1, 2)]
+
+
+class TestBarakat:
+    def test_non_integer_r_rejected(self):
+        with pytest.raises(ValueError):
+            order_stat_moment_barakat(UNIFORM, 1, 2, 1.5)
+
+    def test_agrees_where_the_polynomial_has_zero_runs(self):
+        # F = 6x^5 - 5x^6: four leading zeros, and (1 - F)^p has interior
+        # runs of zeros on which the small-terms rule would stop
+        for i, n, r in RANKS:
+            got = order_stat_moment_barakat(BETA52, i, n, r)
+            want = series.order_stat_moment_series(BETA52, i, n, float(r))
+            assert got.method == "series", (i, n, r)
+            assert float(got) == pytest.approx(float(want), rel=1e-12), (i, n, r)
+
+    # gamma*lambda >= 4: the small-terms rule stops on the leading zeros of
+    # 1 - F unless they are factored out, and the value reads exactly 1.0
+    @pytest.mark.parametrize("theta", [Params(1, 1, 5, 5, 1), Params(1, 1, 4, 5, 1), BETA25],
+                             ids=["beta56", "beta46", "beta25"])
+    def test_value_is_backed_or_quadrature(self, theta):
+        for i, n, r in RANKS:
+            got = order_stat_moment_barakat(theta, i, n, r)
+            want = series.order_stat_moment_series(theta, i, n, float(r))
+            assert float(got) != 1.0, (i, n, r)
+            if got.method != "quadrature":
+                assert float(got) == pytest.approx(float(want), rel=1e-9), (i, n, r)

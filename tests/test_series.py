@@ -24,6 +24,7 @@ from gkw.series import (
     SeriesValue,
 )
 
+from crosscheck import mc_order_stat_mean, order_stat_moment_barakat
 from gridpoints import (
     BATHTUB,
     BETA25,
@@ -492,7 +493,7 @@ class TestOrderStatMoments:
     def test_uniform_closed_forms(self, i, n, want):
         got = series.order_stat_moment_series(UNIFORM, i, n, 1.0)
         assert float(got) == pytest.approx(want, abs=1e-11)
-        got_b = series.order_stat_moment_barakat(UNIFORM, i, n, 1)
+        got_b = order_stat_moment_barakat(UNIFORM, i, n, 1)
         assert float(got_b) == pytest.approx(want, abs=1e-11)
 
     def test_single_observation_is_plain_moment(self):
@@ -506,7 +507,7 @@ class TestOrderStatMoments:
 
     def test_routes_agree_on_series_point(self):
         a = series.order_stat_moment_series(EKW, 2, 3, 1.0)
-        b = series.order_stat_moment_barakat(EKW, 2, 3, 1)
+        b = order_stat_moment_barakat(EKW, 2, 3, 1)
         assert a.method == "series" and b.method == "series"
         assert float(a) == pytest.approx(float(b), rel=1e-10)
         assert float(a) == pytest.approx(EKW_ORDER_23, abs=1e-10)
@@ -514,20 +515,20 @@ class TestOrderStatMoments:
     def test_workhorse_falls_back_but_stays_correct(self):
         # coefficient series has finite radius here: both routes reroute
         a = series.order_stat_moment_series(WORKHORSE, 2, 3, 1.0)
-        b = series.order_stat_moment_barakat(WORKHORSE, 2, 3, 1)
+        b = order_stat_moment_barakat(WORKHORSE, 2, 3, 1)
         assert a.method == "quadrature" and b.method == "quadrature"
         assert float(a) == pytest.approx(WORK_ORDER_23, abs=1e-9)
         assert float(b) == pytest.approx(WORK_ORDER_23, abs=1e-9)
 
     def test_against_monte_carlo(self):
-        mc, se = oracle.mc_order_stat_mean(INCREASING_J, 2, 3, 1.0, 60000, seed=19)
+        mc, se = mc_order_stat_mean(INCREASING_J, 2, 3, 1.0, 60000, seed=19)
         got = series.order_stat_moment_series(INCREASING_J, 2, 3, 1.0)
         assert abs(float(got) - mc) < 3.5 * se
 
     def test_bathtub_quadrature_fallback(self):
         got = series.order_stat_moment_series(BATHTUB, 1, 2, 1.0)
         assert got.method == "quadrature"
-        mc, se = oracle.mc_order_stat_mean(BATHTUB, 1, 2, 1.0, 60000, seed=23)
+        mc, se = mc_order_stat_mean(BATHTUB, 1, 2, 1.0, 60000, seed=23)
         assert abs(float(got) - mc) < 3.5 * se
 
     def test_argument_validation(self):
@@ -537,8 +538,6 @@ class TestOrderStatMoments:
             series.order_stat_moment_series(UNIFORM, 3, 2, 1.0)
         with pytest.raises(ValueError):
             series.order_stat_moment_series(UNIFORM, 1, 2, -1.0)
-        with pytest.raises(ValueError):
-            series.order_stat_moment_barakat(UNIFORM, 1, 2, 1.5)
 
 
 class TestLMoments:
@@ -567,6 +566,15 @@ class TestLMoments:
         )
         lams = series.l_moments(EKW, 2)
         assert lams[1] == pytest.approx(ref.value, abs=1e-9)
+
+    # lambda_4 from 40-digit mpmath probability-weighted moments.  The n = 4
+    # q-sums cancel below rounding at both laws; summed anyway, they put
+    # lambda_4 1.8e-6 and 4.8e-10 relative off, so they must go to quadrature.
+    @pytest.mark.parametrize("theta, want", [(BETA25, 0.0080663716415499966),
+                                             (EKW, 0.0085611014536742523)],
+                             ids=["beta25", "ekw"])
+    def test_l4_of_cancelling_sums(self, theta, want):
+        assert series.l_moments(theta, 4)[3] == pytest.approx(want, rel=1e-12)
 
     # ln B(gamma, delta + 1) is out of float64 range at these laws, so no
     # series table exists and every value comes from quadrature, where the
