@@ -646,12 +646,26 @@ def _betacf_arr(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 
 def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Vectorized inverse incomplete beta (bracketed Newton), |I_z - u| <= 1e-10.
+    """Vectorized inverse incomplete beta, |I_z - u| <= 1e-10.
 
-    Raises NonConvergenceError, naming the worst u, when the passes run
-    out with a residual above 1e-10 at any point.
+    A unit shape has an exact inverse, taken without iterating:
+    I_z(a, 1) = z^a gives z = u^{1/a}, and I_z(1, b) = 1 - (1 - z)^b gives
+    z = 1 - (1 - u)^{1/b}, both in logs (Jones, Statistical Methodology 6,
+    2009).  Other shapes take a bracketed Newton iteration, which raises
+    NonConvergenceError, naming the worst u, when its passes run out with
+    a residual above 1e-10 at any point.  Endpoints are returned exactly.
     """
     u = np.asarray(u, dtype=float)
+    if a == 1.0 or b == 1.0:
+        with np.errstate(divide="ignore"):
+            if a == b:
+                z = u
+            elif b == 1.0:
+                z = np.exp(np.log(u) / a)
+            else:
+                z = -np.expm1(np.log1p(-u) / b)
+        # exact at u = 0 and u = 1, but u = -0.0 gives -0.0 where a = 1
+        return np.where(u == 0.0, 0.0, z)
     lnB = ln_beta(a, b)
     mean = a / (a + b)
     with np.errstate(divide="ignore", over="ignore"):

@@ -481,7 +481,7 @@ class TestNumericalFailure:
     # numerics can give up: an iteration that does not converge, a
     # division by an underflowed zero, and a float overflow
     @pytest.mark.parametrize("argv", [
-        ("sample", "--theta", "1,1,0.01,0,1", "--n", "100", "--seed", "1"),
+        ("sample", "--theta", "2,3,0.001,4,1", "--n", "100", "--seed", "1"),
         ("eval", "--theta", "1,1,0.01,0,1", "--what", "quantile",
          "--at", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"),
     ], ids=["sample", "eval-quantile"])

@@ -205,11 +205,19 @@ class TestCdf:
 
 class TestQuantile:
     def test_unconverged_array_inverse_raises(self):
-        # the array path (more than 8 points) once returned 7.45e-39 at
-        # u = 0.1 for this law, where the true quantile is 1e-100
+        # the array path (more than 8 points) once returned 7.08e-21 at
+        # every u in 0.1..0.9 for this law; it must raise, not return
         us = np.linspace(0.1, 0.9, 9)
         with pytest.raises(NonConvergenceError, match=r"u=0\.1\b"):
-            quantile(Params(1.0, 1.0, 0.01, 0.0, 1.0), us)
+            quantile(Params(2.0, 3.0, 0.001, 4.0, 1.0), us)
+
+    def test_unit_delta_array_quantile_is_exact(self):
+        # V ~ Beta(0.01, 1) and x = v: the quantile is u^100, which the
+        # Newton iteration of the array path once missed (7.45e-39 at
+        # u = 0.1) and later raised on
+        us = np.linspace(0.05, 0.95, 19)
+        xs = quantile(Params(1.0, 1.0, 0.01, 0.0, 1.0), us)
+        np.testing.assert_allclose(xs, us**100, rtol=1e-13, atol=0.0)
 
     def test_round_trip(self):
         us = np.linspace(0.001, 0.999, 41)
@@ -287,6 +295,13 @@ class TestSample:
         x = sample(WORKHORSE, n, seed=seed)
         d = scipy.stats.kstest(x, lambda v: cdf(WORKHORSE, v)).statistic
         assert d < 1.63 / math.sqrt(n)
+
+    def test_ks_at_tiny_gamma(self):
+        # Params(1, 1, 0.01, 0, 1) has cdf x^0.01: a tenth of its mass lies
+        # below 1e-100
+        x = sample(Params(1.0, 1.0, 0.01, 0.0, 1.0), 2000, seed=1)
+        assert x.min() > 0.0 and x.max() < 1.0
+        assert scipy.stats.kstest(x, lambda v: v**0.01).pvalue > 1e-6
 
     def test_bad_n(self):
         with pytest.raises(ValueError):

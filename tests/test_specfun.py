@@ -376,3 +376,28 @@ class TestArrayVariants:
             fwd = specfun._reg_inc_beta_arr(z, a, b)
             assert np.max(np.abs(fwd - u)) <= 1e-10
             assert z[0] == 0.0 and z[1] == 1.0
+
+    @pytest.mark.parametrize("s", [0.01, 0.3, 1.0, 3.0, 100.0])
+    @pytest.mark.parametrize("unit", ["b", "a"])
+    def test_inverse_at_unit_shape_is_closed_form(self, s, unit, monkeypatch):
+        # I_z(a, 1) = z^a and I_z(1, b) = 1 - (1 - z)^b invert exactly, so
+        # the array inverse takes no Newton pass there
+        a, b = (s, 1.0) if unit == "b" else (1.0, s)
+        u = np.concatenate([[0.0, -0.0, 1.0], np.logspace(-300, -1, 300),
+                            1.0 - np.logspace(-16, -1, 31)])
+        calls = []
+        forward = specfun._reg_inc_beta_arr
+        monkeypatch.setattr(specfun, "_reg_inc_beta_arr",
+                            lambda *args: calls.append(args) or forward(*args))
+        z = specfun._inv_reg_inc_beta_arr(u, a, b)
+        assert calls == []
+        assert z[0] == 0.0 and z[1] == 0.0 and z[2] == 1.0
+        assert not np.signbit(z).any()
+        np.testing.assert_allclose(z, sc.betaincinv(a, b, u), rtol=1e-12, atol=1e-320)
+        # |I_z - u| <= 1e-10, beyond what one float step at z moves I_z by:
+        # where z^a or 1 - (1 - z)^b falls below the float spacing at 0 or
+        # at 1, the exact quantile is not representable
+        fwd = sc.betainc(a, b, z)
+        step = np.maximum(np.abs(sc.betainc(a, b, np.nextafter(z, 1.0)) - fwd),
+                          np.abs(fwd - sc.betainc(a, b, np.nextafter(z, 0.0))))
+        assert np.all(np.abs(fwd - u) <= 1e-10 + step)
