@@ -23,6 +23,7 @@ line numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -261,26 +262,29 @@ def _cmd_props(args) -> int:
             2, "props: request at least one of --moments, --lmoments, --entropy, --deviations"
         )
     ctl = series.SeriesControl(max_terms=args.series_max_terms, tail_tol=args.series_tol)
+    # one set of tables for every verb: the v-table, the powers h^q, the
+    # quadrature nodes and mu_1 are built once per call
+    tables = series._Tables(theta, ctl)
     out: dict = {}
     if args.moments:
         if args.moments < 1:
             raise CliError(2, f"--moments must be a positive integer, got {args.moments}")
-        for r, mu in enumerate(series.moments(theta, range(1, args.moments + 1), ctl), 1):
+        for r, mu in enumerate(series._moments(tables, range(1, args.moments + 1)), 1):
             _annotate(out, f"mu{r}", mu)
     if args.lmoments:
-        for i, v in enumerate(series.l_moments(theta, 4, ctl), 1):
+        for i, v in enumerate(series._l_moments(tables, 4), 1):
             out[f"l{i}"] = float(v)
     if args.entropy is not None:
         rho = args.entropy
         if not rho > 0.0 or rho == 1.0:
             raise CliError(2, f"--entropy: rho must be positive and different from 1, got {rho:g}")
         try:
-            _annotate(out, "renyi", series.renyi_entropy(theta, rho, ctl))
+            _annotate(out, "renyi", series._renyi_entropy(tables, rho))
         except series.DivergentIntegralError as e:
             out["renyi"] = "divergent"
             out["renyi_reason"] = str(e)
     if args.deviations:
-        d1, d2 = series.mean_deviations(theta, ctl)
+        d1, d2 = series._mean_deviations(tables)
         _annotate(out, "delta1", d1)
         _annotate(out, "delta2", d2)
     print(_json_text(out))
@@ -440,7 +444,9 @@ def _cmd_lr(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use (about 1 ms)."""
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("global options")
     g.add_argument("--quiet", action="store_true",

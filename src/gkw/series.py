@@ -38,9 +38,16 @@ Work is shared within one call, never across calls.  Every entry point
 builds one _Tables for its theta: it takes ln B(gamma, delta + 1) once,
 decides which tables exist (norm_ok, v_ok), and builds each of omega, v,
 the cdf series v_i/((i+1) alpha), the powers h^q and the quadrature
-panels' (F, f) at most once, on first use.  moments() sweeps j once for
-all its orders, building the Beta rows a block of j at a time, one
-vectorized call per block; l_moments() shares one _Tables among its ten
+nodes' (F, f) at most once, on first use.  moments(), l_moments(),
+renyi_entropy() and mean_deviations() are one-line wrappers around
+bodies that take a _Tables (_moments, _l_moments, _renyi_entropy,
+_mean_deviations); `gkw props` builds one _Tables and runs every verb it
+was asked for on it, so there the call is the whole props call, and the
+mean deviations take mu_1 from the moments sweep (_Tables.mu) instead of
+sweeping again.  The moments sweep visits j once for all its orders,
+building the Beta rows a block of j at a time, one vectorized call per
+block, and truncates each order's m-sums for the whole block with one
+2-D cumsum (_first_runs); l_moments() shares the tables among its ten
 order-statistic moments.  The tables are dropped when the call returns,
 so a repeated call repeats the work and no memory is held.
 """
@@ -210,11 +217,17 @@ def _ps_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.convolve(a[:n], b[:n])[:n]
 
 
+# Orders per block of _ps_pow's weight table: a 16 x n table, never n x n.
+_ORDER_BLOCK = 16
+
+
 def _ps_pow(a: np.ndarray, p: float, n: int) -> np.ndarray:
     """First n coefficients of (sum a_j x^j)^p for real p; needs a[0] != 0.
 
     J.C.P. Miller recurrence: c_0 = a_0^p and
         c_s = (s a_0)^{-1} sum_{j=1..s} (j(p+1) - s) a_j c_{s-j}.
+    The weights (j(p+1) - s) a_j are built _ORDER_BLOCK orders at a time;
+    the dot with c stays one order at a time, as the recurrence needs.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0 or a[0] == 0.0:
@@ -228,10 +241,16 @@ def _ps_pow(a: np.ndarray, p: float, n: int) -> np.ndarray:
     # non-finite entries are caught by callers' convergence checks
     with np.errstate(over="ignore", invalid="ignore"):
         c[0] = a[0] ** p
-        for s in range(1, n):
-            c[s] = np.dot((jp[:s] - s) * a[1 : s + 1], c[s - 1 :: -1][:s]) / (
-                s * a[0]
-            )
+        a0 = float(a[0])
+        for s0 in range(1, n, _ORDER_BLOCK):
+            s1 = min(s0 + _ORDER_BLOCK, n)
+            # row k holds (j(p+1) - s) a_j, j = 1..s1-1, for order s = s0 + k
+            weights = jp[: s1 - 1] - np.arange(s0, s1)[:, None]
+            weights *= a[1:s1]
+            for k, s in enumerate(range(s0, s1)):
+                # the reversed view c[s-1::-1] (length s) keeps NumPy's
+                # sequential dot loop, so the bits match an order-at-a-time build
+                c[s] = np.dot(weights[k, :s], c[s - 1 :: -1]) / (s * a0)
     return c
 
 
@@ -307,40 +326,57 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
         return SeriesValue(0.0, 0.0, 0, "exact", True)
     if complete:
         return SeriesValue(math.fsum(terms), 0.0, terms.size, "exact", True)
-    # a non-finite partial sum is not converged (below); it needs no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        partial = np.cumsum(terms)
-    scale = ctl.tail_tol * np.maximum(np.abs(partial), 1e-300)
-    # a zero partial sum means the series has not started (leading zeros),
-    # and an infinite one that it has diverged: neither has converged
-    small = (np.abs(terms) < scale) & (partial != 0.0) & np.isfinite(partial)
-    if terms.size >= 3:
-        hit = small[2:] & small[1:-1] & small[:-2]
-        idx = np.flatnonzero(hit)
-        if idx.size:
-            k = idx[0] + 2
-            # an algebraic tail can still hold ~tol * k/(s-1) of mass past
-            # the stopping index; add the fitted tail when one exists
-            fit = _power_tail(terms[: k + 1])
-            if fit is not None:
-                tail, bound = fit
-                return SeriesValue(partial[k] + tail, bound, k + 1, "series", True)
-            t_last = abs(terms[k])
-            prev = abs(terms[k - 1])
-            ratio = t_last / prev if prev > 0 else 0.0
-            bound = t_last * (ratio / (1 - ratio) if ratio < 0.9 else 10.0)
-            return SeriesValue(partial[k], max(bound, t_last), k + 1, "series", True)
-    if np.all(np.isfinite(partial)):
-        fit = _power_tail(terms)
-        if fit is not None:
-            tail, bound = fit
-            return SeriesValue(partial[-1] + tail, bound, terms.size, "series", True)
-    if warn_label:
+    partial, stops = _first_runs(terms[None, :], ctl)
+    sv = _row_sum(terms, partial[0], int(stops[0]))
+    if warn_label and not sv.converged:
         warnings.warn(
             f"{warn_label}: truncation criterion not met after {terms.size} terms",
             SeriesDivergenceWarning,
             stacklevel=3,
         )
+    return sv
+
+
+def _first_runs(terms: np.ndarray, ctl: SeriesControl) -> tuple[np.ndarray, np.ndarray]:
+    """The truncation rule on every row of a 2-D term array at once.
+
+    Returns the rows' partial sums and, per row, the index k of the last
+    of its first three consecutive small terms (-1 where there is none).
+    The cumsum runs along each row in order, so a row's partial sums are
+    the bits a 1-D cumsum of that row gives.
+    """
+    # a non-finite partial sum is not converged (below); it needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = np.cumsum(terms, axis=1)
+    scale = ctl.tail_tol * np.maximum(np.abs(partial), 1e-300)
+    # a zero partial sum means the series has not started (leading zeros),
+    # and an infinite one that it has diverged: neither has converged
+    small = (np.abs(terms) < scale) & (partial != 0.0) & np.isfinite(partial)
+    hit = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+    if hit.shape[1] == 0:
+        return partial, np.full(len(terms), -1)
+    return partial, np.where(hit.any(axis=1), hit.argmax(axis=1) + 2, -1)
+
+
+def _row_sum(terms: np.ndarray, partial: np.ndarray, k: int) -> SeriesValue:
+    """_sum_terms of one row from its partial sums and _first_runs stop k."""
+    if k >= 0:
+        # an algebraic tail can still hold ~tol * k/(s-1) of mass past
+        # the stopping index; add the fitted tail when one exists
+        fit = _power_tail(terms[: k + 1])
+        if fit is not None:
+            tail, bound = fit
+            return SeriesValue(partial[k] + tail, bound, k + 1, "series", True)
+        t_last = abs(terms[k])
+        prev = abs(terms[k - 1])
+        ratio = t_last / prev if prev > 0 else 0.0
+        bound = t_last * (ratio / (1 - ratio) if ratio < 0.9 else 10.0)
+        return SeriesValue(partial[k], max(bound, t_last), k + 1, "series", True)
+    if np.all(np.isfinite(partial)):
+        fit = _power_tail(terms)
+        if fit is not None:
+            tail, bound = fit
+            return SeriesValue(partial[-1] + tail, bound, terms.size, "series", True)
     return SeriesValue(partial[-1], abs(terms[-1]) * terms.size, terms.size, "series", False)
 
 
@@ -431,9 +467,12 @@ class _Tables:
     ln B(gamma, delta + 1) is taken once.  norm_ok says whether B and 1/B
     are finite, nonzero floats, as omega (over B) and v (times 1/B) need;
     at (2, 3, 1e4, 9999, 1), ln B = -13,866.  v_ok says whether the density
-    power series exists.  omega, v, cdf_coeffs, each power h^q and the
-    quadrature panels' (F, f) are built on first use, at most once.  The
-    tables live only as long as the call that made them.
+    power series exists.  omega, v, cdf_coeffs, each power h^q and F and f
+    at each array of quadrature nodes are built on first use, at most
+    once, and mu keeps each moment E[X^r] a moments sweep has computed,
+    so a later mean deviation takes mu_1 from it.  The tables live only as long as
+    the call that made them: one public function call, or one `gkw props`
+    call, whose verbs all run on one _Tables.
     """
 
     def __init__(self, theta: Params, ctl: SeriesControl):
@@ -444,7 +483,9 @@ class _Tables:
         self.norm_ok = abs(self.ln_b) < _LOG_MAX
         self.v_ok = self.norm_ok and _is_pos_int(g * l) and (d == 0.0 or _is_pos_int(l))
         self._powers: dict[int, np.ndarray] = {}
-        self._nodes: dict[bytes, tuple] = {}
+        self._cdfs: dict[bytes, np.ndarray] = {}
+        self._pdfs: dict[bytes, np.ndarray] = {}
+        self.mu: dict[float, SeriesValue] = {}
 
     @functools.cached_property
     def omega(self) -> np.ndarray:
@@ -494,19 +535,26 @@ class _Tables:
             self._powers[q] = _ps_pow(h, float(q), len(h))
         return self._powers[q]
 
+    def pdf_at(self, x: np.ndarray) -> np.ndarray:
+        """f at the quadrature nodes x, once per node array: every
+        integrand of one call shares it."""
+        key = x.tobytes()
+        if key not in self._pdfs:
+            self._pdfs[key] = core.pdf(self.theta, x)
+        return self._pdfs[key]
+
     def at_nodes(self, x: np.ndarray) -> tuple:
         """(F, f) at the nodes x, once per node array.  Without norm_ok F is
         taken point by point, so that core takes the scalar incomplete
         beta, where the array one can stall (fault F3)."""
         key = x.tobytes()
-        if key not in self._nodes:
+        if key not in self._cdfs:
             th = self.theta
             if self.norm_ok:
-                F = core.cdf(th, x)
+                self._cdfs[key] = core.cdf(th, x)
             else:
-                F = np.array([core.cdf(th, float(u)) for u in x])
-            self._nodes[key] = F, core.pdf(th, x)
-        return self._nodes[key]
+                self._cdfs[key] = np.array([core.cdf(th, float(u)) for u in x])
+        return self._cdfs[key], self.pdf_at(x)
 
 
 def omega_weights(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
@@ -659,21 +707,28 @@ def _psi_coeffs(rr: float, ctl: SeriesControl) -> tuple[int, np.ndarray, bool]:
     return count, _signed_binom(rr, count), _is_nonneg_int(rr)
 
 
-def _psi_moment(psi: float, row: np.ndarray, coeffs,
-                ctl: SeriesControl) -> tuple[float, float, bool]:
-    """psi * M(r) = psi * sum_m (-1)^m C(rr, m) B(psi, m/b + 1).
+def _psi_moments(psis: np.ndarray, rows: np.ndarray, coeffs, ctl: SeriesControl):
+    """psi * M(r) = psi * sum_m (-1)^m C(rr, m) B(psi, m/b + 1) for a block
+    of psi.
 
     This equals E[x(Y)^r] for Y ~ Beta(psi, 1), hence tends to 1 as psi
-    grows.  row is psi's row of :func:`_beta_rows`, at least count long, and
-    coeffs is :func:`_psi_coeffs` for rr.  Returns (value, tail_bound,
-    converged).
+    grows.  rows is the block's :func:`_beta_rows`, at least count wide,
+    and coeffs is :func:`_psi_coeffs` for rr.  Returns a function of the
+    row index i giving (value, tail_bound, converged) for psis[i].  A
+    truncated m-sum takes the truncation rule on all rows at once
+    (_first_runs) and finishes a row (_row_sum) only when it is asked for.
     """
     count, signed_binom, exact = coeffs
     if exact:
-        terms = signed_binom * row[:count]
-        return psi * float(terms.sum()), 0.0, True
-    sv = _sum_terms(psi * signed_binom * row[:count], ctl)
-    return float(sv), sv.tail_bound, sv.converged
+        return lambda i: (psis[i] * float((signed_binom * rows[i, :count]).sum()), 0.0, True)
+    terms = psis[:, None] * signed_binom * rows[:, :count]
+    partial, stops = _first_runs(terms, ctl)
+
+    def row(i: int) -> tuple[float, float, bool]:
+        sv = _row_sum(terms[i], partial[i], int(stops[i]))
+        return float(sv), sv.tail_bound, sv.converged
+
+    return row
 
 
 def _moment_finite(b: float, rr: float, omegas, psis, ctl: SeriesControl) -> SeriesValue:
@@ -724,51 +779,65 @@ def moments(theta: Params, rs, ctl: SeriesControl = _DEFAULT_CTL) -> list[Series
     vectorized call and are never kept across calls.  Each r keeps its
     own truncation of the j-sum and its own quadrature fallback.
     """
+    return _moments(_Tables(theta, ctl), rs)
+
+
+def _moments(tables: _Tables, rs) -> list[SeriesValue]:
+    """moments() on shared tables; keeps each value in tables.mu when it
+    is the value a lone moment(theta, r) call gives."""
+    theta, ctl = tables.theta, tables.ctl
     a, b, g, d, l = theta.as_tuple()
     rs = list(rs)
     for r in rs:
         if not (r > -a):
             raise ValueError(f"moment requires r > -alpha = {-a:g}, got r={r:g}")
-    tables = _Tables(theta, ctl)
     try:
         # Python floats: NumPy scalars would slow the j loop below
         omega = tables.omega.tolist()
     except ExpansionDomainError:
-        return [_moment_quad(tables, r) for r in rs]
+        out = [_moment_quad(tables, r) for r in rs]
+        tables.mu.update(zip(rs, out))
+        return out
     rrs = [r / a for r in rs]
     int_delta = _is_nonneg_int(d)
+    lone = [True] * len(rs)
     if int_delta:
         psis = [l * (g + j) for j in range(len(omega))]
         if all(_is_pos_int(ps) for ps in psis) and max(psis) <= 25.0:
             # fully finite double sum; large psi cancel catastrophically
             finite = [_moment_finite(b, rr, omega, psis, ctl) for rr in rrs]
             if all(v.converged for v in finite):
+                tables.mu.update(zip(rs, finite))
                 return finite
+            # every r takes the sweep, though a lone call of an r whose
+            # finite sum converged returns that sum: only the others are kept
+            lone = [not v.converged for v in finite]
     coeffs = [_psi_coeffs(rr, ctl) for rr in rrs]
     width = max((c[0] for c in coeffs), default=0)
     # integer delta sums omega_j psi_j M_j over every j; general delta sums
-    # omega_j (psi_j M_j - 1) until its own truncation rule fires
+    # omega_j (psi_j M_j - 1) until its own truncation rule fires.  The r
+    # share each block's rows and take them in order, one r at a time.
     sums = [_TermSum(ctl) for _ in rs]
     bounds = [0.0] * len(rs)
     oks = [True] * len(rs)
     active = list(range(len(rs)))
-    for j, om in enumerate(omega):
+    for j0 in range(0, len(omega), _ROW_BLOCK):
         if not active:
             break
-        psi = l * (g + j)
-        if j % _ROW_BLOCK == 0:
-            js = np.arange(j, min(j + _ROW_BLOCK, len(omega)), dtype=float)
-            rows = _beta_rows(l * (g + js), b, width)
-        row = rows[j % _ROW_BLOCK]
+        block = l * (g + np.arange(j0, min(j0 + _ROW_BLOCK, len(omega)), dtype=float))
+        rows = _beta_rows(block, b, width)
         still = []
         for k in active:
-            val, tb, conv = _psi_moment(psi, row, coeffs[k], ctl)
-            bounds[k] += abs(om) * tb
-            oks[k] = oks[k] and conv
-            if int_delta:
-                sums[k].add(om * val)
-                still.append(k)
-            elif not sums[k].add(om * (val - 1.0)):
+            psi_moment = _psi_moments(block, rows, coeffs[k], ctl)
+            for i, om in enumerate(omega[j0 : j0 + len(block)]):
+                val, tb, conv = psi_moment(i)
+                bounds[k] += abs(om) * tb
+                oks[k] = oks[k] and conv
+                if int_delta:
+                    sums[k].add(om * val)
+                elif sums[k].add(om * (val - 1.0)):
+                    break
+            else:
                 still.append(k)
         active = still
 
@@ -786,12 +855,19 @@ def moments(theta: Params, rs, ctl: SeriesControl = _DEFAULT_CTL) -> list[Series
             value = SeriesValue(1.0 + float(sv), sv.tail_bound + bounds[k], sv.terms,
                                 "series", True)
         out.append(value if ok else _moment_quad(tables, r))
+    tables.mu.update((r, v) for r, v, own in zip(rs, out, lone) if own)
     return out
 
 
+def _mean(tables: _Tables) -> SeriesValue:
+    """E[X] as moment(theta, 1) gives it, taken from tables.mu when a
+    moments sweep on these tables has kept it."""
+    mu = tables.mu.get(1.0)
+    return mu if mu is not None else _moments(tables, (1.0,))[0]
+
+
 def _moment_quad(tables: _Tables, r: float) -> SeriesValue:
-    theta = tables.theta
-    return _quad(tables, lambda x: np.power(x, r) * core.pdf(theta, x))
+    return _quad(tables, lambda x: np.power(x, r) * tables.pdf_at(x))
 
 
 _CUMULANT_FORMULAS = {
@@ -892,7 +968,7 @@ def mgf(theta: Params, t: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesVal
         if sv.converged and _rounding_ok(sv, np.abs(terms[:sv.terms]).sum(), ctl):
             return SeriesValue(math.exp(t) - t * float(sv), abs(t) * sv.tail_bound,
                                sv.terms, "series", True)
-    return _quad(tables, lambda x: np.exp(t * x) * core.pdf(theta, x))
+    return _quad(tables, lambda x: np.exp(t * x) * tables.pdf_at(x))
 
 
 # ----------------------------------------------------------------------
@@ -962,7 +1038,7 @@ def _j_integrals(tables: _Tables, uppers) -> list[SeriesValue]:
             if sv.converged and _rounding_ok(sv, np.abs(terms[:sv.terms]).sum(), tables.ctl):
                 out.append(sv)
                 continue
-        out.append(_quad(tables, lambda x: x * core.pdf(theta, x), min(upper, 1.0)))
+        out.append(_quad(tables, lambda x: x * tables.pdf_at(x), min(upper, 1.0)))
     return out
 
 
@@ -972,9 +1048,15 @@ def mean_deviations(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> tuple[S
     delta1 = 2 [mu F(mu) - J(mu)], delta2 = mu - 2 J(M) with M the median
     and J the incomplete first moment.
     """
-    mu = float(moment(theta, 1.0, ctl))
+    return _mean_deviations(_Tables(theta, ctl))
+
+
+def _mean_deviations(tables: _Tables) -> tuple[SeriesValue, SeriesValue]:
+    """mean_deviations() on shared tables: mu from _mean, J from tables.v."""
+    theta = tables.theta
+    mu = float(_mean(tables))
     med = core.quantile(theta, 0.5)
-    j_mu, j_med = _j_integrals(_Tables(theta, ctl), (mu, med))
+    j_mu, j_med = _j_integrals(tables, (mu, med))
     d1 = 2.0 * (mu * core.cdf(theta, mu) - float(j_mu))
     d2 = mu - 2.0 * float(j_med)
     meth1 = j_mu.method if j_mu.method != "exact" else "series"
@@ -989,9 +1071,10 @@ def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl = _DEFAULT_CTL
     """Bonferroni B(p) = J(q)/(p mu) and Lorenz L(p) = J(q)/mu, q = Q(p)."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-    mu = float(moment(theta, 1.0, ctl))
+    tables = _Tables(theta, ctl)
+    mu = float(_mean(tables))
     q = core.quantile(theta, p)
-    (jq,) = _j_integrals(_Tables(theta, ctl), (q,))
+    (jq,) = _j_integrals(tables, (q,))
     lorenz = float(jq) / mu
     bound = jq.tail_bound / mu
     return (
@@ -1070,9 +1153,14 @@ def l_moments(theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL) -> l
         lambda_3 = (m_{3:3} - 2 m_{2:3} + m_{1:3}) / 3,
         lambda_4 = (m_{4:4} - 3 m_{3:4} + 3 m_{2:4} - m_{1:4}) / 4.
     """
+    return _l_moments(_Tables(theta, ctl), up_to)
+
+
+def _l_moments(tables: _Tables, up_to: int) -> list[float]:
+    """l_moments() on shared tables: one h^q and one node table for all
+    ten order-statistic moments."""
     if not (isinstance(up_to, (int, np.integer)) and 1 <= up_to <= 4):
         raise ValueError(f"up_to must be an integer in 1..4, got {up_to!r}")
-    tables = _Tables(theta, ctl)
 
     def m(i: int, n: int) -> float:
         return float(_order_stat_series(tables, i, n, 1.0))
@@ -1110,8 +1198,14 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl = _DEFAULT_CTL) 
     / alpha is a finite float.  Outside that region -- or should truncation
     fail -- quadrature of exp(rho log f) takes over, tagged as such.
     """
+    return _renyi_entropy(_Tables(theta, ctl), rho)
+
+
+def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:
+    """renyi_entropy() on shared tables: ln B and f at the quadrature nodes."""
     if not (rho > 0.0) or rho == 1.0:
         raise ValueError(f"rho must be positive and different from 1, got {rho!r}")
+    theta, ctl = tables.theta, tables.ctl
     a, b, g, d, l = theta.as_tuple()
     e0 = rho * (a * g * l - 1.0)
     e1 = rho * (b * (d + 1.0) - 1.0)
@@ -1123,7 +1217,6 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl = _DEFAULT_CTL) 
         raise DivergentIntegralError(
             f"integral of f^rho diverges at x=1 (exponent {e1:g} <= -1)"
         )
-    tables = _Tables(theta, ctl)
     b_exp = rho * (b - 1.0) + 1.0
     log_front = rho * (math.log(l) + math.log(a) + math.log(b) - tables.ln_b) - math.log(a)
     rd = rho * d
@@ -1166,7 +1259,7 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl = _DEFAULT_CTL) 
                         "series",
                         True,
                     )
-    quad = _quad(tables, lambda x: np.power(core.pdf(theta, x), rho))
+    quad = _quad(tables, lambda x: np.power(tables.pdf_at(x), rho))
     return SeriesValue(math.log(quad) / (1.0 - rho),
                        quad.tail_bound / (float(quad) * abs(1.0 - rho)),
                        quad.terms, "quadrature", quad.converged)

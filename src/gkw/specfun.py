@@ -145,18 +145,23 @@ def _ln_gamma_arr(x: np.ndarray) -> np.ndarray:
 def _ln_beta_arr(a, b) -> np.ndarray:
     """Vectorized ln B(a, b); a and b broadcast (internal).
 
-    Shares the large-argument rewrite with ``ln_beta`` so huge shape
-    values keep absolute (not just relative) accuracy.
+    ln Gamma(a) and ln Gamma(b) are taken at the shapes of a and b and
+    then broadcast; only ln Gamma(a + b) runs on the broadcast grid, so a
+    column of 32 against a row of 400 costs 32 + 400 + 12,800 ln Gamma
+    values, not 3 x 12,800.  Each cell is the same sequence of operations
+    either way, hence the same bits.  Shares the large-argument rewrite
+    with ``ln_beta`` so huge shape values keep absolute (not just
+    relative) accuracy.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    naive = _ln_gamma_arr(a) + _ln_gamma_arr(b) - _ln_gamma_arr(a + b)
+    if not (np.any(a >= 1e5) or np.any(b >= 1e5)):
+        return naive
     a, b = np.broadcast_arrays(a, b)
     hi = np.maximum(a, b)
     lo = np.minimum(a, b)
-    naive = _ln_gamma_arr(a) + _ln_gamma_arr(b) - _ln_gamma_arr(a + b)
     big = hi >= 1e5
-    if not np.any(big):
-        return naive
     hi_s = np.where(big, hi, 2e5)
     lo_s = np.where(big, lo, 1.0)
     stable = (
@@ -684,7 +689,8 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
             break
         hi = np.where(g > 0.0, z, hi)
         lo = np.where(g <= 0.0, z, lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an overflowing density gives a step the bracket test rejects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lpdf = (a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z) - lnB
             dens = np.exp(lpdf)
             zn = z - g / dens

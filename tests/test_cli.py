@@ -13,11 +13,12 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from gkw import core, estim, series
+from gkw import __version__, cli, core, estim, series
 from gkw.cli import main
 from gkw.core import Params
 from gkw.estim import Dataset
@@ -466,6 +467,18 @@ class TestPlumbing:
         code, _, _ = run_cli("frobnicate")
         assert code == 2
 
+    def test_parser_is_built_once_and_reused(self):
+        # the second call reuses the first call's parser: errors and
+        # --version behave as on a fresh one
+        assert run_cli("eval", "--theta", "1,1,1,0,1", "--at", "0.5")[0] == 0
+        code, out, err = run_cli("props", "--theta", "1,1,1,0,1", "--no-such-flag")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --no-such-flag" in err
+        assert err.startswith("usage: gkw")
+        code, out, _ = run_cli("--version")
+        assert code == 0 and out == f"gkw {__version__}\n"
+        assert cli._build_parser() is cli._build_parser()
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gkw.cli", "eval", "--theta", "1,1,1,0,1",
@@ -492,12 +505,23 @@ class TestNumericalFailure:
         assert code == 4
         assert err.startswith(f"gkw {argv[0]}: numerical failure: ")
 
+    def test_sampler_overflow_is_exit_4_with_warnings_as_errors(self, tmp_path):
+        # the F2 law: the Newton density overflows before the iteration
+        # gives up, and that overflow must not escape as a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli("sample", "--theta", "2,3,0.001,4,1", "--n", "100",
+                                   "--seed", "1", "--out", str(tmp_path / "d.csv"))
+        assert code == 4
+        assert err.startswith("gkw sample: numerical failure: ")
+
     @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
     def test_arithmetic_error_is_exit_4(self, error, monkeypatch):
         def fail(*args):
             raise error("float trouble")
 
-        monkeypatch.setattr(series, "moments", fail)
+        # `gkw props` runs the moments sweep on its shared tables
+        monkeypatch.setattr(series, "_moments", fail)
         code, _, err = run_cli("props", "--theta", "2,3,1.5,0.5,2", "--moments", "2")
         assert code == 4
         assert err == "gkw props: numerical failure: float trouble\n"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkw import core, oracle, series, specfun
+from gkw import cli, core, oracle, series, specfun
 from gkw.core import Params
 from gkw.series import (
     CoeffTable,
@@ -868,6 +868,41 @@ class TestKernelsBitForBit:
         if g > 1e4:
             assert psis.min() < 1e5 <= psis.max()
 
+    def test_ln_beta_arr_grid_equals_per_cell_calls(self):
+        # ln Gamma of a column and a row broadcast against ln Gamma(a + b)
+        # on the grid; cells on both sides of the hi >= 1e5 rewrite
+        a = np.array([0.3, 1.5, 7.0, 99999.5, 1e5, 2.5e5])
+        b = np.array([0.2, 1.0, 3.7, 50.0, 1e5 + 3.0])
+        grid = series._ln_beta_arr(a[:, None], b[None, :])
+        assert grid.shape == (a.size, b.size)
+        cells = np.array([[series._ln_beta_arr(x, y) for y in b] for x in a])
+        assert grid.tobytes() == cells.tobytes()
+        hi = np.maximum(a[:, None], b[None, :])
+        assert (hi < 1e5).any() and (hi >= 1e5).any()
+
+    @pytest.mark.parametrize("theta", [WORKHORSE, MOUND, KWKW], ids=["workhorse", "mound", "kwkw"])
+    @pytest.mark.parametrize("max_terms", [400, 7])
+    def test_psi_block_truncation_equals_per_row_sums(self, theta, max_terms):
+        ctl = SeriesControl(max_terms=max_terms)
+        a, b, g, _, l = theta.as_tuple()
+        psis = l * (g + np.arange(series._ROW_BLOCK, dtype=float))
+        checked = 0
+        for r in (1.0, 2.0, 3.0, 4.0):
+            count, signed_binom, exact = series._psi_coeffs(r / a, ctl)
+            if exact:
+                continue
+            rows = series._beta_rows(psis, b, count)
+            terms = psis[:, None] * signed_binom * rows
+            partial, stops = series._first_runs(terms, ctl)
+            psi_moment = series._psi_moments(psis, rows, (count, signed_binom, exact), ctl)
+            for i, psi in enumerate(psis):
+                want = series._sum_terms(float(psi) * signed_binom * rows[i], ctl)
+                got = series._row_sum(terms[i], partial[i], int(stops[i]))
+                assert _same_value(got, want)
+                assert psi_moment(i) == (float(want), want.tail_bound, want.converged)
+                checked += 1
+        assert checked >= series._ROW_BLOCK
+
     @pytest.mark.parametrize("p", [3.0, 0.5, -1.5, 2.4])
     @pytest.mark.parametrize("n", [1, 2, 50, 400])
     def test_ps_pow_equals_the_per_order_loop(self, p, n):
@@ -950,6 +985,43 @@ class TestSharedTables:
         monkeypatch.setattr(core, "cdf", cdf)
         series.l_moments(BATHTUB, 4)
         assert len(cdf.keys) == len(set(cdf.keys)) > 0
+
+    # one `gkw props` call with all four verbs runs them on one set of tables
+    def _props(self, theta, capsys):
+        text = ",".join(f"{v:g}" for v in theta.as_tuple())
+        assert cli.main(["props", "--theta", text, "--moments", "4", "--lmoments",
+                         "--entropy", "0.5", "--deviations", "--quiet"]) == 0
+        return capsys.readouterr().out
+
+    def test_props_builds_each_psi_row_once(self, monkeypatch, capsys):
+        rows = _Recorder(series._beta_rows, lambda psis, b, count: tuple(psis))
+        monkeypatch.setattr(series, "_beta_rows", rows)
+        self._props(WORKHORSE, capsys)
+        psis = _psis(rows.keys)
+        # the mean deviations take mu_1 from the moments sweep
+        assert len(psis) == len(set(psis)) > 0
+
+    def test_props_builds_the_v_table_once(self, monkeypatch, capsys):
+        tables = _Recorder(series._v_coeffs, lambda theta, n: n)
+        monkeypatch.setattr(series, "_v_coeffs", tables)
+        out = self._props(EKW, capsys)
+        # the L-moments and the mean deviations both sum v-table series
+        assert len(tables.keys) == 1
+        assert '"delta1_method": "series"' in out and '"l4"' in out
+
+    def test_tables_keep_only_moments_a_lone_call_gives(self):
+        # Beta(10, 4): the finite double sum cancels below rounding at
+        # r = 1, 2 but not at r = 3, 4, so the four orders together take
+        # the sweep, and a lone call at r = 3 or 4 takes the finite sum
+        theta = Params(1, 1, 10, 3, 1)
+        tables = series._Tables(theta, SeriesControl())
+        got = series._moments(tables, [1, 2, 3, 4])
+        assert sorted(tables.mu) == [1, 2]
+        for r in (1, 2):
+            assert _same_value(tables.mu[r], series.moment(theta, r))
+        assert float(got[2]) != float(series.moment(theta, 3))
+        pairs = zip(series._mean_deviations(tables), series.mean_deviations(theta))
+        assert all(_same_value(x, y) for x, y in pairs)
 
     def test_no_work_is_kept_between_calls(self, monkeypatch):
         cdf = _Recorder(core.cdf, lambda theta, x: None)
