@@ -23,7 +23,7 @@ from gkw.cli import main
 from gkw.core import Params
 from gkw.estim import Dataset
 
-from gridpoints import BATHTUB, GRID12, WORKHORSE
+from gridpoints import BATHTUB, EKW, GRID12, KWKW, WORKHORSE
 
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -548,14 +548,21 @@ class TestGoldenReports:
     # sweeps, the finite double sum, v-table and quadrature L-moments and
     # mean deviations, and the series and quadrature entropy.  With
     # --series-max-terms 7 the sweeps and the v-table sums fall back to
-    # quadrature (workhorse: general delta; bathtub: integer delta).
+    # quadrature (workhorse: general delta; bathtub: integer delta).  The
+    # -entropy2 reports hold the Renyi entropy at rho = 2 alone, for the
+    # two laws whose rho (gamma lambda - 1) equals lambda (kwkw, ekw).
     @pytest.mark.parametrize("name, theta", [
         (name, ",".join(f"{v:g}" for v in theta.as_tuple()))
-        for name, theta in GRID12 + [("workhorse-t7", WORKHORSE), ("bathtub-t7", BATHTUB)]
+        for name, theta in GRID12 + [("workhorse-t7", WORKHORSE), ("bathtub-t7", BATHTUB),
+                                     ("kwkw-entropy2", KWKW), ("ekw-entropy2", EKW)]
     ])
     def test_props_output_is_byte_identical(self, name, theta):
-        extra = ("--series-max-terms", "7") if name.endswith("-t7") else ()
-        code, out, _ = run_cli("props", "--theta", theta, "--moments", "4", "--lmoments",
-                               "--entropy", "0.5", "--deviations", "--quiet", *extra)
+        if name.endswith("-entropy2"):
+            args = ("--entropy", "2")
+        else:
+            args = ("--moments", "4", "--lmoments", "--entropy", "0.5", "--deviations")
+        if name.endswith("-t7"):
+            args += ("--series-max-terms", "7")
+        code, out, _ = run_cli("props", "--theta", theta, *args, "--quiet")
         assert code == 0
         assert out == (DATA_DIR / f"props-{name}.json").read_text()
