@@ -13,9 +13,10 @@ series coefficients, mean deviations, Bonferroni and Lorenz curves,
 order-statistic moments (one route, binomial in 1 - F), L-moments, and
 Renyi entropy.
 
-Truncation policy, implemented once in _sum_terms (_TermSum streams
-terms into it): infinite sums stop at the first index where |term| <
-tail_tol * |partial sum| holds for 3 consecutive terms.  When max_terms is
+Truncation policy, implemented once in _first_runs: infinite sums stop at
+the first index where |term| < tail_tol * |partial sum| holds for 3
+consecutive terms; _sum_terms applies it to one sum, and the moments'
+m-sums and j-sums apply it to a block of rows at once.  When max_terms is
 exhausted first, an algebraic tail extrapolation is attempted (the sums
 here decay like j^{-s}).  Failing that, operations with an integral
 representation switch to adaptive quadrature, all through _quad, and tag
@@ -28,7 +29,8 @@ parameter combinations admit fully finite ("exact") evaluations and are
 detected up front.  A sum of large alternating terms can also cancel
 below rounding; the moment sweeps, the order-statistic q-sums, the Renyi
 m-sum, the incomplete first moment, the mgf and the bare evaluators test
-for that (_rounding_ok) and take the same fallback or flag.
+for that (_rounding_ok, through _sum_ok for a truncated sum) and take the
+same fallback or flag.
 
 Every sum-valued operation returns a SeriesValue: a float carrying the
 achieved tail bound, the number of terms used, the evaluation method
@@ -37,19 +39,21 @@ achieved tail bound, the number of terms used, the evaluation method
 Work is shared within one call, never across calls.  Every entry point
 builds one _Tables for its theta: it takes ln B(gamma, delta + 1) once,
 decides which tables exist (norm_ok, v_ok), and builds each of omega, v,
-the cdf series v_i/((i+1) alpha), the powers h^q and the quadrature
-nodes' (F, f) at most once, on first use.  moments(), l_moments(),
-renyi_entropy() and mean_deviations() are one-line wrappers around
-bodies that take a _Tables (_moments, _l_moments, _renyi_entropy,
-_mean_deviations); `gkw props` builds one _Tables and runs every verb it
-was asked for on it, so there the call is the whole props call, and the
-mean deviations take mu_1 from the moments sweep (_Tables.mu) instead of
-sweeping again.  The moments sweep visits j once for all its orders,
-building the Beta rows a block of j at a time, one vectorized call per
-block, and truncates each order's m-sums for the whole block with one
-2-D cumsum (_first_runs); l_moments() shares the tables among its ten
-order-statistic moments.  The tables are dropped when the call returns,
-so a repeated call repeats the work and no memory is held.
+the cdf series v_i/((i+1) alpha), the powers (S/w)^p and h^q, the
+quadrature nodes' (F, f) and each moment E[X^r] at most once, on first
+use.  moments(), l_moments(), renyi_entropy() and mean_deviations() are
+one-line wrappers around bodies that take a _Tables (_moments,
+_l_moments, _renyi_entropy, _mean_deviations); `gkw props` builds one
+_Tables and runs every verb it was asked for on it, so there the call is
+the whole props call, and the mean deviations take mu_1 from the moments
+memo (_Tables.mu) instead of sweeping again.  Each order r takes the
+route a lone moment(theta, r) call takes; the orders that reach the
+j-sweep share it, building the Beta rows a block of j at a time, one
+vectorized call per block, and truncating each order's m-sums and j-sums
+for the whole block with one 2-D cumsum (_first_runs); l_moments() shares
+the tables among its ten order-statistic moments.  The tables are
+dropped when the call returns, so a repeated call repeats the work and
+no memory is held.
 """
 
 from __future__ import annotations
@@ -380,48 +384,25 @@ def _row_sum(terms: np.ndarray, partial: np.ndarray, k: int) -> SeriesValue:
     return SeriesValue(partial[-1], abs(terms[-1]) * terms.size, terms.size, "series", False)
 
 
+def _sum_ok(sv: SeriesValue, terms: np.ndarray, ctl: SeriesControl,
+            shift: float = 0.0) -> bool:
+    """Whether sv, the truncated sum of terms, converged and shift + sv did
+    not cancel below rounding: _rounding_ok with the mass |shift| plus the
+    |terms| that sv summed."""
+    return sv.converged and _rounding_ok(
+        shift + sv, abs(shift) + float(np.abs(terms[: sv.terms]).sum()), ctl)
+
+
 def _flag_cancellation(sv: SeriesValue, terms: np.ndarray, ctl: SeriesControl,
                        label: str) -> SeriesValue:
     """A bare expansion evaluator's sum, warned about and flagged
     unconverged where its summed terms cancel below rounding."""
-    mass = float(np.abs(terms[: sv.terms]).sum())
-    if not sv.converged or _rounding_ok(sv, mass, ctl):
+    if not sv.converged or _sum_ok(sv, terms, ctl):
         return sv
+    mass = float(np.abs(terms[: sv.terms]).sum())
     warnings.warn(f"{label}: terms cancel below rounding (sum of |terms| {mass:.3g})",
                   SeriesDivergenceWarning, stacklevel=3)
     return SeriesValue(sv, _EPS * mass, sv.terms, sv.method, False)
-
-
-class _TermSum:
-    """_sum_terms for expensive terms that arrive one at a time, so that
-    several sums can share one sweep over j.
-
-    add() takes the next term and returns True once the rule has fired;
-    the caller then stops feeding this sum.  The running total is the
-    same sequence of additions as _sum_terms' cumsum, so value() -- which
-    is _sum_terms on the terms fed -- stops at the same index.
-    """
-
-    def __init__(self, ctl: SeriesControl):
-        self.ctl = ctl
-        self.terms: list[float] = []
-        self.total = 0.0
-        self.small_run = 0
-
-    def add(self, t: float) -> bool:
-        t = float(t)
-        self.terms.append(t)
-        self.total += t
-        total = self.total
-        if (abs(t) < self.ctl.tail_tol * max(abs(total), 1e-300) and total != 0.0
-                and math.isfinite(total)):
-            self.small_run += 1
-        else:
-            self.small_run = 0
-        return self.small_run >= 3
-
-    def value(self) -> SeriesValue:
-        return _sum_terms(self.terms, self.ctl)
 
 
 # Quantile levels at which _quad cuts the range of a narrow law: the outer
@@ -467,12 +448,13 @@ class _Tables:
     ln B(gamma, delta + 1) is taken once.  norm_ok says whether B and 1/B
     are finite, nonzero floats, as omega (over B) and v (times 1/B) need;
     at (2, 3, 1e4, 9999, 1), ln B = -13,866.  v_ok says whether the density
-    power series exists.  omega, v, cdf_coeffs, each power h^q and F and f
-    at each array of quadrature nodes are built on first use, at most
-    once, and mu keeps each moment E[X^r] a moments sweep has computed,
-    so a later mean deviation takes mu_1 from it.  The tables live only as long as
-    the call that made them: one public function call, or one `gkw props`
-    call, whose verbs all run on one _Tables.
+    power series exists.  omega, v, cdf_coeffs, each power (S/w)^p and
+    h^q, and F and f at each array of quadrature nodes are built on first
+    use, at most once.  mu is a memo of E[X^r]: _moments reads it first and
+    writes every value it computes, so a later mean deviation takes mu_1
+    from it.  The tables live only as long as the call that made them: one
+    public function call, or one `gkw props` call, whose verbs all run on
+    one _Tables.
     """
 
     def __init__(self, theta: Params, ctl: SeriesControl):
@@ -482,6 +464,7 @@ class _Tables:
         self.ln_b = ln_beta(g, d + 1.0)
         self.norm_ok = abs(self.ln_b) < _LOG_MAX
         self.v_ok = self.norm_ok and _is_pos_int(g * l) and (d == 0.0 or _is_pos_int(l))
+        self._a_powers: dict[float, np.ndarray] = {}
         self._powers: dict[int, np.ndarray] = {}
         self._cdfs: dict[bytes, np.ndarray] = {}
         self._pdfs: dict[bytes, np.ndarray] = {}
@@ -515,7 +498,7 @@ class _Tables:
                 f"delta={th.delta:g}, lambda={th.lam:g}")
         a, b, _, _, l = self.theta.as_tuple()
         with np.errstate(over="ignore", invalid="ignore"):
-            return l * a * b * math.exp(-self.ln_b) * _v_coeffs(self.theta, self.ctl.max_terms)
+            return l * a * b * math.exp(-self.ln_b) * _v_coeffs(self)
 
     @functools.cached_property
     def cdf_coeffs(self) -> np.ndarray:
@@ -527,6 +510,20 @@ class _Tables:
     def lead(self) -> int:
         """Exact leading zeros of cdf_coeffs (gamma*lambda - 1 of them)."""
         return int(np.flatnonzero(self.cdf_coeffs)[0])
+
+    @functools.cached_property
+    def s_over_w(self) -> np.ndarray:
+        """A = S/w with S(w) = 1 - (1-w)^beta, max_terms coefficients:
+        A_k = (-1)^k C(beta, k+1), A_0 = beta."""
+        return -_signed_binom(self.theta.beta, self.ctl.max_terms + 1)[1:]
+
+    def a_power(self, p: float) -> np.ndarray:
+        """A^p to max_terms, once per exact float p: the v-table and the
+        Renyi series share a power only where their exponents' bits agree."""
+        p = float(p)
+        if p not in self._a_powers:
+            self._a_powers[p] = _ps_pow(self.s_over_w, p, self.ctl.max_terms)
+        return self._a_powers[p]
 
     def h_power(self, q: int) -> np.ndarray:
         """h^q, with F = x^{alpha (lead + 1)} h(x^alpha)."""
@@ -569,10 +566,10 @@ def omega_weights(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarra
     return _Tables(theta, ctl).omega
 
 
-def _v_coeffs(theta: Params, n: int) -> np.ndarray:
-    """Power-series density coefficients v_i up to their constant factor
-    lambda alpha beta / B(gamma, delta + 1), which _Tables.v applies
-    (validity assumed checked).
+def _v_coeffs(tables: _Tables) -> np.ndarray:
+    """Power-series density coefficients v_i, i < max_terms, up to their
+    constant factor lambda alpha beta / B(gamma, delta + 1), which
+    _Tables.v applies (validity assumed checked).
 
     f(x) = sum_i v_i x^{(i+1) alpha - 1}.  Writing w = x^alpha and
     S(w) = 1 - (1-w)^beta, the density is (lambda alpha beta / B) *
@@ -581,18 +578,16 @@ def _v_coeffs(theta: Params, n: int) -> np.ndarray:
     S^m factors as w^m (S/w)^m with S/w analytic and nonzero at 0, which
     is what makes the construction a finite-coefficient recurrence.
     """
-    _, b, g, d, l = theta.as_tuple()
+    _, b, g, d, l = tables.theta.as_tuple()
+    n = tables.ctl.max_terms
     m = int(round(g * l)) - 1
-    # A(w) = S(w)/w: A_k = (-1)^k C(beta, k+1), A_0 = beta
-    A = -_signed_binom(b, n + 1)[1:]
     # (1-w)^{beta-1}
     q = _signed_binom(b - 1.0, n)
-    T = _ps_mul(q, _ps_pow(A, float(m), n), n) if m > 0 else q.copy()
+    T = _ps_mul(q, tables.a_power(m), n) if m > 0 else q.copy()
     if d != 0.0:
         L = int(round(l))
         SL = np.zeros(n)
-        AL = _ps_pow(A, float(L), n)
-        SL[L:] = AL[: n - L]
+        SL[L:] = tables.a_power(L)[: n - L]
         U = -SL
         U[0] += 1.0
         T = _ps_mul(T, _ps_pow(U, d, n), n)
@@ -707,28 +702,23 @@ def _psi_coeffs(rr: float, ctl: SeriesControl) -> tuple[int, np.ndarray, bool]:
     return count, _signed_binom(rr, count), _is_nonneg_int(rr)
 
 
-def _psi_moments(psis: np.ndarray, rows: np.ndarray, coeffs, ctl: SeriesControl):
+def _psi_moments(psis: np.ndarray, rows: np.ndarray, coeffs, ctl: SeriesControl) -> np.ndarray:
     """psi * M(r) = psi * sum_m (-1)^m C(rr, m) B(psi, m/b + 1) for a block
     of psi.
 
     This equals E[x(Y)^r] for Y ~ Beta(psi, 1), hence tends to 1 as psi
     grows.  rows is the block's :func:`_beta_rows`, at least count wide,
-    and coeffs is :func:`_psi_coeffs` for rr.  Returns a function of the
-    row index i giving (value, tail_bound, converged) for psis[i].  A
-    truncated m-sum takes the truncation rule on all rows at once
-    (_first_runs) and finishes a row (_row_sum) only when it is asked for.
+    and coeffs is :func:`_psi_coeffs` for rr.  Returns three rows: the
+    values, their tail bounds and their convergence flags (1 or 0).  A
+    truncated m-sum takes the truncation rule on all rows at once.
     """
     count, signed_binom, exact = coeffs
     if exact:
-        return lambda i: (psis[i] * float((signed_binom * rows[i, :count]).sum()), 0.0, True)
+        vals = psis * (signed_binom * rows[:, :count]).sum(axis=1)
+        return np.stack([vals, np.zeros(len(psis)), np.ones(len(psis))])
     terms = psis[:, None] * signed_binom * rows[:, :count]
-    partial, stops = _first_runs(terms, ctl)
-
-    def row(i: int) -> tuple[float, float, bool]:
-        sv = _row_sum(terms[i], partial[i], int(stops[i]))
-        return float(sv), sv.tail_bound, sv.converged
-
-    return row
+    svs = map(_row_sum, terms, *_first_runs(terms, ctl))
+    return np.array([(sv, sv.tail_bound, sv.converged) for sv in svs]).T
 
 
 def _moment_finite(b: float, rr: float, omegas, psis, ctl: SeriesControl) -> SeriesValue:
@@ -773,97 +763,94 @@ def moment(theta: Params, r: float, ctl: SeriesControl = _DEFAULT_CTL) -> Series
 def moments(theta: Params, rs, ctl: SeriesControl = _DEFAULT_CTL) -> list[SeriesValue]:
     """E[X^r] for every r in rs; each value is what moment(theta, r) gives.
 
-    One sweep over j serves every r: omega_j and the Beta row
-    B(psi_j, m/beta + 1) do not depend on r, so each is built once per
-    call.  The rows are built _ROW_BLOCK values of j at a time in one
-    vectorized call and are never kept across calls.  Each r keeps its
-    own truncation of the j-sum and its own quadrature fallback.
+    The orders that reach the j-sweep share it: omega_j and the Beta rows
+    B(psi_j, m/beta + 1) do not depend on r, so each is built once per call.
     """
     return _moments(_Tables(theta, ctl), rs)
 
 
 def _moments(tables: _Tables, rs) -> list[SeriesValue]:
-    """moments() on shared tables; keeps each value in tables.mu when it
-    is the value a lone moment(theta, r) call gives."""
-    theta, ctl = tables.theta, tables.ctl
+    """moments() on shared tables.  tables.mu is a memo of E[X^r]: each r
+    not in it takes the finite double sum where that converges, then the
+    shared j-sweep, then quadrature, and every value computed is kept."""
+    theta, ctl, mu = tables.theta, tables.ctl, tables.mu
     a, b, g, d, l = theta.as_tuple()
     rs = list(rs)
     for r in rs:
         if not (r > -a):
             raise ValueError(f"moment requires r > -alpha = {-a:g}, got r={r:g}")
-    try:
-        # Python floats: NumPy scalars would slow the j loop below
-        omega = tables.omega.tolist()
-    except ExpansionDomainError:
-        out = [_moment_quad(tables, r) for r in rs]
-        tables.mu.update(zip(rs, out))
-        return out
-    rrs = [r / a for r in rs]
-    int_delta = _is_nonneg_int(d)
-    lone = [True] * len(rs)
-    if int_delta:
+    todo = [r for r in dict.fromkeys(rs) if r not in mu]
+    if todo:
+        try:
+            # Python floats: NumPy scalars would slow the finite sum's j loop
+            omega = tables.omega.tolist()
+        except ExpansionDomainError:
+            omega = []  # no series: every r takes quadrature
         psis = [l * (g + j) for j in range(len(omega))]
-        if all(_is_pos_int(ps) for ps in psis) and max(psis) <= 25.0:
+        if (omega and _is_nonneg_int(d) and all(_is_pos_int(ps) for ps in psis)
+                and max(psis) <= 25.0):
             # fully finite double sum; large psi cancel catastrophically
-            finite = [_moment_finite(b, rr, omega, psis, ctl) for rr in rrs]
-            if all(v.converged for v in finite):
-                tables.mu.update(zip(rs, finite))
-                return finite
-            # every r takes the sweep, though a lone call of an r whose
-            # finite sum converged returns that sum: only the others are kept
-            lone = [not v.converged for v in finite]
-    coeffs = [_psi_coeffs(rr, ctl) for rr in rrs]
-    width = max((c[0] for c in coeffs), default=0)
-    # integer delta sums omega_j psi_j M_j over every j; general delta sums
-    # omega_j (psi_j M_j - 1) until its own truncation rule fires.  The r
-    # share each block's rows and take them in order, one r at a time.
-    sums = [_TermSum(ctl) for _ in rs]
-    bounds = [0.0] * len(rs)
-    oks = [True] * len(rs)
+            for r in todo:
+                value = _moment_finite(b, r / a, omega, psis, ctl)
+                if value.converged:
+                    mu[r] = value
+        swept = [r for r in todo if r not in mu]
+        if omega and swept:
+            mu.update((r, v) for r, v in zip(swept, _moment_sweep(tables, swept))
+                      if v is not None)
+        for r in todo:
+            if r not in mu:
+                mu[r] = _moment_quad(tables, r)
+    return [mu[r] for r in rs]
+
+
+def _moment_sweep(tables: _Tables, rs) -> list[SeriesValue | None]:
+    """The j-sweep shared by the orders rs; None where an order's sum does
+    not converge or cancels below rounding.
+
+    Integer delta sums omega_j psi_j M_j over every j; general delta sums
+    omega_j (psi_j M_j - 1) until the order's truncation rule fires, which
+    one _first_runs per block of _ROW_BLOCK rows decides for every order
+    still summing.  Its cumsum adds in order, so a stopped order's value
+    is _sum_terms of its j-terms up to the stop.
+    """
+    a, b, g, d, l = tables.theta.as_tuple()
+    ctl, omega = tables.ctl, tables.omega
+    shift = 0.0 if _is_nonneg_int(d) else 1.0  # nonzero: general delta
+    coeffs = [_psi_coeffs(r / a, ctl) for r in rs]
+    width = max(c[0] for c in coeffs)
+    n = len(omega)
+    # psi_j M_j, its tail bound and its convergence flag, per order and j
+    parts = np.zeros((3, len(rs), n))
+    used = [n] * len(rs)
     active = list(range(len(rs)))
-    for j0 in range(0, len(omega), _ROW_BLOCK):
-        if not active:
-            break
-        block = l * (g + np.arange(j0, min(j0 + _ROW_BLOCK, len(omega)), dtype=float))
+    for j0 in range(0, n, _ROW_BLOCK):
+        j1 = min(j0 + _ROW_BLOCK, n)
+        block = l * (g + np.arange(j0, j1, dtype=float))
         rows = _beta_rows(block, b, width)
-        still = []
         for k in active:
-            psi_moment = _psi_moments(block, rows, coeffs[k], ctl)
-            for i, om in enumerate(omega[j0 : j0 + len(block)]):
-                val, tb, conv = psi_moment(i)
-                bounds[k] += abs(om) * tb
-                oks[k] = oks[k] and conv
-                if int_delta:
-                    sums[k].add(om * val)
-                elif sums[k].add(om * (val - 1.0)):
-                    break
-            else:
-                still.append(k)
-        active = still
-
+            parts[:, k, j0:j1] = _psi_moments(block, rows, coeffs[k], ctl)
+        if shift:
+            _, stops = _first_runs(omega[:j1] * (parts[0, active, :j1] - 1.0), ctl)
+            for k, stop in zip(active, stops):
+                if stop >= 0:
+                    used[k] = int(stop) + 1
+            active = [k for k, stop in zip(active, stops) if stop < 0]
+            if not active:
+                break
     out = []
-    for k, r in enumerate(rs):
-        mass = sum(map(abs, sums[k].terms))
-        if int_delta:
-            total = sums[k].total
-            ok = oks[k] and _rounding_ok(total, mass, ctl)
-            method = "exact" if _is_nonneg_int(rrs[k]) else "series"
-            value = SeriesValue(total, bounds[k], len(omega), method, True)
+    for k, (terms, count) in enumerate(zip(omega * (parts[0] - shift), used)):
+        t = terms[:count]
+        bound = np.cumsum(np.abs(omega[:count]) * parts[1, k, :count])[-1]
+        if shift:
+            sv = _sum_terms(t, ctl)
+            value = SeriesValue(1.0 + float(sv), sv.tail_bound + bound, sv.terms, "series",
+                                sv.converged)
         else:
-            sv = sums[k].value()
-            ok = oks[k] and sv.converged and _rounding_ok(1.0 + float(sv), mass, ctl)
-            value = SeriesValue(1.0 + float(sv), sv.tail_bound + bounds[k], sv.terms,
-                                "series", True)
-        out.append(value if ok else _moment_quad(tables, r))
-    tables.mu.update((r, v) for r, v, own in zip(rs, out, lone) if own)
+            value = SeriesValue(np.cumsum(t)[-1], bound, n,
+                                "exact" if coeffs[k][2] else "series", True)
+        out.append(value if parts[2, k, :count].all() and _sum_ok(value, t, ctl) else None)
     return out
-
-
-def _mean(tables: _Tables) -> SeriesValue:
-    """E[X] as moment(theta, 1) gives it, taken from tables.mu when a
-    moments sweep on these tables has kept it."""
-    mu = tables.mu.get(1.0)
-    return mu if mu is not None else _moments(tables, (1.0,))[0]
 
 
 def _moment_quad(tables: _Tables, r: float) -> SeriesValue:
@@ -965,7 +952,7 @@ def mgf(theta: Params, t: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesVal
         phis = np.array([_phi_kernel((ii + 1.0) * theta.alpha + 1.0, t) for ii in i])
         terms = vstar * phis
         sv = _sum_terms(terms, ctl)
-        if sv.converged and _rounding_ok(sv, np.abs(terms[:sv.terms]).sum(), ctl):
+        if _sum_ok(sv, terms, ctl):
             return SeriesValue(math.exp(t) - t * float(sv), abs(t) * sv.tail_bound,
                                sv.terms, "series", True)
     return _quad(tables, lambda x: np.exp(t * x) * tables.pdf_at(x))
@@ -1035,7 +1022,7 @@ def _j_integrals(tables: _Tables, uppers) -> list[SeriesValue]:
             expo = (np.arange(len(v), dtype=float) + 1.0) * theta.alpha + 1.0
             terms = v * np.power(upper, expo) / expo
             sv = _sum_terms(terms, tables.ctl)
-            if sv.converged and _rounding_ok(sv, np.abs(terms[:sv.terms]).sum(), tables.ctl):
+            if _sum_ok(sv, terms, tables.ctl):
                 out.append(sv)
                 continue
         out.append(_quad(tables, lambda x: x * tables.pdf_at(x), min(upper, 1.0)))
@@ -1052,9 +1039,10 @@ def mean_deviations(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> tuple[S
 
 
 def _mean_deviations(tables: _Tables) -> tuple[SeriesValue, SeriesValue]:
-    """mean_deviations() on shared tables: mu from _mean, J from tables.v."""
+    """mean_deviations() on shared tables: mu from the moments memo, J
+    from tables.v."""
     theta = tables.theta
-    mu = float(_mean(tables))
+    mu = float(_moments(tables, (1.0,))[0])
     med = core.quantile(theta, 0.5)
     j_mu, j_med = _j_integrals(tables, (mu, med))
     d1 = 2.0 * (mu * core.cdf(theta, mu) - float(j_mu))
@@ -1072,7 +1060,7 @@ def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl = _DEFAULT_CTL
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     tables = _Tables(theta, ctl)
-    mu = float(_mean(tables))
+    mu = float(_moments(tables, (1.0,))[0])
     q = core.quantile(theta, p)
     (jq,) = _j_integrals(tables, (q,))
     lorenz = float(jq) / mu
@@ -1135,7 +1123,7 @@ def _order_stat_series(tables: _Tables, i: int, n: int, r: float) -> SeriesValue
         s = np.arange(len(hq), dtype=float)
         terms = hq / (r + (s + q * (lead + 1.0)) * a)
         sv = _sum_terms(terms, tables.ctl)
-        if not (sv.converged and _rounding_ok(sv, np.abs(terms[:sv.terms]).sum(), tables.ctl)):
+        if not _sum_ok(sv, terms, tables.ctl):
             return _order_stat_quad(tables, i, n, r)
         coeff = inv_b * (-1.0) ** j * math.comb(n - i, j)
         t_q = 1.0 / q - (r / q) * float(sv)
@@ -1202,7 +1190,8 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl = _DEFAULT_CTL) 
 
 
 def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:
-    """renyi_entropy() on shared tables: ln B and f at the quadrature nodes."""
+    """renyi_entropy() on shared tables: ln B, the powers (S/w)^p and f
+    at the quadrature nodes."""
     if not (rho > 0.0) or rho == 1.0:
         raise ValueError(f"rho must be positive and different from 1, got {rho!r}")
     theta, ctl = tables.theta, tables.ctl
@@ -1222,15 +1211,14 @@ def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:
     rd = rho * d
     if b_exp > 0.0 and _is_nonneg_int(rd) and log_front < _LOG_MAX:
         N = ctl.max_terms
-        A = -_signed_binom(b, N + 1)[1:]
         a0 = (rho * (a * g * l - 1.0) + 1.0) / a
         m_count = _count(rd, ctl)
         # signed-coefficient cancellation guard: l1(A)^p_max over the
         # integral's own scale must leave headroom below 1/eps
         p_max = rho * (g * l - 1.0) + l * (m_count - 1)
-        if p_max * math.log(max(float(np.abs(A).sum()), 1.0)) < 27.0:
-            P = _ps_pow(A, rho * (g * l - 1.0), N)
-            AL = _ps_pow(A, l, N)
+        if p_max * math.log(max(float(np.abs(tables.s_over_w).sum()), 1.0)) < 27.0:
+            P = tables.a_power(rho * (g * l - 1.0))
+            AL = tables.a_power(l)
             s = np.arange(N, dtype=float)
             binom_m = 1.0
             inner_bound = 0.0

@@ -774,20 +774,60 @@ class TestTruncationMachinery:
         (_NAN_AT_3, 100, False, True),         # NaN in the stream
     ], ids=["fires-fit", "fires-nofit", "cap-fit", "cap-unconverged", "nan"])
     def test_streamed_sum_matches_array_sum(self, terms, max_terms, fires, fit):
+        # the moments' j-sweep streams its terms into the rule a block at a
+        # time: the first block whose prefix holds a run of small terms
+        # stops the sum, which is then _sum_terms of the terms up to the stop
         ctl = SeriesControl(max_terms=max_terms)
-        stream = series._TermSum(ctl)
-        assert any(stream.add(t) for t in terms[:max_terms]) == fires
-        assert (series._power_tail(np.asarray(stream.terms)) is not None) == fit
-        got = stream.value()
-        want = series._sum_terms(terms[: len(stream.terms)], ctl)
-        assert got.terms == want.terms == len(stream.terms)
+        terms = terms[:max_terms]
+        fed = max_terms
+        for j1 in range(series._ROW_BLOCK, max_terms + series._ROW_BLOCK, series._ROW_BLOCK):
+            _, (stop,) = series._first_runs(terms[None, : min(j1, max_terms)], ctl)
+            if stop >= 0:
+                fed = int(stop) + 1
+                break
+        assert (stop >= 0) == fires
+        assert (series._power_tail(terms[:fed]) is not None) == fit
+        got = series._sum_terms(terms[:fed], ctl)
+        # the array sum over the full cap stops at the same index
+        want = series._sum_terms(terms, ctl)
+        assert got.terms == want.terms == fed
         assert (got.tail_bound, got.method, got.converged) == (
             want.tail_bound, want.method, want.converged)
         assert float(got) == float(want) or (math.isnan(got) and math.isnan(want))
-        # the array sum over the full cap stops at the same index
-        assert series._sum_terms(terms[:max_terms], ctl).terms == len(stream.terms)
-        if np.isnan(terms[:max_terms]).any():
+        if np.isnan(terms).any():
             assert not got.converged
+
+    # a stop inside the tenth block, a stop on the last row of the sixth,
+    # and no stop before max_terms (the tail is extrapolated)
+    @pytest.mark.parametrize("theta, r, stop", [
+        (KWKW, 1.0, 293),
+        (Params(2.5, 1.6, 3.9, 2.7, 1.9), 2.0, 191),
+        (WORKHORSE, 1.0, None),
+    ], ids=["inside-block", "block-edge", "no-stop"])
+    def test_j_sweep_stops_where_the_array_sum_stops(self, theta, r, stop, monkeypatch):
+        ctl = SeriesControl()
+        a, b, g, _, l = theta.as_tuple()
+        tables = series._Tables(theta, ctl)
+        omega = tables.omega
+        # the whole j-term array omega_j (psi_j M_j - 1), each M_j summed alone
+        count, signed_binom, exact = series._psi_coeffs(r / a, ctl)
+        assert not exact
+        psis = l * (g + np.arange(omega.size, dtype=float))
+        rows = series._beta_rows(psis, b, count)
+        m_sums = [series._sum_terms(psi * signed_binom * row, ctl) for psi, row in zip(psis, rows)]
+        want = series._sum_terms(omega * (np.array([float(m) for m in m_sums]) - 1.0), ctl)
+        bounds = np.abs(omega) * np.array([m.tail_bound for m in m_sums])
+
+        built = _Recorder(series._beta_rows, lambda psis, b, count: len(psis))
+        monkeypatch.setattr(series, "_beta_rows", built)
+        (got,) = series._moment_sweep(tables, [r])
+        assert got.terms == want.terms == (omega.size if stop is None else stop + 1)
+        assert float(got) == 1.0 + float(want)
+        assert got.tail_bound == want.tail_bound + np.cumsum(bounds)[want.terms - 1]
+        assert (got.method, got.converged) == ("series", True)
+        # the sweep builds the rows of the stop's block and none past it
+        blocks = math.ceil(got.terms / series._ROW_BLOCK)
+        assert sum(built.keys) == min(omega.size, blocks * series._ROW_BLOCK)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_infinite_partial_sum_is_not_converged(self, sign):
@@ -799,9 +839,6 @@ class TestTruncationMachinery:
         got = series._sum_terms(terms, ctl)
         assert float(got) == sign * math.inf
         assert not got.converged and got.terms == 100
-        stream = series._TermSum(ctl)
-        assert not any(stream.add(t) for t in terms)
-        assert not stream.value().converged
 
     def test_coeff_table_records_theta(self):
         ct = series.mixture_coeffs(KW22)
@@ -894,12 +931,13 @@ class TestKernelsBitForBit:
             rows = series._beta_rows(psis, b, count)
             terms = psis[:, None] * signed_binom * rows
             partial, stops = series._first_runs(terms, ctl)
-            psi_moment = series._psi_moments(psis, rows, (count, signed_binom, exact), ctl)
+            vals, bounds, oks = series._psi_moments(psis, rows, (count, signed_binom, exact), ctl)
             for i, psi in enumerate(psis):
                 want = series._sum_terms(float(psi) * signed_binom * rows[i], ctl)
                 got = series._row_sum(terms[i], partial[i], int(stops[i]))
                 assert _same_value(got, want)
-                assert psi_moment(i) == (float(want), want.tail_bound, want.converged)
+                assert (vals[i], bounds[i], oks[i]) == (float(want), want.tail_bound,
+                                                         want.converged)
                 checked += 1
         assert checked >= series._ROW_BLOCK
 
@@ -971,7 +1009,7 @@ class TestSharedTables:
         assert len(psis) == len(set(psis)) > 0
 
     def test_l_moments_build_v_table_and_powers_once(self, monkeypatch):
-        tables = _Recorder(series._v_coeffs, lambda theta, n: n)
+        tables = _Recorder(series._v_coeffs, lambda tables: tables.ctl.max_terms)
         monkeypatch.setattr(series, "_v_coeffs", tables)
         powers = _Recorder(series._ps_pow, lambda a, p, n: p)
         monkeypatch.setattr(series, "_ps_pow", powers)
@@ -1002,26 +1040,41 @@ class TestSharedTables:
         assert len(psis) == len(set(psis)) > 0
 
     def test_props_builds_the_v_table_once(self, monkeypatch, capsys):
-        tables = _Recorder(series._v_coeffs, lambda theta, n: n)
+        tables = _Recorder(series._v_coeffs, lambda tables: tables.ctl.max_terms)
         monkeypatch.setattr(series, "_v_coeffs", tables)
         out = self._props(EKW, capsys)
         # the L-moments and the mean deviations both sum v-table series
         assert len(tables.keys) == 1
         assert '"delta1_method": "series"' in out and '"l4"' in out
 
-    def test_tables_keep_only_moments_a_lone_call_gives(self):
-        # Beta(10, 4): the finite double sum cancels below rounding at
-        # r = 1, 2 but not at r = 3, 4, so the four orders together take
-        # the sweep, and a lone call at r = 3 or 4 takes the finite sum
-        theta = Params(1, 1, 10, 3, 1)
+    # Beta(10, 4): the finite double sum cancels below rounding at r = 1, 2
+    # but not at r = 3, 4, so two orders take the sweep and two do not
+    @pytest.mark.parametrize("theta", [theta for _, theta in GRID12] + [Params(1, 1, 10, 3, 1)],
+                             ids=[name for name, _ in GRID12] + ["beta10_4"])
+    def test_moments_equal_lone_moment_calls(self, theta):
+        rs = [1, 2, 3, 4]
         tables = series._Tables(theta, SeriesControl())
-        got = series._moments(tables, [1, 2, 3, 4])
-        assert sorted(tables.mu) == [1, 2]
-        for r in (1, 2):
-            assert _same_value(tables.mu[r], series.moment(theta, r))
-        assert float(got[2]) != float(series.moment(theta, 3))
+        got = series._moments(tables, rs)
+        # the memo keeps every value it computed
+        assert sorted(tables.mu) == rs
+        for r, value in zip(rs, got):
+            lone = series.moment(theta, r)
+            assert float(value).hex() == float(lone).hex() and _same_value(value, lone)
+            assert tables.mu[r] is value
         pairs = zip(series._mean_deviations(tables), series.mean_deviations(theta))
         assert all(_same_value(x, y) for x, y in pairs)
+
+    def test_props_builds_each_power_of_s_over_w_once(self, monkeypatch, capsys):
+        # kwkw's v-table takes A^1 and A^lambda = A^2 of A = S/w; the Renyi
+        # series at rho = 2 takes A^{rho (gamma lambda - 1)} = A^2 and A^lambda
+        powers = _Recorder(series._ps_pow, lambda a, p, n: (np.asarray(a).tobytes(), p))
+        monkeypatch.setattr(series, "_ps_pow", powers)
+        assert cli.main(["props", "--theta", "2,2,1,1.5,2", "--lmoments", "--deviations",
+                         "--entropy", "2", "--quiet"]) == 0
+        assert '"renyi_method": "series"' in capsys.readouterr().out
+        assert len(powers.keys) == len(set(powers.keys))
+        a = series._Tables(KWKW, SeriesControl()).s_over_w.tobytes()
+        assert sorted(p for key, p in powers.keys if key == a) == [1.0, 2.0]
 
     def test_no_work_is_kept_between_calls(self, monkeypatch):
         cdf = _Recorder(core.cdf, lambda theta, x: None)
