@@ -203,13 +203,18 @@ def _json_text(obj, level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _annotate(out: dict, key: str, value) -> None:
-    """Store a quantity plus how it was obtained (series/quadrature/exact)."""
+def _annotate(out: dict, key: str, value, method: bool = True) -> None:
+    """Store a quantity plus, with method, how it was obtained
+    (series/quadrature/exact), and `<key>_converged: false` where it did
+    not converge."""
     out[key] = float(value)
     if isinstance(value, series.SeriesValue):
-        out[key + "_method"] = value.method
-        if value.method == "series":
-            out[key + "_tail_bound"] = value.tail_bound
+        if method:
+            out[key + "_method"] = value.method
+            if value.method == "series":
+                out[key + "_tail_bound"] = value.tail_bound
+        if not value.converged:
+            out[key + "_converged"] = False
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +267,8 @@ def _cmd_props(args) -> int:
             2, "props: request at least one of --moments, --lmoments, --entropy, --deviations"
         )
     ctl = series.SeriesControl(max_terms=args.series_max_terms, tail_tol=args.series_tol)
-    # one set of tables for every verb: the v-table, the powers h^q, the
-    # quadrature nodes and mu_1 are built once per call
+    # one set of tables for every verb: the v-table, the powers h^q and
+    # mu_1 are built once per call
     tables = series._Tables(theta, ctl)
     out: dict = {}
     if args.moments:
@@ -273,7 +278,7 @@ def _cmd_props(args) -> int:
             _annotate(out, f"mu{r}", mu)
     if args.lmoments:
         for i, v in enumerate(series._l_moments(tables, 4), 1):
-            out[f"l{i}"] = float(v)
+            _annotate(out, f"l{i}", v, method=False)
     if args.entropy is not None:
         rho = args.entropy
         if not rho > 0.0 or rho == 1.0:

@@ -6,9 +6,10 @@ The five-parameter family on (0, 1) has distribution function
 
 where I is the regularized incomplete beta function.  This module holds
 the parameter container, the named sub-model patterns, pdf / log-pdf /
-cdf / quantile, a seed-deterministic sampler, the power-transformation
-rule for the alpha = 1 slice, and the density of the negative-log
-transform.
+cdf / quantile, a seed-deterministic sampler, expectations over the
+underlying variate V ~ Beta(gamma, delta + 1) (_expect, the quadrature
+that series falls back on), the power-transformation rule for the
+alpha = 1 slice, and the density of the negative-log transform.
 
 Everything is evaluated through compensated one-minus-power forms
 (expm1 / log1p / log1mexp) so that both tails stay accurate; the
@@ -17,6 +18,8 @@ log-density never exponentiates an intermediate factor.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -248,6 +251,133 @@ def _log_z(theta: Params, log_x):
         return theta.lam * _Head(theta.alpha, theta.beta, log_x).ly
 
 
+def _log_w_x(theta: Params, log_v, log_1mv=None):
+    """(log w, log x) at a 1-d array of log v, for the map X = x(V) with
+    V ~ Beta(gamma, delta + 1):
+
+        w = (1 - v^{1/lambda})^{1/beta} = 1 - x^alpha,  x = (1 - w)^{1/alpha}.
+
+    sample and quantile take it from log v alone.  Given log_1mv =
+    log(1 - v) as well, each log1mexp takes its first-order branch where
+    its argument is below e^-20 in size, the mirror image of _Head: w
+    keeps its precision where v^{1/lambda} rounds to 1, and x where w
+    does.  Run that form under np.errstate(divide="ignore",
+    invalid="ignore").
+    """
+    a, b, l = theta.alpha, theta.beta, theta.lam
+    s = log_v / l
+    if log_1mv is None:
+        log_w = log1mexp(s) / b
+        return log_w, log1mexp(log_w) / a
+    lw1 = _log1mexp_tiny_arr(s, _log_neg_log1mexp_arr(log_1mv, log_v) - math.log(l))
+    log_w = lw1 / b
+    lnw = _log_neg_log1mexp_arr(s, lw1) - math.log(b)
+    return log_w, _log1mexp_tiny_arr(log_w, lnw) / a
+
+
+class _AtV:
+    """The law at a 1-d array of v, given as lv = log v and l1v =
+    log(1 - v), with v a draw of V ~ Beta(gamma, delta + 1) and x = x(v):
+    log_w and log_x, by _log_w_x with its first-order branches, and on
+    first use log_f = log f(x) and cdf = F(x) = I_v(gamma, delta + 1).
+    None is formed from x or v, so no tail rounds to 0 or 1:
+
+        log f = log(lambda alpha beta / B) + (alpha - 1) log x
+                + (beta - 1) log w + (gamma - 1/lambda) log v + delta log(1 - v).
+
+    cdf takes the scalar kernel point by point where pointwise.
+    """
+
+    def __init__(self, theta: Params, lv: np.ndarray, l1v: np.ndarray, pointwise: bool):
+        self.theta, self.lv, self.l1v, self.pointwise = theta, lv, l1v, pointwise
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log_w, self.log_x = _log_w_x(theta, lv, l1v)
+
+    @functools.cached_property
+    def log_f(self) -> np.ndarray:
+        a, b, g, d, l = self.theta.as_tuple()
+        out = (g - 1.0 / l) * self.lv + (math.log(l * a * b) - specfun.ln_beta(g, d + 1.0))
+        for c, part in ((a - 1.0, self.log_x), (b - 1.0, self.log_w), (d, self.l1v)):
+            if c != 0.0:
+                out += c * part
+        return out
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        return _inc_beta_at_log_z(self.theta, self.lv, pointwise=self.pointwise)
+
+
+# _expect's first step and half-width in s, its relative tolerance, node cap
+_EXPECT_STEP, _EXPECT_SPAN, _EXPECT_TOL, _EXPECT_MAX_NODES = 0.5, 9.0, 1e-13, 1 << 14
+
+
+def _expect(theta: Params, log_h, upper: float = 1.0, pointwise: bool = False):
+    """E[h_k(V) | V <= v_a], V ~ Beta(gamma, delta + 1), for each row k of
+    log_h(at), at the _AtV of a node array (pointwise for its cdf) and
+    v_a = G1(upper)^lambda (the whole law for upper >= 1).
+
+    The trapezoid rule in s with logit V = mu + sigma sinh s, mu and sigma
+    the mean and sd of logit V (Takahasi and Mori 1974; Mori and Sugihara,
+    J. Comput. Appl. Math. 127, 2001); below v_a, logit(V / v_a) maps
+    (0, v_a) onto the line, with the frame of logit Beta(gamma, 1).  The
+    nodes on [-_EXPECT_SPAN, _EXPECT_SPAN] are cut to where some row's
+    terms exceed eps of its sum, and h is halved until, from the second
+    halving on, two levels agree to _EXPECT_TOL relative.  A value is a
+    row's sum over the weights' sum, so the rounding of ln B, common to
+    both, cancels.  Returns (values, changes over the last halving, nodes
+    used, settled): not settled where the rows do not settle within
+    _EXPECT_MAX_NODES nodes or the terms at the span's ends are not
+    negligible.
+    """
+    g, d = theta.gamma, theta.delta
+    lva, l1va, q, ln_b = 0.0, -math.inf, d + 1.0, specfun.ln_beta(g, d + 1.0)
+    if upper < 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lva, l1va = (float(part[0]) for part in
+                         _Head(theta.alpha, theta.beta, np.array([math.log(upper)])).tail(theta.lam))
+        q = 1.0
+    mu = specfun.digamma(g) - specfun.digamma(q)
+    sigma = math.sqrt(specfun.trigamma(g) + specfun.trigamma(q))
+
+    def terms(s: np.ndarray) -> np.ndarray:
+        """The weights and each row's terms at s."""
+        t = mu + sigma * np.sinh(s)
+        l1u = -np.logaddexp(0.0, t)  # log(1 - u), u = v / v_a
+        lv = lva - np.logaddexp(0.0, -t)
+        # 1 - v = (1 - v_a) + v_a (1 - u); every row shares x, f and F
+        at = _AtV(theta, lv, np.logaddexp(l1va, lva + l1u), pointwise)
+        # the density of V times dv/ds = v (1 - u) sigma cosh s
+        log_weight = (g * lv + d * at.l1v + l1u - ln_b + math.log(sigma)
+                      + np.abs(s) + np.log1p(np.exp(-2.0 * np.abs(s))) - math.log(2.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(np.vstack([log_weight, log_h(at) + log_weight]))
+
+    def ratios(total: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return total[1:] / total[0]
+
+    h, k = _EXPECT_STEP, int(_EXPECT_SPAN / _EXPECT_STEP)
+    t = terms(np.arange(-k, k + 1) * h)
+    # one negligible node is kept beyond each end
+    wide = np.flatnonzero((t > np.finfo(float).eps * t.sum(axis=1, keepdims=True)).any(axis=0))
+    lo, hi = (wide[0] - 1, wide[-1] + 1) if wide.size else (-1, 2 * k + 1)
+    ends_ok = lo >= 0 and hi <= 2 * k
+    lo, hi = max(lo, 0), min(hi, 2 * k)
+    total, used, n = t[:, lo : hi + 1].sum(axis=1), 2 * k + 1, hi - lo + 1
+    value, change = ratios(total), np.full(len(t) - 1, np.inf)
+    for level in itertools.count(1):
+        if used + n - 1 > _EXPECT_MAX_NODES:
+            break
+        total = total + terms((lo - k) * _EXPECT_STEP + (np.arange(n - 1) + 0.5) * h).sum(axis=1)
+        used, h, n = used + n - 1, h / 2.0, 2 * n - 1
+        change, value = np.abs(ratios(total) - value), ratios(total)
+        if not np.all(np.isfinite(value)):
+            break
+        if level >= 2 and np.all(change <= _EXPECT_TOL * np.abs(value)):
+            return value, change, used, ends_ok
+    return value, change, used, False
+
+
 # cdf and quantile call the scalar incomplete-beta kernels point by point up
 # to this many points, the array kernels above.  On the benchmark's shapes one
 # point costs 13-27 us scalar against 0.1-0.4 ms in the array I_x (inverse:
@@ -271,22 +401,28 @@ def cdf(theta: Params, x: float) -> float:
     out[above] = 1.0
     if np.any(inside):
         lz = _log_z(theta, np.log(xs[inside]))
-        z = np.clip(np.exp(lz), 0.0, 1.0)
-        g, d = theta.gamma, theta.delta
-        if inside.sum() > _SCALAR_POINTS:
-            v = specfun._reg_inc_beta_arr(z, g, d + 1.0)
-        else:
-            v = np.array([specfun.reg_inc_beta(float(zi), g, d + 1.0) for zi in z])
-        # Where z underflows but log z is finite, I_z(g, d + 1) is its
-        # leading term z^g / (g B(g, d + 1)), taken from log z; the next
-        # term is smaller by a factor of order z, so below 1e-300 the
-        # leading term is exact in float64.
-        if not z.all():
-            tiny = (z == 0.0) & np.isfinite(lz)
-            lead = g * lz[tiny] - math.log(g) - specfun.ln_beta(g, d + 1.0)
-            v[tiny] = np.minimum(np.exp(lead), 1.0)
-        out[inside] = v
+        out[inside] = _inc_beta_at_log_z(theta, lz, pointwise=inside.sum() <= _SCALAR_POINTS)
     return float(out[0]) if scalar else out
+
+
+def _inc_beta_at_log_z(theta: Params, lz: np.ndarray, pointwise: bool) -> np.ndarray:
+    """I_z(gamma, delta + 1) at a 1-d array of log z: the scalar kernel
+    point by point where pointwise, the array kernel otherwise."""
+    z = np.clip(np.exp(lz), 0.0, 1.0)
+    g, d = theta.gamma, theta.delta
+    if pointwise:
+        v = np.array([specfun.reg_inc_beta(float(zi), g, d + 1.0) for zi in z])
+    else:
+        v = specfun._reg_inc_beta_arr(z, g, d + 1.0)
+    # Where z underflows but log z is finite, I_z(g, d + 1) is its
+    # leading term z^g / (g B(g, d + 1)), taken from log z; the next
+    # term is smaller by a factor of order z, so below 1e-300 the
+    # leading term is exact in float64.
+    if not z.all():
+        tiny = (z == 0.0) & np.isfinite(lz)
+        lead = g * lz[tiny] - math.log(g) - specfun.ln_beta(g, d + 1.0)
+        v[tiny] = np.minimum(np.exp(lead), 1.0)
+    return v
 
 
 def quantile(theta: Params, u: float) -> float:
@@ -294,7 +430,7 @@ def quantile(theta: Params, u: float) -> float:
 
     Exact at the endpoints.  Accuracy: |cdf(x) - u| <= 1e-9.
     """
-    a, b, g, d, l = theta.as_tuple()
+    g, d = theta.gamma, theta.delta
     us = np.asarray(u, dtype=float)
     if np.any((us < 0.0) | (us > 1.0)):
         raise ValueError("u must lie in [0, 1]")
@@ -312,9 +448,7 @@ def quantile(theta: Params, u: float) -> float:
     out[one] = 1.0
     if np.any(mid):
         with np.errstate(divide="ignore"):
-            lv = np.log(v[mid])
-            # x = [1 - (1 - v^{1/lambda})^{1/beta}]^{1/alpha}, all in logs
-            log_x = log1mexp(log1mexp(lv / l) / b) / a
+            _, log_x = _log_w_x(theta, np.log(v[mid]))
         out[mid] = np.exp(log_x)
     return float(out[0]) if scalar else out
 
@@ -335,11 +469,10 @@ def sample(theta: Params, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     # uniforms on the open interval: integers in [1, 2^53) scaled down
     u = rng.integers(1, 1 << 53, size=n).astype(float) * 2.0**-53
-    g, d, l, b, a = theta.gamma, theta.delta, theta.lam, theta.beta, theta.alpha
-    v = specfun._inv_reg_inc_beta_arr(u, g, d + 1.0)
+    v = specfun._inv_reg_inc_beta_arr(u, theta.gamma, theta.delta + 1.0)
     v = np.clip(v, 5e-324, 1.0 - 2.0**-53)
     with np.errstate(divide="ignore"):
-        log_x = log1mexp(log1mexp(np.log(v) / l) / b) / a
+        _, log_x = _log_w_x(theta, np.log(v))
     x = np.exp(log_x)
     return np.clip(x, 5e-308, 1.0 - 2.0**-53)
 

@@ -1,7 +1,8 @@
-"""Adaptive Gauss-Legendre quadrature: the fallback that ``series`` takes
-where an expansion does not exist, does not converge or cancels below
-rounding, and which the tests also use as a reference.
+"""Adaptive Gauss-Legendre quadrature in x, a reference for the tests.
 
+The package itself does not call it: ``series`` falls back on
+``core._expect``, a rule over the underlying beta variate.  It stays
+importable because the benchmark's traced runs wrap ``adaptive_quad``.
 It knows nothing of the series expansions; it integrates whatever
 function it is given.
 """

@@ -19,8 +19,10 @@ consecutive terms; _sum_terms applies it to one sum, and the moments'
 m-sums and j-sums apply it to a block of rows at once.  When max_terms is
 exhausted first, an algebraic tail extrapolation is attempted (the sums
 here decay like j^{-s}).  Failing that, operations with an integral
-representation switch to adaptive quadrature, all through _quad, and tag
-the result (method="quadrature") -- the coefficient expansions have finite
+representation take the one quadrature fallback, _quad, and tag the
+result (method="quadrature"): each is an expectation over V ~
+Beta(gamma, delta + 1), X = x(V), by a double-exponential trapezoid rule
+in logit V (core._expect).  The coefficient expansions have finite
 convergence radii for some parameter points, so this is a routine,
 documented event, not a warning.  Only the bare expansion evaluators
 (cdf_expansion / pdf_expansion), which have nothing to fall back on, emit
@@ -39,34 +41,34 @@ achieved tail bound, the number of terms used, the evaluation method
 Work is shared within one call, never across calls.  Every entry point
 builds one _Tables for its theta: it takes ln B(gamma, delta + 1) once,
 decides which tables exist (norm_ok, v_ok), and builds each of omega, v,
-the cdf series v_i/((i+1) alpha), the powers (S/w)^p and h^q, the
-quadrature nodes' (F, f) and each moment E[X^r] at most once, on first
-use.  moments(), l_moments(), renyi_entropy() and mean_deviations() are
-one-line wrappers around bodies that take a _Tables (_moments,
-_l_moments, _renyi_entropy, _mean_deviations); `gkw props` builds one
-_Tables and runs every verb it was asked for on it, so there the call is
-the whole props call, and the mean deviations take mu_1 from the moments
-memo (_Tables.mu) instead of sweeping again.  Each order r takes the
+the cdf series v_i/((i+1) alpha), the powers (S/w)^p and h^q and each
+moment E[X^r] at most once, on first use; the rows of one _quad share x,
+f and F = I_v on each of its node arrays.  moments(), l_moments(),
+renyi_entropy() and mean_deviations() are one-line wrappers around
+bodies that take a _Tables (_moments, _l_moments, _renyi_entropy,
+_mean_deviations); `gkw props` builds one _Tables and runs every verb it
+was asked for on it, so there the call is the whole props call, and the
+mean deviations take mu_1 from the moments memo (_Tables.mu) instead of
+sweeping again.  Each order r takes the
 route a lone moment(theta, r) call takes; the orders that reach the
 j-sweep share it, building the Beta rows a block of j at a time, one
 vectorized call per block, and truncating each order's m-sums and j-sums
 for the whole block with one 2-D cumsum (_first_runs); l_moments() shares
-the tables among its ten order-statistic moments.  The tables are
-dropped when the call returns, so a repeated call repeats the work and
-no memory is held.
+the tables among its ten order-statistic moments and sends those that
+fall back to one _quad.  The tables are dropped when the call returns,
+so a repeated call repeats the work and no memory is held.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, oracle
+from . import core
 from .core import Params
 from .specfun import _ln_beta_arr, ln_beta
 
@@ -135,7 +137,8 @@ class SeriesValue(float):
     """A float annotated with how it was obtained.
 
     Attributes: tail_bound (estimated truncation error), terms (number of
-    terms consumed), method ("exact", "series" or "quadrature"), converged.
+    terms consumed; for quadrature, of nodes evaluated), method ("exact",
+    "series" or "quadrature"), converged.
     Arithmetic degrades to plain float.
     """
 
@@ -405,29 +408,16 @@ def _flag_cancellation(sv: SeriesValue, terms: np.ndarray, ctl: SeriesControl,
     return SeriesValue(sv, _EPS * mass, sv.terms, sv.method, False)
 
 
-# Quantile levels at which _quad cuts the range of a narrow law: the outer
-# pieces hold 1e-15 of the mass, the inner ones a few standard deviations.
-_CUT_LEVELS = (1e-15, 1e-9, 1e-4, 0.5, 1.0 - 1e-4, 1.0 - 1e-9, 1.0 - 1e-15)
-
-
-def _quad(tables: _Tables, f, hi: float = 1.0) -> SeriesValue:
-    """The one quadrature fallback: integral_0^hi f, tagged "quadrature".
-
-    A law without series tables (not tables.norm_ok) is narrow enough
-    for the panels over (0, hi) to miss its mass: at (2, 3, 1e4, 9999, 1),
-    sd 0.002, every node of E[X_{1:4}] read zero.  Its range is cut at the
-    quantiles _CUT_LEVELS, and the pieces share the subdivision budget.
-    """
-    cuts = {0.0, hi}
-    if not tables.norm_ok:
-        theta = tables.theta
-        cuts.update(x for x in (core.quantile(theta, u) for u in _CUT_LEVELS) if x < hi)
-    pieces = list(itertools.pairwise(sorted(cuts)))
-    parts = [oracle.adaptive_quad(f, lo, up, tol=1e-11, max_subdiv=2000 // len(pieces))
-             for lo, up in pieces]
-    return SeriesValue(math.fsum(q.value for q in parts), sum(q.err_estimate for q in parts),
-                       sum(q.subdivisions for q in parts), "quadrature",
-                       all(q.reliable for q in parts))
+def _quad(tables: _Tables, log_h, upper: float = 1.0) -> list[SeriesValue]:
+    """The one quadrature fallback: core._expect's E[h_k(V) | V <= v_a],
+    v_a = G1(upper)^lambda, for each row k of log_h, tagged "quadrature"
+    with terms = nodes used and tail_bound = the change over the last
+    halving.  Without norm_ok, F takes the scalar kernel point by point:
+    the array one stalls there (fault F3) until it iterates on an active
+    set."""
+    values, changes, used, settled = core._expect(tables.theta, log_h, upper,
+                                                  pointwise=not tables.norm_ok)
+    return [SeriesValue(v, c, used, "quadrature", settled) for v, c in zip(values, changes)]
 
 
 # ----------------------------------------------------------------------
@@ -448,9 +438,8 @@ class _Tables:
     ln B(gamma, delta + 1) is taken once.  norm_ok says whether B and 1/B
     are finite, nonzero floats, as omega (over B) and v (times 1/B) need;
     at (2, 3, 1e4, 9999, 1), ln B = -13,866.  v_ok says whether the density
-    power series exists.  omega, v, cdf_coeffs, each power (S/w)^p and
-    h^q, and F and f at each array of quadrature nodes are built on first
-    use, at most once.  mu is a memo of E[X^r]: _moments reads it first and
+    power series exists.  omega, v, cdf_coeffs and each power (S/w)^p and
+    h^q are built on first use, at most once.  mu is a memo of E[X^r]: _moments reads it first and
     writes every value it computes, so a later mean deviation takes mu_1
     from it.  The tables live only as long as the call that made them: one
     public function call, or one `gkw props` call, whose verbs all run on
@@ -466,8 +455,6 @@ class _Tables:
         self.v_ok = self.norm_ok and _is_pos_int(g * l) and (d == 0.0 or _is_pos_int(l))
         self._a_powers: dict[float, np.ndarray] = {}
         self._powers: dict[int, np.ndarray] = {}
-        self._cdfs: dict[bytes, np.ndarray] = {}
-        self._pdfs: dict[bytes, np.ndarray] = {}
         self.mu: dict[float, SeriesValue] = {}
 
     @functools.cached_property
@@ -531,27 +518,6 @@ class _Tables:
             h = self.cdf_coeffs[self.lead:]
             self._powers[q] = _ps_pow(h, float(q), len(h))
         return self._powers[q]
-
-    def pdf_at(self, x: np.ndarray) -> np.ndarray:
-        """f at the quadrature nodes x, once per node array: every
-        integrand of one call shares it."""
-        key = x.tobytes()
-        if key not in self._pdfs:
-            self._pdfs[key] = core.pdf(self.theta, x)
-        return self._pdfs[key]
-
-    def at_nodes(self, x: np.ndarray) -> tuple:
-        """(F, f) at the nodes x, once per node array.  Without norm_ok F is
-        taken point by point, so that core takes the scalar incomplete
-        beta, where the array one can stall (fault F3)."""
-        key = x.tobytes()
-        if key not in self._cdfs:
-            th = self.theta
-            if self.norm_ok:
-                self._cdfs[key] = core.cdf(th, x)
-            else:
-                self._cdfs[key] = np.array([core.cdf(th, float(u)) for u in x])
-        return self._cdfs[key], self.pdf_at(x)
 
 
 def omega_weights(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
@@ -753,7 +719,7 @@ def moment(theta: Params, r: float, ctl: SeriesControl = _DEFAULT_CTL) -> Series
       * general delta: the same sum accelerated by splitting off the
         j -> infinity limit (psi_j M_j -> 1 and sum_j omega_j = 1 exactly),
         leaving terms that decay one power faster.
-    Falls back to quadrature of x^r f(x) when truncation fails, and where
+    Falls back to quadrature of E[x(V)^r] when truncation fails, and where
     the omega weights do not fit in float64 or the sum cancels below
     rounding.
     """
@@ -800,7 +766,7 @@ def _moments(tables: _Tables, rs) -> list[SeriesValue]:
                       if v is not None)
         for r in todo:
             if r not in mu:
-                mu[r] = _moment_quad(tables, r)
+                mu[r] = _quad(tables, lambda at, r=r: r * at.log_x)[0]
     return [mu[r] for r in rs]
 
 
@@ -851,10 +817,6 @@ def _moment_sweep(tables: _Tables, rs) -> list[SeriesValue | None]:
                                 "exact" if coeffs[k][2] else "series", True)
         out.append(value if parts[2, k, :count].all() and _sum_ok(value, t, ctl) else None)
     return out
-
-
-def _moment_quad(tables: _Tables, r: float) -> SeriesValue:
-    return _quad(tables, lambda x: np.power(x, r) * tables.pdf_at(x))
 
 
 _CUMULANT_FORMULAS = {
@@ -955,7 +917,7 @@ def mgf(theta: Params, t: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesVal
         if _sum_ok(sv, terms, ctl):
             return SeriesValue(math.exp(t) - t * float(sv), abs(t) * sv.tail_bound,
                                sv.terms, "series", True)
-    return _quad(tables, lambda x: np.exp(t * x) * tables.pdf_at(x))
+    return _quad(tables, lambda at: t * np.exp(at.log_x))[0]
 
 
 # ----------------------------------------------------------------------
@@ -1009,7 +971,8 @@ def _j_integrals(tables: _Tables, uppers) -> list[SeriesValue]:
 
     Series form sum_i v_i a^{(i+1)alpha + 1} / ((i+1)alpha + 1) when the
     v-table exists (geometric in a^alpha, converges fast for a < 1);
-    quadrature otherwise.
+    otherwise F(a) E[X | X <= a], the conditional mean by quadrature over
+    V <= G1(a)^lambda.
     """
     theta = tables.theta
     out = []
@@ -1025,7 +988,10 @@ def _j_integrals(tables: _Tables, uppers) -> list[SeriesValue]:
             if _sum_ok(sv, terms, tables.ctl):
                 out.append(sv)
                 continue
-        out.append(_quad(tables, lambda x: x * tables.pdf_at(x), min(upper, 1.0)))
+        below = core.cdf(theta, upper) if upper < 1.0 else 1.0
+        (mean,) = _quad(tables, lambda at: at.log_x, upper)
+        out.append(SeriesValue(below * mean, below * mean.tail_bound, mean.terms, mean.method,
+                               mean.converged))
     return out
 
 
@@ -1076,16 +1042,18 @@ def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl = _DEFAULT_CTL
 # ----------------------------------------------------------------------
 
 
-def _order_stat_quad(tables: _Tables, i: int, n: int, r: float) -> SeriesValue:
-    """E[X_{i:n}^r] by quadrature, (F, f) from tables.at_nodes."""
-    lnb = ln_beta(float(i), float(n - i + 1))
+def _order_stat_quad(tables: _Tables, pairs, r: float) -> list[SeriesValue]:
+    """E[X_{i:n}^r] for each (i, n) in pairs by one quadrature: every row
+    shares log x and F = I_v(gamma, delta + 1) on each node array."""
+    lnbs = np.array([[ln_beta(float(i), float(n - i + 1))] for i, n in pairs])
+    i, n = np.array(pairs, dtype=float).T[:, :, None]  # one row per pair
 
-    def integrand(x):
-        F, f = tables.at_nodes(x)
-        dens = f * math.exp(-lnb)
-        return np.power(x, r) * dens * F ** (i - 1) * (1.0 - F) ** (n - i)
+    def log_h(at):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (r * at.log_x - lnbs + np.where(i > 1.0, (i - 1.0) * np.log(at.cdf), 0.0)
+                    + np.where(n > i, (n - i) * np.log1p(-at.cdf), 0.0))
 
-    return _quad(tables, integrand)
+    return _quad(tables, log_h)
 
 
 def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
@@ -1104,13 +1072,16 @@ def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
         raise ValueError(f"order statistic needs integers 1 <= i <= n, got i={i!r}, n={n!r}")
     if not r > 0:
         raise ValueError(f"r must be positive, got {r!r}")
-    return _order_stat_series(_Tables(theta, ctl), i, n, r)
+    tables = _Tables(theta, ctl)
+    sv = _order_stat_series(tables, i, n, r)
+    return sv if sv is not None else _order_stat_quad(tables, [(i, n)], r)[0]
 
 
-def _order_stat_series(tables: _Tables, i: int, n: int, r: float) -> SeriesValue:
-    """order_stat_moment_series from tables shared with other (i, n)."""
+def _order_stat_series(tables: _Tables, i: int, n: int, r: float) -> SeriesValue | None:
+    """order_stat_moment_series' series route, from tables shared with
+    other (i, n); None where it does not apply or converge."""
     if not tables.v_ok:
-        return _order_stat_quad(tables, i, n, r)
+        return None
     a = tables.theta.alpha
     lead = tables.lead
     total = 0.0
@@ -1124,7 +1095,7 @@ def _order_stat_series(tables: _Tables, i: int, n: int, r: float) -> SeriesValue
         terms = hq / (r + (s + q * (lead + 1.0)) * a)
         sv = _sum_terms(terms, tables.ctl)
         if not _sum_ok(sv, terms, tables.ctl):
-            return _order_stat_quad(tables, i, n, r)
+            return None
         coeff = inv_b * (-1.0) ** j * math.comb(n - i, j)
         t_q = 1.0 / q - (r / q) * float(sv)
         total += coeff * t_q
@@ -1133,33 +1104,41 @@ def _order_stat_series(tables: _Tables, i: int, n: int, r: float) -> SeriesValue
     return SeriesValue(total, bound, terms_used, "series", True)
 
 
-def l_moments(theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL) -> list[float]:
+def l_moments(theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL) -> list[SeriesValue]:
     """L-moments lambda_1..lambda_{up_to} (up_to <= 4).
 
     Built from first moments of order statistics:
         lambda_1 = m_{1:1},  lambda_2 = (m_{2:2} - m_{1:2}) / 2,
         lambda_3 = (m_{3:3} - 2 m_{2:3} + m_{1:3}) / 3,
         lambda_4 = (m_{4:4} - 3 m_{3:4} + 3 m_{2:4} - m_{1:4}) / 4.
+    Each lambda_n is tagged "quadrature" where one of its m_{i:n} is,
+    and converged where all of them are.
     """
     return _l_moments(_Tables(theta, ctl), up_to)
 
 
-def _l_moments(tables: _Tables, up_to: int) -> list[float]:
-    """l_moments() on shared tables: one h^q and one node table for all
-    ten order-statistic moments."""
+def _l_moments(tables: _Tables, up_to: int) -> list[SeriesValue]:
+    """l_moments() on shared tables: one h^q for every series m_{i:n},
+    and one quadrature for all those that fall back."""
     if not (isinstance(up_to, (int, np.integer)) and 1 <= up_to <= 4):
         raise ValueError(f"up_to must be an integer in 1..4, got {up_to!r}")
-
-    def m(i: int, n: int) -> float:
-        return float(_order_stat_series(tables, i, n, 1.0))
-
-    out = [m(1, 1)]
-    if up_to >= 2:
-        out.append((m(2, 2) - m(1, 2)) / 2.0)
-    if up_to >= 3:
-        out.append((m(3, 3) - 2.0 * m(2, 3) + m(1, 3)) / 3.0)
-    if up_to >= 4:
-        out.append((m(4, 4) - 3.0 * m(3, 4) + 3.0 * m(2, 4) - m(1, 4)) / 4.0)
+    m = {(i, n): _order_stat_series(tables, i, n, 1.0)
+         for n in range(1, up_to + 1) for i in range(n, 0, -1)}
+    todo = [pair for pair, value in m.items() if value is None]
+    if todo:
+        m.update(zip(todo, _order_stat_quad(tables, todo, 1.0)))
+    out = []
+    for n in range(1, up_to + 1):
+        # lambda_n = sum_i (-1)^{n-i} C(n-1, i-1) m_{i:n} / n, from i = n down
+        parts = [((-1.0) ** (n - i) * math.comb(n - 1, i - 1), m[i, n]) for i in range(n, 0, -1)]
+        total = 0.0
+        for c, value in parts:
+            total += c * value
+        out.append(SeriesValue(
+            total / n, sum(abs(c) * v.tail_bound for c, v in parts) / n,
+            max(v.terms for _, v in parts),
+            "quadrature" if any(v.method == "quadrature" for _, v in parts) else "series",
+            all(v.converged for _, v in parts)))
     return out
 
 
@@ -1184,14 +1163,13 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl = _DEFAULT_CTL) 
     stay small enough that their signed coefficients do not cancel away
     the result), b' > 0 and the front factor (lambda alpha beta / B)^rho
     / alpha is a finite float.  Outside that region -- or should truncation
-    fail -- quadrature of exp(rho log f) takes over, tagged as such.
+    fail -- quadrature of E[f(X)^{rho - 1}] takes over, tagged as such.
     """
     return _renyi_entropy(_Tables(theta, ctl), rho)
 
 
 def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:
-    """renyi_entropy() on shared tables: ln B, the powers (S/w)^p and f
-    at the quadrature nodes."""
+    """renyi_entropy() on shared tables: ln B and the powers (S/w)^p."""
     if not (rho > 0.0) or rho == 1.0:
         raise ValueError(f"rho must be positive and different from 1, got {rho!r}")
     theta, ctl = tables.theta, tables.ctl
@@ -1247,7 +1225,7 @@ def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:
                         "series",
                         True,
                     )
-    quad = _quad(tables, lambda x: np.power(tables.pdf_at(x), rho))
+    (quad,) = _quad(tables, lambda at: (rho - 1.0) * at.log_f)
     return SeriesValue(math.log(quad) / (1.0 - rho),
                        quad.tail_bound / (float(quad) * abs(1.0 - rho)),
                        quad.terms, "quadrature", quad.converged)

@@ -118,7 +118,7 @@ def order_stat_moment_barakat(theta: Params, i: int, n: int, r: int,
         raise ValueError(f"r must be a positive integer, got {r!r}")
     tables = series._Tables(theta, ctl)
     if not tables.v_ok:
-        return series._order_stat_quad(tables, i, n, float(r))
+        return series._order_stat_quad(tables, [(i, n)], float(r))[0]
     a, b, g, d, l = theta.as_tuple()
     lead = tables.lead
     deg = None
@@ -134,7 +134,7 @@ def order_stat_moment_barakat(theta: Params, i: int, n: int, r: int,
         terms = Hp[lead + 1:] / (r + s * a)
         sv = series._sum_terms(terms, ctl, complete=deg is not None)
         if not series._sum_ok(sv, terms, ctl, shift=1.0 / r):
-            return series._order_stat_quad(tables, i, n, float(r))
+            return series._order_stat_quad(tables, [(i, n)], float(r))[0]
         i_p = 1.0 / r + float(sv)
         coeff = r * (-1.0) ** (p - (n - i + 1)) * math.comb(p - 1, n - i) * math.comb(n, p)
         total += coeff * i_p

@@ -136,6 +136,20 @@ class TestSample:
 
 
 class TestProps:
+    def test_unsettled_values_are_flagged(self, monkeypatch):
+        # a node cap that the quadrature cannot settle within: bathtub's
+        # L-moments and mean deviations, which fall back to it, are flagged
+        # and its series mean is not
+        monkeypatch.setattr(core, "_EXPECT_MAX_NODES", 60)
+        code, out, _ = run_cli("props", "--theta", "0.7,0.8,0.6,0,0.9", "--moments", "1",
+                               "--lmoments", "--deviations")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mu1_method"] == "series" and "mu1_converged" not in doc
+        for key in ("l1", "l2", "l3", "l4", "delta1", "delta2"):
+            assert doc[f"{key}_converged"] is False, key
+        assert "l1_method" not in doc
+
     def test_uniform_moments(self):
         code, out, _ = run_cli("props", "--theta", "1,1,1,0,1", "--moments", "2")
         assert code == 0

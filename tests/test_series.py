@@ -5,7 +5,9 @@ Reference values are either closed forms or 40-digit quadrature results
 quadrature / Monte Carlo oracles at runtime.
 """
 
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -755,6 +757,66 @@ class TestCancellingTables:
             assert not got.converged
 
 
+QUAD_REFS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "quad-refs.json").read_text(encoding="utf-8"))
+
+
+class TestQuadratureOverV:
+    # The fallback is a trapezoid rule in s with logit V = mu + sigma sinh s,
+    # V ~ Beta(gamma, delta + 1).  References: SciPy quad in logit V at
+    # relative tolerance 2e-14 (tests/make_quad_refs.py), frozen in
+    # tests/data/quad-refs.json.
+
+    @pytest.mark.parametrize("name", ["bathtub", "decreasing"])
+    def test_order_statistics_and_j_match_the_references(self, name):
+        ref = QUAD_REFS[name]
+        theta = Params(*ref["theta"])
+        tables = series._Tables(theta, SeriesControl())
+        pairs = [(i, n) for i, n, _ in ref["order_stats"]]
+        # the ten means of l_moments, as one vector-valued rule
+        for (i, n, want), got in zip(ref["order_stats"],
+                                     series._order_stat_quad(tables, pairs, 1.0)):
+            assert got.method == "quadrature" and got.converged
+            assert float(got) == pytest.approx(want, rel=1e-13, abs=0), (i, n)
+            lone = series.order_stat_moment_series(theta, i, n, 1.0)
+            assert float(lone) == pytest.approx(want, rel=1e-13, abs=0), (i, n)
+        uppers = [upper for upper, _ in ref["j"]]
+        for (upper, want), got in zip(ref["j"], series._j_integrals(tables, uppers)):
+            assert got.method == "quadrature" and got.converged
+            assert float(got) == pytest.approx(want, rel=1e-13, abs=0), upper
+
+    def test_mass_within_a_float_step_of_one(self):
+        # Every draw of this law reads 1 - 1.1e-16, and its density in x is
+        # 0 at 0.5 and 3.9e-309 at 0.99; the true mean is 1 to 1e-40.
+        # Quadrature in x read 5.9e-233 here, flagged converged.
+        got = series.moment(Params(46.15, 0.0655, 8.03, 0.0747, 32.41), 1)
+        assert got.converged and abs(float(got) - 1.0) <= 1e-12
+
+    def test_large_renyi_integral_settles(self):
+        # integral f^3.3 ~ 1e5: quadrature to an absolute tolerance of 1e-11
+        # spent its whole budget here and flagged an accurate value
+        ref = QUAD_REFS["narrow"]
+        ((rho, want),) = ref["renyi"]
+        got = series.renyi_entropy(Params(*ref["theta"]), rho)
+        assert got.method == "quadrature" and got.converged
+        assert float(got) == pytest.approx(want, rel=1e-12)
+
+    def test_weights_integrate_to_one(self):
+        # the rule's normalizing sum is the integral of the density of V
+        for theta in (BATHTUB, WORKHORSE, Params(1, 1, 400, 400, 1), Params(1.3, 2, 0.05, 3, 0.7)):
+            tables = series._Tables(theta, SeriesControl())
+            (one,) = series._quad(tables, lambda at: 0.0 * at.log_x)
+            assert one.converged and float(one) == 1.0
+
+    def test_unsettled_rows_are_flagged(self, monkeypatch):
+        # 37 nodes at the first level, and no room for a second halving
+        monkeypatch.setattr(core, "_EXPECT_MAX_NODES", 60)
+        (got,) = series._quad(series._Tables(BATHTUB, SeriesControl()), lambda at: at.log_x)
+        assert got.method == "quadrature" and not got.converged
+        assert got.terms <= 60
+        assert all(not v.converged for v in series.l_moments(BATHTUB, 4))
+
+
 class TestTruncationMachinery:
     def test_tiny_budget_warns_and_flags(self):
         ctl = SeriesControl(max_terms=8)
@@ -1018,11 +1080,26 @@ class TestSharedTables:
         # EKW's v-table takes one power (S/w)^{gamma lambda - 1}; then h^1..h^4
         assert sorted(powers.keys) == [1.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_l_moment_quadratures_share_panels(self, monkeypatch):
-        cdf = _Recorder(core.cdf, lambda theta, x: np.asarray(x).tobytes())
-        monkeypatch.setattr(core, "cdf", cdf)
-        series.l_moments(BATHTUB, 4)
-        assert len(cdf.keys) == len(set(cdf.keys)) > 0
+    def test_l_moments_take_the_cdf_once_per_node_array(self, monkeypatch):
+        # bathtub has no v-table: all ten m_{i:n} come from one quadrature,
+        # whose rows share F = I_v on each node array
+        sizes = []
+
+        def quad(*args, **kwargs):
+            out = real_quad(*args, **kwargs)
+            sizes.append(len(out))
+            return out
+
+        real_quad = series._quad
+        monkeypatch.setattr(series, "_quad", quad)
+        cdfs = _Recorder(core._inc_beta_at_log_z, lambda theta, lz: lz.tobytes())
+        monkeypatch.setattr(core, "_inc_beta_at_log_z", cdfs)
+        nodes = _Recorder(core._log_w_x, lambda theta, lv, l1v=None: lv.tobytes())
+        monkeypatch.setattr(core, "_log_w_x", nodes)
+        got = series.l_moments(BATHTUB, 4)
+        assert all(v.method == "quadrature" and v.converged for v in got)
+        assert sizes == [10]
+        assert cdfs.keys == nodes.keys and len(set(cdfs.keys)) == len(cdfs.keys) > 1
 
     # one `gkw props` call with all four verbs runs them on one set of tables
     def _props(self, theta, capsys):
@@ -1077,9 +1154,9 @@ class TestSharedTables:
         assert sorted(p for key, p in powers.keys if key == a) == [1.0, 2.0]
 
     def test_no_work_is_kept_between_calls(self, monkeypatch):
-        cdf = _Recorder(core.cdf, lambda theta, x: None)
+        cdf = _Recorder(core._inc_beta_at_log_z, lambda theta, lz: None)
         rows = _Recorder(series._ln_beta_arr, lambda a, b: None)
-        monkeypatch.setattr(core, "cdf", cdf)
+        monkeypatch.setattr(core, "_inc_beta_at_log_z", cdf)
         monkeypatch.setattr(series, "_ln_beta_arr", rows)
         counts = []
         for _ in range(2):
