@@ -333,8 +333,8 @@ def _expect(theta: Params, log_h, upper: float = 1.0, pointwise: bool = False):
     lva, l1va, q, ln_b = 0.0, -math.inf, d + 1.0, specfun.ln_beta(g, d + 1.0)
     if upper < 1.0:
         with np.errstate(divide="ignore", invalid="ignore"):
-            lva, l1va = (float(part[0]) for part in
-                         _Head(theta.alpha, theta.beta, np.array([math.log(upper)])).tail(theta.lam))
+            head = _Head(theta.alpha, theta.beta, np.array([math.log(upper)]))
+            lva, l1va = (float(part[0]) for part in head.tail(theta.lam))
         q = 1.0
     mu = specfun.digamma(g) - specfun.digamma(q)
     sigma = math.sqrt(specfun.trigamma(g) + specfun.trigamma(q))

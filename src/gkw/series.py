@@ -439,11 +439,11 @@ class _Tables:
     are finite, nonzero floats, as omega (over B) and v (times 1/B) need;
     at (2, 3, 1e4, 9999, 1), ln B = -13,866.  v_ok says whether the density
     power series exists.  omega, v, cdf_coeffs and each power (S/w)^p and
-    h^q are built on first use, at most once.  mu is a memo of E[X^r]: _moments reads it first and
-    writes every value it computes, so a later mean deviation takes mu_1
-    from it.  The tables live only as long as the call that made them: one
-    public function call, or one `gkw props` call, whose verbs all run on
-    one _Tables.
+    h^q are built on first use, at most once.  mu is a memo of E[X^r]:
+    _moments reads it first and writes every value it computes, so a later
+    mean deviation takes mu_1 from it.  The tables live only as long as the
+    call that made them: one public function call, or one `gkw props` call,
+    whose verbs all run on one _Tables.
     """
 
     def __init__(self, theta: Params, ctl: SeriesControl):

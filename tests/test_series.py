@@ -801,12 +801,16 @@ class TestQuadratureOverV:
         assert got.method == "quadrature" and got.converged
         assert float(got) == pytest.approx(want, rel=1e-12)
 
-    def test_weights_integrate_to_one(self):
-        # the rule's normalizing sum is the integral of the density of V
-        for theta in (BATHTUB, WORKHORSE, Params(1, 1, 400, 400, 1), Params(1.3, 2, 0.05, 3, 0.7)):
-            tables = series._Tables(theta, SeriesControl())
-            (one,) = series._quad(tables, lambda at: 0.0 * at.log_x)
-            assert one.converged and float(one) == 1.0
+    # Beta(a, b) = Params(1, 1, a, b - 1, 1): logit V from very wide (a = 0.01,
+    # sd 100) to very narrow (a = b = 2e4, sd 0.01), against closed forms
+    @pytest.mark.parametrize("a, b", [(0.01, 1.0), (0.01, 3.0), (0.05, 4.0), (0.3, 1.0),
+                                      (3.0, 1e3), (1e3, 1.5), (2e4, 2e4)])
+    def test_beta_moments_at_extreme_shapes(self, a, b):
+        tables = series._Tables(Params(1, 1, a, b - 1.0, 1), SeriesControl())
+        mu1, mu2 = series._quad(tables, lambda at: np.vstack([at.log_x, 2.0 * at.log_x]))
+        assert mu1.converged and mu2.converged
+        assert float(mu1) == pytest.approx(a / (a + b), rel=1e-13, abs=0)
+        assert float(mu2) == pytest.approx(a * (a + 1) / ((a + b) * (a + b + 1)), rel=1e-13, abs=0)
 
     def test_unsettled_rows_are_flagged(self, monkeypatch):
         # 37 nodes at the first level, and no room for a second halving
