@@ -279,13 +279,14 @@ class _AtV:
     """The law at a 1-d array of v, given as lv = log v and l1v =
     log(1 - v), with v a draw of V ~ Beta(gamma, delta + 1) and x = x(v):
     log_w and log_x, by _log_w_x with its first-order branches, and on
-    first use log_f = log f(x) and cdf = F(x) = I_v(gamma, delta + 1).
-    None is formed from x or v, so no tail rounds to 0 or 1:
+    first use log_f = log f(x) and log_cdf = (log F(x), log(1 - F(x))),
+    F(x) = I_v(gamma, delta + 1).  None is formed from x or v, so no tail
+    rounds to 0 or 1:
 
         log f = log(lambda alpha beta / B) + (alpha - 1) log x
                 + (beta - 1) log w + (gamma - 1/lambda) log v + delta log(1 - v).
 
-    cdf takes the scalar kernel point by point where pointwise.
+    log_cdf takes the scalar kernel point by point where pointwise.
     """
 
     def __init__(self, theta: Params, lv: np.ndarray, l1v: np.ndarray, pointwise: bool):
@@ -303,8 +304,19 @@ class _AtV:
         return out
 
     @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        return _inc_beta_at_log_z(self.theta, self.lv, pointwise=self.pointwise)
+    def log_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        # one incomplete beta per node, on the side of the mean of V where
+        # its argument is exact: I_v(gamma, delta + 1) below, and
+        # 1 - F = I_{1-v}(delta + 1, gamma) above, where F rounds to 1
+        g, q = self.theta.gamma, self.theta.delta + 1.0
+        up = self.lv > math.log(g / (g + q))
+        part = np.empty_like(self.lv)
+        for side, lz, a, b in ((~up, self.lv, g, q), (up, self.l1v, q, g)):
+            if side.any():
+                part[side] = _inc_beta_at_log_z(lz[side], a, b, pointwise=self.pointwise)
+        with np.errstate(divide="ignore"):
+            log_part, log_rest = np.log(part), np.log1p(-part)
+        return np.where(up, log_rest, log_part), np.where(up, log_part, log_rest)
 
 
 # _expect's first step and half-width in s, its relative tolerance, node cap
@@ -401,26 +413,26 @@ def cdf(theta: Params, x: float) -> float:
     out[above] = 1.0
     if np.any(inside):
         lz = _log_z(theta, np.log(xs[inside]))
-        out[inside] = _inc_beta_at_log_z(theta, lz, pointwise=inside.sum() <= _SCALAR_POINTS)
+        out[inside] = _inc_beta_at_log_z(lz, theta.gamma, theta.delta + 1.0,
+                                         pointwise=inside.sum() <= _SCALAR_POINTS)
     return float(out[0]) if scalar else out
 
 
-def _inc_beta_at_log_z(theta: Params, lz: np.ndarray, pointwise: bool) -> np.ndarray:
-    """I_z(gamma, delta + 1) at a 1-d array of log z: the scalar kernel
-    point by point where pointwise, the array kernel otherwise."""
+def _inc_beta_at_log_z(lz: np.ndarray, a: float, b: float, pointwise: bool) -> np.ndarray:
+    """I_z(a, b) at a 1-d array of log z: the scalar kernel point by point
+    where pointwise, the array kernel otherwise."""
     z = np.clip(np.exp(lz), 0.0, 1.0)
-    g, d = theta.gamma, theta.delta
     if pointwise:
-        v = np.array([specfun.reg_inc_beta(float(zi), g, d + 1.0) for zi in z])
+        v = np.array([specfun.reg_inc_beta(float(zi), a, b) for zi in z])
     else:
-        v = specfun._reg_inc_beta_arr(z, g, d + 1.0)
-    # Where z underflows but log z is finite, I_z(g, d + 1) is its
-    # leading term z^g / (g B(g, d + 1)), taken from log z; the next
-    # term is smaller by a factor of order z, so below 1e-300 the
-    # leading term is exact in float64.
+        v = specfun._reg_inc_beta_arr(z, a, b)
+    # Where z underflows but log z is finite, I_z(a, b) is its leading
+    # term z^a / (a B(a, b)), taken from log z; the next term is smaller
+    # by a factor of order z, so below 1e-300 the leading term is exact
+    # in float64.
     if not z.all():
         tiny = (z == 0.0) & np.isfinite(lz)
-        lead = g * lz[tiny] - math.log(g) - specfun.ln_beta(g, d + 1.0)
+        lead = a * lz[tiny] - math.log(a) - specfun.ln_beta(a, b)
         v[tiny] = np.minimum(np.exp(lead), 1.0)
     return v
 

@@ -1044,14 +1044,15 @@ def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl = _DEFAULT_CTL
 
 def _order_stat_quad(tables: _Tables, pairs, r: float) -> list[SeriesValue]:
     """E[X_{i:n}^r] for each (i, n) in pairs by one quadrature: every row
-    shares log x and F = I_v(gamma, delta + 1) on each node array."""
+    shares log x, log F and log(1 - F) on each node array."""
     lnbs = np.array([[ln_beta(float(i), float(n - i + 1))] for i, n in pairs])
     i, n = np.array(pairs, dtype=float).T[:, :, None]  # one row per pair
 
     def log_h(at):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (r * at.log_x - lnbs + np.where(i > 1.0, (i - 1.0) * np.log(at.cdf), 0.0)
-                    + np.where(n > i, (n - i) * np.log1p(-at.cdf), 0.0))
+        log_F, log_1mF = at.log_cdf
+        with np.errstate(invalid="ignore"):
+            return (r * at.log_x - lnbs + np.where(i > 1.0, (i - 1.0) * log_F, 0.0)
+                    + np.where(n > i, (n - i) * log_1mF, 0.0))
 
     return _quad(tables, log_h)
 

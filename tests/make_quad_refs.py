@@ -82,8 +82,14 @@ def order_stat_mean(theta, i: int, n: int) -> float:
     lnb = special.betaln(i, n - i + 1)
 
     def log_h(t):
-        v, w = special.expit(t), special.expit(-t)  # v and 1 - v
-        cdf, sf = special.betainc(g, d + 1.0, v), special.betainc(d + 1.0, g, w)
+        # F and 1 - F from whichever of v and 1 - v is the smaller, both
+        # of them exact from the logit
+        if t < 0.0:
+            cdf = special.betainc(g, d + 1.0, special.expit(t))
+            sf = 1.0 - cdf
+        else:
+            sf = special.betainc(d + 1.0, g, special.expit(-t))
+            cdf = 1.0 - sf
         out = _at(theta, t)[3] - lnb
         with np.errstate(divide="ignore"):
             if i > 1:
@@ -96,9 +102,13 @@ def order_stat_mean(theta, i: int, n: int) -> float:
 
 
 def _logit_v_at(theta, x: float) -> float:
-    """logit of v = G1(x)^lambda, G1(x) = 1 - (1 - x^alpha)^beta."""
+    """logit of v = G1(x)^lambda, G1(x) = 1 - (1 - x^alpha)^beta, in logs;
+    +inf where 1 - G1(x) underflows."""
     a, b, _, _, l = theta
-    lv = l * _log1mexp(b * math.log1p(-(x ** a)))
+    b_la = b * math.log(-math.expm1(a * math.log(x)))  # log(1 - G1(x))
+    if math.exp(b_la) == 0.0:
+        return math.inf
+    lv = l * _log1mexp(b_la)
     return lv - _log1mexp(lv)
 
 
