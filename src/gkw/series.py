@@ -13,26 +13,27 @@ series coefficients, mean deviations, Bonferroni and Lorenz curves,
 order-statistic moments (one route, binomial in 1 - F), L-moments, and
 Renyi entropy.
 
-Truncation policy, implemented once in _first_runs: infinite sums stop at
-the first index where |term| < tail_tol * |partial sum| holds for 3
-consecutive terms; _sum_terms applies it to one sum, and the moments'
-m-sums and j-sums apply it to a block of rows at once.  When max_terms is
-exhausted first, an algebraic tail extrapolation is attempted (the sums
-here decay like j^{-s}).  Failing that, operations with an integral
-representation take the one quadrature fallback, _quad, and tag the
-result (method="quadrature"): each is an expectation over V ~
-Beta(gamma, delta + 1), X = x(V), by a double-exponential trapezoid rule
-in logit V (core._expect).  The coefficient expansions have finite
-convergence radii for some parameter points, so this is a routine,
-documented event, not a warning.  Only the bare expansion evaluators
-(cdf_expansion / pdf_expansion), which have nothing to fall back on, emit
-a SeriesDivergenceWarning and flag the value as unconverged.  Several
+Truncation policy, implemented once in _first_runs and _row_sum:
+infinite sums stop at the first index where |term| < tail_tol * |partial
+sum| holds for 3 consecutive terms; _sum_terms applies it to one sum, and
+the moments' m-sums to all their rows at once.  A stop counts as
+converged only where the last ratio |t_k / t_{k-1}| is below 0.9, which
+bounds the tail as geometric, t_k r / (1 - r), and where the summed terms
+do not cancel below rounding (_rounding_ok, through _sum_ok).  No tail is
+extrapolated: the sums here that decay only algebraically (the j-sum of
+non-integer delta, sums near a (1 - x)^(-1/2) singularity) carry no
+certified bound.  So every other sum, and every moment of non-integer
+delta, takes the one quadrature fallback, _quad, and tags the result
+(method="quadrature"): each is an expectation over V ~ Beta(gamma,
+delta + 1), X = x(V), by a double-exponential trapezoid rule in logit V
+(core._expect).  The coefficient expansions have finite convergence radii
+for some parameter points, so this is a routine, documented event, not a
+warning.  Only the bare expansion evaluators (cdf_expansion /
+pdf_expansion), which have nothing to fall back on, emit a
+SeriesDivergenceWarning and flag the value as unconverged.  Several
 parameter combinations admit fully finite ("exact") evaluations and are
-detected up front.  A sum of large alternating terms can also cancel
-below rounding; the moment sweeps, the order-statistic q-sums, the Renyi
-m-sum, the incomplete first moment, the mgf and the bare evaluators test
-for that (_rounding_ok, through _sum_ok for a truncated sum) and take the
-same fallback or flag.
+detected up front; their bound is eps * sum |terms|, and they too take the
+fallback where that sum cancels below rounding.
 
 Every sum-valued operation returns a SeriesValue: a float carrying the
 achieved tail bound, the number of terms used, the evaluation method
@@ -51,11 +52,11 @@ was asked for on it, so there the call is the whole props call, and the
 mean deviations take mu_1 from the moments memo (_Tables.mu) instead of
 sweeping again.  Each order r takes the
 route a lone moment(theta, r) call takes; the orders that reach the
-j-sweep share it, building the Beta rows a block of j at a time, one
-vectorized call per block, and truncating each order's m-sums and j-sums
-for the whole block with one 2-D cumsum (_first_runs); l_moments() shares
-the tables among its ten order-statistic moments and sends those that
-fall back to one _quad.  The tables are dropped when the call returns,
+finite j-sum of integer delta share it, building the Beta rows of every
+psi_j in one vectorized call and truncating each order's m-sums for all
+rows with one 2-D cumsum (_first_runs); l_moments() shares the tables
+among its ten order-statistic moments and sends those that fall back to
+one _quad.  The tables are dropped when the call returns,
 so a repeated call repeats the work and no memory is held.
 """
 
@@ -99,7 +100,8 @@ __all__ = [
 
 
 class SeriesDivergenceWarning(RuntimeWarning):
-    """A truncated sum hit max_terms without meeting the tail criterion."""
+    """A truncated sum did not converge: no stop with a geometric tail bound
+    within max_terms, or its terms cancel below rounding."""
 
 
 class DivergentIntegralError(ValueError):
@@ -282,57 +284,24 @@ def power_series_power(a, p: int, n: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _power_tail(terms: np.ndarray) -> tuple[float, float] | None:
-    """Estimate the tail of an algebraically decaying series.
-
-    Fits |t_j| ~ C j^{-s} on the trailing window and integrates the fit
-    past the last summed term.  Returns (tail, residual_bound) or None
-    when the window is too short, not one-signed, not decreasing, or the
-    fitted decay is too slow to sum.
-    """
-    n = len(terms)
-    if n < 16:
-        return None
-    w = min(32, n // 4)
-    window = terms[-(w + 1) :]
-    t_end = window[-1]
-    if t_end == 0.0 or np.any(np.sign(window) != np.sign(t_end)):
-        return None
-    mags = np.abs(window)
-    if np.any(np.diff(mags) >= 0.0):
-        return None
-
-    def est(width: int) -> float | None:
-        j_end, j_ref = float(n), float(n - width)
-        s = math.log(abs(window[-(width + 1)] / t_end)) / math.log(j_end / j_ref)
-        if s <= 1.05:
-            return None
-        return t_end * j_end**s * (j_end + 0.5) ** (1.0 - s) / (s - 1.0)
-
-    tail = est(w)
-    tail_half = est(w // 2)
-    if tail is None or tail_half is None:
-        return None
-    bound = 2.0 * abs(tail - tail_half) + 1e-3 * abs(t_end)
-    return tail, bound
-
-
 def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
                warn_label: str | None = None, complete: bool = False) -> SeriesValue:
     """Sum a precomputed term array under the truncation rule.
 
     With complete=True the array is the entire (finite) sum and is added
-    up directly.  Otherwise it is the first len(terms) terms of an
-    infinite series: if the rule never fires, a tail extrapolation is
-    attempted before declaring failure.  A warn_label is only passed by
-    callers with no quadrature fallback; everyone else inspects the
-    converged flag and reroutes silently (the method tag records it).
+    up directly, with eps * sum |terms| as its bound.  Otherwise it is
+    the first len(terms) terms of an infinite series, converged only
+    where the rule fires and _row_sum's geometric test passes; no tail is
+    extrapolated.  A warn_label is only passed by callers with no
+    quadrature fallback; everyone else inspects the converged flag (with
+    _sum_ok) and reroutes silently (the method tag records it).
     """
     terms = np.asarray(terms, dtype=float)
     if terms.size == 0:
         return SeriesValue(0.0, 0.0, 0, "exact", True)
     if complete:
-        return SeriesValue(math.fsum(terms), 0.0, terms.size, "exact", True)
+        return SeriesValue(math.fsum(terms), _EPS * float(np.abs(terms).sum()), terms.size,
+                           "exact", True)
     partial, stops = _first_runs(terms[None, :], ctl)
     sv = _row_sum(terms, partial[0], int(stops[0]))
     if warn_label and not sv.converged:
@@ -366,34 +335,27 @@ def _first_runs(terms: np.ndarray, ctl: SeriesControl) -> tuple[np.ndarray, np.n
 
 
 def _row_sum(terms: np.ndarray, partial: np.ndarray, k: int) -> SeriesValue:
-    """_sum_terms of one row from its partial sums and _first_runs stop k."""
+    """_sum_terms of one row from its partial sums and _first_runs stop k.
+
+    A stop counts only where the last ratio r = |t_k / t_{k-1}| is below
+    0.9: the tail is then bounded as geometric, t_k r / (1 - r).  An
+    algebraic tail, whose ratios creep up to 1, can hold far more than
+    that past the stop, so a slower stop is not converged.
+    """
     if k >= 0:
-        # an algebraic tail can still hold ~tol * k/(s-1) of mass past
-        # the stopping index; add the fitted tail when one exists
-        fit = _power_tail(terms[: k + 1])
-        if fit is not None:
-            tail, bound = fit
-            return SeriesValue(partial[k] + tail, bound, k + 1, "series", True)
         t_last = abs(terms[k])
         prev = abs(terms[k - 1])
         ratio = t_last / prev if prev > 0 else 0.0
-        bound = t_last * (ratio / (1 - ratio) if ratio < 0.9 else 10.0)
-        return SeriesValue(partial[k], max(bound, t_last), k + 1, "series", True)
-    if np.all(np.isfinite(partial)):
-        fit = _power_tail(terms)
-        if fit is not None:
-            tail, bound = fit
-            return SeriesValue(partial[-1] + tail, bound, terms.size, "series", True)
+        if ratio < 0.9:
+            bound = t_last * ratio / (1 - ratio)
+            return SeriesValue(partial[k], max(bound, t_last), k + 1, "series", True)
     return SeriesValue(partial[-1], abs(terms[-1]) * terms.size, terms.size, "series", False)
 
 
-def _sum_ok(sv: SeriesValue, terms: np.ndarray, ctl: SeriesControl,
-            shift: float = 0.0) -> bool:
-    """Whether sv, the truncated sum of terms, converged and shift + sv did
-    not cancel below rounding: _rounding_ok with the mass |shift| plus the
-    |terms| that sv summed."""
-    return sv.converged and _rounding_ok(
-        shift + sv, abs(shift) + float(np.abs(terms[: sv.terms]).sum()), ctl)
+def _sum_ok(sv: SeriesValue, terms: np.ndarray, ctl: SeriesControl) -> bool:
+    """Whether sv, the truncated sum of terms, converged and did not cancel
+    below rounding: _rounding_ok with the mass of the |terms| it summed."""
+    return sv.converged and _rounding_ok(sv, float(np.abs(terms[: sv.terms]).sum()), ctl)
 
 
 def _flag_cancellation(sv: SeriesValue, terms: np.ndarray, ctl: SeriesControl,
@@ -646,14 +608,9 @@ def pdf_expansion(theta: Params, x: float, ctl: SeriesControl = _DEFAULT_CTL) ->
 # ----------------------------------------------------------------------
 
 
-# Rows per _ln_beta_arr call in the j-sweep: a call costs about the same
-# for 1 row as for 32, and a sweep that stops early wastes at most 31.
-_ROW_BLOCK = 32
-
-
 def _beta_rows(psis: np.ndarray, b: float, count: int) -> np.ndarray:
     """B(psi, m/b + 1) for each psi (rows) and m = 0..count-1 (columns):
-    the r-independent factor of M(r) for a block of psi in one call."""
+    the r-independent factor of M(r) for every psi_j in one call."""
     cols = np.arange(count, dtype=float) / b + 1.0
     return np.exp(_ln_beta_arr(psis[:, None], cols[None, :]))
 
@@ -669,27 +626,32 @@ def _psi_coeffs(rr: float, ctl: SeriesControl) -> tuple[int, np.ndarray, bool]:
 
 
 def _psi_moments(psis: np.ndarray, rows: np.ndarray, coeffs, ctl: SeriesControl) -> np.ndarray:
-    """psi * M(r) = psi * sum_m (-1)^m C(rr, m) B(psi, m/b + 1) for a block
-    of psi.
+    """psi * M(r) = psi * sum_m (-1)^m C(rr, m) B(psi, m/b + 1) for each psi.
 
     This equals E[x(Y)^r] for Y ~ Beta(psi, 1), hence tends to 1 as psi
-    grows.  rows is the block's :func:`_beta_rows`, at least count wide,
-    and coeffs is :func:`_psi_coeffs` for rr.  Returns three rows: the
-    values, their tail bounds and their convergence flags (1 or 0).  A
-    truncated m-sum takes the truncation rule on all rows at once.
+    grows.  rows is :func:`_beta_rows` of psis, at least count wide, and
+    coeffs is :func:`_psi_coeffs` for rr.  Returns three rows: the values,
+    their bounds and their convergence flags (1 or 0).  A finite m-sum is
+    bounded by eps * sum |terms|; a truncated one takes the truncation
+    rule on all rows at once.  Either is flagged where it cancels below
+    rounding (_rounding_ok, _sum_ok).
     """
     count, signed_binom, exact = coeffs
     if exact:
-        vals = psis * (signed_binom * rows[:, :count]).sum(axis=1)
-        return np.stack([vals, np.zeros(len(psis)), np.ones(len(psis))])
+        m_terms = signed_binom * rows[:, :count]
+        vals = psis * m_terms.sum(axis=1)
+        masses = psis * np.abs(m_terms).sum(axis=1)
+        oks = [_rounding_ok(v, m, ctl) for v, m in zip(vals, masses)]
+        return np.stack([vals, _EPS * masses, oks])
     terms = psis[:, None] * signed_binom * rows[:, :count]
     svs = map(_row_sum, terms, *_first_runs(terms, ctl))
-    return np.array([(sv, sv.tail_bound, sv.converged) for sv in svs]).T
+    return np.array([(sv, sv.tail_bound, _sum_ok(sv, t, ctl)) for sv, t in zip(svs, terms)]).T
 
 
 def _moment_finite(b: float, rr: float, omegas, psis, ctl: SeriesControl) -> SeriesValue:
-    """The fully finite double sum over j and k (integer delta and psi_j);
-    not converged where its terms cancel below rounding (_rounding_ok)."""
+    """The fully finite double sum over j and k (integer delta and psi_j),
+    bounded by eps * sum |terms|; not converged where its terms cancel
+    below rounding (_rounding_ok)."""
     total = 0.0
     mass = 0.0
     n_terms = 0
@@ -702,7 +664,7 @@ def _moment_finite(b: float, rr: float, omegas, psis, ctl: SeriesControl) -> Ser
         total += om * psi * float(tau.sum())
         mass += abs(om * psi) * float(np.abs(tau).sum())
         n_terms += K
-    return SeriesValue(total, 0.0, n_terms, "exact", _rounding_ok(total, mass, ctl))
+    return SeriesValue(total, _EPS * mass, n_terms, "exact", _rounding_ok(total, mass, ctl))
 
 
 def moment(theta: Params, r: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
@@ -716,12 +678,11 @@ def moment(theta: Params, r: float, ctl: SeriesControl = _DEFAULT_CTL) -> Series
         cancel catastrophically.)
       * integer delta: finite j-sum of psi_j M_j(r); M_j terminates when
         r/alpha is an integer and is truncated otherwise.
-      * general delta: the same sum accelerated by splitting off the
-        j -> infinity limit (psi_j M_j -> 1 and sum_j omega_j = 1 exactly),
-        leaving terms that decay one power faster.
-    Falls back to quadrature of E[x(V)^r] when truncation fails, and where
-    the omega weights do not fit in float64 or the sum cancels below
-    rounding.
+      * quadrature of E[x(V)^r] (core._expect): for non-integer delta,
+        whose infinite j-sum decays only algebraically, so that no
+        truncation of it carries a certified bound; and wherever a sum
+        above fails its truncation test, the omega weights do not fit in
+        float64, or a sum cancels below rounding.
     """
     return moments(theta, (r,), ctl)[0]
 
@@ -729,16 +690,18 @@ def moment(theta: Params, r: float, ctl: SeriesControl = _DEFAULT_CTL) -> Series
 def moments(theta: Params, rs, ctl: SeriesControl = _DEFAULT_CTL) -> list[SeriesValue]:
     """E[X^r] for every r in rs; each value is what moment(theta, r) gives.
 
-    The orders that reach the j-sweep share it: omega_j and the Beta rows
-    B(psi_j, m/beta + 1) do not depend on r, so each is built once per call.
+    The orders that reach the finite j-sum of integer delta share it:
+    omega_j and the Beta rows B(psi_j, m/beta + 1) do not depend on r, so
+    each is built once per call.
     """
     return _moments(_Tables(theta, ctl), rs)
 
 
 def _moments(tables: _Tables, rs) -> list[SeriesValue]:
     """moments() on shared tables.  tables.mu is a memo of E[X^r]: each r
-    not in it takes the finite double sum where that converges, then the
-    shared j-sweep, then quadrature, and every value computed is kept."""
+    not in it takes, for integer delta, the finite double sum where that
+    converges, then the shared j-sum; then quadrature.  Every value
+    computed is kept."""
     theta, ctl, mu = tables.theta, tables.ctl, tables.mu
     a, b, g, d, l = theta.as_tuple()
     rs = list(rs)
@@ -746,15 +709,14 @@ def _moments(tables: _Tables, rs) -> list[SeriesValue]:
         if not (r > -a):
             raise ValueError(f"moment requires r > -alpha = {-a:g}, got r={r:g}")
     todo = [r for r in dict.fromkeys(rs) if r not in mu]
-    if todo:
+    if todo and _is_nonneg_int(d):
         try:
             # Python floats: NumPy scalars would slow the finite sum's j loop
             omega = tables.omega.tolist()
         except ExpansionDomainError:
             omega = []  # no series: every r takes quadrature
         psis = [l * (g + j) for j in range(len(omega))]
-        if (omega and _is_nonneg_int(d) and all(_is_pos_int(ps) for ps in psis)
-                and max(psis) <= 25.0):
+        if omega and all(_is_pos_int(ps) for ps in psis) and max(psis) <= 25.0:
             # fully finite double sum; large psi cancel catastrophically
             for r in todo:
                 value = _moment_finite(b, r / a, omega, psis, ctl)
@@ -764,58 +726,28 @@ def _moments(tables: _Tables, rs) -> list[SeriesValue]:
         if omega and swept:
             mu.update((r, v) for r, v in zip(swept, _moment_sweep(tables, swept))
                       if v is not None)
-        for r in todo:
-            if r not in mu:
-                mu[r] = _quad(tables, lambda at, r=r: r * at.log_x)[0]
+    for r in todo:
+        if r not in mu:
+            mu[r] = _quad(tables, lambda at, r=r: r * at.log_x)[0]
     return [mu[r] for r in rs]
 
 
 def _moment_sweep(tables: _Tables, rs) -> list[SeriesValue | None]:
-    """The j-sweep shared by the orders rs; None where an order's sum does
-    not converge or cancels below rounding.
-
-    Integer delta sums omega_j psi_j M_j over every j; general delta sums
-    omega_j (psi_j M_j - 1) until the order's truncation rule fires, which
-    one _first_runs per block of _ROW_BLOCK rows decides for every order
-    still summing.  Its cumsum adds in order, so a stopped order's value
-    is _sum_terms of its j-terms up to the stop.
-    """
-    a, b, g, d, l = tables.theta.as_tuple()
+    """The finite j-sum of integer delta, sum_j omega_j psi_j M_j, shared
+    by the orders rs; None where an order's m-sums or j-sum do not
+    converge or cancel below rounding."""
+    a, b, g, _, l = tables.theta.as_tuple()
     ctl, omega = tables.ctl, tables.omega
-    shift = 0.0 if _is_nonneg_int(d) else 1.0  # nonzero: general delta
     coeffs = [_psi_coeffs(r / a, ctl) for r in rs]
-    width = max(c[0] for c in coeffs)
-    n = len(omega)
-    # psi_j M_j, its tail bound and its convergence flag, per order and j
-    parts = np.zeros((3, len(rs), n))
-    used = [n] * len(rs)
-    active = list(range(len(rs)))
-    for j0 in range(0, n, _ROW_BLOCK):
-        j1 = min(j0 + _ROW_BLOCK, n)
-        block = l * (g + np.arange(j0, j1, dtype=float))
-        rows = _beta_rows(block, b, width)
-        for k in active:
-            parts[:, k, j0:j1] = _psi_moments(block, rows, coeffs[k], ctl)
-        if shift:
-            _, stops = _first_runs(omega[:j1] * (parts[0, active, :j1] - 1.0), ctl)
-            for k, stop in zip(active, stops):
-                if stop >= 0:
-                    used[k] = int(stop) + 1
-            active = [k for k, stop in zip(active, stops) if stop < 0]
-            if not active:
-                break
+    psis = l * (g + np.arange(len(omega), dtype=float))
+    rows = _beta_rows(psis, b, max(c[0] for c in coeffs))
     out = []
-    for k, (terms, count) in enumerate(zip(omega * (parts[0] - shift), used)):
-        t = terms[:count]
-        bound = np.cumsum(np.abs(omega[:count]) * parts[1, k, :count])[-1]
-        if shift:
-            sv = _sum_terms(t, ctl)
-            value = SeriesValue(1.0 + float(sv), sv.tail_bound + bound, sv.terms, "series",
-                                sv.converged)
-        else:
-            value = SeriesValue(np.cumsum(t)[-1], bound, n,
-                                "exact" if coeffs[k][2] else "series", True)
-        out.append(value if parts[2, k, :count].all() and _sum_ok(value, t, ctl) else None)
+    for coeff in coeffs:
+        vals, bounds, oks = _psi_moments(psis, rows, coeff, ctl)
+        terms = omega * vals
+        value = SeriesValue(np.cumsum(terms)[-1], np.cumsum(np.abs(omega) * bounds)[-1],
+                            len(omega), "exact" if coeff[2] else "series", True)
+        out.append(value if oks.all() and _sum_ok(value, terms, ctl) else None)
     return out
 
 
@@ -1208,10 +1140,10 @@ def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:
                 if mm > 0:
                     binom_m *= (rd - (mm - 1)) / mm
                     Pm = _ps_mul(Pm, AL, N)
-                betas = np.exp(_ln_beta_arr(a0 + l * mm + s, b_exp))
-                sv = _sum_terms(Pm * betas, ctl)
+                terms = Pm * np.exp(_ln_beta_arr(a0 + l * mm + s, b_exp))
+                sv = _sum_terms(terms, ctl)
                 inner_bound += abs(binom_m) * sv.tail_bound
-                inner_ok = inner_ok and sv.converged
+                inner_ok = inner_ok and _sum_ok(sv, terms, ctl)
                 m_terms.append((-1.0) ** mm * binom_m * float(sv))
             m_sum = math.fsum(m_terms)
             if inner_ok and _rounding_ok(m_sum, sum(map(abs, m_terms)), ctl):

@@ -133,9 +133,10 @@ def order_stat_moment_barakat(theta: Params, i: int, n: int, r: int,
         s = np.arange(lead + 1, len(Hp), dtype=float)
         terms = Hp[lead + 1:] / (r + s * a)
         sv = series._sum_terms(terms, ctl, complete=deg is not None)
-        if not series._sum_ok(sv, terms, ctl, shift=1.0 / r):
-            return series._order_stat_quad(tables, [(i, n)], float(r))[0]
         i_p = 1.0 / r + float(sv)
+        mass = 1.0 / r + float(np.abs(terms[: sv.terms]).sum())
+        if not (sv.converged and series._rounding_ok(i_p, mass, ctl)):
+            return series._order_stat_quad(tables, [(i, n)], float(r))[0]
         coeff = r * (-1.0) ** (p - (n - i + 1)) * math.comb(p - 1, n - i) * math.comb(n, p)
         total += coeff * i_p
         bound += abs(coeff) * sv.tail_bound

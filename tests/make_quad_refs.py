@@ -10,9 +10,9 @@ is rebuilt from NumPy logs, F(x(v)) = I_v(gamma, delta + 1) from
 scipy.special.betainc, and ln B from scipy.special.betaln.  SciPy is a
 test extra; the tests read the JSON file only.
 
-For each law: the ten order-statistic means E[X_{i:n}], n <= 4; the
-incomplete first moment J(a) = E[X; X <= a] at the mean and at the
-median; and, where listed, Renyi entropies.
+For each law: the moments E[X^r], r = 1..4; the ten order-statistic
+means E[X_{i:n}], n <= 4; the incomplete first moment J(a) = E[X; X <= a]
+at the mean and at the median; and, where listed, Renyi entropies.
 """
 
 from __future__ import annotations
@@ -27,11 +27,17 @@ from scipy import integrate, special
 OUT = pathlib.Path(__file__).parent / "data" / "quad-refs.json"
 
 LAWS = {
-    # no density power series: every value below falls back to quadrature
-    "bathtub": ((0.7, 0.8, 0.6, 0.0, 0.9), ()),
+    # no density power series: the L-moments fall back to quadrature
+    "bathtub": ((0.7, 0.8, 0.6, 0.0, 0.9), (0.5,)),
     "decreasing": ((0.5, 1.0, 0.8, 0.0, 1.0), ()),
     # ln B(gamma, delta + 1) = -13,866: no series tables at all
     "narrow": ((2.0, 3.0, 1e4, 9999.0, 1.0), (3.3,)),
+    # non-integer delta: the moments' j-sum decays algebraically
+    "workhorse": ((2.0, 3.0, 1.5, 0.5, 2.0), ()),
+    "small_alpha": ((0.0523, 0.3594, 0.0976, 1.1935, 0.0586), ()),
+    # a (1 - x)^(-1/2) singularity at x = 1
+    "increasing_j": ((1.0, 0.5, 3.0, 0.0, 1.0), ()),
+    "spike": ((0.5, 0.5, 3.0, 0.0, 2.0), ()),
 }
 PAIRS = [(i, n) for n in range(1, 5) for i in range(1, n + 1)]
 
@@ -140,8 +146,12 @@ def main() -> None:
         mean = _expect(theta, lambda t: _at(theta, t)[3])
         out[name] = {
             "theta": list(theta),
+            "moments": [[r, _expect(theta, lambda t, r=r: r * _at(theta, t)[3])]
+                        for r in (1, 2, 3, 4)],
             "order_stats": [[i, n, order_stat_mean(theta, i, n)] for i, n in PAIRS],
-            "j": [[upper, j_integral(theta, upper)] for upper in (mean, median(theta))],
+            # small_alpha's median underflows to 0, where J is 0
+            "j": [[upper, j_integral(theta, upper)] for upper in (mean, median(theta))
+                  if upper > 0.0],
             "renyi": [[rho, renyi(theta, rho)] for rho in rhos],
         }
     OUT.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")

@@ -137,11 +137,12 @@ class TestSample:
 
 class TestProps:
     def test_unsettled_values_are_flagged(self, monkeypatch):
-        # a node cap that the quadrature cannot settle within: bathtub's
-        # L-moments and mean deviations, which fall back to it, are flagged
-        # and its series mean is not
+        # a node cap that the quadrature cannot settle within: this law has
+        # no density power series, so its L-moments and mean deviations
+        # fall back to quadrature and are flagged; its mean sums the finite
+        # j-sum of integer delta and is not
         monkeypatch.setattr(core, "_EXPECT_MAX_NODES", 60)
-        code, out, _ = run_cli("props", "--theta", "0.7,0.8,0.6,0,0.9", "--moments", "1",
+        code, out, _ = run_cli("props", "--theta", "2.5,1.6,3.9,2,1.9", "--moments", "1",
                                "--lmoments", "--deviations")
         assert code == 0
         doc = json.loads(out)
