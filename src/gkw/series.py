@@ -9,9 +9,11 @@ unfolds into a mixture of Kumaraswamy densities (coefficients p_k) or a
 power series sum_i v_i x^{(i+1) alpha - 1}.  This module builds those
 coefficient tables and everything derived from them: ordinary, central,
 factorial moments and cumulants, the moment generating function, quantile
-series coefficients, mean deviations, Bonferroni and Lorenz curves,
-order-statistic moments (one route, binomial in 1 - F), L-moments, and
-Renyi entropy.
+series coefficients, mean deviations, Bonferroni and Lorenz curves, and
+order-statistic moments (binomial in 1 - F).  The L-moments and the Renyi
+entropy take the quadrature over V alone (below): on the test grid's laws
+where the paper's expansions of them apply, that quadrature is the more
+accurate and the faster of the two.
 
 Truncation policy, implemented once in _first_runs and _row_sum:
 infinite sums stop at the first index where |term| < tail_tol * |partial
@@ -42,9 +44,9 @@ achieved tail bound, the number of terms used, the evaluation method
 Work is shared within one call, never across calls.  Every entry point
 builds one _Tables for its theta: it takes ln B(gamma, delta + 1) once,
 decides which tables exist (norm_ok, v_ok), and builds each of omega, v,
-the cdf series v_i/((i+1) alpha), the powers (S/w)^p and h^q and each
-moment E[X^r] at most once, on first use; the rows of one _quad share x,
-f and F = I_v on each of its node arrays.  moments(), l_moments(),
+the cdf series v_i/((i+1) alpha) and each moment E[X^r] at most once, on
+first use; the rows of one _quad share x, f and F = I_v on each of its
+node arrays.  moments(), l_moments(),
 renyi_entropy() and mean_deviations() are one-line wrappers around
 bodies that take a _Tables (_moments, _l_moments, _renyi_entropy,
 _mean_deviations); `gkw props` builds one _Tables and runs every verb it
@@ -54,9 +56,9 @@ sweeping again.  Each order r takes the
 route a lone moment(theta, r) call takes; the orders that reach the
 finite j-sum of integer delta share it, building the Beta rows of every
 psi_j in one vectorized call and truncating each order's m-sums for all
-rows with one 2-D cumsum (_first_runs); l_moments() shares the tables
-among its ten order-statistic moments and sends those that fall back to
-one _quad.  The tables are dropped when the call returns,
+rows with one 2-D cumsum (_first_runs); l_moments() takes its ten
+order-statistic moments as the rows of one _quad.  The tables are
+dropped when the call returns,
 so a repeated call repeats the work and no memory is held.
 """
 
@@ -400,8 +402,8 @@ class _Tables:
     ln B(gamma, delta + 1) is taken once.  norm_ok says whether B and 1/B
     are finite, nonzero floats, as omega (over B) and v (times 1/B) need;
     at (2, 3, 1e4, 9999, 1), ln B = -13,866.  v_ok says whether the density
-    power series exists.  omega, v, cdf_coeffs and each power (S/w)^p and
-    h^q are built on first use, at most once.  mu is a memo of E[X^r]:
+    power series exists.  omega, v, cdf_coeffs, lead and S/w are built on
+    first use, at most once.  mu is a memo of E[X^r]:
     _moments reads it first and writes every value it computes, so a later
     mean deviation takes mu_1 from it.  The tables live only as long as the
     call that made them: one public function call, or one `gkw props` call,
@@ -415,8 +417,6 @@ class _Tables:
         self.ln_b = ln_beta(g, d + 1.0)
         self.norm_ok = abs(self.ln_b) < _LOG_MAX
         self.v_ok = self.norm_ok and _is_pos_int(g * l) and (d == 0.0 or _is_pos_int(l))
-        self._a_powers: dict[float, np.ndarray] = {}
-        self._powers: dict[int, np.ndarray] = {}
         self.mu: dict[float, SeriesValue] = {}
 
     @functools.cached_property
@@ -466,21 +466,6 @@ class _Tables:
         A_k = (-1)^k C(beta, k+1), A_0 = beta."""
         return -_signed_binom(self.theta.beta, self.ctl.max_terms + 1)[1:]
 
-    def a_power(self, p: float) -> np.ndarray:
-        """A^p to max_terms, once per exact float p: the v-table and the
-        Renyi series share a power only where their exponents' bits agree."""
-        p = float(p)
-        if p not in self._a_powers:
-            self._a_powers[p] = _ps_pow(self.s_over_w, p, self.ctl.max_terms)
-        return self._a_powers[p]
-
-    def h_power(self, q: int) -> np.ndarray:
-        """h^q, with F = x^{alpha (lead + 1)} h(x^alpha)."""
-        if q not in self._powers:
-            h = self.cdf_coeffs[self.lead:]
-            self._powers[q] = _ps_pow(h, float(q), len(h))
-        return self._powers[q]
-
 
 def omega_weights(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
     """cdf-expansion weights omega_j.
@@ -511,11 +496,11 @@ def _v_coeffs(tables: _Tables) -> np.ndarray:
     m = int(round(g * l)) - 1
     # (1-w)^{beta-1}
     q = _signed_binom(b - 1.0, n)
-    T = _ps_mul(q, tables.a_power(m), n) if m > 0 else q.copy()
+    T = _ps_mul(q, _ps_pow(tables.s_over_w, float(m), n), n) if m > 0 else q.copy()
     if d != 0.0:
         L = int(round(l))
         SL = np.zeros(n)
-        SL[L:] = tables.a_power(L)[: n - L]
+        SL[L:] = _ps_pow(tables.s_over_w, float(L), n)[: n - L]
         U = -SL
         U[0] += 1.0
         T = _ps_mul(T, _ps_pow(U, d, n), n)
@@ -991,14 +976,18 @@ def _order_stat_quad(tables: _Tables, pairs, r: float) -> list[SeriesValue]:
 
 def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
                              ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
-    """E[X_{i:n}^r] via the binomial-in-(1-F) route.
+    """E[X_{i:n}^r] via the paper's binomial-in-(1-F) expansion.
 
     Expanding (1-F)^{n-i} binomially reduces the target to terms
     T_q = integral x^r d(F^q)/q = 1/q - (r/q) integral x^{r-1} F^q dx, and
     F^q is a power of the cdf power series F = x^{alpha L'} h(x^alpha)
-    (leading zeros of the coefficient table factored out).  Quadrature
-    fallback when the v-table does not exist, when a q-sum fails to
-    converge, or when its terms cancel below rounding (_rounding_ok).
+    (leading zeros of the coefficient table factored out).  The bound is
+    the q-sums' truncation bounds plus their rounding, eps sum_j |coeff_j|
+    (1/q + (r/q) sum |terms|) (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4).  Quadrature fallback (_order_stat_quad) when the
+    v-table does not exist, when a q-sum fails to converge, or when its
+    terms cancel below rounding (_rounding_ok).  l_moments() takes its
+    order-statistic means from that quadrature alone.
     """
     if not (isinstance(i, (int, np.integer)) and isinstance(n, (int, np.integer))
             and 1 <= i <= n):
@@ -1006,35 +995,27 @@ def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
     if not r > 0:
         raise ValueError(f"r must be positive, got {r!r}")
     tables = _Tables(theta, ctl)
-    sv = _order_stat_series(tables, i, n, r)
-    return sv if sv is not None else _order_stat_quad(tables, [(i, n)], r)[0]
-
-
-def _order_stat_series(tables: _Tables, i: int, n: int, r: float) -> SeriesValue | None:
-    """order_stat_moment_series' series route, from tables shared with
-    other (i, n); None where it does not apply or converge."""
     if not tables.v_ok:
-        return None
-    a = tables.theta.alpha
-    lead = tables.lead
-    total = 0.0
-    bound = 0.0
-    terms_used = 0
+        return _order_stat_quad(tables, [(i, n)], r)[0]
+    a, lead = theta.alpha, tables.lead
+    h = tables.cdf_coeffs[lead:]
+    s = np.arange(len(h), dtype=float)
     inv_b = math.exp(-ln_beta(float(i), float(n - i + 1)))
+    total = bound = mass = 0.0
+    terms_used = 0
     for j in range(0, n - i + 1):
         q = i + j
-        hq = tables.h_power(q)
-        s = np.arange(len(hq), dtype=float)
-        terms = hq / (r + (s + q * (lead + 1.0)) * a)
-        sv = _sum_terms(terms, tables.ctl)
-        if not _sum_ok(sv, terms, tables.ctl):
-            return None
+        terms = _ps_pow(h, float(q), len(h)) / (r + (s + q * (lead + 1.0)) * a)
+        sv = _sum_terms(terms, ctl)
+        if not _sum_ok(sv, terms, ctl):
+            return _order_stat_quad(tables, [(i, n)], r)[0]
         coeff = inv_b * (-1.0) ** j * math.comb(n - i, j)
         t_q = 1.0 / q - (r / q) * float(sv)
         total += coeff * t_q
         bound += abs(coeff) * (r / q) * sv.tail_bound
+        mass += abs(coeff) * (1.0 / q + (r / q) * float(np.abs(terms[: sv.terms]).sum()))
         terms_used = max(terms_used, sv.terms)
-    return SeriesValue(total, bound, terms_used, "series", True)
+    return SeriesValue(total, bound + _EPS * mass, terms_used, "series", True)
 
 
 def l_moments(theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL) -> list[SeriesValue]:
@@ -1044,22 +1025,20 @@ def l_moments(theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL) -> l
         lambda_1 = m_{1:1},  lambda_2 = (m_{2:2} - m_{1:2}) / 2,
         lambda_3 = (m_{3:3} - 2 m_{2:3} + m_{1:3}) / 3,
         lambda_4 = (m_{4:4} - 3 m_{3:4} + 3 m_{2:4} - m_{1:4}) / 4.
-    Each lambda_n is tagged "quadrature" where one of its m_{i:n} is,
-    and converged where all of them are.
+    Every m_{i:n} comes from one quadrature over V (_order_stat_quad), so
+    each lambda_n is tagged "quadrature", bounded by sum |c_i| times the
+    changes of its m_{i:n} over the last halving, and converged where that
+    quadrature settled.
     """
     return _l_moments(_Tables(theta, ctl), up_to)
 
 
 def _l_moments(tables: _Tables, up_to: int) -> list[SeriesValue]:
-    """l_moments() on shared tables: one h^q for every series m_{i:n},
-    and one quadrature for all those that fall back."""
+    """l_moments() on shared tables: all m_{i:n} as rows of one _quad."""
     if not (isinstance(up_to, (int, np.integer)) and 1 <= up_to <= 4):
         raise ValueError(f"up_to must be an integer in 1..4, got {up_to!r}")
-    m = {(i, n): _order_stat_series(tables, i, n, 1.0)
-         for n in range(1, up_to + 1) for i in range(n, 0, -1)}
-    todo = [pair for pair, value in m.items() if value is None]
-    if todo:
-        m.update(zip(todo, _order_stat_quad(tables, todo, 1.0)))
+    pairs = [(i, n) for n in range(1, up_to + 1) for i in range(n, 0, -1)]
+    m = dict(zip(pairs, _order_stat_quad(tables, pairs, 1.0)))
     out = []
     for n in range(1, up_to + 1):
         # lambda_n = sum_i (-1)^{n-i} C(n-1, i-1) m_{i:n} / n, from i = n down
@@ -1067,11 +1046,8 @@ def _l_moments(tables: _Tables, up_to: int) -> list[SeriesValue]:
         total = 0.0
         for c, value in parts:
             total += c * value
-        out.append(SeriesValue(
-            total / n, sum(abs(c) * v.tail_bound for c, v in parts) / n,
-            max(v.terms for _, v in parts),
-            "quadrature" if any(v.method == "quadrature" for _, v in parts) else "series",
-            all(v.converged for _, v in parts)))
+        out.append(SeriesValue(total / n, sum(abs(c) * v.tail_bound for c, v in parts) / n,
+                               m[n, n].terms, "quadrature", m[n, n].converged))
     return out
 
 
@@ -1088,25 +1064,21 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl = _DEFAULT_CTL) 
     unless rho(alpha gamma lambda - 1) > -1 and rho(beta(delta+1) - 1) >
     -1; DivergentIntegralError is raised otherwise.
 
-    The series route expands f^rho in the w = x^alpha variable:
-    (1 - S^lambda)^{rho delta} binomially in S^lambda = w^lambda A^lambda
-    (A = S/w analytic, A(0) = beta), each term integrating to a beta
-    function B(a_m + s, b') with b' = rho(beta-1) + 1.  It is used when
-    rho*delta is a nonnegative integer (finite m-sum; the powers A^{p_m}
-    stay small enough that their signed coefficients do not cancel away
-    the result), b' > 0 and the front factor (lambda alpha beta / B)^rho
-    / alpha is a finite float.  Outside that region -- or should truncation
-    fail -- quadrature of E[f(X)^{rho - 1}] takes over, tagged as such.
+    The integral is E[f(X)^{rho - 1}], taken by the one quadrature over V
+    (_quad) and tagged "quadrature"; its bound is the relative change over
+    the last halving, over |1 - rho|.  The paper's expansion of f^rho in
+    x^alpha (renyi_series in tests/crosscheck.py) needs rho delta an
+    integer; on every test-grid law where it applies, it loses to the
+    quadrature in accuracy and in time.
     """
     return _renyi_entropy(_Tables(theta, ctl), rho)
 
 
 def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:
-    """renyi_entropy() on shared tables: ln B and the powers (S/w)^p."""
+    """renyi_entropy() on shared tables."""
     if not (rho > 0.0) or rho == 1.0:
         raise ValueError(f"rho must be positive and different from 1, got {rho!r}")
-    theta, ctl = tables.theta, tables.ctl
-    a, b, g, d, l = theta.as_tuple()
+    a, b, g, d, l = tables.theta.as_tuple()
     e0 = rho * (a * g * l - 1.0)
     e1 = rho * (b * (d + 1.0) - 1.0)
     if e0 <= -1.0:
@@ -1117,47 +1089,6 @@ def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:
         raise DivergentIntegralError(
             f"integral of f^rho diverges at x=1 (exponent {e1:g} <= -1)"
         )
-    b_exp = rho * (b - 1.0) + 1.0
-    log_front = rho * (math.log(l) + math.log(a) + math.log(b) - tables.ln_b) - math.log(a)
-    rd = rho * d
-    if b_exp > 0.0 and _is_nonneg_int(rd) and log_front < _LOG_MAX:
-        N = ctl.max_terms
-        a0 = (rho * (a * g * l - 1.0) + 1.0) / a
-        m_count = _count(rd, ctl)
-        # signed-coefficient cancellation guard: l1(A)^p_max over the
-        # integral's own scale must leave headroom below 1/eps
-        p_max = rho * (g * l - 1.0) + l * (m_count - 1)
-        if p_max * math.log(max(float(np.abs(tables.s_over_w).sum()), 1.0)) < 27.0:
-            P = tables.a_power(rho * (g * l - 1.0))
-            AL = tables.a_power(l)
-            s = np.arange(N, dtype=float)
-            binom_m = 1.0
-            inner_bound = 0.0
-            inner_ok = True
-            m_terms = []
-            Pm = P
-            for mm in range(m_count):
-                if mm > 0:
-                    binom_m *= (rd - (mm - 1)) / mm
-                    Pm = _ps_mul(Pm, AL, N)
-                terms = Pm * np.exp(_ln_beta_arr(a0 + l * mm + s, b_exp))
-                sv = _sum_terms(terms, ctl)
-                inner_bound += abs(binom_m) * sv.tail_bound
-                inner_ok = inner_ok and _sum_ok(sv, terms, ctl)
-                m_terms.append((-1.0) ** mm * binom_m * float(sv))
-            m_sum = math.fsum(m_terms)
-            if inner_ok and _rounding_ok(m_sum, sum(map(abs, m_terms)), ctl):
-                integral = math.exp(log_front) * m_sum
-                if 0.0 < integral < math.inf:
-                    total_bound = math.exp(log_front) * inner_bound
-                    val = math.log(integral) / (1.0 - rho)
-                    return SeriesValue(
-                        val,
-                        total_bound / (integral * abs(1.0 - rho)),
-                        m_count,
-                        "series",
-                        True,
-                    )
     (quad,) = _quad(tables, lambda at: (rho - 1.0) * at.log_f)
     return SeriesValue(math.log(quad) / (1.0 - rho),
                        quad.tail_bound / (float(quad) * abs(1.0 - rho)),

@@ -1,6 +1,7 @@
 """Reference routes that the tests check the library against: finite
-differences, Monte Carlo order-statistic means, and the survival-power
-route to order-statistic moments.
+differences, Monte Carlo order-statistic means, the survival-power
+route to order-statistic moments, and the paper's series for the Renyi
+entropy.
 
 Importable module (not collected: its name does not start with test_).
 None of this ships in the package; the library has one route per
@@ -13,6 +14,7 @@ import numpy as np
 
 from gkw import core, series
 from gkw.core import Params
+from gkw.specfun import _ln_beta_arr
 
 
 def fd_grad(f, x, h_rel: float = 1e-6) -> np.ndarray:
@@ -142,3 +144,57 @@ def order_stat_moment_barakat(theta: Params, i: int, n: int, r: int,
         bound += abs(coeff) * sv.tail_bound
         terms_used = max(terms_used, sv.terms)
     return series.SeriesValue(total, bound, terms_used, "series", True)
+
+
+def renyi_series(theta: Params, rho: float,
+                 ctl: series.SeriesControl = series._DEFAULT_CTL) -> series.SeriesValue | None:
+    """Renyi entropy J_R(rho) = log(integral f^rho) / (1 - rho) by the
+    paper's expansion of f^rho in w = x^alpha; None where the expansion
+    does not apply or does not converge.  The integral must exist.
+
+    (1 - S^lambda)^{rho delta} expands binomially in S^lambda = w^lambda
+    A^lambda (A = S/w analytic, A(0) = beta), each term integrating to a
+    beta function B(a_m + s, b') with b' = rho(beta-1) + 1.  It applies
+    where rho*delta is a nonnegative integer (finite m-sum), b' > 0, the
+    front factor (lambda alpha beta / B)^rho / alpha is a finite float,
+    and the powers A^{p_m} stay small enough that their signed
+    coefficients do not cancel away the result.
+    """
+    a, b, g, d, l = theta.as_tuple()
+    tables = series._Tables(theta, ctl)
+    b_exp = rho * (b - 1.0) + 1.0
+    log_front = rho * (math.log(l) + math.log(a) + math.log(b) - tables.ln_b) - math.log(a)
+    rd = rho * d
+    if not (b_exp > 0.0 and series._is_nonneg_int(rd) and log_front < series._LOG_MAX):
+        return None
+    N = ctl.max_terms
+    a0 = (rho * (a * g * l - 1.0) + 1.0) / a
+    m_count = series._count(rd, ctl)
+    # signed-coefficient cancellation guard: l1(A)^p_max over the
+    # integral's own scale must leave headroom below 1/eps
+    p_max = rho * (g * l - 1.0) + l * (m_count - 1)
+    if p_max * math.log(max(float(np.abs(tables.s_over_w).sum()), 1.0)) >= 27.0:
+        return None
+    Pm = series._ps_pow(tables.s_over_w, rho * (g * l - 1.0), N)
+    AL = series._ps_pow(tables.s_over_w, float(l), N)
+    s = np.arange(N, dtype=float)
+    binom_m = 1.0
+    inner_bound = 0.0
+    m_terms = []
+    for mm in range(m_count):
+        if mm > 0:
+            binom_m *= (rd - (mm - 1)) / mm
+            Pm = series._ps_mul(Pm, AL, N)
+        terms = Pm * np.exp(_ln_beta_arr(a0 + l * mm + s, b_exp))
+        sv = series._sum_terms(terms, ctl)
+        if not series._sum_ok(sv, terms, ctl):
+            return None
+        inner_bound += abs(binom_m) * sv.tail_bound
+        m_terms.append((-1.0) ** mm * binom_m * float(sv))
+    m_sum = math.fsum(m_terms)
+    integral = math.exp(log_front) * m_sum
+    if not (series._rounding_ok(m_sum, sum(map(abs, m_terms)), ctl)
+            and 0.0 < integral < math.inf):
+        return None
+    bound = math.exp(log_front) * inner_bound / (integral * abs(1.0 - rho))
+    return series.SeriesValue(math.log(integral) / (1.0 - rho), bound, m_count, "series", True)

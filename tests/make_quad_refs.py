@@ -27,7 +27,8 @@ from scipy import integrate, special
 OUT = pathlib.Path(__file__).parent / "data" / "quad-refs.json"
 
 LAWS = {
-    # no density power series: the L-moments fall back to quadrature
+    # no density power series: the order-statistic moments fall back to
+    # quadrature
     "bathtub": ((0.7, 0.8, 0.6, 0.0, 0.9), (0.5,)),
     "decreasing": ((0.5, 1.0, 0.8, 0.0, 1.0), ()),
     # ln B(gamma, delta + 1) = -13,866: no series tables at all
@@ -38,6 +39,12 @@ LAWS = {
     # a (1 - x)^(-1/2) singularity at x = 1
     "increasing_j": ((1.0, 0.5, 3.0, 0.0, 1.0), ()),
     "spike": ((0.5, 0.5, 3.0, 0.0, 2.0), ()),
+    # a density power series: the paper's order-statistic expansion applies
+    "uniform": ((1.0, 1.0, 1.0, 0.0, 1.0), ()),
+    "kw22": ((2.0, 2.0, 1.0, 0.0, 1.0), ()),
+    "beta52": ((1.0, 1.0, 5.0, 1.0, 1.0), ()),
+    "beta25": ((1.0, 1.0, 2.0, 4.0, 1.0), ()),
+    "ekw": ((2.0, 3.0, 1.0, 0.0, 2.0), ()),
 }
 PAIRS = [(i, n) for n in range(1, 5) for i in range(1, n + 1)]
 

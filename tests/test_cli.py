@@ -245,9 +245,9 @@ class TestProps:
             assert doc[f"{key}_method"] == "quadrature"
 
     # Beta(400, 401) = (1, 1, 400, 400, 1) has ln B(gamma, delta + 1) in
-    # range, but its omega weights and the Renyi series' front factor
-    # overflow float64; at (2, 3, 1e4, 9999, 1) no table exists.  Every
-    # value then comes from quadrature, with no warning on the way.
+    # range, but its omega weights overflow float64; at (2, 3, 1e4, 9999, 1)
+    # no table exists.  Every value then comes from quadrature (the Renyi
+    # entropy and the L-moments at every law), with no warning on the way.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("theta", ["1,1,400,400,1", "2,3,1e4,9999,1"])
     def test_laws_whose_tables_overflow_take_quadrature(self, theta):
@@ -558,14 +558,17 @@ class TestGoldenReports:
     # `gkw props` output frozen from a version in which every moment and
     # every order-statistic moment built its own tables (workhorse, kwkw,
     # bathtub), and the rest of the test grid frozen from the version just
-    # before one per-call table object decided and built them all.  The
-    # shapes take every route: the general- and integer-delta moment
-    # sweeps, the finite double sum, v-table and quadrature L-moments and
-    # mean deviations, and the series and quadrature entropy.  With
-    # --series-max-terms 7 the sweeps and the v-table sums fall back to
-    # quadrature (workhorse: general delta; bathtub: integer delta).  The
-    # -entropy2 reports hold the Renyi entropy at rho = 2 alone, for the
-    # two laws whose rho (gamma lambda - 1) equals lambda (kwkw, ekw).
+    # before one per-call table object decided and built them all; the
+    # L-moments and Renyi entropies of uniform, kw22, decreasing, beta52,
+    # beta25, ekw and the -entropy2 reports were rewritten when those two
+    # took the quadrature alone.  The shapes take every route: the
+    # integer-delta moment sweep, the finite double sum, the moments'
+    # quadrature (general delta), v-table and quadrature mean deviations,
+    # and the quadrature L-moments and entropy.  With --series-max-terms 7
+    # the sweeps and the v-table sums fall back to quadrature (workhorse:
+    # general delta; bathtub: integer delta).  The -entropy2 reports hold
+    # the Renyi entropy at rho = 2 alone, for two laws with a density
+    # power series (kwkw, ekw).
     @pytest.mark.parametrize("name, theta", [
         (name, ",".join(f"{v:g}" for v in theta.as_tuple()))
         for name, theta in GRID12 + [("workhorse-t7", WORKHORSE), ("bathtub-t7", BATHTUB),

@@ -26,7 +26,7 @@ from gkw.series import (
     SeriesValue,
 )
 
-from crosscheck import mc_order_stat_mean, order_stat_moment_barakat
+from crosscheck import mc_order_stat_mean, order_stat_moment_barakat, renyi_series
 from gridpoints import (
     BATHTUB,
     BETA25,
@@ -34,6 +34,7 @@ from gridpoints import (
     DECREASING,
     EKW,
     GRID12,
+    GRID_BY_NAME,
     INCREASING_J,
     KW22,
     KWKW,
@@ -617,12 +618,10 @@ class TestRenyiEntropy:
     def test_beta21_closed_form(self):
         # f = 2x: integral f^2 = 4/3, J = ln(3/4)
         got = series.renyi_entropy(Params(1, 1, 2, 0, 1), 2.0)
-        assert got.method == "series"
         assert float(got) == pytest.approx(math.log(0.75), abs=1e-12)
 
     def test_workhorse_series_route(self):
         got = series.renyi_entropy(WORKHORSE, 2.0)
-        assert got.method == "series"
         assert float(got) == pytest.approx(WORK_RENYI[2.0], abs=1e-9)
 
     def test_workhorse_quadrature_route(self):
@@ -635,6 +634,20 @@ class TestRenyiEntropy:
     def test_kwkw_anchor(self):
         got = series.renyi_entropy(KWKW, 2.0)
         assert float(got) == pytest.approx(KWKW_RENYI_2, abs=1e-8)
+
+    # the paper's expansion (tests/crosscheck.py) at every grid law where
+    # it applies: rho delta an integer, b' > 0, no cancelling powers
+    @pytest.mark.parametrize("name, rho", [
+        *((name, 0.5) for name in ("uniform", "kw22", "decreasing", "beta25", "ekw")),
+        *((name, 2.0) for name in ("uniform", "kw22", "workhorse", "beta52", "beta25", "kwkw",
+                                   "ekw")),
+    ])
+    def test_matches_the_paper_series(self, name, rho):
+        theta = GRID_BY_NAME[name]
+        ref = renyi_series(theta, rho)
+        assert ref is not None and ref.converged
+        got = series.renyi_entropy(theta, rho)
+        assert float(got) == pytest.approx(float(ref), rel=0, abs=1e-10)
 
     @pytest.mark.parametrize(
         "theta", [BATHTUB, DECREASING, INCREASING_J, SPIKE],
@@ -666,11 +679,28 @@ class TestRenyiEntropy:
             series.renyi_entropy(UNIFORM, rho)
 
 
+class TestMirrorImage:
+    # Beta(2, 5) and Beta(5, 2) are the laws of X and 1 - X: one Renyi
+    # entropy, and L-moments that agree up to the sign of the odd ones
+    # (lambda_1 against 1 - lambda_1).  No reference is needed.  The
+    # paper's series put Renyi(2) 3.4e-11 and lambda_4 1.7e-13 apart.
+    @pytest.mark.parametrize("rho", [0.5, 2.0])
+    def test_renyi(self, rho):
+        got, want = series.renyi_entropy(BETA25, rho), series.renyi_entropy(BETA52, rho)
+        assert float(got) == pytest.approx(float(want), rel=0, abs=1e-14)
+
+    def test_l_moments(self):
+        l25, l52 = series.l_moments(BETA25, 4), series.l_moments(BETA52, 4)
+        for got, want in zip(l25, (1.0 - l52[0], l52[1], -l52[2], l52[3])):
+            assert float(got) == pytest.approx(float(want), rel=0, abs=1e-14)
+
+
 class TestOverflowingTables:
     # Beta(400, 401) = (1, 1, 400, 400, 1): ln B(gamma, delta + 1) = -557 is
-    # in range, but omega_j = C(400, j) / ((400 + j) B) overflows float64,
-    # and so does the Renyi series' front factor (1/B)^2.  At
-    # (2, 3, 1e4, 9999, 1), ln B = -13,866 and no table exists at all.
+    # in range, but omega_j = C(400, j) / ((400 + j) B) overflows float64.
+    # At (2, 3, 1e4, 9999, 1), ln B = -13,866 and no table exists at all.
+    # The moments and mean deviations fall back to quadrature; the Renyi
+    # entropy and the L-moments take it at every law.
     # References: closed forms for Beta(a, b) (mean deviation about the
     # median from mpmath's median and incomplete beta) and the L-moments
     # from probability-weighted moments by 30-digit mpmath quadrature.
@@ -854,6 +884,23 @@ class TestConvergedValuesHoldTheirBounds:
         ((rho, want),) = ref["renyi"]
         got = series.renyi_entropy(Params(*ref["theta"]), rho)
         assert got.converged and _within_bound(got, want)
+
+    # the paper's order-statistic expansion, whose bound includes the
+    # rounding of its q-sums: without it the bound reads 0 at these
+    # polynomial-h laws, where EKW m_{3:3} is 2.2e-13 off.  The values that
+    # fall back to quadrature (beta25 n >= 3, EKW n = 4) carry only its
+    # change over the last halving, and take the rule above.
+    @pytest.mark.parametrize("name", ["uniform", "kw22", "beta52", "beta25", "ekw"])
+    def test_order_stat_series(self, name):
+        ref = QUAD_REFS[name]
+        theta = Params(*ref["theta"])
+        for i, n, want in ref["order_stats"]:
+            got = series.order_stat_moment_series(theta, i, n, 1.0)
+            assert got.converged, (i, n)
+            if got.method == "series":
+                assert abs(float(got) - want) <= 10 * got.tail_bound + 1e-15, (i, n)
+            else:
+                assert _within_bound(got, want), (i, n)
 
     # near the (1 - x)^(-1/2) singularity m_{1:1}'s series decays slowly
     # and read 3e-7 (increasing_j) and 4e-6 (spike) off the exact mean
@@ -1081,15 +1128,18 @@ class TestSharedTables:
         psis = _psis(rows.keys)
         assert len(psis) == len(set(psis)) > 0
 
-    def test_l_moments_build_v_table_and_powers_once(self, monkeypatch):
-        tables = _Recorder(series._v_coeffs, lambda tables: tables.ctl.max_terms)
+    def test_l_moments_take_one_quadrature(self, monkeypatch):
+        # EKW has a density power series, and its L-moments build none of it
+        quads = _Recorder(series._quad, lambda *args: None)
+        monkeypatch.setattr(series, "_quad", quads)
+        tables = _Recorder(series._v_coeffs, lambda tables: None)
         monkeypatch.setattr(series, "_v_coeffs", tables)
         powers = _Recorder(series._ps_pow, lambda a, p, n: p)
         monkeypatch.setattr(series, "_ps_pow", powers)
-        series.l_moments(EKW, 4)
-        assert len(tables.keys) == 1
-        # EKW's v-table takes one power (S/w)^{gamma lambda - 1}; then h^1..h^4
-        assert sorted(powers.keys) == [1.0, 1.0, 2.0, 3.0, 4.0]
+        got = series.l_moments(EKW, 4)
+        assert len(quads.keys) == 1
+        assert tables.keys == powers.keys == []
+        assert all(v.method == "quadrature" and v.converged for v in got)
 
     def test_l_moments_take_the_cdf_once_per_node_array(self, monkeypatch):
         # bathtub has no v-table: all ten m_{i:n} come from one quadrature,
@@ -1134,7 +1184,7 @@ class TestSharedTables:
         tables = _Recorder(series._v_coeffs, lambda tables: tables.ctl.max_terms)
         monkeypatch.setattr(series, "_v_coeffs", tables)
         out = self._props(EKW, capsys)
-        # the L-moments and the mean deviations both sum v-table series
+        # the mean deviations sum v-table series; the L-moments take none
         assert len(tables.keys) == 1
         assert '"delta1_method": "series"' in out and '"l4"' in out
 
@@ -1155,14 +1205,12 @@ class TestSharedTables:
         pairs = zip(series._mean_deviations(tables), series.mean_deviations(theta))
         assert all(_same_value(x, y) for x, y in pairs)
 
-    def test_props_builds_each_power_of_s_over_w_once(self, monkeypatch, capsys):
-        # kwkw's v-table takes A^1 and A^lambda = A^2 of A = S/w; the Renyi
-        # series at rho = 2 takes A^{rho (gamma lambda - 1)} = A^2 and A^lambda
+    def test_props_builds_each_power_of_s_over_w_once(self, monkeypatch):
+        # kwkw's v-table takes A^1 and A^lambda = A^2 of A = S/w
         powers = _Recorder(series._ps_pow, lambda a, p, n: (np.asarray(a).tobytes(), p))
         monkeypatch.setattr(series, "_ps_pow", powers)
         assert cli.main(["props", "--theta", "2,2,1,1.5,2", "--lmoments", "--deviations",
                          "--entropy", "2", "--quiet"]) == 0
-        assert '"renyi_method": "series"' in capsys.readouterr().out
         assert len(powers.keys) == len(set(powers.keys))
         a = series._Tables(KWKW, SeriesControl()).s_over_w.tobytes()
         assert sorted(p for key, p in powers.keys if key == a) == [1.0, 2.0]
