@@ -267,8 +267,9 @@ def _cmd_props(args) -> int:
             2, "props: request at least one of --moments, --lmoments, --entropy, --deviations"
         )
     ctl = series.SeriesControl(max_terms=args.series_max_terms, tail_tol=args.series_tol)
-    # one set of tables for every verb: the v-table and mu_1 are built
-    # once per call
+    # one set of tables for every verb: mu_1, the v-table (only its first
+    # orders where the J sums stop within them) and each quadrature node
+    # array are built at most once per call
     tables = series._Tables(theta, ctl)
     out: dict = {}
     if args.moments:

@@ -323,7 +323,8 @@ class _AtV:
 _EXPECT_STEP, _EXPECT_SPAN, _EXPECT_TOL, _EXPECT_MAX_NODES = 0.5, 9.0, 1e-13, 1 << 14
 
 
-def _expect(theta: Params, log_h, upper: float = 1.0, pointwise: bool = False):
+def _expect(theta: Params, log_h, upper: float = 1.0, pointwise: bool = False, *,
+            nodes: dict):
     """E[h_k(V) | V <= v_a], V ~ Beta(gamma, delta + 1), for each row k of
     log_h(at), at the _AtV of a node array (pointwise for its cdf) and
     v_a = G1(upper)^lambda (the whole law for upper >= 1).
@@ -336,10 +337,21 @@ def _expect(theta: Params, log_h, upper: float = 1.0, pointwise: bool = False):
     terms exceed eps of its sum, and h is halved until, from the second
     halving on, two levels agree to _EXPECT_TOL relative.  A value is a
     row's sum over the weights' sum, so the rounding of ln B, common to
-    both, cancels.  Returns (values, changes over the last halving, nodes
-    used, settled): not settled where the rows do not settle within
-    _EXPECT_MAX_NODES nodes or the terms at the span's ends are not
-    negligible.
+    both, cancels.  Each row's bound is its change over the last halving
+    plus the rounding of its two sums, eps sum_i t_i (1 + |log t_i|) over
+    the weights' sum for the row's terms t_i, and that of the weights times
+    the value (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 4): a term's relative error is about eps times its exponent.
+    Returns (values, bounds, nodes used, settled): not settled where the
+    rows do not settle within _EXPECT_MAX_NODES nodes or the terms at the
+    span's ends are not negligible.
+
+    nodes keeps each node array's _AtV and log-weight, keyed by upper and
+    the array, for every call with the same theta and pointwise that is
+    given the same dict: every whole-law expectation puts its nodes on one
+    lattice of nested halvings, so calls for different h share node
+    arrays, and each is evaluated once.  The caller owns the dict and
+    decides how long it lives; only log_h and the sums are taken per call.
     """
     g, d = theta.gamma, theta.delta
     lva, l1va, q, ln_b = 0.0, -math.inf, d + 1.0, specfun.ln_beta(g, d + 1.0)
@@ -351,8 +363,8 @@ def _expect(theta: Params, log_h, upper: float = 1.0, pointwise: bool = False):
     mu = specfun.digamma(g) - specfun.digamma(q)
     sigma = math.sqrt(specfun.trigamma(g) + specfun.trigamma(q))
 
-    def terms(s: np.ndarray) -> np.ndarray:
-        """The weights and each row's terms at s."""
+    def at_nodes(s: np.ndarray) -> tuple[_AtV, np.ndarray]:
+        """The _AtV and the log-weights at s."""
         t = mu + sigma * np.sinh(s)
         l1u = -np.logaddexp(0.0, t)  # log(1 - u), u = v / v_a
         lv = lva - np.logaddexp(0.0, -t)
@@ -361,33 +373,51 @@ def _expect(theta: Params, log_h, upper: float = 1.0, pointwise: bool = False):
         # the density of V times dv/ds = v (1 - u) sigma cosh s
         log_weight = (g * lv + d * at.l1v + l1u - ln_b + math.log(sigma)
                       + np.abs(s) + np.log1p(np.exp(-2.0 * np.abs(s))) - math.log(2.0))
+        return at, log_weight
+
+    def terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The weights and each row's terms t at s, and t |log t|, the
+        rounding of each from its exponent over eps."""
+        key = (upper, s.tobytes())
+        if key not in nodes:
+            nodes[key] = at_nodes(s)
+        at, log_weight = nodes[key]
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(np.vstack([log_weight, log_h(at) + log_weight]))
+            log_t = np.vstack([log_weight, log_h(at) + log_weight])
+            t = np.exp(log_t)
+            return t, np.where(t > 0.0, t * np.abs(log_t), 0.0)
 
     def ratios(total: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return total[1:] / total[0]
 
+    def bounds(change, value, total, total_err) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            mass = (total + total_err) / total[0]
+        return change + np.finfo(float).eps * (mass[1:] + np.abs(value) * mass[0])
+
     h, k = _EXPECT_STEP, int(_EXPECT_SPAN / _EXPECT_STEP)
-    t = terms(np.arange(-k, k + 1) * h)
+    t, t_err = terms(np.arange(-k, k + 1) * h)
     # one negligible node is kept beyond each end
     wide = np.flatnonzero((t > np.finfo(float).eps * t.sum(axis=1, keepdims=True)).any(axis=0))
     lo, hi = (wide[0] - 1, wide[-1] + 1) if wide.size else (-1, 2 * k + 1)
     ends_ok = lo >= 0 and hi <= 2 * k
     lo, hi = max(lo, 0), min(hi, 2 * k)
-    total, used, n = t[:, lo : hi + 1].sum(axis=1), 2 * k + 1, hi - lo + 1
+    total, total_err = t[:, lo : hi + 1].sum(axis=1), t_err[:, lo : hi + 1].sum(axis=1)
+    used, n = 2 * k + 1, hi - lo + 1
     value, change = ratios(total), np.full(len(t) - 1, np.inf)
     for level in itertools.count(1):
         if used + n - 1 > _EXPECT_MAX_NODES:
             break
-        total = total + terms((lo - k) * _EXPECT_STEP + (np.arange(n - 1) + 0.5) * h).sum(axis=1)
+        t, t_err = terms((lo - k) * _EXPECT_STEP + (np.arange(n - 1) + 0.5) * h)
+        total, total_err = total + t.sum(axis=1), total_err + t_err.sum(axis=1)
         used, h, n = used + n - 1, h / 2.0, 2 * n - 1
         change, value = np.abs(ratios(total) - value), ratios(total)
         if not np.all(np.isfinite(value)):
             break
         if level >= 2 and np.all(change <= _EXPECT_TOL * np.abs(value)):
-            return value, change, used, ends_ok
-    return value, change, used, False
+            return value, bounds(change, value, total, total_err), used, ends_ok
+    return value, bounds(change, value, total, total_err), used, False
 
 
 # cdf and quantile call the scalar incomplete-beta kernels point by point up

@@ -45,21 +45,23 @@ Work is shared within one call, never across calls.  Every entry point
 builds one _Tables for its theta: it takes ln B(gamma, delta + 1) once,
 decides which tables exist (norm_ok, v_ok), and builds each of omega, v,
 the cdf series v_i/((i+1) alpha) and each moment E[X^r] at most once, on
-first use; the rows of one _quad share x, f and F = I_v on each of its
-node arrays.  moments(), l_moments(),
-renyi_entropy() and mean_deviations() are one-line wrappers around
-bodies that take a _Tables (_moments, _l_moments, _renyi_entropy,
-_mean_deviations); `gkw props` builds one _Tables and runs every verb it
-was asked for on it, so there the call is the whole props call, and the
-mean deviations take mu_1 from the moments memo (_Tables.mu) instead of
-sweeping again.  Each order r takes the
+first use; the J sums read the first _V_PREFIX orders of v first and
+build the rest only where they need it.  The rows of one _quad share x,
+f and F = I_v on each of its node arrays, and every _quad on one _Tables
+shares its node memo, so a node array is evaluated once per call.
+moments(), l_moments(), renyi_entropy() and mean_deviations() are
+one-line wrappers around bodies that take a _Tables (_moments,
+_l_moments, _renyi_entropy, _mean_deviations); `gkw props` builds one
+_Tables and runs every verb it was asked for on it, so there the call is
+the whole props call, and the mean deviations take mu_1 from the moments
+memo (_Tables.mu) instead of sweeping again.  Each order r takes the
 route a lone moment(theta, r) call takes; the orders that reach the
 finite j-sum of integer delta share it, building the Beta rows of every
 psi_j in one vectorized call and truncating each order's m-sums for all
 rows with one 2-D cumsum (_first_runs); l_moments() takes its ten
 order-statistic moments as the rows of one _quad.  The tables are
-dropped when the call returns,
-so a repeated call repeats the work and no memory is held.
+dropped when the call returns, so a repeated call repeats the work and
+no memory is held.
 """
 
 from __future__ import annotations
@@ -375,13 +377,16 @@ def _flag_cancellation(sv: SeriesValue, terms: np.ndarray, ctl: SeriesControl,
 def _quad(tables: _Tables, log_h, upper: float = 1.0) -> list[SeriesValue]:
     """The one quadrature fallback: core._expect's E[h_k(V) | V <= v_a],
     v_a = G1(upper)^lambda, for each row k of log_h, tagged "quadrature"
-    with terms = nodes used and tail_bound = the change over the last
-    halving.  Without norm_ok, F takes the scalar kernel point by point:
-    the array one stalls there (fault F3) until it iterates on an active
-    set."""
-    values, changes, used, settled = core._expect(tables.theta, log_h, upper,
-                                                  pointwise=not tables.norm_ok)
-    return [SeriesValue(v, c, used, "quadrature", settled) for v, c in zip(values, changes)]
+    with terms = nodes the rule summed and tail_bound = the change over the
+    last halving plus the rounding of the sums.  Every call on one _Tables
+    shares its node memo (tables.nodes), so a node array that several
+    verbs' rules reach is evaluated once.  Without norm_ok, F takes the
+    scalar kernel point by point: the array one stalls there (fault F3)
+    until it iterates on an active set."""
+    values, bounds, used, settled = core._expect(tables.theta, log_h, upper,
+                                                 pointwise=not tables.norm_ok,
+                                                 nodes=tables.nodes)
+    return [SeriesValue(v, b, used, "quadrature", settled) for v, b in zip(values, bounds)]
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +400,10 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _V_DOMAIN = ("v-table requires gamma*lambda a positive integer, "
              "(delta = 0 or integer lambda) and 1/B(gamma, delta + 1) in float64 range")
 
+# Orders of the v-table that the J sums read first (_Tables.v_prefix): on
+# 6 of the 9 test-grid laws with a v-table both J sums stop within 40.
+_V_PREFIX = 64
+
 
 class _Tables:
     """The expansion tables of one theta, decided once and built lazily.
@@ -402,12 +411,19 @@ class _Tables:
     ln B(gamma, delta + 1) is taken once.  norm_ok says whether B and 1/B
     are finite, nonzero floats, as omega (over B) and v (times 1/B) need;
     at (2, 3, 1e4, 9999, 1), ln B = -13,866.  v_ok says whether the density
-    power series exists.  omega, v, cdf_coeffs, lead and S/w are built on
-    first use, at most once.  mu is a memo of E[X^r]:
-    _moments reads it first and writes every value it computes, so a later
-    mean deviation takes mu_1 from it.  The tables live only as long as the
-    call that made them: one public function call, or one `gkw props` call,
-    whose verbs all run on one _Tables.
+    power series exists.  omega, v, v_prefix, cdf_coeffs, lead and S/w are
+    built on first use, at most once.  v_prefix is the first _V_PREFIX
+    orders of v, bit for bit, built alone while v is not: the J sums read it
+    first and build v only where their truncation rule does not fire within
+    it.  mu is a memo of E[X^r]: _moments reads it first and writes every
+    value it computes, so a later mean deviation takes mu_1 from it.  nodes
+    is core._expect's node memo: each node array's _AtV (log w, log x and,
+    once a rule needs them, log f and log F) and log-weight, shared by every
+    _quad on these tables, so the moments, L-moments, entropy and J
+    quadratures of one call evaluate a node array they share once.  The
+    tables, memos included, live only as long as the call that made them:
+    one public function call, or one `gkw props` call, whose verbs all run
+    on one _Tables.
     """
 
     def __init__(self, theta: Params, ctl: SeriesControl):
@@ -418,6 +434,7 @@ class _Tables:
         self.norm_ok = abs(self.ln_b) < _LOG_MAX
         self.v_ok = self.norm_ok and _is_pos_int(g * l) and (d == 0.0 or _is_pos_int(l))
         self.mu: dict[float, SeriesValue] = {}
+        self.nodes: dict = {}
 
     @functools.cached_property
     def omega(self) -> np.ndarray:
@@ -440,6 +457,18 @@ class _Tables:
     @functools.cached_property
     def v(self) -> np.ndarray:
         """Density power-series coefficients v_i, i < max_terms."""
+        return self._v_orders(self.ctl.max_terms)
+
+    @functools.cached_property
+    def v_prefix(self) -> np.ndarray:
+        """v_i for i < min(_V_PREFIX, max_terms): the first entries of v."""
+        if "v" in self.__dict__ or self.ctl.max_terms <= _V_PREFIX:
+            return self.v[:_V_PREFIX]
+        return self._v_orders(_V_PREFIX)
+
+    def _v_orders(self, n: int) -> np.ndarray:
+        """v_i for i < n; every order reads only the orders below it, so
+        these are the first n entries of any longer table, bit for bit."""
         if not self.v_ok:
             th = self.theta
             raise ExpansionDomainError(
@@ -447,7 +476,7 @@ class _Tables:
                 f"delta={th.delta:g}, lambda={th.lam:g}")
         a, b, _, _, l = self.theta.as_tuple()
         with np.errstate(over="ignore", invalid="ignore"):
-            return l * a * b * math.exp(-self.ln_b) * _v_coeffs(self)
+            return l * a * b * math.exp(-self.ln_b) * _v_coeffs(self, n=n)
 
     @functools.cached_property
     def cdf_coeffs(self) -> np.ndarray:
@@ -479,32 +508,37 @@ def omega_weights(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarra
     return _Tables(theta, ctl).omega
 
 
-def _v_coeffs(tables: _Tables) -> np.ndarray:
-    """Power-series density coefficients v_i, i < max_terms, up to their
-    constant factor lambda alpha beta / B(gamma, delta + 1), which
-    _Tables.v applies (validity assumed checked).
+def _v_coeffs(tables: _Tables, *, n: int) -> np.ndarray:
+    """Power-series density coefficients v_i, i < n, up to their constant
+    factor lambda alpha beta / B(gamma, delta + 1), which _Tables._v_orders
+    applies (validity assumed checked).
 
     f(x) = sum_i v_i x^{(i+1) alpha - 1}.  Writing w = x^alpha and
     S(w) = 1 - (1-w)^beta, the density is (lambda alpha beta / B) *
     x^{alpha-1} T(w) with T = (1-w)^{beta-1} S^{gamma lambda - 1}
     (1 - S^lambda)^delta, so v_i is a plain Taylor coefficient of T.
     S^m factors as w^m (S/w)^m with S/w analytic and nonzero at 0, which
-    is what makes the construction a finite-coefficient recurrence.
+    is what makes the construction a finite-coefficient recurrence.  The
+    first m = gamma lambda - 1 coefficients are zero, so a table of n <= m
+    orders is all zeros.
     """
     _, b, g, d, l = tables.theta.as_tuple()
-    n = tables.ctl.max_terms
     m = int(round(g * l)) - 1
+    v = np.zeros(n)
+    if n <= m:
+        return v
     # (1-w)^{beta-1}
     q = _signed_binom(b - 1.0, n)
     T = _ps_mul(q, _ps_pow(tables.s_over_w, float(m), n), n) if m > 0 else q.copy()
     if d != 0.0:
+        # S^lambda = w^L (S/w)^L: its first L coefficients are zero too
         L = int(round(l))
         SL = np.zeros(n)
-        SL[L:] = _ps_pow(tables.s_over_w, float(L), n)[: n - L]
+        if n > L:
+            SL[L:] = _ps_pow(tables.s_over_w, float(L), n)[: n - L]
         U = -SL
         U[0] += 1.0
         T = _ps_mul(T, _ps_pow(U, d, n), n)
-    v = np.zeros(n)
     v[m:] = T[: n - m]
     return v
 
@@ -883,26 +917,37 @@ def quantile_series_coeffs(theta: Params, n_coeffs: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _j_terms(v: np.ndarray, alpha: float, upper: float) -> np.ndarray:
+    """The terms v_i a^{(i+1)alpha + 1} / ((i+1)alpha + 1) of J(a), a = upper."""
+    expo = (np.arange(len(v), dtype=float) + 1.0) * alpha + 1.0
+    return v * np.power(upper, expo) / expo
+
+
 def _j_integrals(tables: _Tables, uppers) -> list[SeriesValue]:
     """J(a) = integral_0^a x f(x) dx at each upper limit a, one v-table for all.
 
     Series form sum_i v_i a^{(i+1)alpha + 1} / ((i+1)alpha + 1) when the
     v-table exists (geometric in a^alpha, converges fast for a < 1);
     otherwise F(a) E[X | X <= a], the conditional mean by quadrature over
-    V <= G1(a)^lambda.
+    V <= G1(a)^lambda.  The series is summed on tables.v_prefix, and on the
+    whole v only where the truncation rule does not fire within the prefix:
+    the rule's first stop reads only the terms up to it, so each value,
+    bound, term count and fallback is that of the whole table.
     """
-    theta = tables.theta
+    theta, ctl = tables.theta, tables.ctl
     out = []
     for upper in uppers:
         if upper <= 0.0:
             out.append(SeriesValue(0.0, 0.0, 0, "exact", True))
             continue
         if tables.v_ok and upper < 1.0:
-            v = tables.v
-            expo = (np.arange(len(v), dtype=float) + 1.0) * theta.alpha + 1.0
-            terms = v * np.power(upper, expo) / expo
-            sv = _sum_terms(terms, tables.ctl)
-            if _sum_ok(sv, terms, tables.ctl):
+            terms = _j_terms(tables.v_prefix, theta.alpha, upper)
+            partial, stops = _first_runs(terms[None, :], ctl)
+            if stops[0] < 0 and terms.size < ctl.max_terms:
+                terms = _j_terms(tables.v, theta.alpha, upper)
+                partial, stops = _first_runs(terms[None, :], ctl)
+            sv = _row_sum(terms, partial[0], int(stops[0]))
+            if _sum_ok(sv, terms, ctl):
                 out.append(sv)
                 continue
         below = core.cdf(theta, upper) if upper < 1.0 else 1.0
@@ -995,7 +1040,8 @@ def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
     if not r > 0:
         raise ValueError(f"r must be positive, got {r!r}")
     tables = _Tables(theta, ctl)
-    if not tables.v_ok:
+    # no table, or max_terms within its gamma lambda - 1 leading zeros
+    if not tables.v_ok or not tables.cdf_coeffs.any():
         return _order_stat_quad(tables, [(i, n)], r)[0]
     a, lead = theta.alpha, tables.lead
     h = tables.cdf_coeffs[lead:]

@@ -12,7 +12,8 @@ test extra; the tests read the JSON file only.
 
 For each law: the moments E[X^r], r = 1..4; the ten order-statistic
 means E[X_{i:n}], n <= 4; the incomplete first moment J(a) = E[X; X <= a]
-at the mean and at the median; and, where listed, Renyi entropies.
+at the mean and at the median; and, where listed, Renyi entropies (every
+finite one of the test grid at rho = 0.5 and 2).
 """
 
 from __future__ import annotations
@@ -30,21 +31,24 @@ LAWS = {
     # no density power series: the order-statistic moments fall back to
     # quadrature
     "bathtub": ((0.7, 0.8, 0.6, 0.0, 0.9), (0.5,)),
-    "decreasing": ((0.5, 1.0, 0.8, 0.0, 1.0), ()),
+    "decreasing": ((0.5, 1.0, 0.8, 0.0, 1.0), (0.5,)),
     # ln B(gamma, delta + 1) = -13,866: no series tables at all
     "narrow": ((2.0, 3.0, 1e4, 9999.0, 1.0), (3.3,)),
     # non-integer delta: the moments' j-sum decays algebraically
-    "workhorse": ((2.0, 3.0, 1.5, 0.5, 2.0), ()),
+    "workhorse": ((2.0, 3.0, 1.5, 0.5, 2.0), (0.5, 2.0)),
     "small_alpha": ((0.0523, 0.3594, 0.0976, 1.1935, 0.0586), ()),
     # a (1 - x)^(-1/2) singularity at x = 1
-    "increasing_j": ((1.0, 0.5, 3.0, 0.0, 1.0), ()),
-    "spike": ((0.5, 0.5, 3.0, 0.0, 2.0), ()),
+    "increasing_j": ((1.0, 0.5, 3.0, 0.0, 1.0), (0.5,)),
+    "spike": ((0.5, 0.5, 3.0, 0.0, 2.0), (0.5,)),
     # a density power series: the paper's order-statistic expansion applies
-    "uniform": ((1.0, 1.0, 1.0, 0.0, 1.0), ()),
-    "kw22": ((2.0, 2.0, 1.0, 0.0, 1.0), ()),
-    "beta52": ((1.0, 1.0, 5.0, 1.0, 1.0), ()),
-    "beta25": ((1.0, 1.0, 2.0, 4.0, 1.0), ()),
-    "ekw": ((2.0, 3.0, 1.0, 0.0, 2.0), ()),
+    "uniform": ((1.0, 1.0, 1.0, 0.0, 1.0), (0.5, 2.0)),
+    "kw22": ((2.0, 2.0, 1.0, 0.0, 1.0), (0.5, 2.0)),
+    "beta52": ((1.0, 1.0, 5.0, 1.0, 1.0), (0.5, 2.0)),
+    "beta25": ((1.0, 1.0, 2.0, 4.0, 1.0), (0.5, 2.0)),
+    "ekw": ((2.0, 3.0, 1.0, 0.0, 2.0), (0.5, 2.0)),
+    # the rest of the test grid
+    "kwkw": ((2.0, 2.0, 1.0, 1.5, 2.0), (0.5, 2.0)),
+    "mound": ((1.5, 1.8, 1.4, 0.8, 1.1), (0.5, 2.0)),
 }
 PAIRS = [(i, n) for n in range(1, 5) for i in range(1, n + 1)]
 

@@ -258,6 +258,18 @@ class TestProps:
         for key in ("mu1", "mu2", "renyi", "delta1", "delta2"):
             assert doc[f"{key}_method"] == "quadrature"
 
+    # Beta(400, 401): a budget inside the 399 leading zeros of its v-table
+    # gives an all-zero table, whose J sums fall back to quadrature as at
+    # 399; from 201 to 398 the table used to overflow its slice (exit 2)
+    def test_budget_inside_the_leading_zeros_takes_quadrature(self):
+        outs = []
+        for budget in ("256", "399"):
+            code, out, err = run_cli("props", "--theta", "1,1,400,400,1", "--deviations",
+                                     "--series-max-terms", budget)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1] and '"delta1_method": "quadrature"' in outs[0]
+
 
 class TestFit:
     def test_recovers_kw_and_orders_logliks(self, kw_csv, tmp_path):

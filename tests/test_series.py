@@ -83,6 +83,8 @@ KWKW_RENYI_2 = -0.5989230609229075009941
 
 GENEROUS = SeriesControl(max_terms=2000)
 
+BETA400 = Params(1, 1, 400, 400, 1)
+
 
 class TestControlAndValue:
     def test_control_defaults(self):
@@ -888,8 +890,9 @@ class TestConvergedValuesHoldTheirBounds:
     # the paper's order-statistic expansion, whose bound includes the
     # rounding of its q-sums: without it the bound reads 0 at these
     # polynomial-h laws, where EKW m_{3:3} is 2.2e-13 off.  The values that
-    # fall back to quadrature (beta25 n >= 3, EKW n = 4) carry only its
-    # change over the last halving, and take the rule above.
+    # fall back to quadrature (beta25 n >= 3, EKW n = 4) carry the rounding
+    # of its sums: without it EKW m_{2:4} and m_{4:4} read bound 0 while
+    # 1.4e-15 and 1.0e-15 off.
     @pytest.mark.parametrize("name", ["uniform", "kw22", "beta52", "beta25", "ekw"])
     def test_order_stat_series(self, name):
         ref = QUAD_REFS[name]
@@ -897,10 +900,21 @@ class TestConvergedValuesHoldTheirBounds:
         for i, n, want in ref["order_stats"]:
             got = series.order_stat_moment_series(theta, i, n, 1.0)
             assert got.converged, (i, n)
-            if got.method == "series":
-                assert abs(float(got) - want) <= 10 * got.tail_bound + 1e-15, (i, n)
-            else:
-                assert _within_bound(got, want), (i, n)
+            assert abs(float(got) - want) <= 10 * got.tail_bound + 1e-15, (i, n)
+
+    # every finite Renyi entropy of the grid at rho = 0.5 and 2: without the
+    # rounding of the quadrature's sums 11 of these 20 read bound 0
+    @pytest.mark.parametrize("name", [name for name, _ in GRID12])
+    def test_renyi(self, name):
+        ref = QUAD_REFS[name]
+        theta = Params(*ref["theta"])
+        finite = [rho for rho in (0.5, 2.0)
+                  if rho * (theta.alpha * theta.gamma * theta.lam - 1.0) > -1.0
+                  and rho * (theta.beta * (theta.delta + 1.0) - 1.0) > -1.0]
+        assert [rho for rho, _ in ref["renyi"]] == finite
+        for rho, want in ref["renyi"]:
+            got = series.renyi_entropy(theta, rho)
+            assert got.converged and abs(float(got) - want) <= 10 * got.tail_bound + 1e-15, rho
 
     # near the (1 - x)^(-1/2) singularity m_{1:1}'s series decays slowly
     # and read 3e-7 (increasing_j) and 4e-6 (spike) off the exact mean
@@ -998,6 +1012,31 @@ def _omega_reference(theta, count):
     return np.array(out)
 
 
+class TestShortTables:
+    # Beta(400, 401): the v-table's first gamma lambda - 1 = 399 orders are
+    # zero, so a budget of at most 399 orders gives an all-zero table, and
+    # its sums fall back to quadrature or are flagged.  From 201 to 398 the
+    # table used to overflow its own slice.
+    @pytest.mark.parametrize("max_terms", [200, 256, 300, 398, 399])
+    def test_mean_deviations_take_quadrature(self, max_terms):
+        got = series.mean_deviations(BETA400, SeriesControl(max_terms=max_terms))
+        want = series.mean_deviations(BETA400, SeriesControl(max_terms=399))
+        assert all(v.method == "quadrature" and v.converged for v in got)
+        assert all(_same_value(x, y) for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("max_terms", [200, 256, 300, 398, 399])
+    def test_pdf_expansion_is_flagged(self, max_terms):
+        with pytest.warns(SeriesDivergenceWarning):
+            got = series.pdf_expansion(BETA400, 0.5, SeriesControl(max_terms=max_terms))
+        assert not got.converged and float(got) == 0.0
+
+    @pytest.mark.parametrize("max_terms", [256, 399])
+    def test_order_stat_moment_takes_quadrature(self, max_terms):
+        got = series.order_stat_moment_series(BETA400, 2, 3, 1.0,
+                                              SeriesControl(max_terms=max_terms))
+        assert got.method == "quadrature" and got.converged
+
+
 class TestKernelsBitForBit:
     # the vectorized kernels give exactly the bits of their per-row and
     # per-order forms
@@ -1061,6 +1100,25 @@ class TestKernelsBitForBit:
                                                          series._sum_ok(want, terms[i], ctl))
                 checked += 1
         assert checked >= len(psis)
+
+    # every order of the v-table reads only the orders below it: Beta(400,
+    # 401) has gamma lambda - 1 = 399 leading zeros, which a table of 256
+    # orders used to overflow, and (1, 1, 0.1, 1, 10) shifts S^lambda by 10
+    # orders, more than a table of 7 holds
+    _V_LAWS = [(name, theta) for name, theta in GRID12 if name in V_VALID] + [
+        ("beta400", BETA400), ("beta10_4", Params(1, 1, 10, 3, 1)),
+        ("lambda10", Params(1, 1, 0.1, 1, 10))]
+
+    @pytest.mark.parametrize("theta", [theta for _, theta in _V_LAWS],
+                             ids=[name for name, _ in _V_LAWS])
+    def test_v_prefix_is_the_first_orders_of_the_table(self, theta):
+        full = series._Tables(theta, SeriesControl()).v
+        prefix = series._Tables(theta, SeriesControl()).v_prefix
+        assert len(prefix) == series._V_PREFIX
+        assert prefix.tobytes() == full[: series._V_PREFIX].tobytes()
+        for n in (7, 256):
+            short = series._Tables(theta, SeriesControl(max_terms=n)).v
+            assert short.tobytes() == full[:n].tobytes()
 
     @pytest.mark.parametrize("p", [3.0, 0.5, -1.5, 2.4])
     @pytest.mark.parametrize("n", [1, 2, 50, 400])
@@ -1180,6 +1238,46 @@ class TestSharedTables:
         # the mean deviations take mu_1 from the moments sweep
         assert len(psis) == len(set(psis)) > 0
 
+    # the J sums stop within the v-table's prefix (ekw, beta52), or not
+    # (spike): then the whole table is built once more
+    @pytest.mark.parametrize("theta, orders", [(EKW, [series._V_PREFIX]),
+                                               (BETA52, [series._V_PREFIX]),
+                                               (SPIKE, [series._V_PREFIX, 400])],
+                             ids=["ekw", "beta52", "spike"])
+    def test_j_builds_the_orders_its_sums_read(self, theta, orders, monkeypatch):
+        powers = _Recorder(series._ps_pow, lambda a, p, n: n)
+        monkeypatch.setattr(series, "_ps_pow", powers)
+        series.mean_deviations(theta)
+        assert sorted(set(powers.keys)) == orders
+
+    # each J value, bound, term count and fallback is the whole table's
+    @pytest.mark.parametrize("name", sorted(V_VALID))
+    def test_j_on_the_prefix_equals_the_whole_table_sum(self, name):
+        theta = GRID_BY_NAME[name]
+        tables = series._Tables(theta, SeriesControl())
+        uppers = [float(core.quantile(theta, p)) for p in (0.05, 0.3, 0.5, 0.7, 0.95)]
+        for upper, got in zip(uppers, series._j_integrals(tables, uppers)):
+            terms = series._j_terms(tables.v, theta.alpha, upper)
+            want = series._sum_terms(terms, tables.ctl)
+            if series._sum_ok(want, terms, tables.ctl):
+                assert _same_value(got, want), upper
+            else:
+                assert got.method == "quadrature", upper
+
+    @pytest.mark.parametrize("theta", [EKW, BATHTUB, WORKHORSE, SPIKE],
+                             ids=["ekw", "bathtub", "workhorse", "spike"])
+    def test_props_evaluates_each_node_array_once(self, theta, monkeypatch, capsys):
+        arrays = []
+
+        class AtV(core._AtV):
+            def __init__(self, theta, lv, l1v, pointwise):
+                arrays.append(lv.tobytes())
+                super().__init__(theta, lv, l1v, pointwise)
+
+        monkeypatch.setattr(core, "_AtV", AtV)
+        self._props(theta, capsys)
+        assert len(arrays) == len(set(arrays)) > 0
+
     def test_props_builds_the_v_table_once(self, monkeypatch, capsys):
         tables = _Recorder(series._v_coeffs, lambda tables: tables.ctl.max_terms)
         monkeypatch.setattr(series, "_v_coeffs", tables)
@@ -1202,7 +1300,11 @@ class TestSharedTables:
             lone = series.moment(theta, r)
             assert float(value).hex() == float(lone).hex() and _same_value(value, lone)
             assert tables.mu[r] is value
-        pairs = zip(series._mean_deviations(tables), series.mean_deviations(theta))
+        # the verbs after the moments reuse their node arrays, and give the
+        # lone calls' bits
+        pairs = [*zip(series._l_moments(tables, 4), series.l_moments(theta, 4)),
+                 (series._renyi_entropy(tables, 0.5), series.renyi_entropy(theta, 0.5)),
+                 *zip(series._mean_deviations(tables), series.mean_deviations(theta))]
         assert all(_same_value(x, y) for x, y in pairs)
 
     def test_props_builds_each_power_of_s_over_w_once(self, monkeypatch):
