@@ -205,7 +205,7 @@ def _json_text(obj, level: int = 0) -> str:
 
 def _annotate(out: dict, key: str, value, method: bool = True) -> None:
     """Store a quantity plus, with method, how it was obtained
-    (series/quadrature/exact), and `<key>_converged: false` where it did
+    (series or quadrature), and `<key>_converged: false` where it did
     not converge."""
     out[key] = float(value)
     if isinstance(value, series.SeriesValue):
@@ -494,9 +494,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--deviations", action="store_true",
                     help="mean deviations about the mean and the median")
     pp.add_argument("--series-max-terms", type=int, default=400, metavar="N",
-                    help="series truncation cap (default 400)")
+                    help="truncation cap of the series that delta1 and delta2 (--deviations) "
+                         "sum; every other value takes quadrature (default 400)")
     pp.add_argument("--series-tol", type=float, default=1e-10, metavar="TOL",
-                    help="relative series tail tolerance (default 1e-10)")
+                    help="relative tail tolerance of the series that delta1 and delta2 "
+                         "(--deviations) sum (default 1e-10)")
     pp.set_defaults(func=_cmd_props)
 
     pf = sub.add_parser("fit", parents=[common],

@@ -7,35 +7,34 @@ The cdf admits the weighted expansion
 with G1 the two-parameter Kumaraswamy cdf, and the density correspondingly
 unfolds into a mixture of Kumaraswamy densities (coefficients p_k) or a
 power series sum_i v_i x^{(i+1) alpha - 1}.  This module builds those
-coefficient tables and everything derived from them: ordinary, central,
-factorial moments and cumulants, the moment generating function, quantile
-series coefficients, mean deviations, Bonferroni and Lorenz curves, and
-order-statistic moments (binomial in 1 - F).  The L-moments and the Renyi
-entropy take the quadrature over V alone (below): on the test grid's laws
-where the paper's expansions of them apply, that quadrature is the more
-accurate and the faster of the two.
+coefficient tables and everything derived from them: the moment
+generating function, quantile series coefficients, mean deviations,
+Bonferroni and Lorenz curves, and order-statistic moments (binomial in
+1 - F).  The ordinary moments (and the central and factorial moments and
+cumulants built from them), the L-moments and the Renyi entropy take the
+quadrature over V alone (below): on the test grid's laws where the
+paper's expansions of them apply, that quadrature is the more accurate
+and the faster of the two, and its bounds hold.
 
 Truncation policy, implemented once in _first_runs and _row_sum:
 infinite sums stop at the first index where |term| < tail_tol * |partial
-sum| holds for 3 consecutive terms; _sum_terms applies it to one sum, and
-the moments' m-sums to all their rows at once.  A stop counts as
-converged only where the last ratio |t_k / t_{k-1}| is below 0.9, which
-bounds the tail as geometric, t_k r / (1 - r), and where the summed terms
-do not cancel below rounding (_rounding_ok, through _sum_ok).  No tail is
-extrapolated: the sums here that decay only algebraically (the j-sum of
-non-integer delta, sums near a (1 - x)^(-1/2) singularity) carry no
-certified bound.  So every other sum, and every moment of non-integer
-delta, takes the one quadrature fallback, _quad, and tags the result
-(method="quadrature"): each is an expectation over V ~ Beta(gamma,
-delta + 1), X = x(V), by a double-exponential trapezoid rule in logit V
-(core._expect).  The coefficient expansions have finite convergence radii
-for some parameter points, so this is a routine, documented event, not a
-warning.  Only the bare expansion evaluators (cdf_expansion /
-pdf_expansion), which have nothing to fall back on, emit a
-SeriesDivergenceWarning and flag the value as unconverged.  Several
-parameter combinations admit fully finite ("exact") evaluations and are
-detected up front; their bound is eps * sum |terms|, and they too take the
-fallback where that sum cancels below rounding.
+sum| holds for 3 consecutive terms; _sum_terms applies it to one sum.  A
+stop counts as converged only where the last ratio |t_k / t_{k-1}| is
+below 0.9, which bounds the tail as geometric, t_k r / (1 - r), and where
+the summed terms do not cancel below rounding (_rounding_ok, through
+_sum_ok).  No tail is extrapolated: the sums that decay only
+algebraically (near a (1 - x)^(-1/2) singularity, say) carry no
+certified bound.  So every other sum takes the one quadrature fallback,
+_quad, and tags the result (method="quadrature"): each is an expectation
+over V ~ Beta(gamma, delta + 1), X = x(V), by a double-exponential
+trapezoid rule in logit V (core._expect).  The coefficient expansions
+have finite convergence radii for some parameter points, so this is a
+routine, documented event, not a warning.  Only the bare expansion
+evaluators (cdf_expansion / pdf_expansion), which have nothing to fall
+back on, emit a SeriesDivergenceWarning and flag the value as
+unconverged.  The cdf expansion of integer delta is a finite ("exact")
+sum, bounded by eps * sum |terms|, and flagged too where that sum
+cancels below rounding.
 
 Every sum-valued operation returns a SeriesValue: a float carrying the
 achieved tail bound, the number of terms used, the evaluation method
@@ -54,14 +53,10 @@ one-line wrappers around bodies that take a _Tables (_moments,
 _l_moments, _renyi_entropy, _mean_deviations); `gkw props` builds one
 _Tables and runs every verb it was asked for on it, so there the call is
 the whole props call, and the mean deviations take mu_1 from the moments
-memo (_Tables.mu) instead of sweeping again.  Each order r takes the
-route a lone moment(theta, r) call takes; the orders that reach the
-finite j-sum of integer delta share it, building the Beta rows of every
-psi_j in one vectorized call and truncating each order's m-sums for all
-rows with one 2-D cumsum (_first_runs); l_moments() takes its ten
-order-statistic moments as the rows of one _quad.  The tables are
-dropped when the call returns, so a repeated call repeats the work and
-no memory is held.
+memo (_Tables.mu).  Each order r takes its own _quad, as a lone
+moment(theta, r) call does; l_moments() takes its ten order-statistic
+moments as the rows of one _quad.  The tables are dropped when the call
+returns, so a repeated call repeats the work and no memory is held.
 """
 
 from __future__ import annotations
@@ -75,7 +70,7 @@ import numpy as np
 
 from . import core
 from .core import Params
-from .specfun import _ln_beta_arr, ln_beta
+from .specfun import ln_beta
 
 __all__ = [
     "SeriesControl",
@@ -306,8 +301,7 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
     if complete:
         return SeriesValue(math.fsum(terms), _EPS * float(np.abs(terms).sum()), terms.size,
                            "exact", True)
-    partial, stops = _first_runs(terms[None, :], ctl)
-    sv = _row_sum(terms, partial[0], int(stops[0]))
+    sv = _row_sum(terms, *_first_runs(terms, ctl))
     if warn_label and not sv.converged:
         warnings.warn(
             f"{warn_label}: truncation criterion not met after {terms.size} terms",
@@ -317,29 +311,23 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
     return sv
 
 
-def _first_runs(terms: np.ndarray, ctl: SeriesControl) -> tuple[np.ndarray, np.ndarray]:
-    """The truncation rule on every row of a 2-D term array at once.
-
-    Returns the rows' partial sums and, per row, the index k of the last
-    of its first three consecutive small terms (-1 where there is none).
-    The cumsum runs along each row in order, so a row's partial sums are
-    the bits a 1-D cumsum of that row gives.
-    """
+def _first_runs(terms: np.ndarray, ctl: SeriesControl) -> tuple[np.ndarray, int]:
+    """The truncation rule on a term array: its partial sums and the index
+    k of the last of its first three consecutive small terms (-1 where
+    there is none)."""
     # a non-finite partial sum is not converged (below); it needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        partial = np.cumsum(terms, axis=1)
+        partial = np.cumsum(terms)
     scale = ctl.tail_tol * np.maximum(np.abs(partial), 1e-300)
     # a zero partial sum means the series has not started (leading zeros),
     # and an infinite one that it has diverged: neither has converged
     small = (np.abs(terms) < scale) & (partial != 0.0) & np.isfinite(partial)
-    hit = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-    if hit.shape[1] == 0:
-        return partial, np.full(len(terms), -1)
-    return partial, np.where(hit.any(axis=1), hit.argmax(axis=1) + 2, -1)
+    hit = np.flatnonzero(small[2:] & small[1:-1] & small[:-2])
+    return partial, int(hit[0]) + 2 if hit.size else -1
 
 
 def _row_sum(terms: np.ndarray, partial: np.ndarray, k: int) -> SeriesValue:
-    """_sum_terms of one row from its partial sums and _first_runs stop k.
+    """_sum_terms from the partial sums and the _first_runs stop k.
 
     A stop counts only where the last ratio r = |t_k / t_{k-1}| is below
     0.9: the tail is then bounded as geometric, t_k r / (1 - r).  An
@@ -415,12 +403,13 @@ class _Tables:
     built on first use, at most once.  v_prefix is the first _V_PREFIX
     orders of v, bit for bit, built alone while v is not: the J sums read it
     first and build v only where their truncation rule does not fire within
-    it.  mu is a memo of E[X^r]: _moments reads it first and writes every
-    value it computes, so a later mean deviation takes mu_1 from it.  nodes
-    is core._expect's node memo: each node array's _AtV (log w, log x and,
-    once a rule needs them, log f and log F) and log-weight, shared by every
-    _quad on these tables, so the moments, L-moments, entropy and J
-    quadratures of one call evaluate a node array they share once.  The
+    it.  mu is a memo of E[X^r], each one _quad: _moments reads it first
+    and writes every value it computes, so a later mean deviation takes
+    mu_1 from it.  nodes is core._expect's node memo: each node array's
+    _AtV (log w, log x and, once a rule needs them, log f and log F) and
+    log-weight, shared by every _quad on these tables, so the moments,
+    L-moments, entropy and J quadratures of one call evaluate a node array
+    they share once.  The
     tables, memos included, live only as long as the call that made them:
     one public function call, or one `gkw props` call, whose verbs all run
     on one _Tables.
@@ -627,147 +616,37 @@ def pdf_expansion(theta: Params, x: float, ctl: SeriesControl = _DEFAULT_CTL) ->
 # ----------------------------------------------------------------------
 
 
-def _beta_rows(psis: np.ndarray, b: float, count: int) -> np.ndarray:
-    """B(psi, m/b + 1) for each psi (rows) and m = 0..count-1 (columns):
-    the r-independent factor of M(r) for every psi_j in one call."""
-    cols = np.arange(count, dtype=float) / b + 1.0
-    return np.exp(_ln_beta_arr(psis[:, None], cols[None, :]))
-
-
-def _psi_coeffs(rr: float, ctl: SeriesControl) -> tuple[int, np.ndarray, bool]:
-    """The psi-independent factors of M(r): (count, (-1)^m C(rr, m), exact).
-
-    The m-sum terminates exactly when rr = r/alpha is a nonnegative
-    integer and is truncated at max_terms otherwise.
-    """
-    count = _count(rr, ctl)
-    return count, _signed_binom(rr, count), _is_nonneg_int(rr)
-
-
-def _psi_moments(psis: np.ndarray, rows: np.ndarray, coeffs, ctl: SeriesControl) -> np.ndarray:
-    """psi * M(r) = psi * sum_m (-1)^m C(rr, m) B(psi, m/b + 1) for each psi.
-
-    This equals E[x(Y)^r] for Y ~ Beta(psi, 1), hence tends to 1 as psi
-    grows.  rows is :func:`_beta_rows` of psis, at least count wide, and
-    coeffs is :func:`_psi_coeffs` for rr.  Returns three rows: the values,
-    their bounds and their convergence flags (1 or 0).  A finite m-sum is
-    bounded by eps * sum |terms|; a truncated one takes the truncation
-    rule on all rows at once.  Either is flagged where it cancels below
-    rounding (_rounding_ok, _sum_ok).
-    """
-    count, signed_binom, exact = coeffs
-    if exact:
-        m_terms = signed_binom * rows[:, :count]
-        vals = psis * m_terms.sum(axis=1)
-        masses = psis * np.abs(m_terms).sum(axis=1)
-        oks = [_rounding_ok(v, m, ctl) for v, m in zip(vals, masses)]
-        return np.stack([vals, _EPS * masses, oks])
-    terms = psis[:, None] * signed_binom * rows[:, :count]
-    svs = map(_row_sum, terms, *_first_runs(terms, ctl))
-    return np.array([(sv, sv.tail_bound, _sum_ok(sv, t, ctl)) for sv, t in zip(svs, terms)]).T
-
-
-def _moment_finite(b: float, rr: float, omegas, psis, ctl: SeriesControl) -> SeriesValue:
-    """The fully finite double sum over j and k (integer delta and psi_j),
-    bounded by eps * sum |terms|; not converged where its terms cancel
-    below rounding (_rounding_ok)."""
-    total = 0.0
-    mass = 0.0
-    n_terms = 0
-    for om, psi in zip(omegas, psis):
-        K = int(round(psi))
-        k = np.arange(K, dtype=float)
-        tau = _signed_binom(psi - 1.0, K) * b * np.exp(
-            _ln_beta_arr(1.0 + rr, (k + 1.0) * b)
-        )
-        total += om * psi * float(tau.sum())
-        mass += abs(om * psi) * float(np.abs(tau).sum())
-        n_terms += K
-    return SeriesValue(total, _EPS * mass, n_terms, "exact", _rounding_ok(total, mass, ctl))
-
-
-def moment(theta: Params, r: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
+def moment(theta: Params, r: float) -> SeriesValue:
     """The r-th ordinary moment E[X^r], r > -alpha.
 
-    Three routes, most exact first:
-      * delta and all psi_j = lambda(gamma+j) integers with max psi small:
-        the finite Kumaraswamy-mixture sum sum_{j,k} -- fully closed form,
-        e.g. the (2,2,1,0,1) mean comes out as 2 B(3/2, 2) = 8/15.
-        (Skipped for large psi, where the alternating binomials would
-        cancel catastrophically.)
-      * integer delta: finite j-sum of psi_j M_j(r); M_j terminates when
-        r/alpha is an integer and is truncated otherwise.
-      * quadrature of E[x(V)^r] (core._expect): for non-integer delta,
-        whose infinite j-sum decays only algebraically, so that no
-        truncation of it carries a certified bound; and wherever a sum
-        above fails its truncation test, the omega weights do not fit in
-        float64, or a sum cancels below rounding.
+    E[x(V)^r] for V ~ Beta(gamma, delta + 1) by the one quadrature over V
+    (_quad), tagged "quadrature".  The paper's expansion of it, a finite
+    j-sum over omega_j for integer delta (moment_series in
+    tests/crosscheck.py), is less accurate on every test-grid law where
+    it applies, and its bound can miss: at one delta = 0 law it sums E[X]
+    to 1 + 7.8e-13.
     """
-    return moments(theta, (r,), ctl)[0]
+    return moments(theta, (r,))[0]
 
 
-def moments(theta: Params, rs, ctl: SeriesControl = _DEFAULT_CTL) -> list[SeriesValue]:
-    """E[X^r] for every r in rs; each value is what moment(theta, r) gives.
-
-    The orders that reach the finite j-sum of integer delta share it:
-    omega_j and the Beta rows B(psi_j, m/beta + 1) do not depend on r, so
-    each is built once per call.
-    """
-    return _moments(_Tables(theta, ctl), rs)
+def moments(theta: Params, rs) -> list[SeriesValue]:
+    """E[X^r] for every r in rs; each value is what moment(theta, r) gives."""
+    return _moments(_Tables(theta, _DEFAULT_CTL), rs)
 
 
 def _moments(tables: _Tables, rs) -> list[SeriesValue]:
-    """moments() on shared tables.  tables.mu is a memo of E[X^r]: each r
-    not in it takes, for integer delta, the finite double sum where that
-    converges, then the shared j-sum; then quadrature.  Every value
-    computed is kept."""
-    theta, ctl, mu = tables.theta, tables.ctl, tables.mu
-    a, b, g, d, l = theta.as_tuple()
+    """moments() on shared tables: one _quad per order not yet in the memo
+    tables.mu, each kept there.  The orders' rules share the node memo, so
+    a node array they all reach is evaluated once."""
+    a, mu = tables.theta.alpha, tables.mu
     rs = list(rs)
     for r in rs:
         if not (r > -a):
             raise ValueError(f"moment requires r > -alpha = {-a:g}, got r={r:g}")
-    todo = [r for r in dict.fromkeys(rs) if r not in mu]
-    if todo and _is_nonneg_int(d):
-        try:
-            # Python floats: NumPy scalars would slow the finite sum's j loop
-            omega = tables.omega.tolist()
-        except ExpansionDomainError:
-            omega = []  # no series: every r takes quadrature
-        psis = [l * (g + j) for j in range(len(omega))]
-        if omega and all(_is_pos_int(ps) for ps in psis) and max(psis) <= 25.0:
-            # fully finite double sum; large psi cancel catastrophically
-            for r in todo:
-                value = _moment_finite(b, r / a, omega, psis, ctl)
-                if value.converged:
-                    mu[r] = value
-        swept = [r for r in todo if r not in mu]
-        if omega and swept:
-            mu.update((r, v) for r, v in zip(swept, _moment_sweep(tables, swept))
-                      if v is not None)
-    for r in todo:
+    for r in dict.fromkeys(rs):
         if r not in mu:
             mu[r] = _quad(tables, lambda at, r=r: r * at.log_x)[0]
     return [mu[r] for r in rs]
-
-
-def _moment_sweep(tables: _Tables, rs) -> list[SeriesValue | None]:
-    """The finite j-sum of integer delta, sum_j omega_j psi_j M_j, shared
-    by the orders rs; None where an order's m-sums or j-sum do not
-    converge or cancel below rounding."""
-    a, b, g, _, l = tables.theta.as_tuple()
-    ctl, omega = tables.ctl, tables.omega
-    coeffs = [_psi_coeffs(r / a, ctl) for r in rs]
-    psis = l * (g + np.arange(len(omega), dtype=float))
-    rows = _beta_rows(psis, b, max(c[0] for c in coeffs))
-    out = []
-    for coeff in coeffs:
-        vals, bounds, oks = _psi_moments(psis, rows, coeff, ctl)
-        terms = omega * vals
-        value = SeriesValue(np.cumsum(terms)[-1], np.cumsum(np.abs(omega) * bounds)[-1],
-                            len(omega), "exact" if coeff[2] else "series", True)
-        out.append(value if oks.all() and _sum_ok(value, terms, ctl) else None)
-    return out
 
 
 _CUMULANT_FORMULAS = {
@@ -785,9 +664,7 @@ _CUMULANT_FORMULAS = {
 }
 
 
-def central_moments_and_cumulants(
-    theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL
-) -> tuple[list[float], list[float]]:
+def central_moments_and_cumulants(theta: Params, up_to: int) -> tuple[list[float], list[float]]:
     """Central moments mu_s and cumulants kappa_s for s = 1..up_to (<= 6).
 
     Both are assembled from ordinary moments: mu_s by the binomial
@@ -796,7 +673,7 @@ def central_moments_and_cumulants(
     if not (isinstance(up_to, (int, np.integer)) and 1 <= up_to <= 6):
         raise ValueError(f"up_to must be an integer in 1..6, got {up_to!r}")
     orders = [float(s) for s in range(1, up_to + 1)]
-    raw = [1.0] + [float(m) for m in moments(theta, orders, ctl)]
+    raw = [1.0] + [float(m) for m in moments(theta, orders)]
     mean = raw[1]
     central = []
     for s in range(1, up_to + 1):
@@ -808,7 +685,7 @@ def central_moments_and_cumulants(
     return central, kappas
 
 
-def factorial_moment(theta: Params, r: int, ctl: SeriesControl = _DEFAULT_CTL) -> float:
+def factorial_moment(theta: Params, r: int) -> float:
     """Descending factorial moment E[X(X-1)...(X-r+1)].
 
     Signed Stirling numbers of the first kind from the recurrence
@@ -824,7 +701,7 @@ def factorial_moment(theta: Params, r: int, ctl: SeriesControl = _DEFAULT_CTL) -
             nxt[mm] -= row * s[mm]
         s = nxt
     orders = [float(k) for k in range(1, r + 1)]
-    raw = [1.0] + [float(m) for m in moments(theta, orders, ctl)]
+    raw = [1.0] + [float(m) for m in moments(theta, orders)]
     return float(sum(s[m] * raw[m] for m in range(0, r + 1)))
 
 
@@ -942,11 +819,11 @@ def _j_integrals(tables: _Tables, uppers) -> list[SeriesValue]:
             continue
         if tables.v_ok and upper < 1.0:
             terms = _j_terms(tables.v_prefix, theta.alpha, upper)
-            partial, stops = _first_runs(terms[None, :], ctl)
-            if stops[0] < 0 and terms.size < ctl.max_terms:
+            partial, stop = _first_runs(terms, ctl)
+            if stop < 0 and terms.size < ctl.max_terms:
                 terms = _j_terms(tables.v, theta.alpha, upper)
-                partial, stops = _first_runs(terms[None, :], ctl)
-            sv = _row_sum(terms, partial[0], int(stops[0]))
+                partial, stop = _first_runs(terms, ctl)
+            sv = _row_sum(terms, partial, stop)
             if _sum_ok(sv, terms, ctl):
                 out.append(sv)
                 continue
@@ -1064,7 +941,7 @@ def order_stat_moment_series(theta: Params, i: int, n: int, r: float,
     return SeriesValue(total, bound + _EPS * mass, terms_used, "series", True)
 
 
-def l_moments(theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL) -> list[SeriesValue]:
+def l_moments(theta: Params, up_to: int) -> list[SeriesValue]:
     """L-moments lambda_1..lambda_{up_to} (up_to <= 4).
 
     Built from first moments of order statistics:
@@ -1076,7 +953,7 @@ def l_moments(theta: Params, up_to: int, ctl: SeriesControl = _DEFAULT_CTL) -> l
     changes of its m_{i:n} over the last halving, and converged where that
     quadrature settled.
     """
-    return _l_moments(_Tables(theta, ctl), up_to)
+    return _l_moments(_Tables(theta, _DEFAULT_CTL), up_to)
 
 
 def _l_moments(tables: _Tables, up_to: int) -> list[SeriesValue]:
@@ -1102,7 +979,7 @@ def _l_moments(tables: _Tables, up_to: int) -> list[SeriesValue]:
 # ----------------------------------------------------------------------
 
 
-def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
+def renyi_entropy(theta: Params, rho: float) -> SeriesValue:
     """Renyi entropy J_R(rho) = log(integral f^rho) / (1 - rho).
 
     Existence first: f ~ x^{alpha gamma lambda - 1} at 0 and
@@ -1117,7 +994,7 @@ def renyi_entropy(theta: Params, rho: float, ctl: SeriesControl = _DEFAULT_CTL) 
     integer; on every test-grid law where it applies, it loses to the
     quadrature in accuracy and in time.
     """
-    return _renyi_entropy(_Tables(theta, ctl), rho)
+    return _renyi_entropy(_Tables(theta, _DEFAULT_CTL), rho)
 
 
 def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:

@@ -98,8 +98,7 @@ def ln_gamma(x: float) -> float:
 
 
 def _stirling_tail(z: float) -> float:
-    """Remainder S(z) in ln Gamma(z) = (z-1/2)ln z - z + ln sqrt(2pi) + S(z);
-    elementwise on arrays."""
+    """Remainder S(z) in ln Gamma(z) = (z-1/2)ln z - z + ln sqrt(2pi) + S(z)."""
     w = 1.0 / (z * z)
     return (1.0 / 12.0 - (1.0 / 360.0 - w / 1260.0) * w) / z
 
@@ -126,53 +125,6 @@ def ln_beta(a: float, b: float) -> float:
         + _stirling_tail(hi)
         - _stirling_tail(hi + lo)
     )
-
-
-def _ln_gamma_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized ln_gamma for arrays of positive reals (internal)."""
-    x = np.asarray(x, dtype=float)
-    shift = x < 0.5
-    xs = np.where(shift, x + 1.0, x)
-    z = xs - 1.0
-    acc = np.full_like(xs, _LANCZOS_C[0])
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    out = _LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(acc)
-    return np.where(shift, out - np.log(np.where(shift, x, 1.0)), out)
-
-
-def _ln_beta_arr(a, b) -> np.ndarray:
-    """Vectorized ln B(a, b); a and b broadcast (internal).
-
-    ln Gamma(a) and ln Gamma(b) are taken at the shapes of a and b and
-    then broadcast; only ln Gamma(a + b) runs on the broadcast grid, so a
-    column of 32 against a row of 400 costs 32 + 400 + 12,800 ln Gamma
-    values, not 3 x 12,800.  Each cell is the same sequence of operations
-    either way, hence the same bits.  Shares the large-argument rewrite
-    with ``ln_beta`` so huge shape values keep absolute (not just
-    relative) accuracy.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    naive = _ln_gamma_arr(a) + _ln_gamma_arr(b) - _ln_gamma_arr(a + b)
-    if not (np.any(a >= 1e5) or np.any(b >= 1e5)):
-        return naive
-    a, b = np.broadcast_arrays(a, b)
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    big = hi >= 1e5
-    hi_s = np.where(big, hi, 2e5)
-    lo_s = np.where(big, lo, 1.0)
-    stable = (
-        _ln_gamma_arr(lo_s)
-        + lo_s
-        - (hi_s - 0.5) * np.log1p(lo_s / hi_s)
-        - lo_s * np.log(hi_s + lo_s)
-        + _stirling_tail(hi_s)
-        - _stirling_tail(hi_s + lo_s)
-    )
-    return np.where(big, stable, naive)
 
 
 def beta_fn(a: float, b: float) -> float:

@@ -1,7 +1,7 @@
 """Reference routes that the tests check the library against: finite
 differences, Monte Carlo order-statistic means, the survival-power
-route to order-statistic moments, and the paper's series for the Renyi
-entropy.
+route to order-statistic moments, and the paper's series for the
+moments and the Renyi entropy.
 
 Importable module (not collected: its name does not start with test_).
 None of this ships in the package; the library has one route per
@@ -14,7 +14,7 @@ import numpy as np
 
 from gkw import core, series
 from gkw.core import Params
-from gkw.specfun import _ln_beta_arr
+from gkw.specfun import ln_beta
 
 
 def fd_grad(f, x, h_rel: float = 1e-6) -> np.ndarray:
@@ -146,6 +146,52 @@ def order_stat_moment_barakat(theta: Params, i: int, n: int, r: int,
     return series.SeriesValue(total, bound, terms_used, "series", True)
 
 
+def moment_series(theta: Params, r: float,
+                  ctl: series.SeriesControl = series._DEFAULT_CTL) -> series.SeriesValue | None:
+    """E[X^r] by the paper's expansion for integer delta; None where it
+    does not apply or does not converge.
+
+    E[X^r] = sum_j omega_j psi_j M_j(r), psi_j = lambda (gamma + j), a
+    finite j-sum: psi_j M_j(r) is E[X^r] under the cdf G1^psi_j.  Where
+    every psi_j is an integer, M_j(r) is the finite Kumaraswamy-mixture
+    sum sum_k (-1)^k C(psi_j - 1, k) beta B(1 + r/alpha, (k + 1) beta);
+    otherwise M_j(r) = sum_m (-1)^m C(r/alpha, m) B(psi_j, m/beta + 1),
+    which terminates where r/alpha is a nonnegative integer and is
+    truncated by the library's rule otherwise.  None where delta is not
+    an integer, the omega weights do not fit in float64, or a sum does
+    not converge or cancels below rounding.
+    """
+    a, b, g, d, l = theta.as_tuple()
+    if not series._is_nonneg_int(d):
+        return None
+    try:
+        omega = series.omega_weights(theta, ctl)
+    except series.ExpansionDomainError:
+        return None
+    rr = r / a
+    psis = [l * (g + j) for j in range(len(omega))]
+    mixture = all(series._is_pos_int(psi) for psi in psis)
+    total = bound = mass = 0.0
+    for om, psi in zip(omega, psis):
+        if mixture:
+            coeffs = series._signed_binom(psi - 1.0, round(psi))
+            terms = np.array([psi * c * b * math.exp(ln_beta(1.0 + rr, (k + 1.0) * b))
+                              for k, c in enumerate(coeffs)])
+        else:
+            coeffs = series._signed_binom(rr, series._count(rr, ctl))
+            terms = np.array([psi * c * math.exp(ln_beta(psi, m / b + 1.0))
+                              for m, c in enumerate(coeffs)])
+        sv = series._sum_terms(terms, ctl, complete=mixture or series._is_nonneg_int(rr))
+        if not series._sum_ok(sv, terms, ctl):
+            return None
+        total += om * float(sv)
+        bound += abs(om) * sv.tail_bound
+        mass += abs(om * float(sv))
+    if not series._rounding_ok(total, mass, ctl):
+        return None
+    return series.SeriesValue(total, bound + series._EPS * mass, len(omega), "series", True)
+
+
 def renyi_series(theta: Params, rho: float,
                  ctl: series.SeriesControl = series._DEFAULT_CTL) -> series.SeriesValue | None:
     """Renyi entropy J_R(rho) = log(integral f^rho) / (1 - rho) by the
@@ -185,7 +231,7 @@ def renyi_series(theta: Params, rho: float,
         if mm > 0:
             binom_m *= (rd - (mm - 1)) / mm
             Pm = series._ps_mul(Pm, AL, N)
-        terms = Pm * np.exp(_ln_beta_arr(a0 + l * mm + s, b_exp))
+        terms = Pm * np.exp([ln_beta(c, b_exp) for c in a0 + l * mm + s])
         sv = series._sum_terms(terms, ctl)
         if not series._sum_ok(sv, terms, ctl):
             return None

@@ -46,6 +46,16 @@ LAWS = {
     "beta52": ((1.0, 1.0, 5.0, 1.0, 1.0), (0.5, 2.0)),
     "beta25": ((1.0, 1.0, 2.0, 4.0, 1.0), (0.5, 2.0)),
     "ekw": ((2.0, 3.0, 1.0, 0.0, 2.0), (0.5, 2.0)),
+    # delta = 0 laws of the sweep whose moments the integer-delta j-sum put
+    # outside their bounds: E[X] = 1 + 7.8e-13 (sweep_a), E[X^3] 2.0e-12
+    # off with bound 2.6e-15 (sweep_b) and 1.6e-10 off with bound 5.5e-14
+    # (sweep_c)
+    "sweep_a": ((0.7100813303641811, 0.056508944782373866, 17.91563309366986, 0.0,
+                 39.18630656827331), ()),
+    "sweep_b": ((0.18987318384868027, 3.7343695269644384, 30.462968534313866, 0.0,
+                 8.813370577043338), ()),
+    "sweep_c": ((0.05456128035846789, 0.07665971773392577, 25.9201991514922, 0.0,
+                 0.2454235992495531), ()),
     # the rest of the test grid
     "kwkw": ((2.0, 2.0, 1.0, 1.5, 2.0), (0.5, 2.0)),
     "mound": ((1.5, 1.8, 1.4, 0.8, 1.1), (0.5, 2.0)),
@@ -160,9 +170,10 @@ def main() -> None:
             "moments": [[r, _expect(theta, lambda t, r=r: r * _at(theta, t)[3])]
                         for r in (1, 2, 3, 4)],
             "order_stats": [[i, n, order_stat_mean(theta, i, n)] for i, n in PAIRS],
-            # small_alpha's median underflows to 0, where J is 0
+            # small_alpha's median underflows to 0, where J is 0, and
+            # sweep_a's mean and median round to 1, where J is the mean
             "j": [[upper, j_integral(theta, upper)] for upper in (mean, median(theta))
-                  if upper > 0.0],
+                  if 0.0 < upper < 1.0],
             "renyi": [[rho, renyi(theta, rho)] for rho in rhos],
         }
     OUT.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")

@@ -138,16 +138,14 @@ class TestSample:
 class TestProps:
     def test_unsettled_values_are_flagged(self, monkeypatch):
         # a node cap that the quadrature cannot settle within: this law has
-        # no density power series, so its L-moments and mean deviations
-        # fall back to quadrature and are flagged; its mean sums the finite
-        # j-sum of integer delta and is not
+        # no density power series, so its mean, L-moments and mean
+        # deviations all take the quadrature and are flagged
         monkeypatch.setattr(core, "_EXPECT_MAX_NODES", 60)
         code, out, _ = run_cli("props", "--theta", "2.5,1.6,3.9,2,1.9", "--moments", "1",
                                "--lmoments", "--deviations")
         assert code == 0
         doc = json.loads(out)
-        assert doc["mu1_method"] == "series" and "mu1_converged" not in doc
-        for key in ("l1", "l2", "l3", "l4", "delta1", "delta2"):
+        for key in ("mu1", "l1", "l2", "l3", "l4", "delta1", "delta2"):
             assert doc[f"{key}_converged"] is False, key
         assert "l1_method" not in doc
 
@@ -573,14 +571,15 @@ class TestGoldenReports:
     # before one per-call table object decided and built them all; the
     # L-moments and Renyi entropies of uniform, kw22, decreasing, beta52,
     # beta25, ekw and the -entropy2 reports were rewritten when those two
-    # took the quadrature alone.  The shapes take every route: the
-    # integer-delta moment sweep, the finite double sum, the moments'
-    # quadrature (general delta), v-table and quadrature mean deviations,
-    # and the quadrature L-moments and entropy.  With --series-max-terms 7
-    # the sweeps and the v-table sums fall back to quadrature (workhorse:
-    # general delta; bathtub: integer delta).  The -entropy2 reports hold
-    # the Renyi entropy at rho = 2 alone, for two laws with a density
-    # power series (kwkw, ekw).
+    # took the quadrature alone, and the moments and mean deviations of
+    # the nine integer-delta laws (all but workhorse, kwkw and mound) when
+    # the moments did.  The moments, L-moments and entropy take the
+    # quadrature at every law; the mean deviations take the v-table J
+    # series or the quadrature.  Workhorse and bathtub sum no series (J's
+    # diverges at workhorse, and bathtub has no v-table), so their -t7
+    # reports, at --series-max-terms 7, equal those at the default budget.
+    # The -entropy2 reports hold the Renyi entropy at rho = 2 alone, for
+    # two laws with a density power series (kwkw, ekw).
     @pytest.mark.parametrize("name, theta", [
         (name, ",".join(f"{v:g}" for v in theta.as_tuple()))
         for name, theta in GRID12 + [("workhorse-t7", WORKHORSE), ("bathtub-t7", BATHTUB),

@@ -291,20 +291,16 @@ class TestMoment:
     def test_uniform_all_orders(self):
         for r in range(1, 7):
             got = series.moment(UNIFORM, float(r))
-            assert got.method == "exact"
             assert float(got) == pytest.approx(1.0 / (r + 1), abs=1e-14)
 
     def test_kw22_mean_closed_form(self):
         got = series.moment(KW22, 1.0)
-        assert got.method == "exact"
         assert float(got) == pytest.approx(8.0 / 15.0, abs=1e-12)
 
     def test_beta_means(self):
         got = series.moment(BETA52, 1.0)
         assert float(got) == pytest.approx(5.0 / 7.0, abs=1e-12)
-        # non-integer gamma exercises the finite m-route
         got = series.moment(Params(1, 1, 2.5, 1, 1), 1.0)
-        assert got.method == "exact"
         assert float(got) == pytest.approx(5.0 / 9.0, abs=1e-10)
 
     def test_negative_order_closed_form(self):
@@ -314,24 +310,24 @@ class TestMoment:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_workhorse_vs_frozen_quadrature(self, r):
-        got = series.moment(WORKHORSE, float(r), GENEROUS)
+        got = series.moment(WORKHORSE, float(r))
         assert got.converged
         assert float(got) == pytest.approx(WORK_RAW_MOMENTS[r], abs=2e-8)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_kwkw_vs_frozen_quadrature(self, r):
-        got = series.moment(KWKW, float(r), GENEROUS)
+        got = series.moment(KWKW, float(r))
         assert float(got) == pytest.approx(KWKW_RAW_MOMENTS[r], abs=2e-8)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_mound_vs_frozen_quadrature(self, r):
-        got = series.moment(MOUND, float(r), GENEROUS)
+        got = series.moment(MOUND, float(r))
         assert float(got) == pytest.approx(MOUND_RAW_MOMENTS[r], abs=2e-8)
 
     @pytest.mark.parametrize("name,theta", GRID12)
     def test_monotone_decreasing_in_order(self, name, theta):
         vals = [float(series.moment(theta, float(r))) for r in (1, 2, 3)]
-        assert vals[0] > vals[1] > vals[2] > 0.0
+        assert 1.0 >= vals[0] > vals[1] > vals[2] > 0.0
 
     def test_r_at_or_below_neg_alpha_rejected(self):
         with pytest.raises(ValueError, match="-alpha"):
@@ -353,7 +349,7 @@ class TestCentralMomentsAndCumulants:
         assert kappas[3] == pytest.approx(-1.0 / 120.0, abs=1e-12)
 
     def test_workhorse_higher_cumulants(self):
-        _, kappas = series.central_moments_and_cumulants(WORKHORSE, 4, GENEROUS)
+        _, kappas = series.central_moments_and_cumulants(WORKHORSE, 4)
         assert kappas[2] == pytest.approx(WORK_KAPPA3, abs=1e-7)
         assert kappas[3] == pytest.approx(WORK_KAPPA4, abs=1e-7)
 
@@ -385,7 +381,7 @@ class TestFactorialMoment:
 
     def test_second_matches_direct(self):
         # E[X(X-1)] = mu2' - mu1'
-        got = series.factorial_moment(WORKHORSE, 2, GENEROUS)
+        got = series.factorial_moment(WORKHORSE, 2)
         want = WORK_RAW_MOMENTS[2] - WORK_RAW_MOMENTS[1]
         assert got == pytest.approx(want, abs=1e-7)
 
@@ -567,7 +563,7 @@ class TestLMoments:
         assert lams[0] == pytest.approx(8.0 / 15.0, abs=1e-11)
 
     def test_workhorse_all_four(self):
-        lams = series.l_moments(WORKHORSE, 4, GENEROUS)
+        lams = series.l_moments(WORKHORSE, 4)
         for got, want in zip(lams, WORK_LMOMENTS):
             assert got == pytest.approx(want, abs=2e-7)
 
@@ -696,6 +692,21 @@ class TestMirrorImage:
         for got, want in zip(l25, (1.0 - l52[0], l52[1], -l52[2], l52[3])):
             assert float(got) == pytest.approx(float(want), rel=0, abs=1e-14)
 
+    # the mean against 1 - mean, the central moments up to the sign of the
+    # odd one, and the mean deviation about the mean.  The moments' finite
+    # double sum put mu_4 1.0e-13 and the mean 2.2e-14 apart.  The mean
+    # deviation about the median stays out: its J sums and the quantile
+    # leave the two 1.1e-13 apart.
+    def test_moments_and_mean_deviation(self):
+        (m25,), (m52,) = series.moments(BETA25, [1]), series.moments(BETA52, [1])
+        assert float(m25) == pytest.approx(1.0 - float(m52), rel=0, abs=1e-14)
+        c25, _ = series.central_moments_and_cumulants(BETA25, 4)
+        c52, _ = series.central_moments_and_cumulants(BETA52, 4)
+        for got, want in zip(c25[1:], (c52[1], -c52[2], c52[3])):
+            assert got == pytest.approx(want, rel=0, abs=1e-14)
+        d25, d52 = series.mean_deviations(BETA25)[0], series.mean_deviations(BETA52)[0]
+        assert float(d25) == pytest.approx(float(d52), rel=0, abs=1e-14)
+
 
 class TestOverflowingTables:
     # Beta(400, 401) = (1, 1, 400, 400, 1): ln B(gamma, delta + 1) = -557 is
@@ -763,7 +774,8 @@ class TestCancellingTables:
     # sums must give way to quadrature, or be flagged; references are Beta
     # closed forms, and mpmath's 1F1 for the mgf.
 
-    # the finite double sum, the integer-delta and the general-delta sweeps
+    # the paper's moment sums cancel here (the integer-delta ones at a, b
+    # of 10 or more); the moments take the quadrature at every law
     @pytest.mark.parametrize("a, b", [(10, 11), (30, 31), (60, 61.5)])
     def test_moments_take_quadrature_where_the_sweep_cancels(self, a, b):
         theta, mu1, mu2 = _beta_law(a, b)
@@ -868,8 +880,9 @@ def _within_bound(value, want):
 
 
 class TestConvergedValuesHoldTheirBounds:
-    # Values that a fitted power tail flagged converged outside their
-    # bounds; references from tests/data/quad-refs.json.
+    # Values that a fitted power tail or the paper's moment sums flagged
+    # converged outside their bounds; references from
+    # tests/data/quad-refs.json.
 
     # small_alpha: E[X^3] read -520.6 (reference 5.1e-6) with bound 3.3e-7;
     # workhorse: the j-sum hit its cap and mu_3, mu_4 missed their bounds
@@ -880,6 +893,24 @@ class TestConvergedValuesHoldTheirBounds:
         want = dict(ref["moments"])
         for r, got in zip(orders, series.moments(Params(*ref["theta"]), orders)):
             assert got.converged and _within_bound(got, want[r]), r
+
+    # delta = 0 laws of the sweep, where the integer-delta j-sum read E[X],
+    # E[X^2] and E[X^3] = 1 + 7.8e-13 with bound 3.6e-84 (sweep_a), and
+    # E[X^3] 2.0e-12 off with bound 2.6e-15 (sweep_b) and 1.6e-10 off with
+    # bound 5.5e-14 (sweep_c)
+    @pytest.mark.parametrize("name", ["sweep_a", "sweep_b", "sweep_c"])
+    def test_sweep_moments(self, name):
+        ref = QUAD_REFS[name]
+        orders = [r for r, _ in ref["moments"]]
+        for (r, want), got in zip(ref["moments"], series.moments(Params(*ref["theta"]), orders)):
+            assert got.converged and abs(float(got) - want) <= 10 * got.tail_bound + 1e-15, r
+            assert 0.0 < float(got) <= 1.0, r
+
+    # Beta(10, 4): the finite double sum read the mean 1.9e-12 off 5/7 with
+    # bound 4.8e-13
+    def test_beta10_4_mean(self):
+        got = series.moment(Params(1, 1, 10, 3, 1), 1)
+        assert got.converged and abs(float(got) - 5.0 / 7.0) <= 10 * got.tail_bound + 1e-15
 
     def test_bathtub_renyi(self):
         ref = QUAD_REFS["bathtub"]
@@ -924,7 +955,6 @@ class TestConvergedValuesHoldTheirBounds:
         theta = Params(*ref["theta"])
         mu = series.moment(theta, 1)
         (l1,) = series.l_moments(theta, 1)
-        assert mu.method == "exact"
         for got in (mu, l1):
             assert got.converged and _within_bound(got, ref["moments"][0][1])
         assert float(l1) == pytest.approx(float(mu), rel=0, abs=1e-12)
@@ -953,7 +983,7 @@ class TestTruncationMachinery:
         # which bounds its tail as geometric
         ctl = SeriesControl(max_terms=max_terms)
         terms = terms[:max_terms]
-        _, (stop,) = series._first_runs(terms[None, :], ctl)
+        _, stop = series._first_runs(terms, ctl)
         fed = int(stop) + 1 if stop >= 0 else max_terms
         got = series._sum_terms(terms[:fed], ctl)
         want = series._sum_terms(terms, ctl)
@@ -1048,59 +1078,6 @@ class TestKernelsBitForBit:
         got = series.omega_weights(theta, SeriesControl(max_terms=count))
         assert got.tobytes() == _omega_reference(theta, count).tobytes()
 
-    @pytest.mark.parametrize("g, l, b", [
-        (1.5, 2.0, 3.0),        # workhorse's first block of psi_j
-        (0.6, 0.9, 0.8),        # bathtub: psi below 1, 1/b columns
-        (1e5 - 10.25, 1.0, 2.0),  # psi crosses 1e5 inside the block
-    ])
-    def test_beta_rows_equal_per_psi_rows(self, g, l, b):
-        width = 400
-        psis = l * (g + np.arange(32, dtype=float))
-        rows = series._beta_rows(psis, b, width)
-        assert rows.shape == (32, width)
-        cols = np.arange(width, dtype=float) / b + 1.0
-        for psi, row in zip(psis, rows):
-            want = np.exp(series._ln_beta_arr(float(psi), cols))
-            assert row.tobytes() == want.tobytes()
-        if g > 1e4:
-            assert psis.min() < 1e5 <= psis.max()
-
-    def test_ln_beta_arr_grid_equals_per_cell_calls(self):
-        # ln Gamma of a column and a row broadcast against ln Gamma(a + b)
-        # on the grid; cells on both sides of the hi >= 1e5 rewrite
-        a = np.array([0.3, 1.5, 7.0, 99999.5, 1e5, 2.5e5])
-        b = np.array([0.2, 1.0, 3.7, 50.0, 1e5 + 3.0])
-        grid = series._ln_beta_arr(a[:, None], b[None, :])
-        assert grid.shape == (a.size, b.size)
-        cells = np.array([[series._ln_beta_arr(x, y) for y in b] for x in a])
-        assert grid.tobytes() == cells.tobytes()
-        hi = np.maximum(a[:, None], b[None, :])
-        assert (hi < 1e5).any() and (hi >= 1e5).any()
-
-    @pytest.mark.parametrize("theta", [WORKHORSE, MOUND, KWKW], ids=["workhorse", "mound", "kwkw"])
-    @pytest.mark.parametrize("max_terms", [400, 7])
-    def test_psi_block_truncation_equals_per_row_sums(self, theta, max_terms):
-        ctl = SeriesControl(max_terms=max_terms)
-        a, b, g, _, l = theta.as_tuple()
-        psis = l * (g + np.arange(32, dtype=float))
-        checked = 0
-        for r in (1.0, 2.0, 3.0, 4.0):
-            count, signed_binom, exact = series._psi_coeffs(r / a, ctl)
-            if exact:
-                continue
-            rows = series._beta_rows(psis, b, count)
-            terms = psis[:, None] * signed_binom * rows
-            partial, stops = series._first_runs(terms, ctl)
-            vals, bounds, oks = series._psi_moments(psis, rows, (count, signed_binom, exact), ctl)
-            for i, psi in enumerate(psis):
-                want = series._sum_terms(float(psi) * signed_binom * rows[i], ctl)
-                got = series._row_sum(terms[i], partial[i], int(stops[i]))
-                assert _same_value(got, want)
-                assert (vals[i], bounds[i], oks[i]) == (float(want), want.tail_bound,
-                                                         series._sum_ok(want, terms[i], ctl))
-                checked += 1
-        assert checked >= len(psis)
-
     # every order of the v-table reads only the orders below it: Beta(400,
     # 401) has gamma lambda - 1 = 399 leading zeros, which a table of 256
     # orders used to overflow, and (1, 1, 0.1, 1, 10) shifts S^lambda by 10
@@ -1146,45 +1123,22 @@ def _same_value(x, y):
             and x.method == y.method and x.converged == y.converged)
 
 
-def _psi_key(a, b):
-    """The psi of every Beta row one _ln_beta_arr call builds."""
-    return tuple(np.ravel(a))
+def _node_arrays(monkeypatch):
+    """The logs of V of every node array whose _AtV is built from now on."""
+    arrays = []
 
+    class AtV(core._AtV):
+        def __init__(self, theta, lv, l1v, pointwise):
+            arrays.append(lv.tobytes())
+            super().__init__(theta, lv, l1v, pointwise)
 
-def _psis(keys):
-    return [psi for key in keys for psi in key]
-
-
-# an integer-delta law whose moments all take the j-sum, with truncated m-sums
-SWEPT = Params(2.5, 1.6, 3.9, 2, 1.9)
+    monkeypatch.setattr(core, "_AtV", AtV)
+    return arrays
 
 
 class TestSharedTables:
     # Within one call, each table a theta's series need is built once;
     # nothing is kept from one call to the next.
-
-    # integer delta with non-integer psi_j: every order on the j-sum, and
-    # two of four orders on it while the odd ones fall back to quadrature
-    @pytest.mark.parametrize("theta", [SWEPT, Params(2, 3, 1.5, 2, 1.3)])
-    def test_moments_build_each_beta_row_once(self, theta, monkeypatch):
-        rows = _Recorder(series._ln_beta_arr, _psi_key)
-        monkeypatch.setattr(series, "_ln_beta_arr", rows)
-        got = series.moments(theta, [1, 2, 3, 4])
-        # one call builds the rows of every psi_j
-        assert len(rows.keys) == 1
-        psis = _psis(rows.keys)
-        assert len(psis) == len(set(psis)) == theta.delta + 1
-        monkeypatch.undo()
-        assert any(v.method != "quadrature" for v in got)
-        for r, value in zip([1, 2, 3, 4], got):
-            assert _same_value(value, series.moment(theta, r))
-
-    def test_central_moments_share_the_sweep(self, monkeypatch):
-        rows = _Recorder(series._ln_beta_arr, _psi_key)
-        monkeypatch.setattr(series, "_ln_beta_arr", rows)
-        series.central_moments_and_cumulants(SWEPT, 4)
-        psis = _psis(rows.keys)
-        assert len(psis) == len(set(psis)) > 0
 
     def test_l_moments_take_one_quadrature(self, monkeypatch):
         # EKW has a density power series, and its L-moments build none of it
@@ -1230,14 +1184,6 @@ class TestSharedTables:
                          "--entropy", "0.5", "--deviations", "--quiet"]) == 0
         return capsys.readouterr().out
 
-    def test_props_builds_each_psi_row_once(self, monkeypatch, capsys):
-        rows = _Recorder(series._beta_rows, lambda psis, b, count: tuple(psis))
-        monkeypatch.setattr(series, "_beta_rows", rows)
-        self._props(SWEPT, capsys)
-        psis = _psis(rows.keys)
-        # the mean deviations take mu_1 from the moments sweep
-        assert len(psis) == len(set(psis)) > 0
-
     # the J sums stop within the v-table's prefix (ekw, beta52), or not
     # (spike): then the whole table is built once more
     @pytest.mark.parametrize("theta, orders", [(EKW, [series._V_PREFIX]),
@@ -1267,15 +1213,16 @@ class TestSharedTables:
     @pytest.mark.parametrize("theta", [EKW, BATHTUB, WORKHORSE, SPIKE],
                              ids=["ekw", "bathtub", "workhorse", "spike"])
     def test_props_evaluates_each_node_array_once(self, theta, monkeypatch, capsys):
-        arrays = []
-
-        class AtV(core._AtV):
-            def __init__(self, theta, lv, l1v, pointwise):
-                arrays.append(lv.tobytes())
-                super().__init__(theta, lv, l1v, pointwise)
-
-        monkeypatch.setattr(core, "_AtV", AtV)
+        arrays = _node_arrays(monkeypatch)
         self._props(theta, capsys)
+        assert len(arrays) == len(set(arrays)) > 0
+
+    # the orders' rules share the node memo of one _Tables
+    @pytest.mark.parametrize("theta", [BETA25, BATHTUB, WORKHORSE],
+                             ids=["beta25", "bathtub", "workhorse"])
+    def test_central_moments_evaluate_each_node_array_once(self, theta, monkeypatch):
+        arrays = _node_arrays(monkeypatch)
+        series.central_moments_and_cumulants(theta, 6)
         assert len(arrays) == len(set(arrays)) > 0
 
     def test_props_builds_the_v_table_once(self, monkeypatch, capsys):
@@ -1286,8 +1233,6 @@ class TestSharedTables:
         assert len(tables.keys) == 1
         assert '"delta1_method": "series"' in out and '"l4"' in out
 
-    # Beta(10, 4): the finite double sum cancels below rounding at r = 1, 2
-    # but not at r = 3, 4, so two orders take the sweep and two do not
     @pytest.mark.parametrize("theta", [theta for _, theta in GRID12] + [Params(1, 1, 10, 3, 1)],
                              ids=[name for name, _ in GRID12] + ["beta10_4"])
     def test_moments_equal_lone_moment_calls(self, theta):
@@ -1319,14 +1264,13 @@ class TestSharedTables:
 
     def test_no_work_is_kept_between_calls(self, monkeypatch):
         cdf = _Recorder(core._inc_beta_at_log_z, lambda lz, a, b: None)
-        rows = _Recorder(series._ln_beta_arr, lambda a, b: None)
         monkeypatch.setattr(core, "_inc_beta_at_log_z", cdf)
-        monkeypatch.setattr(series, "_ln_beta_arr", rows)
+        arrays = _node_arrays(monkeypatch)
         counts = []
         for _ in range(2):
-            first = (len(cdf.keys), len(rows.keys))
+            first = (len(cdf.keys), len(arrays))
             series.l_moments(BATHTUB, 4)
-            series.moments(SWEPT, [1, 2])
-            counts.append((len(cdf.keys) - first[0], len(rows.keys) - first[1]))
+            series.moments(BETA25, [1, 2])
+            counts.append((len(cdf.keys) - first[0], len(arrays) - first[1]))
         assert counts[0] == counts[1]
         assert min(counts[0]) > 0
