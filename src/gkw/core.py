@@ -503,7 +503,9 @@ def sample(theta: Params, n: int, seed: int) -> np.ndarray:
     (gamma, delta + 1), then X = [1 - (1 - V^{1/lambda})^{1/beta}]^{1/alpha}.
     Where delta = 0 (Kw, EKw) V = U^{1/gamma}, and where gamma = 1 (Kw,
     KwKw) V = 1 - (1 - U)^{1/(delta + 1)}, both exact; other laws take a
-    Newton solve per draw, which raises NonConvergenceError where it fails.
+    bracketed Newton solve in which each draw stops once its own
+    |I_V - U| < 1e-13.  Draws still unconverged after 120 passes are kept
+    if |I_V - U| <= 1e-10, and otherwise NonConvergenceError is raised.
     Every returned value is strictly inside (0, 1).
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):

@@ -608,9 +608,14 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
     A unit shape has an exact inverse, taken without iterating:
     I_z(a, 1) = z^a gives z = u^{1/a}, and I_z(1, b) = 1 - (1 - z)^b gives
     z = 1 - (1 - u)^{1/b}, both in logs (Jones, Statistical Methodology 6,
-    2009).  Other shapes take a bracketed Newton iteration, which raises
-    NonConvergenceError, naming the worst u, when its passes run out with
-    a residual above 1e-10 at any point.  Endpoints are returned exactly.
+    2009).  Other shapes take a bracketed Newton iteration in which each
+    element stops on the pass where its own residual first reads
+    |I_z - u| < 1e-13: it takes that pass's Newton step if the step stays
+    inside its bracket, and is not stepped again.  Later passes evaluate
+    only the elements still iterating.  Those left when the 120 passes run
+    out are returned if their residual is at most 1e-10, and otherwise
+    NonConvergenceError is raised, naming the worst u and its bracket.
+    Endpoints are returned exactly.
     """
     u = np.asarray(u, dtype=float)
     if a == 1.0 or b == 1.0:
@@ -623,44 +628,60 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
                 z = -np.expm1(np.log1p(-u) / b)
         # exact at u = 0 and u = 1, but u = -0.0 gives -0.0 where a = 1
         return np.where(u == 0.0, 0.0, z)
+    shape = u.shape
+    u = u.ravel()
     lnB = ln_beta(a, b)
     mean = a / (a + b)
-    with np.errstate(divide="ignore", over="ignore"):
-        lo_guess = np.exp((np.log(np.maximum(u, 1e-320)) + math.log(a) + lnB) / a)
-        hi_guess = 1.0 - np.exp(
-            (np.log1p(-np.minimum(u, 1.0 - 1e-16)) + math.log(b) + lnB) / b
-        )
     z = np.full_like(u, mean)
-    z = np.where(u < 0.1, np.clip(lo_guess, 1e-300, mean), z)
-    z = np.where(u > 0.9, np.clip(hi_guess, mean, 1.0 - 1e-16), z)
+    low = u < 0.1
+    high = u > 0.9
+    with np.errstate(divide="ignore", over="ignore"):
+        z[low] = np.clip(
+            np.exp((np.log(np.maximum(u[low], 1e-320)) + math.log(a) + lnB) / a),
+            1e-300, mean)
+        z[high] = np.clip(
+            1.0 - np.exp((np.log1p(-np.minimum(u[high], 1.0 - 1e-16)) + math.log(b) + lnB) / b),
+            mean, 1.0 - 1e-16)
+    # the endpoints have residual 0, so they leave on the first pass
+    z[u == 0.0] = 0.0
+    z[u == 1.0] = 1.0
+    # The first pass runs on the whole arrays; the elements still iterating
+    # are copied out when some leave (a NaN residual never does).
+    g = _reg_inc_beta_arr(z, a, b) - u
+    act = np.ones(u.shape, dtype=bool)
+    za, ua = z, u
     lo = np.zeros_like(u)
     hi = np.ones_like(u)
     for _ in range(119):
-        g = _reg_inc_beta_arr(z, a, b) - u
-        if np.all(np.abs(g) < 1e-13):
-            break
-        hi = np.where(g > 0.0, z, hi)
-        lo = np.where(g <= 0.0, z, lo)
-        # an overflowing density gives a step the bracket test rejects
+        np.copyto(hi, za, where=g > 0.0)
+        np.copyto(lo, za, where=g <= 0.0)
+        done = np.abs(g) < 1e-13
+        z_done = za[done]
+        # in place, so on the first pass in z itself; an overflowing
+        # density gives a step the bracket test rejects
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lpdf = (a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z) - lnB
-            dens = np.exp(lpdf)
-            zn = z - g / dens
-        bad = ~np.isfinite(zn) | (zn <= lo) | (zn >= hi)
-        z = np.where(bad, 0.5 * (lo + hi), zn)
-    else:
-        # The last of the 120 passes only measures the residual of the z
-        # that is returned, and raises if it misses the tolerance anywhere.
-        g = _reg_inc_beta_arr(z, a, b) - u
-        miss = np.where((u == 0.0) | (u == 1.0), 0.0, np.abs(g))
-        worst = int(np.argmax(miss))
-        if not miss[worst] <= 1e-10:
+            za -= g / np.exp((a - 1.0) * np.log(za) + (b - 1.0) * np.log1p(-za) - lnB)
+        del g   # freed before the next forward pass, which sets the peak memory
+        bad = ~np.isfinite(za) | (za <= lo) | (za >= hi)
+        za[bad] = 0.5 * (lo[bad] + hi[bad])
+        if done.any():
+            left = np.flatnonzero(act)[done]
+            z[left] = np.where(bad[done], z_done, za[done])
+            act[left] = False
+            keep = ~done
+            za, ua, lo, hi = za[keep], ua[keep], lo[keep], hi[keep]
+            if not za.size:
+                break
+        g = _reg_inc_beta_arr(za, a, b) - ua
+    if za.size:
+        # the 120th pass measured the residual of the z still iterating
+        worst = int(np.argmax(np.abs(g)))
+        if not abs(g[worst]) <= 1e-10:
             raise NonConvergenceError(
                 f"inverse incomplete beta (a={a}, b={b}) did not converge at "
-                f"u={float(u[worst])!r}: |I_z - u| = {miss[worst]:.3g} "
-                f"at z={float(z[worst])!r}",
+                f"u={float(ua[worst])!r}: |I_z - u| = {abs(g[worst]):.3g} "
+                f"at z={float(za[worst])!r}",
                 bracket=(float(lo[worst]), float(hi[worst])),
             )
-    z = np.where(u == 0.0, 0.0, z)
-    z = np.where(u == 1.0, 1.0, z)
-    return z
+        z[act] = za
+    return z.reshape(shape)

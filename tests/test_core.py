@@ -6,6 +6,7 @@ with a Kolmogorov-Smirnov statistic.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,28 @@ class TestSample:
         x = sample(Params(1.0, 1.0, 0.01, 0.0, 1.0), 2000, seed=1)
         assert x.min() > 0.0 and x.max() < 1.0
         assert scipy.stats.kstest(x, lambda v: v**0.01).pvalue > 1e-6
+
+    def test_ks_at_small_gamma_large_delta(self):
+        # a shape from the 250-shape sweep (gamma = 0.063, delta = 16.6) at
+        # which a Newton loop that kept stepping converged draws left
+        # |I_z - u| = 1.7e-4 and raised
+        theta = Params(3.35425049397689, 5.178017394125466, 0.06301220482678085,
+                       16.570034801734895, 5.146081300696888)
+        x = sample(theta, 2000, seed=1)
+        assert x.min() > 0.0 and x.max() < 1.0
+        assert scipy.stats.kstest(x, lambda v: cdf(theta, v)).pvalue > 1e-3
+
+    def test_working_set(self):
+        # 1e5 draws of workhorse: 12.9 MiB while every pass evaluated every
+        # draw, 10.3 MiB with the draws still iterating copied out as others
+        # converge
+        tracemalloc.start()
+        try:
+            sample(WORKHORSE, 100_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, peak / 2**20
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
