@@ -204,15 +204,12 @@ def _json_text(obj, level: int = 0) -> str:
 
 
 def _annotate(out: dict, key: str, value, method: bool = True) -> None:
-    """Store a quantity plus, with method, how it was obtained
-    (series or quadrature), and `<key>_converged: false` where it did
-    not converge."""
+    """Store a quantity plus, with method, how it was obtained, and
+    `<key>_converged: false` where it did not converge."""
     out[key] = float(value)
     if isinstance(value, series.SeriesValue):
         if method:
             out[key + "_method"] = value.method
-            if value.method == "series":
-                out[key + "_tail_bound"] = value.tail_bound
         if not value.converged:
             out[key + "_converged"] = False
 
@@ -266,11 +263,9 @@ def _cmd_props(args) -> int:
         raise CliError(
             2, "props: request at least one of --moments, --lmoments, --entropy, --deviations"
         )
-    ctl = series.SeriesControl(max_terms=args.series_max_terms, tail_tol=args.series_tol)
-    # one set of tables for every verb: mu_1, the v-table (only its first
-    # orders where the J sums stop within them) and each quadrature node
-    # array are built at most once per call
-    tables = series._Tables(theta, ctl)
+    # one set of tables for every verb: mu_1 and each quadrature node array
+    # are built at most once per call
+    tables = series._Tables(theta)
     out: dict = {}
     if args.moments:
         if args.moments < 1:
@@ -493,12 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="Renyi entropy of order RHO (RHO > 0, RHO != 1)")
     pp.add_argument("--deviations", action="store_true",
                     help="mean deviations about the mean and the median")
-    pp.add_argument("--series-max-terms", type=int, default=400, metavar="N",
-                    help="truncation cap of the series that delta1 and delta2 (--deviations) "
-                         "sum; every other value takes quadrature (default 400)")
-    pp.add_argument("--series-tol", type=float, default=1e-10, metavar="TOL",
-                    help="relative tail tolerance of the series that delta1 and delta2 "
-                         "(--deviations) sum (default 1e-10)")
     pp.set_defaults(func=_cmd_props)
 
     pf = sub.add_parser("fit", parents=[common],

@@ -431,8 +431,11 @@ _SCALAR_POINTS = 8
 
 
 def cdf(theta: Params, x: float) -> float:
-    """Distribution function; 0 below the support, 1 above."""
+    """Distribution function; 0 below the support, 1 above.  A NaN x is
+    a ValueError."""
     xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise ValueError("cdf requires x that is not NaN")
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs).astype(float)
     out = np.empty_like(xs)
@@ -474,7 +477,8 @@ def quantile(theta: Params, u: float) -> float:
     """
     g, d = theta.gamma, theta.delta
     us = np.asarray(u, dtype=float)
-    if np.any((us < 0.0) | (us > 1.0)):
+    # a NaN fails both comparisons, so it is rejected here too
+    if not np.all((us >= 0.0) & (us <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
     scalar = us.ndim == 0
     us = np.atleast_1d(us).astype(float)

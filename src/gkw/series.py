@@ -7,14 +7,15 @@ The cdf admits the weighted expansion
 with G1 the two-parameter Kumaraswamy cdf, and the density correspondingly
 unfolds into a mixture of Kumaraswamy densities (coefficients p_k) or a
 power series sum_i v_i x^{(i+1) alpha - 1}.  This module builds those
-coefficient tables and everything derived from them: the moment
-generating function, quantile series coefficients, mean deviations,
-Bonferroni and Lorenz curves, and order-statistic moments (binomial in
-1 - F).  The ordinary moments (and the central and factorial moments and
-cumulants built from them), the L-moments and the Renyi entropy take the
-quadrature over V alone (below): on the test grid's laws where the
-paper's expansions of them apply, that quadrature is the more accurate
-and the faster of the two, and its bounds hold.
+coefficient tables and the bare expansions on them: the cdf and density
+expansions, quantile series coefficients, and order-statistic moments
+(binomial in 1 - F).  Every other expectation takes the quadrature over
+V alone (below): the ordinary moments (and the central and factorial
+moments and cumulants built from them), the moment generating function,
+the mean deviations, the Bonferroni and Lorenz curves, the L-moments and
+the Renyi entropy.  On the test grid's laws where the paper's expansions
+of them apply, that quadrature is the more accurate and the faster of
+the two, and its bounds hold.
 
 Truncation policy, implemented once in _first_runs and _row_sum:
 infinite sums stop at the first index where |term| < tail_tol * |partial
@@ -44,10 +45,9 @@ Work is shared within one call, never across calls.  Every entry point
 builds one _Tables for its theta: it takes ln B(gamma, delta + 1) once,
 decides which tables exist (norm_ok, v_ok), and builds each of omega, v,
 the cdf series v_i/((i+1) alpha) and each moment E[X^r] at most once, on
-first use; the J sums read the first _V_PREFIX orders of v first and
-build the rest only where they need it.  The rows of one _quad share x,
-f and F = I_v on each of its node arrays, and every _quad on one _Tables
-shares its node memo, so a node array is evaluated once per call.
+first use.  The rows of one _quad share x, f and F = I_v on each of its
+node arrays, and every _quad on one _Tables shares its node memo, so a
+node array is evaluated once per call.
 moments(), l_moments(), renyi_entropy() and mean_deviations() are
 one-line wrappers around bodies that take a _Tables (_moments,
 _l_moments, _renyi_entropy, _mean_deviations); `gkw props` builds one
@@ -70,7 +70,7 @@ import numpy as np
 
 from . import core
 from .core import Params
-from .specfun import ln_beta
+from .specfun import _log1mexp_arr, ln_beta
 
 __all__ = [
     "SeriesControl",
@@ -388,34 +388,27 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _V_DOMAIN = ("v-table requires gamma*lambda a positive integer, "
              "(delta = 0 or integer lambda) and 1/B(gamma, delta + 1) in float64 range")
 
-# Orders of the v-table that the J sums read first (_Tables.v_prefix): on
-# 6 of the 9 test-grid laws with a v-table both J sums stop within 40.
-_V_PREFIX = 64
-
-
 class _Tables:
     """The expansion tables of one theta, decided once and built lazily.
 
     ln B(gamma, delta + 1) is taken once.  norm_ok says whether B and 1/B
     are finite, nonzero floats, as omega (over B) and v (times 1/B) need;
     at (2, 3, 1e4, 9999, 1), ln B = -13,866.  v_ok says whether the density
-    power series exists.  omega, v, v_prefix, cdf_coeffs, lead and S/w are
-    built on first use, at most once.  v_prefix is the first _V_PREFIX
-    orders of v, bit for bit, built alone while v is not: the J sums read it
-    first and build v only where their truncation rule does not fire within
-    it.  mu is a memo of E[X^r], each one _quad: _moments reads it first
-    and writes every value it computes, so a later mean deviation takes
-    mu_1 from it.  nodes is core._expect's node memo: each node array's
-    _AtV (log w, log x and, once a rule needs them, log f and log F) and
-    log-weight, shared by every _quad on these tables, so the moments,
-    L-moments, entropy and J quadratures of one call evaluate a node array
-    they share once.  The
+    power series exists.  omega, v, cdf_coeffs, lead and S/w are built on
+    first use, at most once; only the bare expansions and the
+    order-statistic series read them.  mu is a memo of E[X^r], each one
+    _quad: _moments reads it first and writes every value it computes, so
+    a later mean deviation takes mu_1 from it.  nodes is core._expect's
+    node memo: each node array's _AtV (log w, log x and, once a rule needs
+    them, log f and log F) and log-weight, shared by every _quad on these
+    tables, so the moments, L-moments, entropy and mean-deviation
+    quadratures of one call evaluate a node array they share once.  The
     tables, memos included, live only as long as the call that made them:
     one public function call, or one `gkw props` call, whose verbs all run
     on one _Tables.
     """
 
-    def __init__(self, theta: Params, ctl: SeriesControl):
+    def __init__(self, theta: Params, ctl: SeriesControl = _DEFAULT_CTL):
         g, d, l = theta.gamma, theta.delta, theta.lam
         self.theta = theta
         self.ctl = ctl
@@ -445,19 +438,9 @@ class _Tables:
 
     @functools.cached_property
     def v(self) -> np.ndarray:
-        """Density power-series coefficients v_i, i < max_terms."""
-        return self._v_orders(self.ctl.max_terms)
-
-    @functools.cached_property
-    def v_prefix(self) -> np.ndarray:
-        """v_i for i < min(_V_PREFIX, max_terms): the first entries of v."""
-        if "v" in self.__dict__ or self.ctl.max_terms <= _V_PREFIX:
-            return self.v[:_V_PREFIX]
-        return self._v_orders(_V_PREFIX)
-
-    def _v_orders(self, n: int) -> np.ndarray:
-        """v_i for i < n; every order reads only the orders below it, so
-        these are the first n entries of any longer table, bit for bit."""
+        """Density power-series coefficients v_i, i < max_terms; every
+        order reads only the orders below it, so a shorter budget's table
+        is the first entries of a longer one, bit for bit."""
         if not self.v_ok:
             th = self.theta
             raise ExpansionDomainError(
@@ -465,7 +448,7 @@ class _Tables:
                 f"delta={th.delta:g}, lambda={th.lam:g}")
         a, b, _, _, l = self.theta.as_tuple()
         with np.errstate(over="ignore", invalid="ignore"):
-            return l * a * b * math.exp(-self.ln_b) * _v_coeffs(self, n=n)
+            return l * a * b * math.exp(-self.ln_b) * _v_coeffs(self, n=self.ctl.max_terms)
 
     @functools.cached_property
     def cdf_coeffs(self) -> np.ndarray:
@@ -499,7 +482,7 @@ def omega_weights(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarra
 
 def _v_coeffs(tables: _Tables, *, n: int) -> np.ndarray:
     """Power-series density coefficients v_i, i < n, up to their constant
-    factor lambda alpha beta / B(gamma, delta + 1), which _Tables._v_orders
+    factor lambda alpha beta / B(gamma, delta + 1), which _Tables.v
     applies (validity assumed checked).
 
     f(x) = sum_i v_i x^{(i+1) alpha - 1}.  Writing w = x^alpha and
@@ -631,7 +614,7 @@ def moment(theta: Params, r: float) -> SeriesValue:
 
 def moments(theta: Params, rs) -> list[SeriesValue]:
     """E[X^r] for every r in rs; each value is what moment(theta, r) gives."""
-    return _moments(_Tables(theta, _DEFAULT_CTL), rs)
+    return _moments(_Tables(theta), rs)
 
 
 def _moments(tables: _Tables, rs) -> list[SeriesValue]:
@@ -710,42 +693,17 @@ def factorial_moment(theta: Params, r: int) -> float:
 # ----------------------------------------------------------------------
 
 
-def _phi_kernel(c: float, t: float) -> float:
-    """Phi_c(t) = integral_0^1 x^{c-1} e^{tx} dx = sum_k t^k / (k! (c+k))."""
-    total = 0.0
-    term = 1.0  # t^k / k!
-    for k in range(0, 500):
-        piece = term / (c + k)
-        total += piece
-        if abs(piece) < 1e-17 * max(abs(total), 1e-300) and k > 2:
-            break
-        term *= t / (k + 1)
-    return total
-
-
-def mgf(theta: Params, t: float, ctl: SeriesControl = _DEFAULT_CTL) -> SeriesValue:
-    """Moment generating function E[e^{tX}] via the density power series.
-
-    Uses the integrated-by-parts form M(t) = e^t - t sum_i v*_i
-    Phi_{(i+1)alpha + 1}(t) with v*_i = v_i/((i+1)alpha); since
-    sum v*_i = 1 exactly, the summand decays one power faster than the
-    naive kernel sum, and M(0) = 1 and the uniform case (e^t - 1)/t are
-    reproduced to machine precision.  Quadrature fallback when the
-    v-table does not exist.
+def mgf(theta: Params, t: float) -> SeriesValue:
+    """Moment generating function E[e^{tX}] = E[e^{t x(V)}], by the one
+    quadrature over V (_quad), tagged "quadrature"; exactly 1 at t = 0.
+    The paper's expansion of it in the density power series (mgf_series
+    in tests/crosscheck.py) needs the v-table, and where it applies its
+    bound missed: at Beta(5, 2) and Beta(2, 5), t = +-5, it read 0 with
+    the value up to 6.1e-13 off.
     """
     if t == 0.0:
         return SeriesValue(1.0, 0.0, 0, "exact", True)
-    tables = _Tables(theta, ctl)
-    if tables.v_ok:
-        vstar = tables.cdf_coeffs
-        i = np.arange(len(vstar), dtype=float)
-        phis = np.array([_phi_kernel((ii + 1.0) * theta.alpha + 1.0, t) for ii in i])
-        terms = vstar * phis
-        sv = _sum_terms(terms, ctl)
-        if _sum_ok(sv, terms, ctl):
-            return SeriesValue(math.exp(t) - t * float(sv), abs(t) * sv.tail_bound,
-                               sv.terms, "series", True)
-    return _quad(tables, lambda at: t * np.exp(at.log_x))[0]
+    return _quad(_Tables(theta), lambda at: t * np.exp(at.log_x))[0]
 
 
 # ----------------------------------------------------------------------
@@ -790,84 +748,67 @@ def quantile_series_coeffs(theta: Params, n_coeffs: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Incomplete first moment, mean deviations, Bonferroni/Lorenz
+# Mean deviations, Bonferroni/Lorenz
 # ----------------------------------------------------------------------
 
 
-def _j_terms(v: np.ndarray, alpha: float, upper: float) -> np.ndarray:
-    """The terms v_i a^{(i+1)alpha + 1} / ((i+1)alpha + 1) of J(a), a = upper."""
-    expo = (np.arange(len(v), dtype=float) + 1.0) * alpha + 1.0
-    return v * np.power(upper, expo) / expo
+def _below(tables: _Tables, upper: float, log_h) -> SeriesValue:
+    """E[h(X); X <= upper] = F(upper) E[h(X) | V <= G1(upper)^lambda]: the
+    conditional mean by one _quad, its bound scaled by F(upper).  Exactly 0
+    where F(upper) is."""
+    below = core.cdf(tables.theta, upper) if upper < 1.0 else 1.0
+    if below == 0.0:
+        return SeriesValue(0.0, 0.0, 0, "exact", True)
+    (mean,) = _quad(tables, log_h, upper)
+    return SeriesValue(below * mean, below * mean.tail_bound, mean.terms, mean.method,
+                       mean.converged)
 
 
-def _j_integrals(tables: _Tables, uppers) -> list[SeriesValue]:
-    """J(a) = integral_0^a x f(x) dx at each upper limit a, one v-table for all.
-
-    Series form sum_i v_i a^{(i+1)alpha + 1} / ((i+1)alpha + 1) when the
-    v-table exists (geometric in a^alpha, converges fast for a < 1);
-    otherwise F(a) E[X | X <= a], the conditional mean by quadrature over
-    V <= G1(a)^lambda.  The series is summed on tables.v_prefix, and on the
-    whole v only where the truncation rule does not fire within the prefix:
-    the rule's first stop reads only the terms up to it, so each value,
-    bound, term count and fallback is that of the whole table.
-    """
-    theta, ctl = tables.theta, tables.ctl
-    out = []
-    for upper in uppers:
-        if upper <= 0.0:
-            out.append(SeriesValue(0.0, 0.0, 0, "exact", True))
-            continue
-        if tables.v_ok and upper < 1.0:
-            terms = _j_terms(tables.v_prefix, theta.alpha, upper)
-            partial, stop = _first_runs(terms, ctl)
-            if stop < 0 and terms.size < ctl.max_terms:
-                terms = _j_terms(tables.v, theta.alpha, upper)
-                partial, stop = _first_runs(terms, ctl)
-            sv = _row_sum(terms, partial, stop)
-            if _sum_ok(sv, terms, ctl):
-                out.append(sv)
-                continue
-        below = core.cdf(theta, upper) if upper < 1.0 else 1.0
-        (mean,) = _quad(tables, lambda at: at.log_x, upper)
-        out.append(SeriesValue(below * mean, below * mean.tail_bound, mean.terms, mean.method,
-                               mean.converged))
-    return out
-
-
-def mean_deviations(theta: Params, ctl: SeriesControl = _DEFAULT_CTL) -> tuple[SeriesValue, SeriesValue]:
+def mean_deviations(theta: Params) -> tuple[SeriesValue, SeriesValue]:
     """Mean absolute deviations about the mean and about the median.
 
-    delta1 = 2 [mu F(mu) - J(mu)], delta2 = mu - 2 J(M) with M the median
-    and J the incomplete first moment.
+    For any c, E|X - c| = (mu - c) + 2 E[(c - X)+], and E[(c - X)+] =
+    F(c) E[c - X | V <= G1(c)^lambda] is one quadrature over V (_quad) of
+    a positive integrand.  delta1 takes c = mu, where the first term is 0,
+    and delta2 takes c = the computed median M, at which E|X - c| is
+    stationary, so the error of M enters only to second order.  Both are
+    tagged "quadrature"; the bound is twice the sum of the bounds of mu
+    and of E[(c - X)+], since an error in mu shifts delta1's c by as much.
+    The paper's route, mu - 2 J(M) with J the incomplete first moment
+    (j_series in tests/crosscheck.py), cancels: at (0.0546, 0.0767, 25.9,
+    0, 0.245) it put delta2 3.0e-3 relative off with bound 1.2e-15.
     """
-    return _mean_deviations(_Tables(theta, ctl))
+    return _mean_deviations(_Tables(theta))
 
 
 def _mean_deviations(tables: _Tables) -> tuple[SeriesValue, SeriesValue]:
-    """mean_deviations() on shared tables: mu from the moments memo, J
-    from tables.v."""
-    theta = tables.theta
-    mu = float(_moments(tables, (1.0,))[0])
-    med = core.quantile(theta, 0.5)
-    j_mu, j_med = _j_integrals(tables, (mu, med))
-    d1 = 2.0 * (mu * core.cdf(theta, mu) - float(j_mu))
-    d2 = mu - 2.0 * float(j_med)
-    meth1 = j_mu.method if j_mu.method != "exact" else "series"
-    meth2 = j_med.method if j_med.method != "exact" else "series"
-    return (
-        SeriesValue(d1, 2.0 * j_mu.tail_bound, j_mu.terms, meth1, j_mu.converged),
-        SeriesValue(d2, 2.0 * j_med.tail_bound, j_med.terms, meth2, j_med.converged),
-    )
+    """mean_deviations() on shared tables: mu from the moments memo."""
+    (mu,) = _moments(tables, (1.0,))
+    out = []
+    for c in (float(mu), core.quantile(tables.theta, 0.5)):
+        log_c = math.log(c) if c > 0.0 else -math.inf
+
+        def log_gap(at):
+            # log(c - x) = log c + log(1 - x / c), as x <= c below
+            # G1(c)^lambda; -inf where x rounds to c
+            with np.errstate(divide="ignore"):
+                return log_c + _log1mexp_arr(at.log_x - log_c)
+
+        gap = _below(tables, c, log_gap)
+        out.append(SeriesValue(float(mu) - c + 2.0 * float(gap),
+                               2.0 * (mu.tail_bound + gap.tail_bound), gap.terms, "quadrature",
+                               mu.converged and gap.converged))
+    return out[0], out[1]
 
 
-def bonferroni_lorenz(theta: Params, p: float, ctl: SeriesControl = _DEFAULT_CTL) -> tuple[SeriesValue, SeriesValue]:
-    """Bonferroni B(p) = J(q)/(p mu) and Lorenz L(p) = J(q)/mu, q = Q(p)."""
+def bonferroni_lorenz(theta: Params, p: float) -> tuple[SeriesValue, SeriesValue]:
+    """Bonferroni B(p) = J(q)/(p mu) and Lorenz L(p) = J(q)/mu, q = Q(p),
+    with J(q) = E[X; X <= q] by the one quadrature over V (_below)."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-    tables = _Tables(theta, ctl)
+    tables = _Tables(theta)
     mu = float(_moments(tables, (1.0,))[0])
-    q = core.quantile(theta, p)
-    (jq,) = _j_integrals(tables, (q,))
+    jq = _below(tables, core.quantile(theta, p), lambda at: at.log_x)
     lorenz = float(jq) / mu
     bound = jq.tail_bound / mu
     return (
@@ -953,7 +894,7 @@ def l_moments(theta: Params, up_to: int) -> list[SeriesValue]:
     changes of its m_{i:n} over the last halving, and converged where that
     quadrature settled.
     """
-    return _l_moments(_Tables(theta, _DEFAULT_CTL), up_to)
+    return _l_moments(_Tables(theta), up_to)
 
 
 def _l_moments(tables: _Tables, up_to: int) -> list[SeriesValue]:
@@ -994,7 +935,7 @@ def renyi_entropy(theta: Params, rho: float) -> SeriesValue:
     integer; on every test-grid law where it applies, it loses to the
     quadrature in accuracy and in time.
     """
-    return _renyi_entropy(_Tables(theta, _DEFAULT_CTL), rho)
+    return _renyi_entropy(_Tables(theta), rho)
 
 
 def _renyi_entropy(tables: _Tables, rho: float) -> SeriesValue:

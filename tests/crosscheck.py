@@ -1,7 +1,7 @@
 """Reference routes that the tests check the library against: finite
 differences, Monte Carlo order-statistic means, the survival-power
 route to order-statistic moments, and the paper's series for the
-moments and the Renyi entropy.
+moments, the Renyi entropy, the incomplete first moment and the mgf.
 
 Importable module (not collected: its name does not start with test_).
 None of this ships in the package; the library has one route per
@@ -244,3 +244,51 @@ def renyi_series(theta: Params, rho: float,
         return None
     bound = math.exp(log_front) * inner_bound / (integral * abs(1.0 - rho))
     return series.SeriesValue(math.log(integral) / (1.0 - rho), bound, m_count, "series", True)
+
+
+def j_series(theta: Params, upper: float,
+             ctl: series.SeriesControl = series._DEFAULT_CTL) -> series.SeriesValue | None:
+    """J(a) = E[X; X <= a] by the paper's expansion in the density power
+    series, sum_i v_i a^{(i+1) alpha + 1} / ((i+1) alpha + 1); None where
+    the v-table does not exist, a is not inside (0, 1), or the sum does not
+    converge or cancels below rounding."""
+    tables = series._Tables(theta, ctl)
+    if not (tables.v_ok and 0.0 < upper < 1.0):
+        return None
+    expo = (np.arange(ctl.max_terms, dtype=float) + 1.0) * theta.alpha + 1.0
+    terms = tables.v * np.power(upper, expo) / expo
+    sv = series._sum_terms(terms, ctl)
+    return sv if series._sum_ok(sv, terms, ctl) else None
+
+
+def _phi_kernel(c: float, t: float) -> float:
+    """Phi_c(t) = integral_0^1 x^{c-1} e^{tx} dx = sum_k t^k / (k! (c+k))."""
+    total = 0.0
+    term = 1.0  # t^k / k!
+    for k in range(0, 500):
+        piece = term / (c + k)
+        total += piece
+        if abs(piece) < 1e-17 * max(abs(total), 1e-300) and k > 2:
+            break
+        term *= t / (k + 1)
+    return total
+
+
+def mgf_series(theta: Params, t: float,
+               ctl: series.SeriesControl = series._DEFAULT_CTL) -> series.SeriesValue | None:
+    """E[e^{tX}] by the paper's density power series, integrated by parts:
+    M(t) = e^t - t sum_i v*_i Phi_{(i+1) alpha + 1}(t), v*_i = v_i / ((i+1)
+    alpha), whose terms decay one power faster than those of the plain
+    kernel sum, as sum_i v*_i = 1; None where the v-table does not exist
+    or the sum does not converge or cancels below rounding."""
+    tables = series._Tables(theta, ctl)
+    if not tables.v_ok:
+        return None
+    vstar = tables.cdf_coeffs
+    phis = np.array([_phi_kernel((i + 1.0) * theta.alpha + 1.0, t) for i in range(len(vstar))])
+    terms = vstar * phis
+    sv = series._sum_terms(terms, ctl)
+    if not series._sum_ok(sv, terms, ctl):
+        return None
+    return series.SeriesValue(math.exp(t) - t * float(sv), abs(t) * sv.tail_bound, sv.terms,
+                              "series", True)

@@ -12,7 +12,9 @@ test extra; the tests read the JSON file only.
 
 For each law: the moments E[X^r], r = 1..4; the ten order-statistic
 means E[X_{i:n}], n <= 4; the incomplete first moment J(a) = E[X; X <= a]
-at the mean and at the median; and, where listed, Renyi entropies (every
+at the mean and at the median; the mean deviations about the mean and
+about the median, each as E|X - c| = E[X] - c + 2 E[(c - X)+], whose
+integrands are positive; and, where listed, Renyi entropies (every
 finite one of the test grid at rho = 0.5 and 2).
 """
 
@@ -143,6 +145,20 @@ def j_integral(theta, upper: float) -> float:
     return _expect(theta, lambda t: _at(theta, t)[3], _logit_v_at(theta, upper))
 
 
+def mean_deviation(theta, mean: float, c: float) -> float:
+    """E|X - c| = E[X] - c + 2 E[(c - X)+], with c - x = c (1 - x / c)
+    from log x; E[(c - X)+] is 0 where c is."""
+    if c <= 0.0:
+        return mean - c
+    log_c = math.log(c)
+
+    def log_gap(t):
+        s = _at(theta, t)[3] - log_c
+        return log_c + _log1mexp(s) if s < 0.0 else -math.inf
+
+    return mean - c + 2.0 * _expect(theta, log_gap, _logit_v_at(theta, c) if c < 1.0 else math.inf)
+
+
 def median(theta) -> float:
     a, b, g, d, l = theta
     v = special.betaincinv(g, d + 1.0, 0.5)
@@ -174,6 +190,8 @@ def main() -> None:
             # sweep_a's mean and median round to 1, where J is the mean
             "j": [[upper, j_integral(theta, upper)] for upper in (mean, median(theta))
                   if 0.0 < upper < 1.0],
+            # [delta1, delta2]
+            "deviations": [mean_deviation(theta, mean, c) for c in (mean, median(theta))],
             "renyi": [[rho, renyi(theta, rho)] for rho in rhos],
         }
     OUT.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")

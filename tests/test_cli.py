@@ -23,7 +23,7 @@ from gkw.cli import main
 from gkw.core import Params
 from gkw.estim import Dataset
 
-from gridpoints import BATHTUB, EKW, GRID12, KWKW, WORKHORSE
+from gridpoints import EKW, GRID12, KWKW
 
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -194,28 +194,12 @@ class TestProps:
         code, _, _ = run_cli("props", "--theta", "1,1,1,0,1", "--entropy", "1")
         assert code == 2
 
-    def test_series_control_flags_accepted(self):
-        code, out, _ = run_cli("props", "--theta", "2,3,1.5,0.5,1.2", "--moments", "1",
-                               "--series-max-terms", "50", "--series-tol", "1e-8")
-        assert code == 0
-        assert "mu1" in json.loads(out)
-
+    # every props value takes the quadrature, so no series control is left
     def test_bad_series_control_is_exit_2(self):
-        code, _, _ = run_cli("props", "--theta", "1,1,1,0,1", "--moments", "1",
-                             "--series-max-terms", "0")
-        assert code == 2
-
-    @pytest.mark.parametrize("argv", [
-        ("eval", "--theta", "2,2,1,0,1", "--at", "0.5"),
-        ("sample", "--theta", "2,2,1,0,1", "--n", "3", "--out", "d.csv"),
-        ("fit", "--data", "d.csv", "--out", "r.json"),
-        ("lr", "--report", "r.json", "--null", "kw", "--alt", "gkw"),
-    ], ids=["eval", "sample", "fit", "lr"])
-    def test_series_flags_belong_to_props_alone(self, argv, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, _, err = run_cli(*argv, "--series-tol", "1e-8")
-        assert code == 2
-        assert "unrecognized arguments: --series-tol 1e-8" in err
+        for flag in ("--series-max-terms", "--series-tol"):
+            code, _, err = run_cli("props", "--theta", "1,1,1,0,1", "--moments", "1", flag, "7")
+            assert code == 2
+            assert f"unrecognized arguments: {flag} 7" in err
 
     # (2, 3, 1e4, 9999, 1): ln B(gamma, delta + 1) = -13,866, so no series
     # table exists in float64 and every value comes from quadrature; the
@@ -255,18 +239,6 @@ class TestProps:
         doc = json.loads(out)
         for key in ("mu1", "mu2", "renyi", "delta1", "delta2"):
             assert doc[f"{key}_method"] == "quadrature"
-
-    # Beta(400, 401): a budget inside the 399 leading zeros of its v-table
-    # gives an all-zero table, whose J sums fall back to quadrature as at
-    # 399; from 201 to 398 the table used to overflow its slice (exit 2)
-    def test_budget_inside_the_leading_zeros_takes_quadrature(self):
-        outs = []
-        for budget in ("256", "399"):
-            code, out, err = run_cli("props", "--theta", "1,1,400,400,1", "--deviations",
-                                     "--series-max-terms", budget)
-            assert code == 0, err
-            outs.append(out)
-        assert outs[0] == outs[1] and '"delta1_method": "quadrature"' in outs[0]
 
 
 class TestFit:
@@ -573,28 +545,20 @@ class TestGoldenReports:
     # beta25, ekw and the -entropy2 reports were rewritten when those two
     # took the quadrature alone, and the moments and mean deviations of
     # the nine integer-delta laws (all but workhorse, kwkw and mound) when
-    # the moments did.  The moments, L-moments and entropy take the
-    # quadrature at every law; the mean deviations take the v-table J
-    # series or the quadrature.  Workhorse and bathtub sum no series (J's
-    # diverges at workhorse, and bathtub has no v-table), so their -t7
-    # reports, at --series-max-terms 7, equal those at the default budget;
-    # ekw's J sums stop within the default budget but not within 7, so its
-    # -t7 report takes the mean deviations from the quadrature instead.
-    # The -entropy2 reports hold the Renyi entropy at rho = 2 alone, for
-    # two laws with a density power series (kwkw, ekw).
+    # the moments did.  The mean deviations of every law were rewritten
+    # when they took the quadrature too, as E|X - c| = (mu - c) +
+    # 2 E[(c - X)+], so every value of these reports comes from it.  The
+    # -entropy2 reports hold the Renyi entropy at rho = 2 alone, for two
+    # laws with a density power series (kwkw, ekw).
     @pytest.mark.parametrize("name, theta", [
         (name, ",".join(f"{v:g}" for v in theta.as_tuple()))
-        for name, theta in GRID12 + [("workhorse-t7", WORKHORSE), ("bathtub-t7", BATHTUB),
-                                     ("ekw-t7", EKW), ("kwkw-entropy2", KWKW),
-                                     ("ekw-entropy2", EKW)]
+        for name, theta in GRID12 + [("kwkw-entropy2", KWKW), ("ekw-entropy2", EKW)]
     ])
     def test_props_output_is_byte_identical(self, name, theta):
         if name.endswith("-entropy2"):
             args = ("--entropy", "2")
         else:
             args = ("--moments", "4", "--lmoments", "--entropy", "0.5", "--deviations")
-        if name.endswith("-t7"):
-            args += ("--series-max-terms", "7")
         code, out, _ = run_cli("props", "--theta", theta, *args, "--quiet")
         assert code == 0
         assert out == (DATA_DIR / f"props-{name}.json").read_text()

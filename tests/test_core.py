@@ -276,6 +276,16 @@ class TestSizeSwitch:
                               np.abs(f - cdf(theta, np.nextafter(q, 0.0))))
             assert np.all(np.abs(f - u[:-1]) <= 1e-9 + step)
 
+    # a NaN point is an input error on both sides of the switch; past it,
+    # the array kernels iterated the NaN and raised NonConvergenceError
+    @pytest.mark.parametrize("fn", [cdf, quantile], ids=["cdf", "quantile"])
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_nan_is_a_value_error(self, fn, n):
+        points = np.full(n, 0.3)
+        points[-1] = np.nan
+        with pytest.raises(ValueError):
+            fn(Params(2.0, 3.0, 1.5, 0.5, 2.0), points)
+
 
 class TestSample:
     def test_deterministic(self):

@@ -26,7 +26,8 @@ from gkw.series import (
     SeriesValue,
 )
 
-from crosscheck import mc_order_stat_mean, order_stat_moment_barakat, renyi_series
+from crosscheck import (j_series, mc_order_stat_mean, mgf_series, order_stat_moment_barakat,
+                        renyi_series)
 from gridpoints import (
     BATHTUB,
     BETA25,
@@ -403,12 +404,24 @@ class TestMgf:
         assert float(got) == pytest.approx(math.expm1(t) / t, abs=1e-13)
 
     def test_kw22_series_route_vs_quadrature(self):
+        # the paper's series (tests/crosscheck.py), the quadrature over V,
+        # and adaptive quadrature in x
         got = series.mgf(KW22, 1.5)
-        assert got.method == "series"
+        assert got.method == "quadrature" and got.converged
         ref = oracle.adaptive_quad(
             lambda x: np.exp(1.5 * x) * core.pdf(KW22, x), 0.0, 1.0, tol=1e-12
         )
         assert float(got) == pytest.approx(ref.value, abs=1e-11)
+        assert float(mgf_series(KW22, 1.5)) == pytest.approx(float(got), rel=1e-13)
+
+    # the paper's series, wherever its v-table exists and it converges
+    @pytest.mark.parametrize("name", sorted(V_VALID))
+    def test_paper_series_matches_the_quadrature(self, name):
+        theta = GRID_BY_NAME[name]
+        for t in (-5.0, -1.0, 1.5, 5.0):
+            ref = mgf_series(theta, t)
+            if ref is not None:
+                assert _within_bound(ref, float(series.mgf(theta, t))), t
 
     @pytest.mark.parametrize("t", [2.0, -2.0])
     def test_workhorse_vs_frozen_quadrature(self, t):
@@ -468,7 +481,7 @@ class TestMeanDeviations:
         assert float(d1) == pytest.approx(float(d2), abs=1e-9)
 
     def test_workhorse_vs_frozen_quadrature(self):
-        d1, d2 = series.mean_deviations(WORKHORSE, GENEROUS)
+        d1, d2 = series.mean_deviations(WORKHORSE)
         assert float(d1) == pytest.approx(WORK_DELTA1, abs=1e-7)
         assert float(d2) == pytest.approx(WORK_DELTA2, abs=1e-7)
 
@@ -480,7 +493,7 @@ class TestBonferroniLorenz:
         assert float(lo) == pytest.approx(0.25, abs=1e-12)
 
     def test_workhorse_anchor(self):
-        b, lo = series.bonferroni_lorenz(WORKHORSE, 0.3, GENEROUS)
+        b, lo = series.bonferroni_lorenz(WORKHORSE, 0.3)
         assert float(lo) == pytest.approx(WORK_LORENZ_03, abs=1e-7)
         assert float(b) == pytest.approx(WORK_LORENZ_03 / 0.3, abs=1e-6)
 
@@ -494,6 +507,19 @@ class TestBonferroniLorenz:
     def test_p_validation(self, p):
         with pytest.raises(ValueError):
             series.bonferroni_lorenz(UNIFORM, p)
+
+    # J(q) = E[X; X <= q], by the paper's series (tests/crosscheck.py)
+    # wherever its v-table exists and it converges, against the quadrature
+    @pytest.mark.parametrize("name", sorted(V_VALID))
+    def test_paper_j_series_matches_the_quadrature(self, name):
+        theta = GRID_BY_NAME[name]
+        mu = float(series.moment(theta, 1))
+        for p in (0.05, 0.3, 0.5, 0.7, 0.95):
+            q = float(core.quantile(theta, p))
+            ref = j_series(theta, q)
+            if ref is not None:
+                _, lorenz = series.bonferroni_lorenz(theta, p)
+                assert lorenz.converged and _within_bound(ref, float(lorenz) * mu), p
 
 
 class TestOrderStatMoments:
@@ -693,10 +719,9 @@ class TestMirrorImage:
             assert float(got) == pytest.approx(float(want), rel=0, abs=1e-14)
 
     # the mean against 1 - mean, the central moments up to the sign of the
-    # odd one, and the mean deviation about the mean.  The moments' finite
-    # double sum put mu_4 1.0e-13 and the mean 2.2e-14 apart.  The mean
-    # deviation about the median stays out: its J sums and the quantile
-    # leave the two 1.1e-13 apart.
+    # odd one, and the mean deviations.  The moments' finite double sum put
+    # mu_4 1.0e-13 and the mean 2.2e-14 apart, and mu - 2 J(M) put the
+    # mean deviations about the median 1.1e-13 apart.
     def test_moments_and_mean_deviation(self):
         (m25,), (m52,) = series.moments(BETA25, [1]), series.moments(BETA52, [1])
         assert float(m25) == pytest.approx(1.0 - float(m52), rel=0, abs=1e-14)
@@ -704,8 +729,8 @@ class TestMirrorImage:
         c52, _ = series.central_moments_and_cumulants(BETA52, 4)
         for got, want in zip(c25[1:], (c52[1], -c52[2], c52[3])):
             assert got == pytest.approx(want, rel=0, abs=1e-14)
-        d25, d52 = series.mean_deviations(BETA25)[0], series.mean_deviations(BETA52)[0]
-        assert float(d25) == pytest.approx(float(d52), rel=0, abs=1e-14)
+        for d25, d52 in zip(series.mean_deviations(BETA25), series.mean_deviations(BETA52)):
+            assert float(d25) == pytest.approx(float(d52), rel=0, abs=1e-14)
 
 
 class TestOverflowingTables:
@@ -832,8 +857,8 @@ class TestQuadratureOverV:
             assert float(got) == pytest.approx(want, rel=1e-13, abs=0), (i, n)
             lone = series.order_stat_moment_series(theta, i, n, 1.0)
             assert float(lone) == pytest.approx(want, rel=1e-13, abs=0), (i, n)
-        uppers = [upper for upper, _ in ref["j"]]
-        for (upper, want), got in zip(ref["j"], series._j_integrals(tables, uppers)):
+        for upper, want in ref["j"]:
+            got = series._below(tables, upper, lambda at: at.log_x)
             assert got.method == "quadrature" and got.converged
             assert float(got) == pytest.approx(want, rel=1e-13, abs=0), upper
 
@@ -947,6 +972,29 @@ class TestConvergedValuesHoldTheirBounds:
             got = series.renyi_entropy(theta, rho)
             assert got.converged and abs(float(got) - want) <= 10 * got.tail_bound + 1e-15, rho
 
+    # delta1 and delta2 of every law, against E[X] - c + 2 E[(c - X)+]
+    # (positive integrands).  mu - 2 J(M) put sweep_c's delta2 3.0e-3
+    # relative off with bound 1.2e-15.  small_alpha's median underflows to
+    # 0, and sweep_a's mean rounds to 1.  narrow's reference lies 4e-14 off
+    # the 30-digit mpmath values of tests/test_cli.py, which gkw meets to
+    # 2e-15.
+    @pytest.mark.parametrize("name", sorted(QUAD_REFS))
+    def test_mean_deviations(self, name):
+        ref = QUAD_REFS[name]
+        got = series.mean_deviations(Params(*ref["theta"]))
+        for k, (value, want) in enumerate(zip(got, ref["deviations"])):
+            assert value.method == "quadrature" and value.converged, k
+            assert _within_bound(value, want), k
+
+    # E[e^{tX}] at Beta(a, b) is 1F1(a; a + b; t) (mpmath at 40 digits);
+    # the paper's series read these with bound 0, up to 6.1e-13 off
+    @pytest.mark.parametrize("a, b, t, want", [
+        (5, 2, 5.0, 46.55648880369626796381), (5, 2, -5.0, 0.04042768199451280257982),
+        (2, 5, 5.0, 6.0), (2, 5, -5.0, 0.3136951540228214167619)])
+    def test_mgf(self, a, b, t, want):
+        got = series.mgf(Params(1, 1, a, b - 1, 1), t)
+        assert got.converged and abs(float(got) - want) <= 10 * got.tail_bound + 1e-15 * want
+
     # near the (1 - x)^(-1/2) singularity m_{1:1}'s series decays slowly
     # and read 3e-7 (increasing_j) and 4e-6 (spike) off the exact mean
     @pytest.mark.parametrize("name", ["increasing_j", "spike"])
@@ -1046,11 +1094,13 @@ class TestShortTables:
     # Beta(400, 401): the v-table's first gamma lambda - 1 = 399 orders are
     # zero, so a budget of at most 399 orders gives an all-zero table, and
     # its sums fall back to quadrature or are flagged.  From 201 to 398 the
-    # table used to overflow its own slice.
+    # table used to overflow its own slice.  The mean deviations take the
+    # quadrature on tables of any budget.
     @pytest.mark.parametrize("max_terms", [200, 256, 300, 398, 399])
     def test_mean_deviations_take_quadrature(self, max_terms):
-        got = series.mean_deviations(BETA400, SeriesControl(max_terms=max_terms))
-        want = series.mean_deviations(BETA400, SeriesControl(max_terms=399))
+        tables = series._Tables(BETA400, SeriesControl(max_terms=max_terms))
+        got = series._mean_deviations(tables)
+        want = series.mean_deviations(BETA400)
         assert all(v.method == "quadrature" and v.converged for v in got)
         assert all(_same_value(x, y) for x, y in zip(got, want))
 
@@ -1078,7 +1128,8 @@ class TestKernelsBitForBit:
         got = series.omega_weights(theta, SeriesControl(max_terms=count))
         assert got.tobytes() == _omega_reference(theta, count).tobytes()
 
-    # every order of the v-table reads only the orders below it: Beta(400,
+    # every order of the v-table reads only the orders below it, so the
+    # table of a shorter budget is a prefix of the full one: Beta(400,
     # 401) has gamma lambda - 1 = 399 leading zeros, which a table of 256
     # orders used to overflow, and (1, 1, 0.1, 1, 10) shifts S^lambda by 10
     # orders, more than a table of 7 holds
@@ -1090,9 +1141,6 @@ class TestKernelsBitForBit:
                              ids=[name for name, _ in _V_LAWS])
     def test_v_prefix_is_the_first_orders_of_the_table(self, theta):
         full = series._Tables(theta, SeriesControl()).v
-        prefix = series._Tables(theta, SeriesControl()).v_prefix
-        assert len(prefix) == series._V_PREFIX
-        assert prefix.tobytes() == full[: series._V_PREFIX].tobytes()
         for n in (7, 256):
             short = series._Tables(theta, SeriesControl(max_terms=n)).v
             assert short.tobytes() == full[:n].tobytes()
@@ -1184,32 +1232,6 @@ class TestSharedTables:
                          "--entropy", "0.5", "--deviations", "--quiet"]) == 0
         return capsys.readouterr().out
 
-    # the J sums stop within the v-table's prefix (ekw, beta52), or not
-    # (spike): then the whole table is built once more
-    @pytest.mark.parametrize("theta, orders", [(EKW, [series._V_PREFIX]),
-                                               (BETA52, [series._V_PREFIX]),
-                                               (SPIKE, [series._V_PREFIX, 400])],
-                             ids=["ekw", "beta52", "spike"])
-    def test_j_builds_the_orders_its_sums_read(self, theta, orders, monkeypatch):
-        powers = _Recorder(series._ps_pow, lambda a, p, n: n)
-        monkeypatch.setattr(series, "_ps_pow", powers)
-        series.mean_deviations(theta)
-        assert sorted(set(powers.keys)) == orders
-
-    # each J value, bound, term count and fallback is the whole table's
-    @pytest.mark.parametrize("name", sorted(V_VALID))
-    def test_j_on_the_prefix_equals_the_whole_table_sum(self, name):
-        theta = GRID_BY_NAME[name]
-        tables = series._Tables(theta, SeriesControl())
-        uppers = [float(core.quantile(theta, p)) for p in (0.05, 0.3, 0.5, 0.7, 0.95)]
-        for upper, got in zip(uppers, series._j_integrals(tables, uppers)):
-            terms = series._j_terms(tables.v, theta.alpha, upper)
-            want = series._sum_terms(terms, tables.ctl)
-            if series._sum_ok(want, terms, tables.ctl):
-                assert _same_value(got, want), upper
-            else:
-                assert got.method == "quadrature", upper
-
     @pytest.mark.parametrize("theta", [EKW, BATHTUB, WORKHORSE, SPIKE],
                              ids=["ekw", "bathtub", "workhorse", "spike"])
     def test_props_evaluates_each_node_array_once(self, theta, monkeypatch, capsys):
@@ -1225,13 +1247,15 @@ class TestSharedTables:
         series.central_moments_and_cumulants(theta, 6)
         assert len(arrays) == len(set(arrays)) > 0
 
-    def test_props_builds_the_v_table_once(self, monkeypatch, capsys):
-        tables = _Recorder(series._v_coeffs, lambda tables: tables.ctl.max_terms)
-        monkeypatch.setattr(series, "_v_coeffs", tables)
+    # every verb of props takes the quadrature: no expansion table is built
+    def test_props_builds_no_expansion_table(self, monkeypatch, capsys):
+        for name in ("_v_coeffs", "_ps_pow", "_signed_binom"):
+            monkeypatch.setattr(series, name, _Recorder(getattr(series, name),
+                                                        lambda *args: None))
         out = self._props(EKW, capsys)
-        # the mean deviations sum v-table series; the L-moments take none
-        assert len(tables.keys) == 1
-        assert '"delta1_method": "series"' in out and '"l4"' in out
+        assert '"delta1_method": "quadrature"' in out and '"l4"' in out
+        for name in ("_v_coeffs", "_ps_pow", "_signed_binom"):
+            assert getattr(series, name).keys == [], name
 
     @pytest.mark.parametrize("theta", [theta for _, theta in GRID12] + [Params(1, 1, 10, 3, 1)],
                              ids=[name for name, _ in GRID12] + ["beta10_4"])
@@ -1251,16 +1275,6 @@ class TestSharedTables:
                  (series._renyi_entropy(tables, 0.5), series.renyi_entropy(theta, 0.5)),
                  *zip(series._mean_deviations(tables), series.mean_deviations(theta))]
         assert all(_same_value(x, y) for x, y in pairs)
-
-    def test_props_builds_each_power_of_s_over_w_once(self, monkeypatch):
-        # kwkw's v-table takes A^1 and A^lambda = A^2 of A = S/w
-        powers = _Recorder(series._ps_pow, lambda a, p, n: (np.asarray(a).tobytes(), p))
-        monkeypatch.setattr(series, "_ps_pow", powers)
-        assert cli.main(["props", "--theta", "2,2,1,1.5,2", "--lmoments", "--deviations",
-                         "--entropy", "2", "--quiet"]) == 0
-        assert len(powers.keys) == len(set(powers.keys))
-        a = series._Tables(KWKW, SeriesControl()).s_over_w.tobytes()
-        assert sorted(p for key, p in powers.keys if key == a) == [1.0, 2.0]
 
     def test_no_work_is_kept_between_calls(self, monkeypatch):
         cdf = _Recorder(core._inc_beta_at_log_z, lambda lz, a, b: None)
