@@ -17,13 +17,12 @@ the Renyi entropy.  On the test grid's laws where the paper's expansions
 of them apply, that quadrature is the more accurate and the faster of
 the two, and its bounds hold.
 
-Truncation policy, implemented once in _first_runs and _row_sum:
-infinite sums stop at the first index where |term| < tail_tol * |partial
-sum| holds for 3 consecutive terms; _sum_terms applies it to one sum.  A
-stop counts as converged only where the last ratio |t_k / t_{k-1}| is
-below 0.9, which bounds the tail as geometric, t_k r / (1 - r), and where
-the summed terms do not cancel below rounding (_rounding_ok, through
-_sum_ok).  No tail is extrapolated: the sums that decay only
+Truncation policy, implemented once in _sum_terms: infinite sums stop
+at the first index where |term| < tail_tol * |partial sum| holds for 3
+consecutive terms.  A stop counts as converged only where the last
+ratio |t_k / t_{k-1}| is below 0.9, which bounds the tail as geometric,
+t_k r / (1 - r), and where the summed terms do not cancel below
+rounding (_rounding_ok, through _sum_ok).  No tail is extrapolated: the sums that decay only
 algebraically (near a (1 - x)^(-1/2) singularity, say) carry no
 certified bound.  So every other sum takes the one quadrature fallback,
 _quad, and tags the result (method="quadrature"): each is an expectation
@@ -289,11 +288,16 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
 
     With complete=True the array is the entire (finite) sum and is added
     up directly, with eps * sum |terms| as its bound.  Otherwise it is
-    the first len(terms) terms of an infinite series, converged only
-    where the rule fires and _row_sum's geometric test passes; no tail is
-    extrapolated.  A warn_label is only passed by callers with no
-    quadrature fallback; everyone else inspects the converged flag (with
-    _sum_ok) and reroutes silently (the method tag records it).
+    the first len(terms) terms of an infinite series.  The rule stops at
+    the last of the first three consecutive terms below tail_tol times
+    the partial sum, k.  That stop counts only where the last ratio
+    r = |t_k / t_{k-1}| is below 0.9: the tail is then bounded as
+    geometric, t_k r / (1 - r).  An algebraic tail, whose ratios creep up
+    to 1, can hold far more than that past the stop, so a slower stop is
+    not converged; no tail is extrapolated.  A warn_label is only passed
+    by callers with no quadrature fallback; everyone else inspects the
+    converged flag (with _sum_ok) and reroutes silently (the method tag
+    records it).
     """
     terms = np.asarray(terms, dtype=float)
     if terms.size == 0:
@@ -301,20 +305,6 @@ def _sum_terms(terms: np.ndarray, ctl: SeriesControl, *,
     if complete:
         return SeriesValue(math.fsum(terms), _EPS * float(np.abs(terms).sum()), terms.size,
                            "exact", True)
-    sv = _row_sum(terms, *_first_runs(terms, ctl))
-    if warn_label and not sv.converged:
-        warnings.warn(
-            f"{warn_label}: truncation criterion not met after {terms.size} terms",
-            SeriesDivergenceWarning,
-            stacklevel=3,
-        )
-    return sv
-
-
-def _first_runs(terms: np.ndarray, ctl: SeriesControl) -> tuple[np.ndarray, int]:
-    """The truncation rule on a term array: its partial sums and the index
-    k of the last of its first three consecutive small terms (-1 where
-    there is none)."""
     # a non-finite partial sum is not converged (below); it needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
         partial = np.cumsum(terms)
@@ -323,24 +313,19 @@ def _first_runs(terms: np.ndarray, ctl: SeriesControl) -> tuple[np.ndarray, int]
     # and an infinite one that it has diverged: neither has converged
     small = (np.abs(terms) < scale) & (partial != 0.0) & np.isfinite(partial)
     hit = np.flatnonzero(small[2:] & small[1:-1] & small[:-2])
-    return partial, int(hit[0]) + 2 if hit.size else -1
-
-
-def _row_sum(terms: np.ndarray, partial: np.ndarray, k: int) -> SeriesValue:
-    """_sum_terms from the partial sums and the _first_runs stop k.
-
-    A stop counts only where the last ratio r = |t_k / t_{k-1}| is below
-    0.9: the tail is then bounded as geometric, t_k r / (1 - r).  An
-    algebraic tail, whose ratios creep up to 1, can hold far more than
-    that past the stop, so a slower stop is not converged.
-    """
-    if k >= 0:
-        t_last = abs(terms[k])
-        prev = abs(terms[k - 1])
+    if hit.size:
+        k = int(hit[0]) + 2
+        t_last, prev = abs(terms[k]), abs(terms[k - 1])
         ratio = t_last / prev if prev > 0 else 0.0
         if ratio < 0.9:
             bound = t_last * ratio / (1 - ratio)
             return SeriesValue(partial[k], max(bound, t_last), k + 1, "series", True)
+    if warn_label:
+        warnings.warn(
+            f"{warn_label}: truncation criterion not met after {terms.size} terms",
+            SeriesDivergenceWarning,
+            stacklevel=3,
+        )
     return SeriesValue(partial[-1], abs(terms[-1]) * terms.size, terms.size, "series", False)
 
 
