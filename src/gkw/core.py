@@ -51,7 +51,8 @@ class Params:
 
     alpha, beta, gamma, lambda must be positive; delta may be zero
     (several sub-models require it) but not negative.  ``lam`` stands
-    in for the reserved word ``lambda``.
+    in for the reserved word ``lambda``.  Each may be given as any real
+    Python or NumPy scalar, and is stored as a Python float.
     """
 
     alpha: float
@@ -61,13 +62,15 @@ class Params:
     lam: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "lam"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {v!r}")
-        d = self.delta
-        if not (isinstance(d, (int, float)) and math.isfinite(d) and d >= 0):
-            raise ValueError(f"delta must be a nonnegative finite real, got {d!r}")
+        for name in _PARAM_NAMES:
+            given = v = getattr(self, name)
+            if type(v) is not float and isinstance(v, (int, float, np.integer, np.floating)):
+                v = float(v)
+                object.__setattr__(self, name, v)
+            if not (type(v) is float and math.isfinite(v)
+                    and (v > 0.0 or name == "delta" and v >= 0.0)):
+                kind = "nonnegative" if name == "delta" else "positive"
+                raise ValueError(f"{name} must be a {kind} finite real, got {given!r}")
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.lam)
@@ -161,6 +164,13 @@ class _Head:
     build it and call tail() under np.errstate(divide="ignore",
     invalid="ignore"): the raw logs make infinities that the tiny
     branches then patch.
+
+    A fit builds one for every evaluation at which alpha or beta moved:
+    two log1mexp passes (la, and ly through its tiny-value form), two
+    log(-log1mexp) passes (lla, lny) and four products, on specfun's
+    array kernels, and a tail adds one log1mexp pass.  No scalar special
+    function is called; the pass around it (:func:`_log_density`) takes
+    ln B from the unchecked specfun._ln_beta.
     """
 
     __slots__ = ("ab", "s", "la", "lla", "bla", "ly", "lny", "a1lx", "b1la", "_tail")
@@ -193,13 +203,14 @@ def _log_density(theta: Params, log_x: np.ndarray, head: _Head | None = None):
     score and information.  ``head`` is the :class:`_Head` of an earlier
     call on the same log_x; it is reused as it is when alpha and beta
     have not changed, and rebuilt otherwise.  lu is built only where
-    delta != 0.  Run under np.errstate(divide="ignore",
-    invalid="ignore"), as the head is.
+    delta != 0.  ln B(gamma, delta + 1) comes from the unchecked
+    specfun._ln_beta: a Params has validated the shapes.  Run under
+    np.errstate(divide="ignore", invalid="ignore"), as the head is.
     """
     a, b, g, d, l = theta.as_tuple()
     if head is None or head.ab != (a, b):
         head = _Head(a, b, log_x)
-    out = head.a1lx + (math.log(l) + math.log(a) + math.log(b) - specfun.ln_beta(g, d + 1.0))
+    out = head.a1lx + (math.log(l) + math.log(a) + math.log(b) - specfun._ln_beta(g, d + 1.0))
     out += head.b1la
     gl1 = g * l - 1.0
     if gl1 != 0.0:

@@ -23,6 +23,19 @@ Dataset.  Within one fit the links fixed by alpha and beta are reused
 while those two do not move (so Mc, Beta and BP build them once), and
 log(1 - y^lambda) while lambda does not; nothing is kept across fits.
 
+One evaluation of a fit's objective builds a Params from Python floats
+(the free values mapped from the optimizer's coordinates), then runs
+that pass: a core._Head where alpha or beta moved, its tail where lambda
+did, the log-density sum, and ln B(gamma, delta + 1) from the unchecked
+specfun._ln_beta.  For a step the line search accepts, it then builds
+the score's free components, whose gamma and delta parts call the
+unchecked specfun._digamma_diff.  The Params has validated the shapes,
+so neither kernel checks them again; the public specfun functions
+still do.  The optimizer's wall projection and sup-norms work on lists
+of at most five floats; its dot products, H @ g and the BFGS update
+stay NumPy calls.  None of this reorders a floating-point operation, so
+fits reproduce to the bit.
+
 Standard errors come from the inverse of the observed information
 restricted to the free coordinates, and nested models are compared with
 the usual likelihood-ratio chi-square.  A delta estimate that lands on
@@ -239,21 +252,23 @@ def score(theta: Params, data: Dataset) -> np.ndarray:
     multiplies an overflowing factor.
     """
     with np.errstate(**_QUIET):
-        return _score_from_parts(theta, data.n, _Pass(data)(theta)[1])
+        return np.array(_score_from_parts(theta, data.n, _Pass(data)(theta)[1]))
 
 
 def _sum_exp(t: np.ndarray, sign: float) -> float:
-    """Sum of sign * exp(t), computed in t."""
+    """Sum of sign * exp(t), computed in t.  The sign goes on the sum:
+    rounding to nearest is symmetric, so that is the sum of the negated
+    terms to the bit."""
     np.exp(t, out=t)
-    if sign < 0.0:
-        np.negative(t, out=t)
-    return float(np.add.reduce(t))
+    total = float(np.add.reduce(t))
+    return -total if sign < 0.0 else total
 
 
-def _score_from_parts(theta: Params, n: int, parts: _Parts, idx=_ALL) -> np.ndarray:
+def _score_from_parts(theta: Params, n: int, parts: _Parts, idx=_ALL) -> list[float]:
     """The :func:`score` components at parameter indices ``idx``, in that
     order, from the blocks of one pass; no other component is built.
-    Call it under ``np.errstate(**_QUIET)``."""
+    The digamma differences are the unchecked kernel's, on the floats of
+    a validated Params.  Call it under ``np.errstate(**_QUIET)``."""
     a, b, g, d, l = theta.as_tuple()
     h, data = parts
     s, la, ly = h.s, h.la, h.ly
@@ -304,9 +319,9 @@ def _score_from_parts(theta: Params, n: int, parts: _Parts, idx=_ALL) -> np.ndar
         elif i == 2:
             # -n d/dg log B(g, d+1) = n [psi(g+d+1) - psi(g)], differenced
             # without cancellation so the gamma -> inf ridge stays resolvable
-            u = n * specfun.digamma_diff(g, d + 1.0) + l * sum_ly
+            u = n * specfun._digamma_diff(g, d + 1.0) + l * sum_ly
         elif i == 3:
-            u = n * specfun.digamma_diff(d + 1.0, g) + float(np.add.reduce(lu))
+            u = n * specfun._digamma_diff(d + 1.0, g) + float(np.add.reduce(lu))
         else:
             u = n / l + g * sum_ly
             if d != 0.0:
@@ -315,7 +330,7 @@ def _score_from_parts(theta: Params, n: int, parts: _Parts, idx=_ALL) -> np.ndar
                 t += h.lny
                 u -= d * _sum_exp(t, -1.0)
         out.append(u)
-    return np.array(out)
+    return out
 
 
 def observed_info(theta: Params, data: Dataset) -> np.ndarray:
@@ -486,34 +501,36 @@ def _value_to_phi(v: float, i: int) -> float:
     return math.log(v)
 
 
-def _phi_score(u: np.ndarray, vec: np.ndarray, free_idx: list[int]) -> np.ndarray:
+def _phi_score(u: list[float], vec: list[float], free_idx: list[int]) -> list[float]:
     """dl/dphi from the score components u = dl/dtheta on the free
     coordinates (in free_idx order): the chain rule through
     value = exp(phi) (delta + eps = exp(phi) for delta)."""
     di = _PARAM_IDX["delta"]
-    return np.array([ui * (vec[i] + _DELTA_EPS if i == di else vec[i])
-                     for ui, i in zip(u, free_idx)], dtype=float)
+    return [ui * (vec[i] + _DELTA_EPS if i == di else vec[i]) for ui, i in zip(u, free_idx)]
 
 
 def _no_grad():
     return None
 
 
-def _make_objective(ll_pass: _Pass, free_idx: list[int], fixed: np.ndarray):
+def _make_objective(ll_pass: _Pass, free_idx: list[int], fixed):
     """Return phi -> (negative loglik, gradient thunk).
 
-    A call costs one pass of ``ll_pass``; the thunk builds the score
-    components of the free coordinates from that pass's blocks when
-    called, and returns None where there is no usable gradient
-    (non-finite loglik, NaN score).  Call it under
-    ``np.errstate(**_QUIET)``, as :func:`fit` does.
+    ``fixed`` holds the five parameter values, of which the free ones
+    are overwritten.  A call costs one pass of ``ll_pass`` at a Params
+    built from Python floats; the thunk builds the score components of
+    the free coordinates from that pass's blocks when called, and
+    returns None where there is no usable gradient (non-finite loglik,
+    NaN score).  Call it under ``np.errstate(**_QUIET)``, as :func:`fit`
+    does.
     """
     n = ll_pass.data.n
+    base = [float(v) for v in fixed]
 
     def objective(phi: np.ndarray):
-        vec = fixed.copy()
-        for j, i in enumerate(free_idx):
-            vec[i] = _phi_to_value(float(phi[j]), i)
+        vec = base.copy()
+        for i, x in zip(free_idx, phi.tolist()):
+            vec[i] = _phi_to_value(x, i)
         try:
             theta = Params(*vec)
         except ValueError:
@@ -523,24 +540,24 @@ def _make_objective(ll_pass: _Pass, free_idx: list[int], fixed: np.ndarray):
             return math.inf, _no_grad
 
         def grad():
-            g = -_phi_score(_score_from_parts(theta, n, parts, free_idx), vec, free_idx)
-            if np.isnan(g).any():
+            u = _score_from_parts(theta, n, parts, free_idx)
+            g = [-v for v in _phi_score(u, vec, free_idx)]
+            if any(map(math.isnan, g)):
                 return None
             # An infinite component still points somewhere useful; cap it
             # so the line search can follow it to the wall.
-            return np.minimum(np.maximum(g, -1e30), 1e30)
+            return np.array([min(max(v, -1e30), 1e30) for v in g])
 
         return -ll, grad
 
     return objective
 
 
-def _project_grad(g: np.ndarray, phi: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+def _project_grad(g: list[float], phi: list[float], lower: list[float],
+                  upper: list[float]) -> list[float]:
     """Zero descent components blocked by an active wall (minimizing)."""
-    gp = g.copy()
-    gp[(phi <= lower + 1e-9) & (gp > 0.0)] = 0.0
-    gp[(phi >= upper - 1e-9) & (gp < 0.0)] = 0.0
-    return gp
+    return [0.0 if (x <= lo + 1e-9 and v > 0.0) or (x >= hi - 1e-9 and v < 0.0) else v
+            for v, x, lo, hi in zip(g, phi, lower, upper)]
 
 
 class _Stop(NamedTuple):
@@ -598,6 +615,7 @@ def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int):
     evals = 1
     if g is None:
         return _Stop(phi, F, 0, evals, "nonfinite")
+    walls = lower.tolist(), upper.tolist()
     eye = np.eye(phi.size)
     H = eye                                   # initial inverse-Hessian guess
     it = 0
@@ -605,8 +623,10 @@ def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int):
     j = 0                                     # newest trail entry >= _STALL_EVALS old
     while True:
         beat = yield F, evals
-        gp = _project_grad(g, phi, lower, upper)
-        if float(abs(gp).max()) <= gtol * max(1.0, abs(F)):
+        # g holds no NaN (the objective gives no such gradient), so the
+        # max of floats is numpy's
+        gp = _project_grad(g.tolist(), phi.tolist(), *walls)
+        if max(map(abs, gp)) <= gtol * max(1.0, abs(F)):
             return _Stop(phi, F, it, evals, "gradient")
         if it >= max_iter:
             return _Stop(phi, F, it, evals, "max_iter")
@@ -621,10 +641,10 @@ def _bfgs(objective, phi0, lower, upper, *, gtol: float, max_iter: int):
         it += 1
         moved = False
         for attempt in (0, 1):
-            p = -(H @ g) if attempt == 0 else -gp
+            p = -(H @ g) if attempt == 0 else -np.array(gp)
             if attempt == 0 and float(p @ g) >= 0.0:
                 continue                      # H lost descent; use steepest
-            step = min(1.0, _MAX_STEP / max(float(abs(p).max()), 1e-300))
+            step = min(1.0, _MAX_STEP / max(max(map(abs, p.tolist())), 1e-300))
             for _ in range(_MAX_HALVINGS):
                 cand = np.minimum(np.maximum(phi + step * p, lower), upper)
                 d = cand - phi
@@ -721,7 +741,7 @@ def fit(
     # a start equal to an earlier one would retrace its run and lose the tie
     starts = list(dict.fromkeys(_project(sub, p) for p in [*starts, *extra_starts]))
     free_idx = [_PARAM_IDX[nm] for nm in sub.free_names]
-    fixed = np.array(starts[0].as_tuple())
+    fixed = starts[0].as_tuple()
     lower, upper = _walls(free_idx)
     ll_pass = _Pass(data)                    # shared by every start and the closing pass
     objective = _make_objective(ll_pass, free_idx, fixed)
@@ -737,7 +757,7 @@ def fit(
 
         # A run that stalls on the flat plateau a few transformed units short
         # of a wall is still a boundary estimate for reporting purposes.
-        vec = fixed.copy()
+        vec = list(fixed)
         boundary = []
         di = _PARAM_IDX["delta"]
         for j, i in enumerate(free_idx):
@@ -766,9 +786,11 @@ def fit(
         grad_norm = math.inf
         if math.isfinite(loglik):
             g_phi = _phi_score(_score_from_parts(theta_hat, data.n, parts, free_idx), vec, free_idx)
-            g_phi = np.where(np.isnan(g_phi), np.inf, g_phi)
-            phi_hat = np.array([_value_to_phi(vec[i], i) for i in free_idx])
-            grad_norm = float(np.max(np.abs(_project_grad(-g_phi, phi_hat, lower, upper))))
+            # a NaN component counts as an infinite ascent direction
+            descent = [-math.inf if math.isnan(v) else -v for v in g_phi]
+            phi_hat = [_value_to_phi(vec[i], i) for i in free_idx]
+            projected = _project_grad(descent, phi_hat, lower.tolist(), upper.tolist())
+            grad_norm = max(map(abs, projected))
         converged = grad_norm <= _GRAD_TOL * max(1.0, abs(loglik))
 
         result = FitResult(

@@ -16,6 +16,10 @@ All functions are pure; scalar entry points take and return floats,
 and the three log-space helpers also take arrays (they wrap their array
 kernels).  A few array variants (prefixed ``_``) exist for the hot paths
 of the sampler and are verified against the scalar versions in the tests.
+``_ln_gamma``, ``_ln_beta`` and ``_digamma_diff`` are the public
+functions' arithmetic without their argument checks, for the
+log-likelihood pass and score, which call them with the shapes of a
+validated Params; the public functions call them after checking.
 """
 
 from __future__ import annotations
@@ -85,14 +89,21 @@ def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
         raise ValueError(f"ln_gamma requires positive finite x, got {x!r}")
-    x = float(x)
+    return _ln_gamma(float(x))
+
+
+_C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8 = _LANCZOS_C
+
+
+def _ln_gamma(x: float) -> float:
+    """:func:`ln_gamma` without the argument check, the Lanczos sum
+    unrolled in the order of its coefficients."""
     if x < 0.5:
         # push into the Lanczos sweet spot; exact up to rounding
-        return ln_gamma(x + 1.0) - math.log(x)
+        return _ln_gamma(x + 1.0) - math.log(x)
     z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (z + i)
+    acc = (_C0 + _C1 / (z + 1.0) + _C2 / (z + 2.0) + _C3 / (z + 3.0) + _C4 / (z + 4.0)
+           + _C5 / (z + 5.0) + _C6 / (z + 6.0) + _C7 / (z + 7.0) + _C8 / (z + 8.0))
     t = z + _LANCZOS_G + 0.5
     return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
@@ -114,11 +125,17 @@ def ln_beta(a: float, b: float) -> float:
     """
     _check_positive("a", a)
     _check_positive("b", b)
+    return _ln_beta(float(a), float(b))
+
+
+def _ln_beta(a: float, b: float) -> float:
+    """:func:`ln_beta` for floats a, b > 0, unchecked: the log-likelihood
+    pass calls it with the shapes of a validated Params."""
     hi, lo = (a, b) if a >= b else (b, a)
     if hi < 1e5:
-        return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+        return _ln_gamma(a) + _ln_gamma(b) - _ln_gamma(a + b)
     return (
-        ln_gamma(lo)
+        _ln_gamma(lo)
         + lo
         - (hi - 0.5) * math.log1p(lo / hi)
         - lo * math.log(hi + lo)
@@ -182,18 +199,22 @@ def _on_arrays(kernel, *args):
 
 # The array paths of the three helpers above.  Each fills one new array
 # in place, and recomputes only the elements that its other branch
-# covers, after a NaN-blind min or max has shown that there are some.
-# None sets np.errstate: the log chain of core runs all of them under the
-# one errstate (divide and invalid ignored) of its caller.
+# covers: log1mexp's near branch, which most calls of a fit reach, by
+# integer index (one nonzero, where a boolean mask is walked once to
+# gather and again to scatter), the tiny patches, which few reach, after
+# a NaN-blind min has shown that there are some.  None sets np.errstate:
+# the log chain of core runs all of them under the one errstate (divide
+# and invalid ignored) of its caller.
 
 
 def _log1mexp_arr(s: np.ndarray) -> np.ndarray:
     out = np.exp(s)
     np.negative(out, out=out)
     np.log1p(out, out=out)
-    if np.fmax.reduce(s, initial=-np.inf) > _LN_HALF:
-        near = s > _LN_HALF
-        v = np.minimum(s[near], 0.0)
+    near = (s > _LN_HALF).nonzero()
+    if near[0].size:
+        v = s[near]
+        np.minimum(v, 0.0, out=v)
         np.expm1(v, out=v)
         np.negative(v, out=v)
         np.log(v, out=v)
@@ -213,7 +234,7 @@ def _log1mexp_tiny_arr(s: np.ndarray, log_neg_s: np.ndarray) -> np.ndarray:
 
 def _patch_tiny(out, v, half):
     """out, with the first-order expansion v + half e^v where v < _TINY_LOG."""
-    if np.fmin.reduce(v, initial=np.inf) < _TINY_LOG:
+    if np.fmin.reduce(v, axis=None, initial=np.inf) < _TINY_LOG:
         tiny = v < _TINY_LOG
         vt = v[tiny]
         out[tiny] = vt + half * np.exp(vt)
@@ -430,7 +451,12 @@ def digamma_diff(x: float, h: float) -> float:
     """
     _check_positive("x", x)
     _check_positive("h", h)
-    x, h = float(x), float(h)
+    return _digamma_diff(float(x), float(h))
+
+
+def _digamma_diff(x: float, h: float) -> float:
+    """:func:`digamma_diff` for floats x, h > 0, unchecked: the score's
+    gamma and delta components call it."""
     acc = 0.0
     while x < 20.0:
         acc += -math.expm1(-math.log1p(h / x)) * (1.0 / x)   # 1/x - 1/(x+h)

@@ -5,7 +5,8 @@ moments, the Renyi entropy, the incomplete first moment and the mgf.
 
 Importable module (not collected: its name does not start with test_).
 None of this ships in the package; the library has one route per
-quantity, and these are the independent ones.
+quantity, and these are the independent ones.  ``same_bits`` compares a
+rewritten kernel with its reference to the bit.
 """
 
 import math
@@ -15,6 +16,15 @@ import numpy as np
 from gkw import core, series
 from gkw.core import Params
 from gkw.specfun import ln_beta
+
+
+def same_bits(got, want) -> bool:
+    """Equal shape and float bits, with NaN equal to NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if got.shape != want.shape:
+        return False
+    nan = np.isnan(got) & np.isnan(want)
+    return np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
 
 
 def fd_grad(f, x, h_rel: float = 1e-6) -> np.ndarray:

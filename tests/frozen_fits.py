@@ -1,18 +1,22 @@
 """fit_family results frozen in float hex, for tests/test_estim.py.
 
-Five data sets, each fitted with the default eight models and no seed:
+Six data sets, each fitted with the default eight models and no seed:
 the frozen file data/workhorse-300.csv (300 draws from
-GKw(2, 3, 1.5, 0.5, 2)), three gamma = 1 laws of 300 points drawn by
-exact inversion of seeded uniforms (see :func:`frozen_fit_data`), so
-that the data do not move when the sampler does, and the frozen file
-data/nested-0.csv (150 points, the benchmark's ``nested-0`` data set,
-whose GKw fit has a start that crawls along the gamma/lambda ridge
-beside the winning one).  The first four were recorded with the
-log-likelihood code that built every link of the log chain afresh at
-every evaluation, the fifth with the optimizer that ran its starts one
-after another; a rewrite of either must reproduce them to the last
-bit.  Per model: (theta_hat, loglik, iterations, grad_norm, converged,
-std_errors, boundary).
+GKw(2, 3, 1.5, 0.5, 2)), four gamma = 1 laws drawn by exact inversion
+of seeded uniforms (see :func:`frozen_fit_data`), so that the data do
+not move when the sampler does -- three of 300 points and kwkw-2000,
+2000 points, the size the benchmark fits, where the near branches and
+tiny-value patches of the log chain run on long arrays -- and the
+frozen file data/nested-0.csv (150 points, the benchmark's
+``nested-0`` data set, whose GKw fit has a start that crawls along the
+gamma/lambda ridge beside the winning one).  The first four were
+recorded with the log-likelihood code that built every link of the log
+chain afresh at every evaluation, nested-0 with the optimizer that ran
+its starts one after another, and kwkw-2000 before the per-evaluation
+overhead of the objective was cut; a rewrite of any of them must
+reproduce them to the last bit.  Per model: (theta_hat, loglik,
+iterations, grad_norm, converged, std_errors, boundary), and in
+FROZEN_TRACES each start's (reason, iterations, evaluations).
 """
 
 import os
@@ -23,11 +27,12 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 _CSV = ("workhorse-300", "nested-0")
 
-# name -> (alpha, beta, gamma, delta, lambda) with gamma = 1, and seed
+# name -> (alpha, beta, gamma, delta, lambda) with gamma = 1, seed and size
 _KWKW_LAWS = {
-    "kwkw-ridge": ((2.0, 3.0, 1.0, 1.0, 0.7), 7001),
-    "bathtub-kwkw": ((0.7, 0.8, 1.0, 0.6, 0.9), 7002),
-    "mc-gamma-one": ((1.0, 1.0, 1.0, 4.0, 2.0), 7003),
+    "kwkw-ridge": ((2.0, 3.0, 1.0, 1.0, 0.7), 7001, 300),
+    "bathtub-kwkw": ((0.7, 0.8, 1.0, 0.6, 0.9), 7002, 300),
+    "mc-gamma-one": ((1.0, 1.0, 1.0, 4.0, 2.0), 7003, 300),
+    "kwkw-2000": ((2.0, 3.0, 1.0, 1.0, 0.7), 7004, 2000),
 }
 
 
@@ -35,9 +40,9 @@ def frozen_fit_data(name: str) -> np.ndarray:
     """The data set behind FROZEN_FITS[name]."""
     if name in _CSV:
         return np.loadtxt(os.path.join(DATA_DIR, name + ".csv"), skiprows=1)
-    (a, b, _, d, l), seed = _KWKW_LAWS[name]
+    (a, b, _, d, l), seed, size = _KWKW_LAWS[name]
     # V ~ Beta(1, d + 1) is 1 - (1 - u)^(1/(d+1)); x inverts the chain
-    u = np.random.default_rng(seed).uniform(size=300)
+    u = np.random.default_rng(seed).uniform(size=size)
     v = -np.expm1(np.log1p(-u) / (d + 1.0))
     return (-np.expm1(np.log1p(-v ** (1.0 / l)) / b)) ** (1.0 / a)
 
@@ -252,5 +257,113 @@ FROZEN_FITS = {
             '0x1.05b27a3be1d19p+5', 130, '0x1.9c70e4da2903dp-10', False,
             None,
             ('beta',)),
+    },
+    'kwkw-2000': {
+        'Beta': (
+            ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.8ebcfe37d7b33p+0', '0x1.aede12e357050p+1', '0x1.0000000000000p+0'),
+            '0x1.dc101ec6d0baap+9', 8, '0x1.53ecc8c3fe6b7p-15', True,
+            ('0x1.723579c44805bp-5', '0x1.1ef4b16103d69p-3'),
+            ()),
+        'Kw': (
+            ('0x1.6b03657f9a765p+0', '0x1.3ba5d77d8f085p+2', '0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+0'),
+            '0x1.dd96667cf65c1p+9', 8, '0x1.3b559cf576a6ep-14', True,
+            ('0x1.f5475076b6b6fp-6', '0x1.9ef35148ca086p-3'),
+            ()),
+        'BP': (
+            ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.8d23b2dc5ccedp-1', '0x1.1ac54cf6522b0p+2', '0x1.b931d64a8384ap+0'),
+            '0x1.ddee69f73f368p+9', 12, '0x1.5b6c6b6f75e91p-15', True,
+            ('0x1.3ba9d8e4548c8p-3', '0x1.057af8d8e57f5p-1', '0x1.0f22b226aa0aap-2'),
+            ()),
+        'EKw': (
+            ('0x1.acbd67429c944p+0', '0x1.66a17bae08e8bp+2', '0x1.0000000000000p+0', '0x0.0p+0', '0x1.9853a21d1db2ep-1'),
+            '0x1.de086411fc849p+9', 17, '0x1.0ff9910d8ead7p-16', True,
+            ('0x1.a1ba3a47553dfp-3', '0x1.347bc5909d403p-1', '0x1.092707476f091p-3'),
+            ()),
+        'Mc': (
+            ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.8d23b2dc5ccedp-1', '0x1.1ac54cf6522b0p+2', '0x1.b931d64a8384ap+0'),
+            '0x1.ddee69f73f368p+9', 12, '0x1.5b6c6b6f75e91p-15', True,
+            ('0x1.3ba9d8e4548c8p-3', '0x1.057af8d8e57f5p-1', '0x1.0f22b226aa0aap-2'),
+            ()),
+        'BKw': (
+            ('0x1.acbd75c9e797ap+0', '0x1.66a1861bc123dp+2', '0x1.98539115e6b8fp-1', '0x0.0p+0', '0x1.0000000000000p+0'),
+            '0x1.de086411fc7fap+9', 8, '0x1.7f2c7ee13cb0cp-13', True,
+            ('0x1.a1ba73d351e93p-3', '0x1.347bf12c19a75p-1', '0x1.092717bc11110p-3', 'nan'),
+            ('delta',)),
+        'KwKw': (
+            ('0x1.27317db5011bep+3', '0x1.92b9ab2dfcf85p+1', '0x1.0000000000000p+0', '0x1.5f71d3fc43407p+1', '0x1.2fe2e2709fcccp-3'),
+            '0x1.de7f46b33dd82p+9', 74, '0x1.90d4f0427566ep-12', True,
+            ('0x1.a2813288313cdp+3', '0x1.cb78ad8eb1374p+1', '0x1.5c5c07b7213d2p-1', '0x1.ab0b5e1eca950p-3'),
+            ()),
+        'GKw': (
+            ('0x1.0d696f4c3dc2bp+2', '0x1.f57ad8e3bbe46p+1', '0x1.4cab901952858p+2', '0x1.4cb515c13206ep+0', '0x1.2cdc901e4569ap-4'),
+            '0x1.deb440417e686p+9', 54, '0x1.23d94ee5e7abep-11', True,
+            ('0x1.49c6f9ecbd1dbp+2', '0x1.d8d0a096e57b6p+0', '0x1.0cac4fbf59800p+6', '0x1.e85b4de49bd44p+0', '0x1.9f0a98755e54dp-1'),
+            ()),
+    },
+}
+
+
+# name -> model -> (reason, iterations, evaluations) of each start, in start
+# order, recorded with the same code as the kwkw-2000 fits
+FROZEN_TRACES = {
+    'workhorse-300': {
+        'Beta': (('gradient', 5, 20), ('gradient', 8, 13), ('gradient', 8, 14),),
+        'Kw': (('gradient', 8, 12), ('gradient', 9, 16), ('gradient', 8, 13),),
+        'BP': (('gradient', 67, 93), ('line_search', 83, 146), ('line_search', 91, 195), ('line_search', 80, 167),),
+        'EKw': (('gradient', 24, 31), ('gradient', 22, 26), ('gradient', 21, 29), ('gradient', 19, 32),),
+        'Mc': (('gradient', 67, 93), ('line_search', 83, 146), ('line_search', 91, 195), ('line_search', 80, 167),),
+        'BKw': (('abandoned', 60, 264), ('gradient', 133, 280), ('line_search', 104, 244), ('abandoned', 50, 274), ('gradient', 19, 32),),
+        'KwKw': (('stalled', 104, 335), ('stalled', 135, 338), ('gradient', 106, 137), ('gradient', 19, 32), ('gradient', 0, 1),),
+        'GKw': (('abandoned', 71, 474), ('stalled', 93, 380), ('line_search', 152, 327), ('abandoned', 59, 268), ('gradient', 16, 31), ('line_search', 107, 325), ('gradient', 0, 1), ('gradient', 0, 1), ('line_search', 89, 192),),
+    },
+    'kwkw-ridge': {
+        'Beta': (('gradient', 4, 19), ('gradient', 8, 12), ('gradient', 8, 13),),
+        'Kw': (('gradient', 9, 12), ('gradient', 8, 13), ('gradient', 8, 14),),
+        'BP': (('gradient', 10, 26), ('gradient', 12, 19), ('gradient', 33, 40), ('gradient', 9, 26),),
+        'EKw': (('gradient', 16, 21), ('gradient', 14, 20), ('gradient', 17, 22), ('gradient', 8, 26),),
+        'Mc': (('gradient', 10, 26), ('gradient', 12, 19), ('gradient', 33, 40), ('gradient', 9, 26),),
+        'BKw': (('gradient', 107, 152), ('gradient', 121, 159), ('gradient', 95, 116), ('gradient', 101, 147), ('gradient', 8, 26),),
+        'KwKw': (('gradient', 33, 52), ('gradient', 29, 40), ('gradient', 69, 97), ('gradient', 8, 26), ('gradient', 0, 1),),
+        'GKw': (('gradient', 55, 83), ('gradient', 42, 52), ('gradient', 50, 56), ('gradient', 49, 76), ('gradient', 8, 28), ('gradient', 43, 68), ('gradient', 0, 1), ('gradient', 0, 1), ('gradient', 23, 43),),
+    },
+    'bathtub-kwkw': {
+        'Beta': (('gradient', 8, 14), ('gradient', 11, 13), ('gradient', 12, 15),),
+        'Kw': (('gradient', 9, 13), ('gradient', 8, 13), ('gradient', 9, 12),),
+        'BP': (('gradient', 40, 60), ('line_search', 44, 102), ('line_search', 44, 100), ('line_search', 37, 103),),
+        'EKw': (('gradient', 71, 123), ('gradient', 63, 140), ('gradient', 84, 156), ('gradient', 47, 117),),
+        'Mc': (('gradient', 40, 60), ('line_search', 44, 102), ('line_search', 44, 100), ('line_search', 37, 103),),
+        'BKw': (('stalled', 98, 277), ('gradient', 118, 139), ('gradient', 56, 64), ('gradient', 76, 148), ('gradient', 51, 83),),
+        'KwKw': (('stalled', 48, 250), ('gradient', 40, 56), ('gradient', 43, 53), ('gradient', 47, 79), ('gradient', 0, 1),),
+        'GKw': (('abandoned', 46, 257), ('abandoned', 78, 565), ('abandoned', 47, 317), ('gradient', 34, 55), ('gradient', 47, 71), ('line_search', 34, 157), ('gradient', 0, 1), ('gradient', 0, 1), ('line_search', 236, 381),),
+    },
+    'mc-gamma-one': {
+        'Beta': (('gradient', 5, 18), ('gradient', 9, 14), ('gradient', 10, 15),),
+        'Kw': (('gradient', 8, 12), ('gradient', 8, 13), ('gradient', 9, 14),),
+        'BP': (('gradient', 13, 28), ('gradient', 18, 28), ('gradient', 40, 51), ('gradient', 14, 30),),
+        'EKw': (('gradient', 14, 20), ('gradient', 18, 24), ('gradient', 19, 25), ('gradient', 10, 26),),
+        'Mc': (('gradient', 13, 28), ('gradient', 18, 28), ('gradient', 40, 51), ('gradient', 14, 30),),
+        'BKw': (('gradient', 105, 143), ('gradient', 109, 140), ('gradient', 132, 170), ('gradient', 105, 151), ('gradient', 10, 26),),
+        'KwKw': (('gradient', 50, 67), ('gradient', 85, 115), ('gradient', 52, 73), ('gradient', 10, 26), ('gradient', 0, 1),),
+        'GKw': (('abandoned', 142, 256), ('abandoned', 64, 278), ('gradient', 54, 60), ('abandoned', 158, 271), ('gradient', 9, 28), ('abandoned', 152, 225), ('gradient', 0, 1), ('gradient', 0, 1), ('gradient', 16, 33),),
+    },
+    'nested-0': {
+        'Beta': (('gradient', 6, 18), ('gradient', 8, 13), ('gradient', 10, 14),),
+        'Kw': (('gradient', 9, 13), ('gradient', 7, 11), ('gradient', 7, 15),),
+        'BP': (('gradient', 20, 37), ('gradient', 31, 37), ('gradient', 57, 78), ('gradient', 17, 29),),
+        'EKw': (('gradient', 17, 25), ('gradient', 21, 28), ('gradient', 21, 25), ('gradient', 9, 23),),
+        'Mc': (('gradient', 20, 37), ('gradient', 31, 37), ('gradient', 57, 78), ('gradient', 17, 29),),
+        'BKw': (('line_search', 149, 250), ('gradient', 74, 88), ('gradient', 77, 89), ('line_search', 135, 288), ('gradient', 9, 23),),
+        'KwKw': (('gradient', 71, 176), ('gradient', 85, 272), ('stalled', 73, 275), ('gradient', 9, 23), ('gradient', 0, 1),),
+        'GKw': (('abandoned', 140, 201), ('abandoned', 58, 326), ('line_search', 130, 236), ('abandoned', 127, 201), ('gradient', 9, 24), ('abandoned', 137, 201), ('gradient', 0, 1), ('abandoned', 132, 201), ('line_search', 52, 170),),
+    },
+    'kwkw-2000': {
+        'Beta': (('gradient', 5, 18), ('gradient', 8, 12), ('gradient', 9, 14),),
+        'Kw': (('gradient', 9, 12), ('gradient', 8, 13), ('gradient', 10, 16),),
+        'BP': (('gradient', 12, 28), ('gradient', 14, 21), ('gradient', 36, 43), ('gradient', 11, 28),),
+        'EKw': (('gradient', 17, 22), ('gradient', 16, 22), ('gradient', 17, 22), ('gradient', 8, 27),),
+        'Mc': (('gradient', 12, 28), ('gradient', 14, 21), ('gradient', 36, 43), ('gradient', 11, 28),),
+        'BKw': (('gradient', 143, 204), ('gradient', 148, 200), ('gradient', 135, 179), ('gradient', 139, 201), ('gradient', 8, 27),),
+        'KwKw': (('abandoned', 89, 270), ('gradient', 74, 103), ('line_search', 107, 223), ('gradient', 8, 27), ('gradient', 0, 1),),
+        'GKw': (('gradient', 72, 108), ('gradient', 132, 181), ('gradient', 77, 92), ('abandoned', 207, 298), ('gradient', 8, 29), ('abandoned', 154, 245), ('gradient', 0, 1), ('gradient', 0, 1), ('gradient', 54, 88),),
     },
 }

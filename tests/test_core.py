@@ -42,6 +42,32 @@ class TestParams:
         # delta == 0 is legal, it is a boundary case several sub-models use
         Params(1.0, 1.0, 1.0, 0.0, 1.0)
 
+    def test_numpy_scalars_are_stored_as_floats(self):
+        # any real NumPy scalar is accepted, and every field, float64 ones
+        # included, is stored as a Python float
+        for vals in (np.array([2, 3, 1, 0, 1]), np.array([2, 3, 1, 0, 1], dtype=np.int32),
+                     np.array([2.0, 3.0, 1.0, 0.0, 1.0], dtype=np.float32),
+                     np.array([2.0, 3.0, 1.0, 0.0, 1.0]), [2, 3, 1, 0, True]):
+            t = Params(*vals)
+            assert t == Params(2.0, 3.0, 1.0, 0.0, 1.0)
+            assert all(type(v) is float for v in t.as_tuple())
+        # a float32 keeps its value, widened
+        assert Params(np.float32(0.1), 1, 1, 0, 1).alpha == float(np.float32(0.1))
+        assert repr(Params(*np.array([2, 3, 1, 0, 1]))) == (
+            "Params(alpha=2.0, beta=3.0, gamma=1.0, delta=0.0, lam=1.0)")
+
+    @pytest.mark.parametrize("bad", [np.float32(-1.0), np.int64(0), np.float64(math.nan),
+                                     np.float32(math.inf), np.bool_(True), "2", None, 1j,
+                                     np.complex128(2.0), np.array(2.0)])
+    def test_invalid_scalars_are_still_rejected(self, bad):
+        with pytest.raises(ValueError, match="alpha must be a positive finite real"):
+            Params(bad, 1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.float32(-0.5), np.int64(-1), np.float64(math.nan)])
+    def test_negative_numpy_delta_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="delta must be a nonnegative finite real"):
+            Params(1.0, 1.0, 1.0, bad, 1.0)
+
     def test_replace(self):
         t = Params(2.0, 3.0, 1.5, 0.5, 2.0)
         assert t.replace(alpha=1.0).as_tuple() == (1.0, 3.0, 1.5, 0.5, 2.0)

@@ -32,8 +32,8 @@ from gkw.estim import (
     std_errors,
 )
 
-from crosscheck import fd_grad, fd_hess
-from frozen_fits import FROZEN_FITS, frozen_fit_data
+from crosscheck import fd_grad, fd_hess, same_bits
+from frozen_fits import FROZEN_FITS, FROZEN_TRACES, frozen_fit_data
 from gridpoints import (
     BATHTUB,
     BETA52,
@@ -335,6 +335,15 @@ class TestFit:
         assert r.loglik == pytest.approx(log_likelihood(r.theta_hat, data), abs=1e-8)
         if r.converged:
             assert r.grad_norm < 1e-5 * max(1.0, abs(r.loglik))
+
+    @pytest.mark.parametrize("sub", ["Beta", "EKw", "GKw"])
+    def test_results_carry_python_floats(self, sub):
+        # NumPy scalars reaching the estimate would print it as
+        # Params(alpha=np.float64(...), ...)
+        r = fit(Dataset(frozen_fit_data("nested-0")), sub)
+        assert all(type(v) is float for v in r.theta_hat.as_tuple())
+        assert type(r.loglik) is float and type(r.grad_norm) is float
+        assert "np." not in repr(r.theta_hat)
 
     def test_refit_is_deterministic(self):
         data = Dataset(core.sample(KW22, 800, seed=4))
@@ -857,15 +866,6 @@ def _ref_loglik_and_score(theta, log_x):
     return logf, float(np.sum(logf)), score_
 
 
-def _same_bits(got, want) -> bool:
-    """Equal float bits, with NaN equal to NaN."""
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    if got.shape != want.shape:
-        return False
-    nan = np.isnan(got) & np.isnan(want)
-    return np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
-
-
 _UNIFORM_150 = tuple(np.random.default_rng(2024).uniform(0.001, 0.999, 150))
 
 # (theta, points): each point set reaches a branch of the chain
@@ -901,10 +901,10 @@ class TestPassBitForBit:
         logf_ref, ll_ref, score_ref = _ref_loglik_and_score(theta, data.log_values)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             logf, _ = core._log_density(theta, data.log_values)
-        assert _same_bits(logf, logf_ref)
-        assert _same_bits(core.log_pdf(theta, data.values), logf_ref)
-        assert _same_bits(log_likelihood(theta, data), ll_ref)
-        assert _same_bits(score(theta, data), score_ref)
+        assert same_bits(logf, logf_ref)
+        assert same_bits(core.log_pdf(theta, data.values), logf_ref)
+        assert same_bits(log_likelihood(theta, data), ll_ref)
+        assert same_bits(score(theta, data), score_ref)
 
     @pytest.mark.parametrize("case", ["alpha-power-underflow", "y-to-one", "tiny-x-power",
                                       "tiny-y", "n-one"])
@@ -914,7 +914,7 @@ class TestPassBitForBit:
             logf_ref, _, _ = _ref_loglik_and_score(theta, math.log(x))
             got = core.log_pdf(theta, x)
             assert isinstance(got, float)
-            assert _same_bits(got, logf_ref)
+            assert same_bits(got, logf_ref)
 
     @pytest.mark.parametrize("case", ["workhorse", "alpha-power-underflow", "tiny-y"])
     def test_reused_head_and_any_score_subset(self, case):
@@ -930,10 +930,10 @@ class TestPassBitForBit:
             _, ll_ref, score_ref = _ref_loglik_and_score(theta, data.log_values)
             with np.errstate(**estim._QUIET):    # as a fit runs its passes
                 ll, parts = ll_pass(theta)
-                assert _same_bits(ll, ll_ref)
+                assert same_bits(ll, ll_ref)
                 for idx in ([0, 1, 2, 3, 4], [2, 3, 4], [0, 1, 4], [3], [4, 0]):
                     got = estim._score_from_parts(theta, data.n, parts, idx)
-                    assert _same_bits(got, score_ref[idx])
+                    assert same_bits(got, score_ref[idx])
 
 
 def _hex(values):
@@ -942,7 +942,8 @@ def _hex(values):
 
 class TestFrozenFits:
     # every fit follows the trajectory it followed before the pass was
-    # rewritten, so estimates, counts and errors agree to the last bit
+    # rewritten, so estimates, counts and errors agree to the last bit, and
+    # every start stops for the same reason after the same evaluations
     @pytest.mark.parametrize("name", sorted(FROZEN_FITS))
     def test_fit_family_equals_frozen_results(self, name):
         fam = fit_family(Dataset(frozen_fit_data(name)))
@@ -955,3 +956,5 @@ class TestFrozenFits:
                 loglik, iterations, grad_norm, converged), nm
             assert (None if r.std_errors is None else _hex(r.std_errors)) == ses, nm
             assert r.boundary == boundary, nm
+            assert tuple((t.reason, t.iterations, t.evaluations) for t in r.trace) == (
+                FROZEN_TRACES[name][nm]), nm

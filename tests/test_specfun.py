@@ -31,6 +31,8 @@ from gkw.specfun import (
     trigamma_diff,
 )
 
+from crosscheck import same_bits
+
 
 class TestLnGamma:
     def test_known_values(self):
@@ -425,3 +427,132 @@ class TestArrayVariants:
         step = np.maximum(np.abs(sc.betainc(a, b, np.nextafter(z, 1.0)) - fwd),
                           np.abs(fwd - sc.betainc(a, b, np.nextafter(z, 0.0))))
         assert np.all(np.abs(fwd - u) <= 1e-10 + step)
+
+
+_LN_HALF = math.log(0.5)
+
+
+def _log1mexp_two_branch(s):
+    """log(1 - e^s) by its two branches (Maechler 2012), both taken at
+    every element: log(-expm1(s)) above log 1/2, log1p(-exp(s)) below."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s > _LN_HALF, np.log(-np.expm1(np.minimum(s, 0.0))),
+                        np.log1p(-np.exp(s)))
+
+
+def _ln_gamma_loop(x: float) -> float:
+    """ln Gamma with the Lanczos sum as a loop over its coefficients."""
+    if x < 0.5:
+        return _ln_gamma_loop(x + 1.0) - math.log(x)
+    z = x - 1.0
+    acc = specfun._LANCZOS_C[0]
+    for i in range(1, 9):
+        acc += specfun._LANCZOS_C[i] / (z + i)
+    t = z + specfun._LANCZOS_G + 0.5
+    return specfun._LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+
+
+def _ln_beta_loop(a: float, b: float) -> float:
+    """ln B from _ln_gamma_loop: three terms below max(a, b) = 1e5, the
+    differenced Stirling series from there on."""
+    hi, lo = max(a, b), min(a, b)
+    if hi < 1e5:
+        return _ln_gamma_loop(a) + _ln_gamma_loop(b) - _ln_gamma_loop(a + b)
+    return (_ln_gamma_loop(lo) + lo - (hi - 0.5) * math.log1p(lo / hi)
+            - lo * math.log(hi + lo) + specfun._stirling_tail(hi) - specfun._stirling_tail(hi + lo))
+
+
+# every branch point of the log1mexp helpers, with both neighbours
+_EDGES = np.array([
+    0.0, -0.0, 1e-300, 0.5, 3.0, math.inf, -math.inf, math.nan,
+    _LN_HALF, np.nextafter(_LN_HALF, 0.0), np.nextafter(_LN_HALF, -1.0),
+    -20.0, np.nextafter(-20.0, 0.0), np.nextafter(-20.0, -21.0),
+    -745.0, -745.2, -746.0, -800.0, -5e-324, -1e-300, -1e-12, -3e-9, -0.5, -19.0, -21.0,
+    -math.exp(-20.0), -np.nextafter(math.exp(-20.0), 1.0), -np.nextafter(math.exp(-20.0), 0.0),
+])
+
+
+_LAYOUTS = {"1-d": lambda a: a, "2-d": lambda a: a.reshape(4, 7),
+            "2-d transposed": lambda a: a.reshape(4, 7).T}
+
+
+class TestLogChainKernelsBitForBit:
+    # the array kernels of the log chain take their branches by flat index;
+    # each element must carry the bits of the branch that owns it, in any
+    # layout (a 2-d array failed the parent's NaN-blind reduce)
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_log1mexp_arr(self, layout):
+        s = _LAYOUTS[layout](_EDGES.copy())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = specfun._log1mexp_arr(s)
+        assert same_bits(got, _log1mexp_two_branch(s))
+        assert same_bits(s, _LAYOUTS[layout](_EDGES))   # the input is left as it was
+
+    def test_log1mexp_arr_without_near_elements(self):
+        s = np.array([-1.0, -30.0, -746.0, -math.inf, math.nan])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert same_bits(specfun._log1mexp_arr(s), _log1mexp_two_branch(s))
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_log_neg_log1mexp_arr(self, layout):
+        s = _LAYOUTS[layout](_EDGES)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            l1m = _log1mexp_two_branch(s)
+            want = np.where(s < -20.0, s + 0.5 * np.exp(s), np.log(-l1m))
+            got = specfun._log_neg_log1mexp_arr(s, l1m)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_log1mexp_tiny_arr(self, layout):
+        s = _LAYOUTS[layout](_EDGES)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_neg = np.log(-s)
+            want = np.where(log_neg < -20.0, log_neg - 0.5 * np.exp(log_neg),
+                            _log1mexp_two_branch(s))
+            got = specfun._log1mexp_tiny_arr(s, log_neg)
+        assert same_bits(got, want)
+
+    def test_public_helpers_take_2d(self):
+        s = _LAYOUTS["2-d"](_EDGES)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_neg = np.log(-s)
+            assert same_bits(log1mexp(s), _log1mexp_two_branch(s))
+            assert same_bits(specfun.log1mexp_tiny(s, log_neg),
+                              specfun._log1mexp_tiny_arr(s, log_neg))
+
+
+_SHAPES = [1e-300, 1e-8, 0.01, 0.3, 0.4999999999999999, 0.5, 0.7, 1.0, 1.5, 2.0, 7.3,
+           19.999999999999996, 20.0, 33.3, 1e3, 99999.99999999999, 1e5, 1.0000000000000002e5,
+           3e7, 5e9]
+
+
+class TestUncheckedScalarKernels:
+    # the log-likelihood pass and the score call the unchecked kernels; they
+    # are the public functions' arithmetic, in the same order, to the bit
+    @pytest.mark.parametrize("x", _SHAPES)
+    def test_ln_gamma_unrolled_equals_the_loop(self, x):
+        assert specfun._ln_gamma(x) == _ln_gamma_loop(x) == ln_gamma(x)
+
+    @pytest.mark.parametrize("a", _SHAPES)
+    def test_ln_beta(self, a):
+        for b in _SHAPES:
+            assert specfun._ln_beta(a, b) == specfun.ln_beta(a, b) == _ln_beta_loop(a, b)
+
+    @pytest.mark.parametrize("x", _SHAPES)
+    def test_digamma_diff(self, x):
+        for h in _SHAPES:
+            assert specfun._digamma_diff(x, h) == digamma_diff(x, h)
+
+    def test_public_forms_take_ints(self):
+        assert ln_gamma(3) == specfun._ln_gamma(3.0)
+        assert specfun.ln_beta(2, 3) == specfun._ln_beta(2.0, 3.0)
+        assert digamma_diff(2, 3) == specfun._digamma_diff(2.0, 3.0)
+
+    @pytest.mark.parametrize("bad", [0.0, 0, -1.5, -3, math.nan, math.inf, -math.inf,
+                                     "2.0", None, 1j])
+    def test_public_forms_still_validate(self, bad):
+        for call in (lambda: ln_gamma(bad),
+                     lambda: specfun.ln_beta(bad, 2.0), lambda: specfun.ln_beta(2.0, bad),
+                     lambda: digamma_diff(bad, 2.0), lambda: digamma_diff(2.0, bad)):
+            with pytest.raises(ValueError):
+                call()
