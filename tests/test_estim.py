@@ -114,7 +114,7 @@ class TestScore:
     @pytest.mark.parametrize(
         "theta",
         [WORKHORSE, KWKW, MOUND, BETA52, BATHTUB, SPIKE, INCREASING_J],
-        ids=lambda p: f"a{p.alpha}b{p.beta}",
+        ids=lambda p: f"a{p.alpha:g}b{p.beta:g}",
     )
     def test_matches_finite_differences(self, theta):
         # delta = 0 shifts slightly inside so the centred stencil is legal
@@ -214,7 +214,7 @@ class TestObservedInfo:
     @pytest.mark.parametrize(
         "theta",
         [WORKHORSE, KWKW, MOUND, BETA52, BATHTUB, SPIKE],
-        ids=lambda p: f"a{p.alpha}b{p.beta}",
+        ids=lambda p: f"a{p.alpha:g}b{p.beta:g}",
     )
     def test_matches_fd_hessian(self, theta):
         if theta.delta == 0.0:
