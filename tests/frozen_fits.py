@@ -17,6 +17,9 @@ overhead of the objective was cut; a rewrite of any of them must
 reproduce them to the last bit.  Per model: (theta_hat, loglik,
 iterations, grad_norm, converged, std_errors, boundary), and in
 FROZEN_TRACES each start's (reason, iterations, evaluations).
+FROZEN_SEEDED_FITS and FROZEN_SEEDED_TRACES hold the same for
+workhorse-300 fitted with ``seed=SEED``, which pins the jittered starts
+of ``gkw fit --seed``.
 """
 
 import os
@@ -365,5 +368,67 @@ FROZEN_TRACES = {
         'BKw': (('gradient', 143, 204), ('gradient', 148, 200), ('gradient', 135, 179), ('gradient', 139, 201), ('gradient', 8, 27),),
         'KwKw': (('abandoned', 89, 270), ('gradient', 74, 103), ('line_search', 107, 223), ('gradient', 8, 27), ('gradient', 0, 1),),
         'GKw': (('gradient', 72, 108), ('gradient', 132, 181), ('gradient', 77, 92), ('abandoned', 207, 298), ('gradient', 8, 29), ('abandoned', 154, 245), ('gradient', 0, 1), ('gradient', 0, 1), ('gradient', 54, 88),),
+    },
+}
+
+
+# fit_family with seed=SEED: FROZEN_FITS' fields, and each start's (reason,
+# iterations, evaluations), a fit's last two starts being the seeded ones
+SEED = 11
+FROZEN_SEEDED_FITS = {
+    'workhorse-300': {
+        'Beta': (
+            ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.bcdf2fe875a56p+2', '0x1.11b86506e1097p+2', '0x1.0000000000000p+0'),
+            '0x1.5d51bcbf7cdcep+7', 9, '0x1.b86a07ca1663dp-17', True,
+            ('0x1.1eaf921ed5291p-1', '0x1.ae4ff8983790ap-2'),
+            ()),
+        'Kw': (
+            ('0x1.1266fbbaea1fcp+2', '0x1.b94545d47dc9dp+2', '0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+0'),
+            '0x1.55420c719f034p+7', 7, '0x1.2040745e12eddp-20', True,
+            ('0x1.c8f7b910474f5p-3', '0x1.88458843ab08fp-1'),
+            ()),
+        'BP': (
+            ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.dfcf66cefc3acp+14', '0x1.0ad969cce8bf8p+2', '0x1.27a5e7064c940p-12'),
+            '0x1.5dc2deab56ffcp+7', 91, '0x1.bb6391cb8652dp-10', False,
+            None,
+            ()),
+        'EKw': (
+            ('0x1.1acec287110e6p+0', '0x1.bda76cefd64dep+1', '0x1.0000000000000p+0', '0x0.0p+0', '0x1.2ce88b7152265p+3'),
+            '0x1.5f7704233d317p+7', 22, '0x1.26cdc54c218efp-20', True,
+            ('0x1.72d3b4d22799ap-1', '0x1.5a4a1d29235cep-1', '0x1.5d8792ded2320p+3'),
+            ()),
+        'Mc': (
+            ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.dfcf66cefc3acp+14', '0x1.0ad969cce8bf8p+2', '0x1.27a5e7064c940p-12'),
+            '0x1.5dc2deab56ffcp+7', 91, '0x1.bb6391cb8652dp-10', False,
+            None,
+            ()),
+        'BKw': (
+            ('0x1.17e9fee09ea11p-26', '0x1.95400455f1ac5p+0', '0x1.23f38428af83cp+43', '0x1.4113cd25fd828p+0', '0x1.0000000000000p+0'),
+            '0x1.5fd6a98156243p+7', 133, '0x1.6e64972e348dap-14', True,
+            None,
+            ('gamma',)),
+        'KwKw': (
+            ('0x1.3f4a07c6d9dabp-23', '0x1.d557b4504fb61p+0', '0x1.0000000000000p+0', '0x1.ada941f1c8a85p-1', '0x1.370470aec28edp+43'),
+            '0x1.5f8aa478a2412p+7', 104, '0x1.35abefcdbfc0fp-6', False,
+            None,
+            ('lam',)),
+        'GKw': (
+            ('0x1.17e9fee09ea11p-26', '0x1.95400455f1ac5p+0', '0x1.23f38428af83cp+43', '0x1.4113cd25fd828p+0', '0x1.0000000000000p+0'),
+            '0x1.5fd6a98156243p+7', 0, '0x1.6e64972e348dap-14', True,
+            None,
+            ('gamma',)),
+    },
+}
+
+FROZEN_SEEDED_TRACES = {
+    'workhorse-300': {
+        'Beta': (('gradient', 5, 20), ('gradient', 8, 13), ('gradient', 8, 14), ('gradient', 9, 13), ('gradient', 10, 14),),
+        'Kw': (('gradient', 8, 12), ('gradient', 9, 16), ('gradient', 8, 13), ('gradient', 9, 13), ('gradient', 7, 14),),
+        'BP': (('gradient', 67, 93), ('line_search', 83, 146), ('line_search', 91, 195), ('line_search', 74, 140), ('line_search', 92, 153), ('gradient', 86, 114),),
+        'EKw': (('gradient', 24, 31), ('gradient', 22, 26), ('gradient', 21, 29), ('gradient', 19, 32), ('gradient', 16, 23), ('gradient', 21, 31),),
+        'Mc': (('gradient', 67, 93), ('line_search', 83, 146), ('line_search', 91, 195), ('line_search', 74, 140), ('line_search', 92, 153), ('gradient', 86, 114),),
+        'BKw': (('abandoned', 60, 264), ('gradient', 133, 280), ('line_search', 104, 244), ('abandoned', 49, 264), ('gradient', 19, 32), ('gradient', 89, 122), ('gradient', 136, 281),),
+        'KwKw': (('stalled', 104, 335), ('stalled', 135, 338), ('gradient', 106, 137), ('gradient', 19, 32), ('gradient', 0, 1), ('gradient', 111, 139), ('abandoned', 108, 213),),
+        'GKw': (('abandoned', 71, 474), ('stalled', 93, 380), ('line_search', 152, 327), ('abandoned', 62, 264), ('gradient', 16, 31), ('line_search', 107, 325), ('gradient', 0, 1), ('gradient', 0, 1), ('line_search', 89, 192), ('gradient', 117, 267), ('stalled', 141, 366),),
     },
 }

@@ -33,7 +33,14 @@ from gkw.estim import (
 )
 
 from crosscheck import fd_grad, fd_hess, same_bits
-from frozen_fits import FROZEN_FITS, FROZEN_TRACES, frozen_fit_data
+from frozen_fits import (
+    FROZEN_FITS,
+    FROZEN_SEEDED_FITS,
+    FROZEN_SEEDED_TRACES,
+    FROZEN_TRACES,
+    SEED,
+    frozen_fit_data,
+)
 from gridpoints import (
     BATHTUB,
     BETA52,
@@ -944,10 +951,8 @@ class TestFrozenFits:
     # every fit follows the trajectory it followed before the pass was
     # rewritten, so estimates, counts and errors agree to the last bit, and
     # every start stops for the same reason after the same evaluations
-    @pytest.mark.parametrize("name", sorted(FROZEN_FITS))
-    def test_fit_family_equals_frozen_results(self, name):
-        fam = fit_family(Dataset(frozen_fit_data(name)))
-        want = FROZEN_FITS[name]
+    @staticmethod
+    def _assert_frozen(fam, want, traces):
         assert list(fam) == list(want)
         for nm, r in fam.items():
             theta, loglik, iterations, grad_norm, converged, ses, boundary = want[nm]
@@ -957,4 +962,15 @@ class TestFrozenFits:
             assert (None if r.std_errors is None else _hex(r.std_errors)) == ses, nm
             assert r.boundary == boundary, nm
             assert tuple((t.reason, t.iterations, t.evaluations) for t in r.trace) == (
-                FROZEN_TRACES[name][nm]), nm
+                traces[nm]), nm
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_FITS))
+    def test_fit_family_equals_frozen_results(self, name):
+        fam = fit_family(Dataset(frozen_fit_data(name)))
+        self._assert_frozen(fam, FROZEN_FITS[name], FROZEN_TRACES[name])
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_SEEDED_FITS))
+    def test_seeded_fit_family_equals_frozen_results(self, name):
+        # the two jittered starts per fit that `gkw fit --seed` adds
+        fam = fit_family(Dataset(frozen_fit_data(name)), seed=SEED)
+        self._assert_frozen(fam, FROZEN_SEEDED_FITS[name], FROZEN_SEEDED_TRACES[name])
