@@ -64,7 +64,7 @@ class Params:
     def __post_init__(self) -> None:
         for name in _PARAM_NAMES:
             given = v = getattr(self, name)
-            if type(v) is not float and isinstance(v, (int, float, np.integer, np.floating)):
+            if type(v) is not float and isinstance(v, specfun._REALS):
                 v = float(v)
                 object.__setattr__(self, name, v)
             if not (type(v) is float and math.isfinite(v)
@@ -332,13 +332,17 @@ class _AtV:
 
 # _expect's first step and half-width in s, its relative tolerance, node cap
 _EXPECT_STEP, _EXPECT_SPAN, _EXPECT_TOL, _EXPECT_MAX_NODES = 0.5, 9.0, 1e-13, 1 << 14
+# Largest argument of math.exp that stays finite.
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _expect(theta: Params, log_h, upper: float = 1.0, pointwise: bool = False, *,
-            nodes: dict):
+def _expect(theta: Params, log_h, upper: float = 1.0, *, nodes: dict):
     """E[h_k(V) | V <= v_a], V ~ Beta(gamma, delta + 1), for each row k of
-    log_h(at), at the _AtV of a node array (pointwise for its cdf) and
-    v_a = G1(upper)^lambda (the whole law for upper >= 1).
+    log_h(at), at the _AtV of a node array and v_a = G1(upper)^lambda (the
+    whole law for upper >= 1).  Where B(gamma, delta + 1) or its inverse
+    is not a finite float, the _AtV takes F by the scalar kernel point by
+    point: the array one stalls there (fault F3) until it iterates on an
+    active set.
 
     The trapezoid rule in s with logit V = mu + sigma sinh s, mu and sigma
     the mean and sd of logit V (Takahasi and Mori 1974; Mori and Sugihara,
@@ -358,14 +362,15 @@ def _expect(theta: Params, log_h, upper: float = 1.0, pointwise: bool = False, *
     span's ends are not negligible.
 
     nodes keeps each node array's _AtV and log-weight, keyed by upper and
-    the array, for every call with the same theta and pointwise that is
-    given the same dict: every whole-law expectation puts its nodes on one
-    lattice of nested halvings, so calls for different h share node
-    arrays, and each is evaluated once.  The caller owns the dict and
-    decides how long it lives; only log_h and the sums are taken per call.
+    the array, for every call with the same theta that is given the same
+    dict: every whole-law expectation puts its nodes on one lattice of
+    nested halvings, so calls for different h share node arrays, and each
+    is evaluated once.  The caller owns the dict and decides how long it
+    lives; only log_h and the sums are taken per call.
     """
     g, d = theta.gamma, theta.delta
     lva, l1va, q, ln_b = 0.0, -math.inf, d + 1.0, specfun.ln_beta(g, d + 1.0)
+    pointwise = not abs(ln_b) < _LOG_MAX
     if upper < 1.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             head = _Head(theta.alpha, theta.beta, np.array([math.log(upper)]))
@@ -545,9 +550,7 @@ def power_transform_params(theta: Params, a: float) -> Params:
     """
     if theta.alpha != 1.0:
         raise ValueError("power_transform_params requires alpha == 1")
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be a positive finite real, got {a!r}")
-    return theta.replace(alpha=float(a))
+    return theta.replace(alpha=specfun._check_positive("a", a))
 
 
 def lgkw_pdf(theta: Params, y: float) -> float:

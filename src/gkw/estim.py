@@ -1,17 +1,21 @@
 """Maximum-likelihood estimation for the generalized Kumaraswamy family.
 
-Fitting works on any of the named sub-model patterns: the free
-parameters are log-transformed (delta as log(delta + 1e-10) so the
-boundary delta = 0 stays reachable), and a BFGS iteration with Armijo
-backtracking climbs the log-likelihood from a small moment-matched
-multi-start grid.  The starts are raced: they advance together, the
-one with the fewest objective evaluations so far taking the next
-step, and a start too slow to overtake the best current value of the
-others (``beat``) is abandoned; each fit keeps a trace of how every
-start ended.  The score vector and observed information matrix are
-analytic, written in compensated log-space forms so that observations
-far into either tail do not overflow the intermediate products; both
-are certified against finite differences in the test suite.
+Fitting works on any of the named sub-model patterns, and a BFGS
+iteration with Armijo backtracking climbs the log-likelihood from a
+small moment-matched multi-start grid.  The optimizer moves each free
+parameter in phi = log(value + shift), the shift read from one table,
+_SHIFT: 1e-10 for delta, 0 for every other parameter.  So
+value = max(exp(phi) - shift, 0) and dvalue/dphi = value + shift.  phi
+lies in the box [-30, 30], except that delta's lower wall is
+log(1e-10), where delta is exactly 0: the boundary delta = 0 stays
+reachable.  The starts are raced: they advance together, the one with
+the fewest objective evaluations so far taking the next step, and a
+start too slow to overtake the best current value of the others
+(``beat``) is abandoned; each fit keeps a trace of how every start
+ended.  The score vector and observed information matrix are analytic,
+written in compensated log-space forms so that observations far into
+either tail do not overflow the intermediate products; both are
+certified against finite differences in the test suite.
 
 One evaluation is one pass over the data: the log chain of the density
 (log x^alpha, log(1 - x^alpha), log y, log(1 - y^lambda) and the logs
@@ -74,9 +78,8 @@ __all__ = [
 ]
 
 _PARAM_IDX = {n: i for i, n in enumerate(_PARAM_NAMES)}
-_DELTA_EPS = 1e-10
+_SHIFT = (0.0, 0.0, 0.0, 1e-10, 0.0)  # value + shift = exp(phi), per parameter
 _WALL = 30.0
-_DELTA_WALL = math.log(_DELTA_EPS)
 _MAX_STEP = 2.0    # longest trial step of one iteration, per log-coordinate
 _MAX_HALVINGS = 20  # backtracking halvings before a search direction is given up
 _STALL_EVALS = 200  # a run whose loglik rose by less than _STALL_GAIN over
@@ -198,11 +201,17 @@ _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 class _Pass:
     """Log-likelihood passes over one data set.
 
-    A call at theta returns the log-likelihood and the parts the score
-    and information are built from; the :class:`core._Head` of the last
-    call is reused while alpha and beta stay where they were, so a fit
-    that pins both (Mc, Beta, BP) builds it once.  One is made per fit
-    (or per public call); nothing is kept across fits.  Call it under
+    A call at theta returns ``(loglik, head)``: the log-likelihood and
+    the :class:`core._Head` whose log-space blocks the score and
+    information are built from.  Everything downstream is assembled as
+    exp(sum of logs) so that a large magnitude in one factor (say |log x|
+    for a datum near zero) cancels inside the exponent instead of
+    overflowing a product; the logarithms come from the same chain as
+    the log-density, so the score and information stay finite where
+    x^alpha underflows or y rounds to 1.  The head of the last call is
+    reused while alpha and beta stay where they were, so a fit that pins
+    both (Mc, Beta, BP) builds it once.  One is made per fit (or per
+    public call); nothing is kept across fits.  Call it under
     ``np.errstate(**_QUIET)``.
     """
 
@@ -214,33 +223,13 @@ class _Pass:
 
     def __call__(self, theta: Params):
         logf, self.head = core._log_density(theta, self.data.log_values, self.head)
-        return float(np.add.reduce(logf)), _Parts(self.head, self.data)
-
-
-class _Parts(NamedTuple):
-    """The blocks one pass leaves for the score and information.
-
-    Everything downstream is assembled as exp(sum of logs) so that a
-    large magnitude in one factor (say |log x| for a datum near zero)
-    cancels inside the exponent instead of overflowing a product.  The
-    logarithms come from the same chain as the log-density, so the
-    score and information stay finite where x^alpha underflows or y
-    rounds to 1.
-    """
-
-    head: core._Head
-    data: Dataset
-
-
-def _loglik_and_parts(theta: Params, data: Dataset):
-    """log_likelihood and the :class:`_Parts` blocks, from one pass."""
-    with np.errstate(**_QUIET):
-        return _Pass(data)(theta)
+        return float(np.add.reduce(logf)), self.head
 
 
 def log_likelihood(theta: Params, data: Dataset) -> float:
     """Sum of the log-density over the sample (may be -inf)."""
-    return _loglik_and_parts(theta, data)[0]
+    with np.errstate(**_QUIET):
+        return _Pass(data)(theta)[0]
 
 
 def score(theta: Params, data: Dataset) -> np.ndarray:
@@ -252,7 +241,7 @@ def score(theta: Params, data: Dataset) -> np.ndarray:
     multiplies an overflowing factor.
     """
     with np.errstate(**_QUIET):
-        return np.array(_score_from_parts(theta, data.n, _Pass(data)(theta)[1]))
+        return np.array(_score_from_head(theta, data, _Pass(data)(theta)[1]))
 
 
 def _sum_exp(t: np.ndarray, sign: float) -> float:
@@ -264,13 +253,13 @@ def _sum_exp(t: np.ndarray, sign: float) -> float:
     return -total if sign < 0.0 else total
 
 
-def _score_from_parts(theta: Params, n: int, parts: _Parts, idx=_ALL) -> list[float]:
+def _score_from_head(theta: Params, data: Dataset, h: core._Head, idx=_ALL) -> list[float]:
     """The :func:`score` components at parameter indices ``idx``, in that
-    order, from the blocks of one pass; no other component is built.
+    order, from the head of one pass; no other component is built.
     The digamma differences are the unchecked kernel's, on the floats of
     a validated Params.  Call it under ``np.errstate(**_QUIET)``."""
     a, b, g, d, l = theta.as_tuple()
-    h, data = parts
+    n = data.n
     s, la, ly = h.s, h.la, h.ly
     llx = data.log_neg_log
     gl1 = g * l - 1.0
@@ -341,81 +330,82 @@ def observed_info(theta: Params, data: Dataset) -> np.ndarray:
     everything else is assembled from the same log-space blocks as the
     score.
     """
-    return _info_from_parts(theta, data.n, _loglik_and_parts(theta, data)[1])
+    with np.errstate(**_QUIET):
+        return _info_from_head(theta, data, _Pass(data)(theta)[1])
 
 
-def _info_from_parts(theta: Params, n: int, parts) -> np.ndarray:
-    """The information of :func:`observed_info`, from the blocks of one pass."""
+def _info_from_head(theta: Params, data: Dataset, h: core._Head) -> np.ndarray:
+    """The information of :func:`observed_info`, from the head of one
+    pass.  Call it under ``np.errstate(**_QUIET)``."""
     a, b, g, d, l = theta.as_tuple()
-    h, data = parts
+    n = data.n
     s, la, lla, bla, ly, lny = h.s, h.la, h.lla, h.bla, h.ly, h.lny
     llx = data.log_neg_log
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lly, lu = h.tail(l)
-        gl1 = g * l - 1.0
-        lb = math.log(b)
-        t = np.exp(s)
-        A = -np.expm1(s)
+    lly, lu = h.tail(l)
+    gl1 = g * l - 1.0
+    lb = math.log(b)
+    t = np.exp(s)
+    A = -np.expm1(s)
 
-        # First-derivative ratios reused in the products below.
-        r_a = -np.exp(lb + s + (b - 1.0) * la - ly + llx)
-        r_b = np.exp(bla - ly + lla)
-        va = -np.exp(lb + (l - 1.0) * ly - lu + s + (b - 1.0) * la + llx)
-        vb = np.exp((l - 1.0) * ly - lu + bla + lla)
-        q = -np.exp(lly - lu + lny)
+    # First-derivative ratios reused in the products below.
+    r_a = -np.exp(lb + s + (b - 1.0) * la - ly + llx)
+    r_b = np.exp(bla - ly + lla)
+    va = -np.exp(lb + (l - 1.0) * ly - lu + s + (b - 1.0) * la + llx)
+    vb = np.exp((l - 1.0) * ly - lu + bla + lla)
+    q = -np.exp(lly - lu + lny)
 
-        H = np.zeros((5, 5))
-        H[0, 0] = -n / a**2
-        H[1, 1] = -n / b**2
-        H[4, 4] = -n / l**2
-        if b != 1.0:
-            H[0, 0] -= (b - 1.0) * float(np.sum(np.exp(s - 2.0 * la + 2.0 * llx)))
-        H[0, 1] = float(np.sum(np.exp(s - la + llx)))
-        if gl1 != 0.0:
-            curv = A - (b - 1.0) * t
-            raa = b * curv * np.exp(s + (b - 2.0) * la - ly + 2.0 * llx)
-            rab = -(1.0 + b * la) * np.exp(s + (b - 1.0) * la - ly + llx)
-            rbb = -np.exp(bla - ly + 2.0 * lla)
-            H[0, 0] += gl1 * float(np.sum(raa - r_a**2))
-            H[0, 1] += gl1 * float(np.sum(rab - r_a * r_b))
-            H[1, 1] += gl1 * float(np.sum(rbb - r_b**2))
-        if d != 0.0:
-            curv = A - (b - 1.0) * t
-            base1 = (l - 2.0) * ly - lu                # v'(y) first piece
-            base2 = 2.0 * (l - 1.0) * ly - 2.0 * lu    # v'(y) second piece
-            com_a = 2.0 * lb + 2.0 * llx + 2.0 * s + 2.0 * (b - 1.0) * la
-            com_ab = lb + s + (2.0 * b - 1.0) * la + llx + lla
-            com_b = 2.0 * bla + 2.0 * lla
-            vy_ya2 = (l - 1.0) * np.exp(com_a + base1) + l * np.exp(com_a + base2)
-            vy_yayb = -(l - 1.0) * np.exp(com_ab + base1) - l * np.exp(com_ab + base2)
-            vy_yb2 = (l - 1.0) * np.exp(com_b + base1) + l * np.exp(com_b + base2)
-            v_yaa = b * curv * np.exp((l - 1.0) * ly - lu + s + (b - 2.0) * la + 2.0 * llx)
-            v_yab = -(1.0 + b * la) * np.exp((l - 1.0) * ly - lu + s + (b - 1.0) * la + llx)
-            v_ybb = -np.exp((l - 1.0) * ly - lu + bla + 2.0 * lla)
-            H[0, 0] -= d * l * float(np.sum(vy_ya2 + v_yaa))
-            H[0, 1] -= d * l * float(np.sum(vy_yayb + v_yab))
-            H[1, 1] -= d * l * float(np.sum(vy_yb2 + v_ybb))
-            H[4, 4] -= d * float(np.sum(np.exp(lly - 2.0 * lu + 2.0 * lny)))
+    H = np.zeros((5, 5))
+    H[0, 0] = -n / a**2
+    H[1, 1] = -n / b**2
+    H[4, 4] = -n / l**2
+    if b != 1.0:
+        H[0, 0] -= (b - 1.0) * float(np.sum(np.exp(s - 2.0 * la + 2.0 * llx)))
+    H[0, 1] = float(np.sum(np.exp(s - la + llx)))
+    if gl1 != 0.0:
+        curv = A - (b - 1.0) * t
+        raa = b * curv * np.exp(s + (b - 2.0) * la - ly + 2.0 * llx)
+        rab = -(1.0 + b * la) * np.exp(s + (b - 1.0) * la - ly + llx)
+        rbb = -np.exp(bla - ly + 2.0 * lla)
+        H[0, 0] += gl1 * float(np.sum(raa - r_a**2))
+        H[0, 1] += gl1 * float(np.sum(rab - r_a * r_b))
+        H[1, 1] += gl1 * float(np.sum(rbb - r_b**2))
+    if d != 0.0:
+        curv = A - (b - 1.0) * t
+        base1 = (l - 2.0) * ly - lu                # v'(y) first piece
+        base2 = 2.0 * (l - 1.0) * ly - 2.0 * lu    # v'(y) second piece
+        com_a = 2.0 * lb + 2.0 * llx + 2.0 * s + 2.0 * (b - 1.0) * la
+        com_ab = lb + s + (2.0 * b - 1.0) * la + llx + lla
+        com_b = 2.0 * bla + 2.0 * lla
+        vy_ya2 = (l - 1.0) * np.exp(com_a + base1) + l * np.exp(com_a + base2)
+        vy_yayb = -(l - 1.0) * np.exp(com_ab + base1) - l * np.exp(com_ab + base2)
+        vy_yb2 = (l - 1.0) * np.exp(com_b + base1) + l * np.exp(com_b + base2)
+        v_yaa = b * curv * np.exp((l - 1.0) * ly - lu + s + (b - 2.0) * la + 2.0 * llx)
+        v_yab = -(1.0 + b * la) * np.exp((l - 1.0) * ly - lu + s + (b - 1.0) * la + llx)
+        v_ybb = -np.exp((l - 1.0) * ly - lu + bla + 2.0 * lla)
+        H[0, 0] -= d * l * float(np.sum(vy_ya2 + v_yaa))
+        H[0, 1] -= d * l * float(np.sum(vy_yayb + v_yab))
+        H[1, 1] -= d * l * float(np.sum(vy_yb2 + v_ybb))
+        H[4, 4] -= d * float(np.sum(np.exp(lly - 2.0 * lu + 2.0 * lny)))
 
-        H[0, 2] = l * float(np.sum(r_a))
-        H[1, 2] = l * float(np.sum(r_b))
-        H[0, 3] = -l * float(np.sum(va))
-        H[1, 3] = -l * float(np.sum(vb))
-        H[0, 4] = g * float(np.sum(r_a))
-        H[1, 4] = g * float(np.sum(r_b))
-        if d != 0.0:
-            # d(lambda v)/d lambda = v (1 + lambda log y / (1 - y^lambda))
-            one_plus = 1.0 - np.exp(math.log(l) + lny - lu)
-            H[0, 4] -= d * float(np.sum(va * one_plus))
-            H[1, 4] -= d * float(np.sum(vb * one_plus))
+    H[0, 2] = l * float(np.sum(r_a))
+    H[1, 2] = l * float(np.sum(r_b))
+    H[0, 3] = -l * float(np.sum(va))
+    H[1, 3] = -l * float(np.sum(vb))
+    H[0, 4] = g * float(np.sum(r_a))
+    H[1, 4] = g * float(np.sum(r_b))
+    if d != 0.0:
+        # d(lambda v)/d lambda = v (1 + lambda log y / (1 - y^lambda))
+        one_plus = 1.0 - np.exp(math.log(l) + lny - lu)
+        H[0, 4] -= d * float(np.sum(va * one_plus))
+        H[1, 4] -= d * float(np.sum(vb * one_plus))
 
-        H[2, 2] = n * specfun.trigamma_diff(g, d + 1.0)
-        H[3, 3] = n * specfun.trigamma_diff(d + 1.0, g)
-        H[2, 3] = n * specfun.trigamma(g + d + 1.0)
-        H[2, 4] = float(np.sum(ly))
-        H[3, 4] = -float(np.sum(q))
+    H[2, 2] = n * specfun.trigamma_diff(g, d + 1.0)
+    H[3, 3] = n * specfun.trigamma_diff(d + 1.0, g)
+    H[2, 3] = n * specfun.trigamma(g + d + 1.0)
+    H[2, 4] = float(np.sum(ly))
+    H[3, 4] = -float(np.sum(q))
 
-        J = -(H + np.triu(H, 1).T)
+    J = -(H + np.triu(H, 1).T)
     return J
 
 
@@ -445,7 +435,7 @@ def default_init(data: Dataset, sub: SubModel) -> Params:
         delta=max((1.0 - m) * c - 1.0, 0.0),
         lam=1.0,
     )
-    return _project(sub, start)
+    return start.replace(**sub.fixed_dict)
 
 
 def start_grid(data: Dataset, sub: SubModel) -> list[Params]:
@@ -456,23 +446,21 @@ def start_grid(data: Dataset, sub: SubModel) -> list[Params]:
     repeated fits of the same data are reproducible.
     """
     centre = default_init(data, sub)
-    rng = np.random.default_rng(20240817)
-    out = [centre]
+    return [centre, *_jittered(centre, sub, np.random.default_rng(20240817), 0.05, (0.5, 2.0))]
+
+
+def _jittered(centre: Params, sub: SubModel, rng: np.random.Generator, sd: float,
+              scales: tuple[float, ...]) -> list[Params]:
+    """One copy of centre per scale, every free coordinate multiplied by
+    scale and then by exp(sd * N(0, 1)), a fresh draw for each."""
     vec = np.array(centre.as_tuple())
     free = [_PARAM_IDX[nm] for nm in sub.free_names]
-    for scale in (0.5, 2.0):
-        jit = np.exp(0.05 * rng.standard_normal(len(free)))
+    out = []
+    for scale in scales:
         v = vec.copy()
-        v[free] = v[free] * scale * jit
+        v[free] = v[free] * scale * np.exp(sd * rng.standard_normal(len(free)))
         out.append(Params(*v))
     return out
-
-
-def _project(sub: SubModel, theta: Params) -> Params:
-    """Overwrite the pattern's pinned coordinates, keep the rest."""
-    vals = dict(zip(_PARAM_NAMES, theta.as_tuple()))
-    vals.update(sub.fixed_dict)
-    return Params(**vals)
 
 
 # ----------------------------------------------------------------------
@@ -481,32 +469,21 @@ def _project(sub: SubModel, theta: Params) -> Params:
 
 
 def _walls(free_idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    lower = np.full(len(free_idx), -_WALL)
-    for j, i in enumerate(free_idx):
-        if i == _PARAM_IDX["delta"]:
-            lower[j] = _DELTA_WALL       # exp(wall) - eps == 0: delta = 0 reachable
-    upper = np.full(len(free_idx), _WALL)
-    return lower, upper
+    """The box in phi: +-_WALL, and log(shift) below a shifted
+    coordinate, where its value reaches exactly 0."""
+    lower = [math.log(_SHIFT[i]) if _SHIFT[i] else -_WALL for i in free_idx]
+    return np.array(lower), np.full(len(free_idx), _WALL)
 
 
 def _phi_to_value(phi: float, i: int) -> float:
-    if i == _PARAM_IDX["delta"]:
-        return max(math.exp(phi) - _DELTA_EPS, 0.0)
-    return math.exp(phi)
-
-
-def _value_to_phi(v: float, i: int) -> float:
-    if i == _PARAM_IDX["delta"]:
-        return math.log(v + _DELTA_EPS)
-    return math.log(v)
+    return max(math.exp(phi) - _SHIFT[i], 0.0)
 
 
 def _phi_score(u: list[float], vec: list[float], free_idx: list[int]) -> list[float]:
     """dl/dphi from the score components u = dl/dtheta on the free
     coordinates (in free_idx order): the chain rule through
-    value = exp(phi) (delta + eps = exp(phi) for delta)."""
-    di = _PARAM_IDX["delta"]
-    return [ui * (vec[i] + _DELTA_EPS if i == di else vec[i]) for ui, i in zip(u, free_idx)]
+    value + shift = exp(phi)."""
+    return [ui * (vec[i] + _SHIFT[i]) for ui, i in zip(u, free_idx)]
 
 
 def _no_grad():
@@ -524,7 +501,7 @@ def _make_objective(ll_pass: _Pass, free_idx: list[int], fixed):
     NaN score).  Call it under ``np.errstate(**_QUIET)``, as :func:`fit`
     does.
     """
-    n = ll_pass.data.n
+    data = ll_pass.data
     base = [float(v) for v in fixed]
 
     def objective(phi: np.ndarray):
@@ -535,12 +512,12 @@ def _make_objective(ll_pass: _Pass, free_idx: list[int], fixed):
             theta = Params(*vec)
         except ValueError:
             return math.inf, _no_grad
-        ll, parts = ll_pass(theta)
+        ll, head = ll_pass(theta)
         if not math.isfinite(ll):
             return math.inf, _no_grad
 
         def grad():
-            u = _score_from_parts(theta, n, parts, free_idx)
+            u = _score_from_head(theta, data, head, free_idx)
             g = [-v for v in _phi_score(u, vec, free_idx)]
             if any(map(math.isnan, g)):
                 return None
@@ -739,7 +716,7 @@ def fit(
 
     starts = [init] if init is not None else start_grid(data, sub)
     # a start equal to an earlier one would retrace its run and lose the tie
-    starts = list(dict.fromkeys(_project(sub, p) for p in [*starts, *extra_starts]))
+    starts = list(dict.fromkeys(p.replace(**sub.fixed_dict) for p in [*starts, *extra_starts]))
     free_idx = [_PARAM_IDX[nm] for nm in sub.free_names]
     fixed = starts[0].as_tuple()
     lower, upper = _walls(free_idx)
@@ -748,7 +725,7 @@ def fit(
 
     with np.errstate(**_QUIET):
         stops = _race([
-            _bfgs(objective, [_value_to_phi(p.as_tuple()[i], i) for i in free_idx],
+            _bfgs(objective, [math.log(p.as_tuple()[i] + _SHIFT[i]) for i in free_idx],
                   lower, upper, gtol=_GRAD_TOL, max_iter=_MAX_ITER)
             for p in starts
         ])
@@ -767,28 +744,28 @@ def fit(
                 if i == di and phi[j] <= lower[j] + 5.0:
                     vec[i] = 0.0                  # the wall value is exactly zero
         theta_hat = Params(*vec)
-        loglik, parts = ll_pass(theta_hat)
+        loglik, head = ll_pass(theta_hat)
 
-        # In phi = log(delta + eps) the gradient (delta + eps) dl/d delta
+        # In phi = log(delta + shift) the gradient (delta + shift) dl/d delta
         # meets the tolerance long before phi nears its wall, so a run can
         # stop at delta ~ 1e-7 while the likelihood still rises towards 0.
         # The KKT conditions for a maximum on the wall decide it instead:
         # dl/d delta <= 0 at delta = 0, and no loss of likelihood there.
         if di in free_idx and vec[di] > 0.0:
             wall = theta_hat.replace(delta=0.0)
-            wall_ll, wall_parts = ll_pass(wall)
-            kkt = wall_ll >= loglik and _score_from_parts(wall, data.n, wall_parts, (di,))[0] <= 0.0
+            wall_ll, wall_head = ll_pass(wall)
+            kkt = wall_ll >= loglik and _score_from_head(wall, data, wall_head, (di,))[0] <= 0.0
             if kkt:
                 vec[di] = 0.0
-                theta_hat, loglik, parts = wall, wall_ll, wall_parts
+                theta_hat, loglik, head = wall, wall_ll, wall_head
                 boundary = [nm for nm in sub.free_names if nm in boundary or nm == "delta"]
 
         grad_norm = math.inf
         if math.isfinite(loglik):
-            g_phi = _phi_score(_score_from_parts(theta_hat, data.n, parts, free_idx), vec, free_idx)
+            g_phi = _phi_score(_score_from_head(theta_hat, data, head, free_idx), vec, free_idx)
             # a NaN component counts as an infinite ascent direction
             descent = [-math.inf if math.isnan(v) else -v for v in g_phi]
-            phi_hat = [_value_to_phi(vec[i], i) for i in free_idx]
+            phi_hat = [math.log(vec[i] + _SHIFT[i]) for i in free_idx]
             projected = _project_grad(descent, phi_hat, lower.tolist(), upper.tolist())
             grad_norm = max(map(abs, projected))
         converged = grad_norm <= _GRAD_TOL * max(1.0, abs(loglik))
@@ -806,23 +783,11 @@ def fit(
                         for si, s in enumerate(stops)),
         )
         if converged:
-            ses = _se_from_info(_info_from_parts(theta_hat, data.n, parts), free_idx,
+            ses = _se_from_info(_info_from_head(theta_hat, data, head), free_idx,
                                 _on_wall(theta_hat, boundary))
             if ses is not None:
                 result = replace(result, std_errors=ses)
     return result
-
-
-def _seeded_starts(rng: np.random.Generator, data: Dataset, sub: SubModel) -> list[Params]:
-    """Two extra multi-start points with lognormal-jittered free coordinates."""
-    centre = np.array(default_init(data, sub).as_tuple())
-    free = [_PARAM_IDX[nm] for nm in sub.free_names]
-    out = []
-    for _ in range(2):
-        v = centre.copy()
-        v[free] = v[free] * np.exp(0.5 * rng.standard_normal(len(free)))
-        out.append(Params(*v))
-    return out
 
 
 def fit_family(data: Dataset, names: tuple[str, ...] | None = None, *,
@@ -853,7 +818,7 @@ def fit_family(data: Dataset, names: tuple[str, ...] | None = None, *,
                 if SUBMODELS[nm].nests_within(sub) and math.isfinite(r.loglik)
             ]
             if rng is not None:
-                warm.extend(_seeded_starts(rng, data, sub))
+                warm.extend(_jittered(default_init(data, sub), sub, rng, 0.5, (1.0, 1.0)))
             first = next(m for m in SUBMODELS.values() if m.fixed == sub.fixed)
             twin = fit(data, first, extra_starts=tuple(warm))
         results[sub.name] = replace(twin, submodel=sub)

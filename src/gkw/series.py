@@ -353,11 +353,8 @@ def _quad(tables: _Tables, log_h, upper: float = 1.0) -> list[SeriesValue]:
     with terms = nodes the rule summed and tail_bound = the change over the
     last halving plus the rounding of the sums.  Every call on one _Tables
     shares its node memo (tables.nodes), so a node array that several
-    verbs' rules reach is evaluated once.  Without norm_ok, F takes the
-    scalar kernel point by point: the array one stalls there (fault F3)
-    until it iterates on an active set."""
+    verbs' rules reach is evaluated once."""
     values, bounds, used, settled = core._expect(tables.theta, log_h, upper,
-                                                 pointwise=not tables.norm_ok,
                                                  nodes=tables.nodes)
     return [SeriesValue(v, b, used, "quadrature", settled) for v, b in zip(values, bounds)]
 
@@ -366,9 +363,6 @@ def _quad(tables: _Tables, log_h, upper: float = 1.0) -> list[SeriesValue]:
 # Coefficient tables
 # ----------------------------------------------------------------------
 
-
-# Largest argument of math.exp that stays finite.
-_LOG_MAX = math.log(np.finfo(float).max)
 
 _V_DOMAIN = ("v-table requires gamma*lambda a positive integer, "
              "(delta = 0 or integer lambda) and 1/B(gamma, delta + 1) in float64 range")
@@ -398,7 +392,7 @@ class _Tables:
         self.theta = theta
         self.ctl = ctl
         self.ln_b = ln_beta(g, d + 1.0)
-        self.norm_ok = abs(self.ln_b) < _LOG_MAX
+        self.norm_ok = abs(self.ln_b) < core._LOG_MAX
         self.v_ok = self.norm_ok and _is_pos_int(g * l) and (d == 0.0 or _is_pos_int(l))
         self.mu: dict[float, SeriesValue] = {}
         self.nodes: dict = {}

@@ -12,8 +12,9 @@ relative for large ones where float64 spacing dominates),
 reg_inc_beta 1e-12 absolute, inv_reg_inc_beta 1e-10 in function value,
 digamma/trigamma 1e-10 absolute.
 
-All functions are pure; scalar entry points take and return floats,
-and the three log-space helpers also take arrays (they wrap their array
+All functions are pure; scalar entry points take any real Python or
+NumPy scalar, as core.Params does, and return Python floats, and the
+three log-space helpers also take arrays (they wrap their array
 kernels).  A few array variants (prefixed ``_``) exist for the hot paths
 of the sampler and are verified against the scalar versions in the tests.
 ``_ln_gamma``, ``_ln_beta`` and ``_digamma_diff`` are the public
@@ -80,16 +81,22 @@ class NonConvergenceError(RuntimeError):
         self.bracket = bracket
 
 
-def _check_positive(name: str, x: float) -> None:
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
+# The real scalars the public functions take, as core.Params does: Python
+# and NumPy integers and floats, each used as a Python float.
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _check_positive(name: str, x: float) -> float:
+    """x as a Python float; ValueError unless it is a positive finite real
+    scalar."""
+    if not (isinstance(x, _REALS) and math.isfinite(x) and x > 0):
         raise ValueError(f"{name} must be a positive finite real, got {x!r}")
+    return float(x)
 
 
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise ValueError(f"ln_gamma requires positive finite x, got {x!r}")
-    return _ln_gamma(float(x))
+    return _ln_gamma(_check_positive("x", x))
 
 
 _C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8 = _LANCZOS_C
@@ -123,9 +130,7 @@ def ln_beta(a: float, b: float) -> float:
     ln Gamma(hi+lo) is expanded through the Stirling series, where every
     term is O(lo ln hi).
     """
-    _check_positive("a", a)
-    _check_positive("b", b)
-    return _ln_beta(float(a), float(b))
+    return _ln_beta(_check_positive("a", a), _check_positive("b", b))
 
 
 def _ln_beta(a: float, b: float) -> float:
@@ -282,9 +287,8 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b), absolute error <= 1e-12."""
-    _check_positive("a", a)
-    _check_positive("b", b)
-    if not (isinstance(x, (int, float)) and 0.0 <= x <= 1.0):
+    a, b = _check_positive("a", a), _check_positive("b", b)
+    if not (isinstance(x, _REALS) and 0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     x = float(x)
     if x == 0.0:
@@ -307,9 +311,8 @@ def inv_reg_inc_beta(u: float, a: float, b: float) -> float:
     returned exactly.  Raises NonConvergenceError (carrying the last
     bracket) if the tolerance is not met within 200 steps.
     """
-    _check_positive("a", a)
-    _check_positive("b", b)
-    if not (isinstance(u, (int, float)) and 0.0 <= u <= 1.0):
+    a, b = _check_positive("a", a), _check_positive("b", b)
+    if not (isinstance(u, _REALS) and 0.0 <= u <= 1.0):
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     u = float(u)
     if u == 0.0:
@@ -368,8 +371,7 @@ def inv_reg_inc_beta(u: float, a: float, b: float) -> float:
 
 def digamma(x: float) -> float:
     """Digamma psi(x) for x > 0, absolute error <= 1e-10."""
-    _check_positive("x", x)
-    x = float(x)
+    x = _check_positive("x", x)
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x
@@ -397,8 +399,7 @@ def digamma(x: float) -> float:
 
 def trigamma(x: float) -> float:
     """Trigamma psi'(x) for x > 0, absolute error <= 1e-10."""
-    _check_positive("x", x)
-    x = float(x)
+    x = _check_positive("x", x)
     acc = 0.0
     while x < 10.0:
         acc += 1.0 / (x * x)
@@ -449,9 +450,7 @@ def digamma_diff(x: float, h: float) -> float:
     -math.expm1(-m math.log1p(h/x)) x^-m -- so only positive, already-small
     pieces are summed.
     """
-    _check_positive("x", x)
-    _check_positive("h", h)
-    return _digamma_diff(float(x), float(h))
+    return _digamma_diff(_check_positive("x", x), _check_positive("h", h))
 
 
 def _digamma_diff(x: float, h: float) -> float:
@@ -474,9 +473,7 @@ def trigamma_diff(x: float, h: float) -> float:
 
     The companion of :func:`digamma_diff`; the result is negative.
     """
-    _check_positive("x", x)
-    _check_positive("h", h)
-    x, h = float(x), float(h)
+    x, h = _check_positive("x", x), _check_positive("h", h)
     acc = 0.0
     while x < 20.0:
         acc += -math.expm1(-2 * math.log1p(h / x)) * (1.0 / x) ** 2   # 1/x^2 - 1/(x+h)^2
@@ -529,8 +526,8 @@ def _reg_inc_gamma(a: float, x: float) -> tuple[float, float]:
     """(P(a, x), Q(a, x)): the power series below x = a + 1 and the
     continued fraction above give the one on their side, and the other
     is its complement."""
-    _check_positive("a", a)
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
+    a = _check_positive("a", a)
+    if not (isinstance(x, _REALS) and math.isfinite(x) and x >= 0):
         raise ValueError(f"x must be a nonnegative finite real, got {x!r}")
     x = float(x)
     if x == 0.0:

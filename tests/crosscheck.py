@@ -221,7 +221,7 @@ def renyi_series(theta: Params, rho: float,
     b_exp = rho * (b - 1.0) + 1.0
     log_front = rho * (math.log(l) + math.log(a) + math.log(b) - tables.ln_b) - math.log(a)
     rd = rho * d
-    if not (b_exp > 0.0 and series._is_nonneg_int(rd) and log_front < series._LOG_MAX):
+    if not (b_exp > 0.0 and series._is_nonneg_int(rd) and log_front < core._LOG_MAX):
         return None
     N = ctl.max_terms
     a0 = (rho * (a * g * l - 1.0) + 1.0) / a

@@ -463,13 +463,13 @@ class TestWorkCounts:
     def test_pinned_coordinates_get_no_score_component(self, monkeypatch):
         data = Dataset(core.sample(Params(1.0, 1.0, 2.0, 1.5, 0.7), 300, seed=5))
         asked = []
-        real = estim._score_from_parts
+        real = estim._score_from_head
 
-        def recording(theta, n, parts, idx=range(5)):
+        def recording(theta, data, head, idx=range(5)):
             asked.append(tuple(idx))
-            return real(theta, n, parts, idx)
+            return real(theta, data, head, idx)
 
-        monkeypatch.setattr(estim, "_score_from_parts", recording)
+        monkeypatch.setattr(estim, "_score_from_head", recording)
         fit(data, "Mc")
         assert asked.count((2, 3, 4)) > 10   # the optimizer's gradients
         assert not any(0 in idx or 1 in idx for idx in asked)
@@ -482,8 +482,8 @@ class TestWorkCounts:
         lower, upper = estim._walls(free_idx)
         objective = _Counter(estim._make_objective(estim._Pass(data), free_idx,
                                                    np.array(start.as_tuple())))
-        builds = _Counter(estim._score_from_parts)
-        monkeypatch.setattr(estim, "_score_from_parts", builds)
+        builds = _Counter(estim._score_from_head)
+        monkeypatch.setattr(estim, "_score_from_head", builds)
         stop = _run_alone(estim._bfgs(objective, phi0, lower, upper,
                                       gtol=1e-6, max_iter=500))
         assert stop.reason == "gradient"          # so every iteration accepted a step
@@ -538,9 +538,10 @@ class TestOptimizer:
     @pytest.mark.parametrize("theta", [WORKHORSE, Params(83.55, 3.147e6, 1.0, 2.658, 0.01724)])
     def test_shared_pass_matches_separate_calls(self, theta):
         data = _dataset(seed=5, n=300)
-        ll, parts = estim._loglik_and_parts(theta, data)
+        with np.errstate(**estim._QUIET):
+            ll, head = estim._Pass(data)(theta)
+            assert np.array_equal(estim._score_from_head(theta, data, head), score(theta, data))
         assert ll == log_likelihood(theta, data)
-        assert np.array_equal(estim._score_from_parts(theta, data.n, parts), score(theta, data))
 
     @staticmethod
     def _linear(slope):
@@ -936,10 +937,10 @@ class TestPassBitForBit:
         for theta in points:
             _, ll_ref, score_ref = _ref_loglik_and_score(theta, data.log_values)
             with np.errstate(**estim._QUIET):    # as a fit runs its passes
-                ll, parts = ll_pass(theta)
+                ll, head = ll_pass(theta)
                 assert same_bits(ll, ll_ref)
                 for idx in ([0, 1, 2, 3, 4], [2, 3, 4], [0, 1, 4], [3], [4, 0]):
-                    got = estim._score_from_parts(theta, data.n, parts, idx)
+                    got = estim._score_from_head(theta, data, head, idx)
                     assert same_bits(got, score_ref[idx])
 
 

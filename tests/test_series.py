@@ -776,6 +776,20 @@ class TestOverflowingTables:
         for key, got in zip(("delta1", "delta2"), series.mean_deviations(self.BETA400)):
             self._check(key, got)
 
+    @pytest.mark.parametrize("theta, pointwise", [(NARROW, True), (WORKHORSE, False)],
+                             ids=["narrow", "workhorse"])
+    def test_quadrature_cdf_kernel_follows_ln_b(self, theta, pointwise, monkeypatch):
+        # the nodes take F by the scalar kernel only where ln B(gamma,
+        # delta + 1) is out of float64 range, where the array one stalls
+        scalar = _Recorder(specfun.reg_inc_beta, lambda x, a, b: None)
+        monkeypatch.setattr(specfun, "reg_inc_beta", scalar)
+        array = _Recorder(specfun._reg_inc_beta_arr, lambda x, a, b: x.size)
+        monkeypatch.setattr(specfun, "_reg_inc_beta_arr", array)
+        got = series.l_moments(theta, 2)
+        assert all(v.method == "quadrature" and v.converged for v in got)
+        used, unused = (scalar, array) if pointwise else (array, scalar)
+        assert len(used.keys) > 0 and unused.keys == []
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("theta", [BETA400, NARROW], ids=["beta400", "narrow"])
     def test_omega_tables_raise_where_they_do_not_fit(self, theta):
@@ -1179,9 +1193,9 @@ def _node_arrays(monkeypatch):
     arrays = []
 
     class AtV(core._AtV):
-        def __init__(self, theta, lv, l1v, pointwise):
+        def __init__(self, theta, lv, *rest):
             arrays.append(lv.tobytes())
-            super().__init__(theta, lv, l1v, pointwise)
+            super().__init__(theta, lv, *rest)
 
     monkeypatch.setattr(core, "_AtV", AtV)
     return arrays

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkw import specfun
+from gkw.core import Params, power_transform_params
 from gkw.specfun import (
     NonConvergenceError,
     beta_fn,
@@ -549,10 +550,58 @@ class TestUncheckedScalarKernels:
         assert digamma_diff(2, 3) == specfun._digamma_diff(2.0, 3.0)
 
     @pytest.mark.parametrize("bad", [0.0, 0, -1.5, -3, math.nan, math.inf, -math.inf,
-                                     "2.0", None, 1j])
+                                     "2.0", None, 1j, np.int64(0), np.int64(-3),
+                                     np.float32(-1.5), np.float32(math.nan),
+                                     np.float32(math.inf), np.array(2.0), np.complex128(2.0)])
     def test_public_forms_still_validate(self, bad):
         for call in (lambda: ln_gamma(bad),
                      lambda: specfun.ln_beta(bad, 2.0), lambda: specfun.ln_beta(2.0, bad),
-                     lambda: digamma_diff(bad, 2.0), lambda: digamma_diff(2.0, bad)):
+                     lambda: digamma_diff(bad, 2.0), lambda: digamma_diff(2.0, bad),
+                     lambda: beta_fn(bad, 2.0), lambda: digamma(bad), lambda: trigamma(bad),
+                     lambda: trigamma_diff(2.0, bad), lambda: reg_inc_beta(0.5, bad, 2.0),
+                     lambda: inv_reg_inc_beta(0.5, 2.0, bad),
+                     lambda: lower_inc_gamma(bad, 1.0),
+                     lambda: power_transform_params(Params(1, 2, 3, 0, 1), bad)):
             with pytest.raises(ValueError):
                 call()
+
+
+# (function, arguments): every argument is exact in float32, and the
+# integer-valued ones are also passed as np.int64
+_SCALAR_CALLS = [
+    (ln_gamma, (5.0,)), (specfun.ln_beta, (2.0, 3.0)), (beta_fn, (2.0, 3.0)),
+    (digamma, (3.0,)), (trigamma, (3.0,)), (digamma_diff, (2.0, 3.0)),
+    (trigamma_diff, (2.0, 3.0)), (reg_inc_beta, (0.5, 2.0, 3.0)),
+    (inv_reg_inc_beta, (0.25, 2.0, 3.0)), (reg_lower_inc_gamma, (2.0, 3.0)),
+    (reg_upper_inc_gamma, (2.0, 3.0)), (lower_inc_gamma, (2.0, 3.0)),
+]
+
+
+class TestNumpyScalars:
+    # the public functions take the real scalars Params takes, and compute
+    # on them as Python floats
+    @pytest.mark.parametrize("kind", [np.int64, np.float32, np.float64])
+    @pytest.mark.parametrize("fn, args", _SCALAR_CALLS, ids=[f.__name__ for f, _ in _SCALAR_CALLS])
+    def test_same_bits_as_float(self, fn, args, kind):
+        conv = [kind(v) if kind is not np.int64 or v.is_integer() else v for v in args]
+        got = fn(*conv)
+        assert type(got) is float
+        assert same_bits(got, fn(*args))
+
+    @pytest.mark.parametrize("kind", [np.int64, np.float32, np.float64])
+    def test_power_transform_params(self, kind):
+        got = power_transform_params(Params(1, 2, 3, 0, 1), kind(2))
+        assert got == Params(2.0, 2.0, 3.0, 0.0, 1.0) and type(got.alpha) is float
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, "0.5", None, 0.5j,
+                                     np.float32(1.5), np.array(0.5), np.complex128(0.5)])
+    def test_unit_arguments_still_validate(self, bad):
+        for call in (lambda: reg_inc_beta(bad, 2.0, 3.0), lambda: inv_reg_inc_beta(bad, 2.0, 3.0)):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, "1.0", None, 1j,
+                                     np.int64(-1), np.float32(math.inf), np.array(1.0)])
+    def test_gamma_argument_still_validates(self, bad):
+        with pytest.raises(ValueError):
+            reg_lower_inc_gamma(2.0, bad)
