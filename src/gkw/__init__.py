@@ -1,6 +1,7 @@
-"""Generalized Kumaraswamy distributions: exact densities, series
-expansions for moments and related quantities, maximum-likelihood
-estimation, and a small command-line interface.
+"""Generalized Kumaraswamy distributions: exact densities, moments and
+related expectations by one quadrature over the underlying Beta
+variable, maximum-likelihood estimation, and a small command-line
+interface.
 """
 
 from .core import (

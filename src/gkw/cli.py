@@ -263,29 +263,29 @@ def _cmd_props(args) -> int:
         raise CliError(
             2, "props: request at least one of --moments, --lmoments, --entropy, --deviations"
         )
-    # one set of tables for every verb: mu_1 and each quadrature node array
-    # are built at most once per call
-    tables = series._Tables(theta)
+    # one law for every verb: mu_1 and each quadrature node array are built
+    # at most once per call
+    law = series._Law(theta)
     out: dict = {}
     if args.moments:
         if args.moments < 1:
             raise CliError(2, f"--moments must be a positive integer, got {args.moments}")
-        for r, mu in enumerate(series._moments(tables, range(1, args.moments + 1)), 1):
+        for r, mu in enumerate(series._moments(law, range(1, args.moments + 1)), 1):
             _annotate(out, f"mu{r}", mu)
     if args.lmoments:
-        for i, v in enumerate(series._l_moments(tables, 4), 1):
+        for i, v in enumerate(series._l_moments(law, 4), 1):
             _annotate(out, f"l{i}", v, method=False)
     if args.entropy is not None:
         rho = args.entropy
         if not rho > 0.0 or rho == 1.0:
             raise CliError(2, f"--entropy: rho must be positive and different from 1, got {rho:g}")
         try:
-            _annotate(out, "renyi", series._renyi_entropy(tables, rho))
+            _annotate(out, "renyi", series._renyi_entropy(law, rho))
         except series.DivergentIntegralError as e:
             out["renyi"] = "divergent"
             out["renyi_reason"] = str(e)
     if args.deviations:
-        d1, d2 = series._mean_deviations(tables)
+        d1, d2 = series._mean_deviations(law)
         _annotate(out, "delta1", d1)
         _annotate(out, "delta2", d2)
     print(_json_text(out))

@@ -8,7 +8,7 @@ where I is the regularized incomplete beta function.  This module holds
 the parameter container, the named sub-model patterns, pdf / log-pdf /
 cdf / quantile, a seed-deterministic sampler, expectations over the
 underlying variate V ~ Beta(gamma, delta + 1) (_expect, the quadrature
-that series falls back on), the power-transformation rule for the
+that every series value takes), the power-transformation rule for the
 alpha = 1 slice, and the density of the negative-log transform.
 
 Everything is evaluated through compensated one-minus-power forms

@@ -1,6 +1,6 @@
 """Adaptive Gauss-Legendre quadrature in x, a reference for the tests.
 
-The package itself does not call it: ``series`` falls back on
+The package itself does not call it: ``series`` takes
 ``core._expect``, a rule over the underlying beta variate.  It stays
 importable because the benchmark's traced runs wrap ``adaptive_quad``.
 It knows nothing of the series expansions; it integrates whatever

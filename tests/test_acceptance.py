@@ -23,15 +23,22 @@ from mpmath import mp
 
 from gkw import core, estim, oracle, series
 from gkw.core import Params, SUBMODELS
-from gkw.series import (
-    DivergentIntegralError,
-    ExpansionDomainError,
-    SeriesDivergenceWarning,
-)
+from gkw.series import DivergentIntegralError
 from gkw.specfun import inv_reg_inc_beta, ln_beta
 
-from crosscheck import (fd_grad, fd_hess, mc_order_stat_mean, moment_series,
-                        order_stat_moment_barakat)
+from crosscheck import (
+    ExpansionDomainError,
+    SeriesDivergenceWarning,
+    cdf_expansion,
+    fd_grad,
+    fd_hess,
+    mc_order_stat_mean,
+    moment_series,
+    order_stat_moment_barakat,
+    order_stat_series,
+    pdf_expansion,
+    quantile_series_coeffs,
+)
 from gridpoints import (
     BETA25,
     BETA52,
@@ -194,7 +201,8 @@ def test_submodel_closed_forms(capsys):
 
 
 # ----------------------------------------------------------------------
-# 3. expansion evaluators honour their reported tail bounds
+# 3. expansion evaluators (tests/crosscheck.py) honour their reported
+#    tail bounds
 # ----------------------------------------------------------------------
 
 def test_expansion_tail_bounds(capsys):
@@ -203,8 +211,7 @@ def test_expansion_tail_bounds(capsys):
     worst_excess = -math.inf
     for _, theta in GRID12:
         for x in (0.25, 0.5, 0.75):
-            for fn, ref_fn in ((series.pdf_expansion, core.pdf),
-                               (series.cdf_expansion, core.cdf)):
+            for fn, ref_fn in ((pdf_expansion, core.pdf), (cdf_expansion, core.cdf)):
                 with warnings.catch_warnings(record=True) as rec:
                     warnings.simplefilter("always")
                     try:
@@ -241,14 +248,12 @@ def test_expansion_tail_bounds(capsys):
 
 def test_moments_dual_route(capsys):
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SeriesDivergenceWarning)
-        for _, theta in GRID12:
-            for r in (1.0, 2.0, 3.0, 4.0):
-                got = float(series.moment(theta, r))
-                ref = _quad_unit(theta, weight_r=r)
-                tol = max(1e-6, 1e-4 * abs(ref))
-                worst = max(worst, abs(got - ref) / tol)
+    for _, theta in GRID12:
+        for r in (1.0, 2.0, 3.0, 4.0):
+            got = float(series.moment(theta, r))
+            ref = _quad_unit(theta, weight_r=r)
+            tol = max(1e-6, 1e-4 * abs(ref))
+            worst = max(worst, abs(got - ref) / tol)
     kw_mean = abs(float(series.moment(KW22, 1.0)) - 8.0 / 15.0)
     beta_mean = abs(float(series.moment(BETA52, 1.0)) - 5.0 / 7.0)
     # the paper's expansion (tests/crosscheck.py) wherever it applies and
@@ -313,30 +318,37 @@ def test_score_and_information_vs_fd(capsys):
 
 
 # ----------------------------------------------------------------------
-# 6. order-statistic means: the series route, the survival-power route
-#    (tests/crosscheck.py) and Monte Carlo agree
+# 6. order-statistic means: the paper's series route, the survival-power
+#    route (both tests/crosscheck.py), Monte Carlo and the library's
+#    quadrature agree
 # ----------------------------------------------------------------------
 
 def test_order_stat_three_routes(capsys):
     worst_rel = 0.0
     worst_mc = 0.0
+    worst_quad = 0.0
     # beta52 (gamma*lambda = 5): 1 - F has four leading zeros and, as a
     # polynomial, interior zero runs
     for j, (_, theta) in enumerate((("kw22", KW22), ("ekw", EKW),
                                     ("workhorse", WORKHORSE), ("beta52", BETA52))):
         for k, (i, n) in enumerate(((1, 2), (2, 3), (3, 3))):
-            a = float(series.order_stat_moment_series(theta, i, n, 1.0))
+            a = float(order_stat_series(theta, i, n, 1.0))
             b = float(order_stat_moment_barakat(theta, i, n, 1))
             worst_rel = max(worst_rel, abs(a - b) / abs(a))
             mc, se = mc_order_stat_mean(theta, i, n, 1.0, 100_000,
                                         seed=52_100 + 10 * k + j)
             worst_mc = max(worst_mc, abs(a - mc) / (3.0 * se))
-    ok = worst_rel <= 1e-4 and worst_mc <= 1.0
+            quad = series.order_stat_moment_series(theta, i, n, 1.0)
+            assert quad.method == "quadrature" and quad.converged, (i, n)
+            worst_quad = max(worst_quad, abs(float(quad) - a) / abs(a))
+    ok = worst_rel <= 1e-4 and worst_mc <= 1.0 and worst_quad <= 1e-11
     _emit(capsys,
           f"order-stat means (4 shapes x 3 (i,n)): {'PASS' if ok else 'FAIL'} "
-          f"(route diff = {worst_rel:.2e}, max |diff|/3SE = {worst_mc:.2f})")
+          f"(route diff = {worst_rel:.2e}, max |diff|/3SE = {worst_mc:.2f}, "
+          f"quadrature {worst_quad:.1e} relative)")
     assert worst_rel <= 1e-4
     assert worst_mc <= 1.0
+    assert worst_quad <= 1e-11
 
 
 # ----------------------------------------------------------------------
@@ -567,19 +579,19 @@ def test_renyi_dual_route(capsys):
 
 
 # ----------------------------------------------------------------------
-# 11. quantile power-series coefficients
+# 11. quantile power-series coefficients (tests/crosscheck.py)
 # ----------------------------------------------------------------------
 
 def test_quantile_series_accuracy(capsys):
     # closed-form second coefficient
     worst_a2 = 0.0
     for g, d in ((0.5, 0.5), (1.0, 1.0), (2.0, 3.0), (3.5, 0.25), (1.3, 2.1)):
-        a = series.quantile_series_coeffs(Params(1, 1, g, d, 1), 3)
+        a = quantile_series_coeffs(Params(1, 1, g, d, 1), 3)
         worst_a2 = max(worst_a2, abs(a[2] - d / (g + 1.0)) / (d / (g + 1.0)))
 
     # delta = 0 collapses the series to the exact power law u^(1/gamma)
     g = 1.7
-    coeffs0 = series.quantile_series_coeffs(Params(1, 1, g, 0, 1), 6)
+    coeffs0 = quantile_series_coeffs(Params(1, 1, g, 0, 1), 6)
     collapse_ok = coeffs0[1] == 1.0 and bool(np.all(coeffs0[2:] == 0.0))
     pow_err = max(abs(inv_reg_inc_beta(u, g, 1.0) - u ** (1.0 / g))
                   for u in (1e-2, 1e-4, 1e-6))
@@ -588,7 +600,7 @@ def test_quantile_series_accuracy(capsys):
     # (below u ~ 1e-6 the comparison bottoms out on the root-finding
     # inverse's own tolerance, so the grid stops at 1e-5)
     g, d = 2.0, 1.5
-    a = series.quantile_series_coeffs(Params(1, 1, g, d, 1), 5)
+    a = quantile_series_coeffs(Params(1, 1, g, d, 1), 5)
     errs = []
     for u in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
         v = (g * u * math.exp(ln_beta(g, d + 1.0))) ** (1.0 / g)

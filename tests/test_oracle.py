@@ -4,7 +4,7 @@ and the reference routes of tests/crosscheck.py.
 The quadrature battery includes endpoint singularities and an
 oscillatory case; finite differences are checked for the expected
 second-order step scaling; the survival-power order-statistic route is
-checked against the library's binomial route where 1 - F starts with
+checked against the paper's binomial route where 1 - F starts with
 zeros.
 """
 
@@ -13,11 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from gkw import series
 from gkw.core import Params
 from gkw.oracle import adaptive_quad
 
-from crosscheck import fd_grad, fd_hess, mc_order_stat_mean, order_stat_moment_barakat
+from crosscheck import (fd_grad, fd_hess, mc_order_stat_mean, order_stat_moment_barakat,
+                        order_stat_series)
 from gridpoints import BETA25, BETA52, UNIFORM
 
 
@@ -166,7 +166,7 @@ class TestBarakat:
         # runs of zeros on which the small-terms rule would stop
         for i, n, r in RANKS:
             got = order_stat_moment_barakat(BETA52, i, n, r)
-            want = series.order_stat_moment_series(BETA52, i, n, float(r))
+            want = order_stat_series(BETA52, i, n, float(r))
             assert got.method == "series", (i, n, r)
             assert float(got) == pytest.approx(float(want), rel=1e-12), (i, n, r)
 
@@ -177,7 +177,7 @@ class TestBarakat:
     def test_value_is_backed_or_quadrature(self, theta):
         for i, n, r in RANKS:
             got = order_stat_moment_barakat(theta, i, n, r)
-            want = series.order_stat_moment_series(theta, i, n, float(r))
+            want = order_stat_series(theta, i, n, float(r))
             assert float(got) != 1.0, (i, n, r)
             if got.method != "quadrature":
                 assert float(got) == pytest.approx(float(want), rel=1e-9), (i, n, r)

@@ -1,14 +1,15 @@
-"""Tests for the expansion machinery in gkw.series.
+"""Tests for gkw.series, the quadrature over V, and for the paper's
+expansions and their truncation rule, which tests/crosscheck.py keeps as
+references.
 
 Reference values are either closed forms or 40-digit quadrature results
 (frozen constants); everything else is cross-checked against the adaptive
-quadrature / Monte Carlo oracles at runtime.
+quadrature / Monte Carlo oracles and the paper's expansions at runtime.
 """
 
 import json
 import math
 import pathlib
-import warnings
 
 import numpy as np
 import pytest
@@ -17,17 +18,28 @@ from hypothesis import strategies as st
 
 from gkw import cli, core, oracle, series, specfun
 from gkw.core import Params
-from gkw.series import (
+from gkw.series import DivergentIntegralError, SeriesValue
+
+import crosscheck
+from crosscheck import (
     CoeffTable,
-    DivergentIntegralError,
     ExpansionDomainError,
+    ExpansionTables,
     SeriesControl,
     SeriesDivergenceWarning,
-    SeriesValue,
+    cdf_expansion,
+    j_series,
+    mc_order_stat_mean,
+    mgf_series,
+    mixture_coeffs,
+    omega_weights,
+    order_stat_moment_barakat,
+    order_stat_series,
+    pdf_expansion,
+    power_series_power,
+    quantile_series_coeffs,
+    renyi_series,
 )
-
-from crosscheck import (j_series, mc_order_stat_mean, mgf_series, order_stat_moment_barakat,
-                        renyi_series)
 from gridpoints import (
     BATHTUB,
     BETA25,
@@ -118,25 +130,25 @@ class TestControlAndValue:
 
 class TestPowerSeriesPower:
     def test_polynomial_square(self):
-        out = series.power_series_power([1.0, 2.0, 3.0], 2, 5)
+        out = power_series_power([1.0, 2.0, 3.0], 2, 5)
         assert out == pytest.approx([1.0, 4.0, 10.0, 12.0, 9.0], abs=1e-13)
 
     def test_cube_of_binomial(self):
-        out = series.power_series_power([1.0, -1.0], 3, 4)
+        out = power_series_power([1.0, -1.0], 3, 4)
         assert out == pytest.approx([1.0, -3.0, 3.0, -1.0], abs=1e-13)
 
     def test_leading_zero_rejected(self):
         with pytest.raises(ValueError, match="leading coefficient"):
-            series.power_series_power([0.0, 1.0], 2, 4)
+            power_series_power([0.0, 1.0], 2, 4)
 
     @pytest.mark.parametrize("p", [0, -1, 1.5])
     def test_bad_exponent_rejected(self, p):
         with pytest.raises(ValueError):
-            series.power_series_power([1.0, 1.0], p, 4)
+            power_series_power([1.0, 1.0], p, 4)
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
-            series.power_series_power([1.0, 1.0], 2, 0)
+            power_series_power([1.0, 1.0], 2, 0)
 
     @given(
         lead=st.floats(0.3, 2.0),
@@ -150,7 +162,7 @@ class TestPowerSeriesPower:
         # comparable in size to the rest for a well-conditioned check
         coeffs = [sign * lead] + rest
         n = 8
-        out = series.power_series_power(coeffs, p, n)
+        out = power_series_power(coeffs, p, n)
         ref = np.array([1.0])
         for _ in range(p):
             ref = np.convolve(ref, coeffs)
@@ -161,17 +173,17 @@ class TestPowerSeriesPower:
 
 class TestOmegaWeights:
     def test_uniform_is_single_unit_weight(self):
-        w = series.omega_weights(UNIFORM)
+        w = omega_weights(UNIFORM)
         assert w.shape == (1,)
         assert w[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_beta_gamma1_delta1(self):
         # 1/B(1,2) = 2, so omega = [2/(1+0), -2/(1+1)] = [2, -1]
-        w = series.omega_weights(Params(1, 1, 1, 1, 1))
+        w = omega_weights(Params(1, 1, 1, 1, 1))
         assert w == pytest.approx([2.0, -1.0], abs=1e-13)
 
     def test_integer_delta_terminates_and_sums_to_one(self):
-        w = series.omega_weights(BETA25)
+        w = omega_weights(BETA25)
         assert w.shape == (5,)  # delta = 4
         assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
 
@@ -180,27 +192,27 @@ class TestOmegaWeights:
         theta = Params(1.2, 0.9, 0.8, 2.5, 1.1)
         ctl = SeriesControl(max_terms=800)
         for x in (0.2, 0.5, 0.8):
-            got = series.cdf_expansion(theta, x, ctl)
+            got = cdf_expansion(theta, x, ctl)
             assert got.converged
             assert float(got) == pytest.approx(core.cdf(theta, x), abs=1e-8)
 
 
 class TestMixtureCoeffs:
     def test_kw_is_its_own_single_component(self):
-        ct = series.mixture_coeffs(KW22)
+        ct = mixture_coeffs(KW22)
         assert ct.p_valid and ct.v_valid
         assert ct.p == pytest.approx([1.0], abs=1e-13)
         assert ct.v[:4] == pytest.approx([4.0, -4.0, 0.0, 0.0], abs=1e-12)
 
     def test_uniform_tables(self):
-        ct = series.mixture_coeffs(UNIFORM)
+        ct = mixture_coeffs(UNIFORM)
         assert ct.p == pytest.approx([1.0], abs=1e-14)
         assert ct.v[0] == pytest.approx(1.0, abs=1e-14)
         assert np.all(ct.v[1:] == 0.0)
 
     def test_p_table_rebuilds_density(self):
         # components are Kumaraswamy(alpha, (k+1) beta) densities
-        ct = series.mixture_coeffs(BETA52)
+        ct = mixture_coeffs(BETA52)
         assert ct.p_valid
         assert math.fsum(ct.p) == pytest.approx(1.0, abs=1e-12)
         a, b = BETA52.alpha, BETA52.beta
@@ -212,26 +224,26 @@ class TestMixtureCoeffs:
             )
 
     def test_p_requires_integer_delta(self):
-        ct = series.mixture_coeffs(WORKHORSE)
+        ct = mixture_coeffs(WORKHORSE)
         assert not ct.p_valid
         assert ct.p.size == 0
         assert any("integer delta" in note for note in ct.notes)
 
     @pytest.mark.parametrize("name,theta", GRID12)
     def test_v_validity_pattern(self, name, theta):
-        ct = series.mixture_coeffs(theta)
+        ct = mixture_coeffs(theta)
         assert ct.v_valid == (name in V_VALID)
 
     def test_v_has_exact_leading_zeros(self):
         # gamma*lambda - 1 leading zeros before the first power term
-        ct = series.mixture_coeffs(EKW)  # gamma*lambda = 2
+        ct = mixture_coeffs(EKW)  # gamma*lambda = 2
         assert ct.v[0] == 0.0
         assert ct.v[1] != 0.0
 
     def test_vstar_sums_to_one_for_polynomial_tables(self):
         # finitely many nonzero v_i: sum v_i/((i+1) alpha) = total mass
         for theta in (UNIFORM, KW22, EKW, BETA52, BETA25):
-            ct = series.mixture_coeffs(theta)
+            ct = mixture_coeffs(theta)
             i = np.arange(len(ct.v), dtype=float)
             vstar = ct.v / ((i + 1.0) * theta.alpha)
             assert math.fsum(vstar) == pytest.approx(1.0, abs=1e-11)
@@ -245,47 +257,47 @@ class TestExpansionEvaluators:
             # slowly to stop within 400 terms, so the sum is warned about
             # and flagged (a fitted tail read 6.6e-9 off with bound 1.7e-9)
             with pytest.warns(SeriesDivergenceWarning):
-                got = series.cdf_expansion(WORKHORSE, x)
+                got = cdf_expansion(WORKHORSE, x)
             assert not got.converged
             return
-        got = series.cdf_expansion(WORKHORSE, x)
+        got = cdf_expansion(WORKHORSE, x)
         assert got.converged
         assert float(got) == pytest.approx(core.cdf(WORKHORSE, x), abs=1e-8)
 
     def test_cdf_expansion_integer_delta_is_exact(self):
-        got = series.cdf_expansion(BETA52, 0.4)
+        got = cdf_expansion(BETA52, 0.4)
         assert got.method == "exact"
         assert float(got) == pytest.approx(core.cdf(BETA52, 0.4), abs=1e-13)
 
     def test_pdf_expansion_inside_radius(self):
-        got = series.pdf_expansion(WORKHORSE, 0.45)
+        got = pdf_expansion(WORKHORSE, 0.45)
         assert got.converged
         assert float(got) == pytest.approx(core.pdf(WORKHORSE, 0.45), abs=1e-9)
 
     @pytest.mark.parametrize("x", [0.2, 0.5, 0.8])
     def test_pdf_expansion_polynomial_point(self, x):
-        got = series.pdf_expansion(EKW, x)
+        got = pdf_expansion(EKW, x)
         assert float(got) == pytest.approx(core.pdf(EKW, x), rel=1e-11)
 
     def test_pdf_expansion_flags_divergence(self):
         # the coefficient series for this theta has convergence radius
         # ~0.26 in x^alpha; x = 0.8 sits far outside it
         with pytest.warns(SeriesDivergenceWarning):
-            got = series.pdf_expansion(WORKHORSE, 0.8)
+            got = pdf_expansion(WORKHORSE, 0.8)
         assert not got.converged
 
     def test_pdf_expansion_rejects_invalid_theta(self):
         with pytest.raises(ExpansionDomainError):
-            series.pdf_expansion(BATHTUB, 0.5)
+            pdf_expansion(BATHTUB, 0.5)
         with pytest.raises(ExpansionDomainError):
-            series.pdf_expansion(MOUND, 0.5)
+            pdf_expansion(MOUND, 0.5)
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -0.2, 1.3])
     def test_domain_validation(self, x):
         with pytest.raises(ValueError):
-            series.cdf_expansion(WORKHORSE, x)
+            cdf_expansion(WORKHORSE, x)
         with pytest.raises(ValueError):
-            series.pdf_expansion(KW22, x)
+            pdf_expansion(KW22, x)
 
 
 class TestMoment:
@@ -431,18 +443,18 @@ class TestMgf:
 
 class TestQuantileSeriesCoeffs:
     def test_leading_terms(self):
-        a = series.quantile_series_coeffs(Params(1, 1, 2, 1.5, 1), 4)
+        a = quantile_series_coeffs(Params(1, 1, 2, 1.5, 1), 4)
         assert a[0] == 0.0
         assert a[1] == 1.0
         assert a[2] == pytest.approx(1.5 / 3.0, abs=1e-13)
 
     @pytest.mark.parametrize("g,d", [(0.5, 0.5), (1.0, 1.0), (2.0, 3.0), (3.5, 0.25)])
     def test_a2_closed_form(self, g, d):
-        a = series.quantile_series_coeffs(Params(1, 1, g, d, 1), 3)
+        a = quantile_series_coeffs(Params(1, 1, g, d, 1), 3)
         assert a[2] == pytest.approx(d / (g + 1.0), rel=1e-12)
 
     def test_delta_zero_collapses_to_identity(self):
-        a = series.quantile_series_coeffs(Params(2, 3, 1.7, 0, 1.2), 8)
+        a = quantile_series_coeffs(Params(2, 3, 1.7, 0, 1.2), 8)
         assert a[1] == 1.0
         assert np.all(a[2:] == 0.0)
 
@@ -452,7 +464,7 @@ class TestQuantileSeriesCoeffs:
         from gkw.specfun import inv_reg_inc_beta, ln_beta
 
         g, d = 2.0, 1.5
-        a = series.quantile_series_coeffs(Params(1, 1, g, d, 1), 5)
+        a = quantile_series_coeffs(Params(1, 1, g, d, 1), 5)
         errs = []
         for u in (1e-2, 1e-3, 1e-4):
             v = (g * u * math.exp(ln_beta(g, d + 1.0))) ** (1.0 / g)
@@ -465,7 +477,7 @@ class TestQuantileSeriesCoeffs:
     @pytest.mark.parametrize("bad", [1, 0, -2, 2.5])
     def test_n_coeffs_validation(self, bad):
         with pytest.raises(ValueError):
-            series.quantile_series_coeffs(UNIFORM, bad)
+            quantile_series_coeffs(UNIFORM, bad)
 
 
 class TestMeanDeviations:
@@ -522,6 +534,10 @@ class TestBonferroniLorenz:
                 assert lorenz.converged and _within_bound(ref, float(lorenz) * mu), p
 
 
+# (i, n, r) for 1 <= i <= n <= 4 and r in {1, 2}
+ORDER_STAT_RANKS = [(i, n, r) for n in range(1, 5) for i in range(1, n + 1) for r in (1, 2)]
+
+
 class TestOrderStatMoments:
     @pytest.mark.parametrize("i,n,want", [(1, 2, 1 / 3), (2, 3, 0.5), (3, 3, 0.75),
                                           (2, 2, 2 / 3)])
@@ -536,24 +552,42 @@ class TestOrderStatMoments:
         assert float(got) == pytest.approx(float(series.moment(KW22, 2.0)), abs=1e-11)
 
     def test_spike_rational_value(self):
-        # E[X_{1:2}] = 373/420 exactly for this parameter point
-        got = series.order_stat_moment_series(SPIKE, 1, 2, 1.0, GENEROUS)
+        # E[X_{1:2}] = 373/420 exactly for this parameter point; the paper's
+        # series decays slowly here, even with 2000 terms
+        got = order_stat_series(SPIKE, 1, 2, 1.0, GENEROUS)
+        assert float(got) == pytest.approx(373.0 / 420.0, abs=2e-6)
+        got = series.order_stat_moment_series(SPIKE, 1, 2, 1.0)
         assert float(got) == pytest.approx(373.0 / 420.0, abs=2e-6)
 
     def test_routes_agree_on_series_point(self):
-        a = series.order_stat_moment_series(EKW, 2, 3, 1.0)
+        # the paper's series and the survival-power route (tests/crosscheck.py)
+        a = order_stat_series(EKW, 2, 3, 1.0)
         b = order_stat_moment_barakat(EKW, 2, 3, 1)
         assert a.method == "series" and b.method == "series"
         assert float(a) == pytest.approx(float(b), rel=1e-10)
         assert float(a) == pytest.approx(EKW_ORDER_23, abs=1e-10)
+        got = series.order_stat_moment_series(EKW, 2, 3, 1.0)
+        assert float(got) == pytest.approx(EKW_ORDER_23, abs=1e-10)
 
     def test_workhorse_falls_back_but_stays_correct(self):
-        # coefficient series has finite radius here: both routes reroute
-        a = series.order_stat_moment_series(WORKHORSE, 2, 3, 1.0)
+        # coefficient series has finite radius here: both series routes
+        # reroute to the library's quadrature
+        a = order_stat_series(WORKHORSE, 2, 3, 1.0)
         b = order_stat_moment_barakat(WORKHORSE, 2, 3, 1)
         assert a.method == "quadrature" and b.method == "quadrature"
         assert float(a) == pytest.approx(WORK_ORDER_23, abs=1e-9)
         assert float(b) == pytest.approx(WORK_ORDER_23, abs=1e-9)
+
+    # E[X_{i:n}^r] takes the quadrature at every grid law, and agrees with
+    # the paper's series (tests/crosscheck.py) wherever that converges
+    @pytest.mark.parametrize("name,theta", GRID12)
+    def test_takes_the_quadrature(self, name, theta):
+        for i, n, r in ORDER_STAT_RANKS:
+            got = series.order_stat_moment_series(theta, i, n, float(r))
+            assert got.method == "quadrature" and got.converged, (i, n, r)
+            ref = order_stat_series(theta, i, n, float(r))
+            if ref.method == "series":
+                assert float(got) == pytest.approx(float(ref), rel=1e-11, abs=0), (i, n, r)
 
     def test_against_monte_carlo(self):
         mc, se = mc_order_stat_mean(INCREASING_J, 2, 3, 1.0, 60000, seed=19)
@@ -794,11 +828,11 @@ class TestOverflowingTables:
     @pytest.mark.parametrize("theta", [BETA400, NARROW], ids=["beta400", "narrow"])
     def test_omega_tables_raise_where_they_do_not_fit(self, theta):
         with pytest.raises(ExpansionDomainError):
-            series.omega_weights(theta)
+            omega_weights(theta)
         with pytest.raises(ExpansionDomainError):
-            series.mixture_coeffs(theta)
+            mixture_coeffs(theta)
         with pytest.raises(ExpansionDomainError):
-            series.cdf_expansion(theta, 0.45)
+            cdf_expansion(theta, 0.45)
 
 
 def _beta_law(a, b):
@@ -842,7 +876,7 @@ class TestCancellingTables:
 
     def test_bare_expansions_flag_cancellation(self):
         theta, _, _ = _beta_law(30, 31)
-        for expansion in (series.cdf_expansion, series.pdf_expansion):
+        for expansion in (cdf_expansion, pdf_expansion):
             with pytest.warns(SeriesDivergenceWarning, match="cancel"):
                 got = expansion(theta, 0.8)
             assert not got.converged
@@ -862,17 +896,17 @@ class TestQuadratureOverV:
     def test_order_statistics_and_j_match_the_references(self, name):
         ref = QUAD_REFS[name]
         theta = Params(*ref["theta"])
-        tables = series._Tables(theta, SeriesControl())
+        law = series._Law(theta)
         pairs = [(i, n) for i, n, _ in ref["order_stats"]]
         # the ten means of l_moments, as one vector-valued rule
         for (i, n, want), got in zip(ref["order_stats"],
-                                     series._order_stat_quad(tables, pairs, 1.0)):
+                                     series._order_stat_quad(law, pairs, 1.0)):
             assert got.method == "quadrature" and got.converged
             assert float(got) == pytest.approx(want, rel=1e-13, abs=0), (i, n)
             lone = series.order_stat_moment_series(theta, i, n, 1.0)
             assert float(lone) == pytest.approx(want, rel=1e-13, abs=0), (i, n)
         for upper, want in ref["j"]:
-            got = series._below(tables, upper, lambda at: at.log_x)
+            got = series._below(law, upper, lambda at: at.log_x)
             assert got.method == "quadrature" and got.converged
             assert float(got) == pytest.approx(want, rel=1e-13, abs=0), upper
 
@@ -897,8 +931,8 @@ class TestQuadratureOverV:
     @pytest.mark.parametrize("a, b", [(0.01, 1.0), (0.01, 3.0), (0.05, 4.0), (0.3, 1.0),
                                       (3.0, 1e3), (1e3, 1.5), (2e4, 2e4)])
     def test_beta_moments_at_extreme_shapes(self, a, b):
-        tables = series._Tables(Params(1, 1, a, b - 1.0, 1), SeriesControl())
-        mu1, mu2 = series._quad(tables, lambda at: np.vstack([at.log_x, 2.0 * at.log_x]))
+        law = series._Law(Params(1, 1, a, b - 1.0, 1))
+        mu1, mu2 = series._quad(law, lambda at: np.vstack([at.log_x, 2.0 * at.log_x]))
         assert mu1.converged and mu2.converged
         assert float(mu1) == pytest.approx(a / (a + b), rel=1e-13, abs=0)
         assert float(mu2) == pytest.approx(a * (a + 1) / ((a + b) * (a + b + 1)), rel=1e-13, abs=0)
@@ -906,7 +940,7 @@ class TestQuadratureOverV:
     def test_unsettled_rows_are_flagged(self, monkeypatch):
         # 37 nodes at the first level, and no room for a second halving
         monkeypatch.setattr(core, "_EXPECT_MAX_NODES", 60)
-        (got,) = series._quad(series._Tables(BATHTUB, SeriesControl()), lambda at: at.log_x)
+        (got,) = series._quad(series._Law(BATHTUB), lambda at: at.log_x)
         assert got.method == "quadrature" and not got.converged
         assert got.terms <= 60
         assert all(not v.converged for v in series.l_moments(BATHTUB, 4))
@@ -957,20 +991,21 @@ class TestConvergedValuesHoldTheirBounds:
         got = series.renyi_entropy(Params(*ref["theta"]), rho)
         assert got.converged and _within_bound(got, want)
 
-    # the paper's order-statistic expansion, whose bound includes the
-    # rounding of its q-sums: without it the bound reads 0 at these
-    # polynomial-h laws, where EKW m_{3:3} is 2.2e-13 off.  The values that
-    # fall back to quadrature (beta25 n >= 3, EKW n = 4) carry the rounding
-    # of its sums: without it EKW m_{2:4} and m_{4:4} read bound 0 while
-    # 1.4e-15 and 1.0e-15 off.
+    # the paper's order-statistic expansion (tests/crosscheck.py), whose
+    # bound includes the rounding of its q-sums: without it the bound reads
+    # 0 at these polynomial-h laws, where EKW m_{3:3} is 2.2e-13 off.  The
+    # values that fall back to quadrature (beta25 n >= 3, EKW n = 4), and
+    # the library's values, carry the rounding of its sums: without it EKW
+    # m_{2:4} and m_{4:4} read bound 0 while 1.4e-15 and 1.0e-15 off.
     @pytest.mark.parametrize("name", ["uniform", "kw22", "beta52", "beta25", "ekw"])
     def test_order_stat_series(self, name):
         ref = QUAD_REFS[name]
         theta = Params(*ref["theta"])
         for i, n, want in ref["order_stats"]:
-            got = series.order_stat_moment_series(theta, i, n, 1.0)
-            assert got.converged, (i, n)
-            assert abs(float(got) - want) <= 10 * got.tail_bound + 1e-15, (i, n)
+            for got in (order_stat_series(theta, i, n, 1.0),
+                        series.order_stat_moment_series(theta, i, n, 1.0)):
+                assert got.converged, (i, n)
+                assert abs(float(got) - want) <= 10 * got.tail_bound + 1e-15, (i, n)
 
     # every finite Renyi entropy of the grid at rho = 0.5 and 2: without the
     # rounding of the quadrature's sums 11 of these 20 read bound 0
@@ -1026,7 +1061,7 @@ class TestTruncationMachinery:
     def test_tiny_budget_warns_and_flags(self):
         ctl = SeriesControl(max_terms=8)
         with pytest.warns(SeriesDivergenceWarning):
-            got = series.pdf_expansion(SPIKE, 0.9, ctl)
+            got = pdf_expansion(SPIKE, 0.9, ctl)
         assert not got.converged
         assert got.terms == 8
 
@@ -1045,10 +1080,10 @@ class TestTruncationMachinery:
         # which bounds its tail as geometric
         ctl = SeriesControl(max_terms=max_terms)
         terms = terms[:max_terms]
-        want = series._sum_terms(terms, ctl)
+        want = crosscheck._sum_terms(terms, ctl)
         fed = want.terms
         stop = fed - 1
-        got = series._sum_terms(terms[:fed], ctl)
+        got = crosscheck._sum_terms(terms[:fed], ctl)
         assert got.converged == want.converged == converged
         if converged:
             assert _same_value(got, want) and got.terms == fed
@@ -1063,12 +1098,12 @@ class TestTruncationMachinery:
         ctl = SeriesControl(max_terms=100)
         terms = self._J[:100] ** -3.0
         terms[1] = sign * math.inf
-        got = series._sum_terms(terms, ctl)
+        got = crosscheck._sum_terms(terms, ctl)
         assert float(got) == sign * math.inf
         assert not got.converged and got.terms == 100
 
     def test_coeff_table_records_theta(self):
-        ct = series.mixture_coeffs(KW22)
+        ct = mixture_coeffs(KW22)
         assert isinstance(ct, CoeffTable)
         assert ct.theta == KW22
         assert ct.notes == ()
@@ -1105,33 +1140,32 @@ def _omega_reference(theta, count):
 
 
 class TestShortTables:
-    # Beta(400, 401): the v-table's first gamma lambda - 1 = 399 orders are
-    # zero, so a budget of at most 399 orders gives an all-zero table, and
-    # its sums fall back to quadrature or are flagged.  From 201 to 398 the
+    # Beta(400, 401): the paper's v-table (tests/crosscheck.py) has its
+    # first gamma lambda - 1 = 399 orders zero, so a budget of at most 399
+    # orders gives an all-zero table, and the expansions on it fall back to
+    # quadrature or are flagged.  From 201 to 398 the
     # table used to overflow its own slice.
     @pytest.mark.parametrize("max_terms", [200, 256, 300, 398, 399])
     def test_mean_deviations_take_quadrature(self, max_terms):
-        # the mean deviations read no expansion table, so the budget of the
-        # tables they run on changes nothing: none is built, and the values
-        # are those of the default tables
-        tables = series._Tables(BETA400, SeriesControl(max_terms=max_terms))
-        got = series._mean_deviations(tables)
+        # the mean deviations read no expansion table, so a short one
+        # changes nothing: the values on a fresh _Law are those of a lone call
+        assert not ExpansionTables(BETA400, SeriesControl(max_terms=max_terms)).v.any()
+        got = series._mean_deviations(series._Law(BETA400))
         want = series.mean_deviations(BETA400)
         assert all(v.method == "quadrature" and v.converged for v in got)
         assert all(_same_value(x, y) for x, y in zip(got, want))
-        assert not {"omega", "v", "s_over_w"} & set(vars(tables))
 
     @pytest.mark.parametrize("max_terms", [200, 256, 300, 398, 399])
     def test_pdf_expansion_is_flagged(self, max_terms):
         with pytest.warns(SeriesDivergenceWarning):
-            got = series.pdf_expansion(BETA400, 0.5, SeriesControl(max_terms=max_terms))
+            got = pdf_expansion(BETA400, 0.5, SeriesControl(max_terms=max_terms))
         assert not got.converged and float(got) == 0.0
 
     @pytest.mark.parametrize("max_terms", [256, 399])
     def test_order_stat_moment_takes_quadrature(self, max_terms):
-        got = series.order_stat_moment_series(BETA400, 2, 3, 1.0,
-                                              SeriesControl(max_terms=max_terms))
+        got = order_stat_series(BETA400, 2, 3, 1.0, SeriesControl(max_terms=max_terms))
         assert got.method == "quadrature" and got.converged
+        assert _same_value(got, series.order_stat_moment_series(BETA400, 2, 3, 1.0))
 
 
 class TestKernelsBitForBit:
@@ -1142,7 +1176,7 @@ class TestKernelsBitForBit:
         (WORKHORSE, 400), (MOUND, 400), (BETA25, 5), (Params(1.2, 0.9, 0.8, 2.5, 1.1), 60),
     ])
     def test_omega_equals_the_running_product(self, theta, count):
-        got = series.omega_weights(theta, SeriesControl(max_terms=count))
+        got = omega_weights(theta, SeriesControl(max_terms=count))
         assert got.tobytes() == _omega_reference(theta, count).tobytes()
 
     # every order of the v-table reads only the orders below it, so the
@@ -1157,9 +1191,9 @@ class TestKernelsBitForBit:
     @pytest.mark.parametrize("theta", [theta for _, theta in _V_LAWS],
                              ids=[name for name, _ in _V_LAWS])
     def test_v_prefix_is_the_first_orders_of_the_table(self, theta):
-        full = series._Tables(theta, SeriesControl()).v
+        full = ExpansionTables(theta, SeriesControl()).v
         for n in (7, 256):
-            short = series._Tables(theta, SeriesControl(max_terms=n)).v
+            short = ExpansionTables(theta, SeriesControl(max_terms=n)).v
             assert short.tobytes() == full[:n].tobytes()
 
     @pytest.mark.parametrize("p", [3.0, 0.5, -1.5, 2.4])
@@ -1168,7 +1202,7 @@ class TestKernelsBitForBit:
         rng = np.random.default_rng(11)
         a = rng.uniform(-1.0, 1.0, 300) / (1.0 + np.arange(300)) ** 2
         a[0] = 1.3
-        got = series._ps_pow(a, p, n)
+        got = crosscheck._ps_pow(a, p, n)
         assert got.tobytes() == _ps_pow_reference(a, p, n).tobytes()
 
 
@@ -1202,20 +1236,14 @@ def _node_arrays(monkeypatch):
 
 
 class TestSharedTables:
-    # Within one call, each table a theta's series need is built once;
-    # nothing is kept from one call to the next.
+    # Within one call, each node array a theta's quadratures reach is
+    # evaluated once; nothing is kept from one call to the next.
 
     def test_l_moments_take_one_quadrature(self, monkeypatch):
-        # EKW has a density power series, and its L-moments build none of it
         quads = _Recorder(series._quad, lambda *args: None)
         monkeypatch.setattr(series, "_quad", quads)
-        tables = _Recorder(series._v_coeffs, lambda tables: None)
-        monkeypatch.setattr(series, "_v_coeffs", tables)
-        powers = _Recorder(series._ps_pow, lambda a, p, n: p)
-        monkeypatch.setattr(series, "_ps_pow", powers)
         got = series.l_moments(EKW, 4)
         assert len(quads.keys) == 1
-        assert tables.keys == powers.keys == []
         assert all(v.method == "quadrature" and v.converged for v in got)
 
     def test_l_moments_take_the_cdf_once_per_node_array(self, monkeypatch):
@@ -1242,7 +1270,7 @@ class TestSharedTables:
         assert sum(cdfs.keys) == sum(nodes.keys) > 0
         assert len(nodes.keys) <= len(cdfs.keys) <= 2 * len(nodes.keys)
 
-    # one `gkw props` call with all four verbs runs them on one set of tables
+    # one `gkw props` call with all four verbs runs them on one _Law
     def _props(self, theta, capsys):
         text = ",".join(f"{v:g}" for v in theta.as_tuple())
         assert cli.main(["props", "--theta", text, "--moments", "4", "--lmoments",
@@ -1256,7 +1284,7 @@ class TestSharedTables:
         self._props(theta, capsys)
         assert len(arrays) == len(set(arrays)) > 0
 
-    # the orders' rules share the node memo of one _Tables
+    # the orders' rules share the node memo of one _Law
     @pytest.mark.parametrize("theta", [BETA25, BATHTUB, WORKHORSE],
                              ids=["beta25", "bathtub", "workhorse"])
     def test_central_moments_evaluate_each_node_array_once(self, theta, monkeypatch):
@@ -1264,33 +1292,28 @@ class TestSharedTables:
         series.central_moments_and_cumulants(theta, 6)
         assert len(arrays) == len(set(arrays)) > 0
 
-    # every verb of props takes the quadrature: no expansion table is built
-    def test_props_builds_no_expansion_table(self, monkeypatch, capsys):
-        for name in ("_v_coeffs", "_ps_pow", "_signed_binom"):
-            monkeypatch.setattr(series, name, _Recorder(getattr(series, name),
-                                                        lambda *args: None))
+    # every verb of props takes the quadrature
+    def test_props_builds_no_expansion_table(self, capsys):
         out = self._props(EKW, capsys)
         assert '"delta1_method": "quadrature"' in out and '"l4"' in out
-        for name in ("_v_coeffs", "_ps_pow", "_signed_binom"):
-            assert getattr(series, name).keys == [], name
 
     @pytest.mark.parametrize("theta", [theta for _, theta in GRID12] + [Params(1, 1, 10, 3, 1)],
                              ids=[name for name, _ in GRID12] + ["beta10_4"])
     def test_moments_equal_lone_moment_calls(self, theta):
         rs = [1, 2, 3, 4]
-        tables = series._Tables(theta, SeriesControl())
-        got = series._moments(tables, rs)
+        law = series._Law(theta)
+        got = series._moments(law, rs)
         # the memo keeps every value it computed
-        assert sorted(tables.mu) == rs
+        assert sorted(law.mu) == rs
         for r, value in zip(rs, got):
             lone = series.moment(theta, r)
             assert float(value).hex() == float(lone).hex() and _same_value(value, lone)
-            assert tables.mu[r] is value
+            assert law.mu[r] is value
         # the verbs after the moments reuse their node arrays, and give the
         # lone calls' bits
-        pairs = [*zip(series._l_moments(tables, 4), series.l_moments(theta, 4)),
-                 (series._renyi_entropy(tables, 0.5), series.renyi_entropy(theta, 0.5)),
-                 *zip(series._mean_deviations(tables), series.mean_deviations(theta))]
+        pairs = [*zip(series._l_moments(law, 4), series.l_moments(theta, 4)),
+                 (series._renyi_entropy(law, 0.5), series.renyi_entropy(theta, 0.5)),
+                 *zip(series._mean_deviations(law), series.mean_deviations(theta))]
         assert all(_same_value(x, y) for x, y in pairs)
 
     def test_no_work_is_kept_between_calls(self, monkeypatch):
