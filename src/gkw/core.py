@@ -181,7 +181,7 @@ class _Head:
         self.la = la = _log1mexp_arr(s)
         self.lla = lla = _log_neg_log1mexp_arr(s, la)
         self.bla = bla = b * la
-        self.ly = ly = _log1mexp_tiny_arr(bla, math.log(b) + lla)
+        self.ly = ly = _log1mexp_tiny_arr(bla, lla, math.log(b))
         self.lny = _log_neg_log1mexp_arr(bla, ly)
         self.a1lx = (a - 1.0) * log_x
         self.b1la = (b - 1.0) * la
@@ -191,7 +191,7 @@ class _Head:
         """(lly, lu) for this lambda."""
         if self._tail is None or self._tail[0] != lam:
             lly = lam * self.ly
-            lu = _log1mexp_tiny_arr(lly, math.log(lam) + self.lny)
+            lu = _log1mexp_tiny_arr(lly, self.lny, math.log(lam))
             self._tail = (lam, lly, lu)
         return self._tail[1:]
 
@@ -280,10 +280,10 @@ def _log_w_x(theta: Params, log_v, log_1mv=None):
     if log_1mv is None:
         log_w = log1mexp(s) / b
         return log_w, log1mexp(log_w) / a
-    lw1 = _log1mexp_tiny_arr(s, _log_neg_log1mexp_arr(log_1mv, log_v) - math.log(l))
+    lw1 = _log1mexp_tiny_arr(s, _log_neg_log1mexp_arr(log_1mv, log_v), -math.log(l))
     log_w = lw1 / b
-    lnw = _log_neg_log1mexp_arr(s, lw1) - math.log(b)
-    return log_w, _log1mexp_tiny_arr(log_w, lnw) / a
+    # log(-log w) = log(-lw1) - log beta
+    return log_w, _log1mexp_tiny_arr(log_w, _log_neg_log1mexp_arr(s, lw1), -math.log(b)) / a
 
 
 class _AtV:
@@ -523,10 +523,11 @@ def sample(theta: Params, n: int, seed: int) -> np.ndarray:
     (gamma, delta + 1), then X = [1 - (1 - V^{1/lambda})^{1/beta}]^{1/alpha}.
     Where delta = 0 (Kw, EKw) V = U^{1/gamma}, and where gamma = 1 (Kw,
     KwKw) V = 1 - (1 - U)^{1/(delta + 1)}, both exact; other laws take a
-    bracketed Newton solve in which each draw stops once its own
-    |I_V - U| < 1e-13.  Draws still unconverged after 120 passes are kept
-    if |I_V - U| <= 1e-10, and otherwise NonConvergenceError is raised.
-    Every returned value is strictly inside (0, 1).
+    bracketed Halley solve (specfun._inv_reg_inc_beta_arr) in which each
+    draw stops once its own |I_V - U| < 1e-13.  Draws still unconverged
+    after 120 passes are kept if |I_V - U| <= 1e-10, and otherwise
+    NonConvergenceError is raised.  Every returned value is strictly
+    inside (0, 1).
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")

@@ -3,9 +3,12 @@
 Everything here is implemented from scratch so that results are
 bit-for-bit reproducible and carry no external math dependency:
 Lanczos log-gamma, continued-fraction regularized incomplete beta with
-the usual symmetry switch, a bracketed Newton inverse, recurrence plus
-asymptotic-series digamma/trigamma, and series / continued-fraction
-incomplete gamma.
+the usual symmetry switch, a bracketed Newton inverse for single points
+and a bracketed Halley inverse for arrays (Press et al., Numerical
+Recipes 3rd ed. section 6.14, from the normal-approximation start of
+Abramowitz & Stegun 26.5.22 where both shapes are at least 1),
+recurrence plus asymptotic-series digamma/trigamma, and series /
+continued-fraction incomplete gamma.
 
 Accuracy targets: ln_gamma 1e-13 (absolute for moderate arguments,
 relative for large ones where float64 spacing dominates),
@@ -233,16 +236,22 @@ def _log_neg_log1mexp_arr(s: np.ndarray, l1m_s: np.ndarray) -> np.ndarray:
     return _patch_tiny(out, s, 0.5)
 
 
-def _log1mexp_tiny_arr(s: np.ndarray, log_neg_s: np.ndarray) -> np.ndarray:
-    return _patch_tiny(_log1mexp_arr(s), log_neg_s, -0.5)
+def _log1mexp_tiny_arr(s: np.ndarray, log_neg_s: np.ndarray, offset: float = 0.0) -> np.ndarray:
+    """log1mexp_tiny with log(-s) given as offset + log_neg_s, a scalar
+    offset that is added only where some element is patched."""
+    return _patch_tiny(_log1mexp_arr(s), log_neg_s, -0.5, offset)
 
 
-def _patch_tiny(out, v, half):
-    """out, with the first-order expansion v + half e^v where v < _TINY_LOG."""
-    if np.fmin.reduce(v, axis=None, initial=np.inf) < _TINY_LOG:
-        tiny = v < _TINY_LOG
-        vt = v[tiny]
-        out[tiny] = vt + half * np.exp(vt)
+def _patch_tiny(out, v, half, offset=0.0):
+    """out, with the first-order expansion w + half e^w where w = offset + v
+    is below _TINY_LOG.  Rounding is monotonic, so offset plus the least v
+    is the least w: the test needs no sum, and w is formed only on the
+    rare path that patches."""
+    if offset + np.fmin.reduce(v, axis=None, initial=np.inf) < _TINY_LOG:
+        w = v + offset if offset else v
+        tiny = w < _TINY_LOG
+        wt = w[tiny]
+        out[tiny] = wt + half * np.exp(wt)
     return out
 
 
@@ -625,20 +634,57 @@ def _betacf_arr(a: float, b: float, x: np.ndarray) -> np.ndarray:
     )
 
 
+def _normal_start(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Starting points of the array inverse for a, b >= 1.
+
+    Abramowitz & Stegun 26.5.22, as in Press et al., Numerical Recipes
+    3rd ed. section 6.14 (invbetai): a rational approximation gives the
+    normal deviate x of u from t = sqrt(-2 log p), p = min(u, 1 - u), and
+    with h = 2 / (1/(2a - 1) + 1/(2b - 1)), l = (x^2 - 3)/6 and
+    w = x sqrt(l + h)/h - (1/(2b - 1) - 1/(2a - 1)) (l + 5/6 - 2/(3h)),
+    z = a / (a + b e^{2w}).  A non-finite start (at u = 0 or 1, which the
+    caller sets exactly) takes the mean; every start is clipped to
+    [1e-300, 1 - 1e-16].
+    """
+    h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+    skew = 1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+        x = (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t)) - t
+        x = np.where(u < 0.5, -x, x)
+        lam = (x * x - 3.0) / 6.0
+        w = x * np.sqrt(lam + h) / h - skew * (lam + (5.0 / 6.0 - 2.0 / (3.0 * h)))
+        z = a / (a + b * np.exp(2.0 * w))
+    z[~np.isfinite(z)] = a / (a + b)
+    return np.clip(z, 1e-300, 1.0 - 1e-16, out=z)
+
+
 def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
     """Vectorized inverse incomplete beta, |I_z - u| <= 1e-10.
 
     A unit shape has an exact inverse, taken without iterating:
     I_z(a, 1) = z^a gives z = u^{1/a}, and I_z(1, b) = 1 - (1 - z)^b gives
     z = 1 - (1 - u)^{1/b}, both in logs (Jones, Statistical Methodology 6,
-    2009).  Other shapes take a bracketed Newton iteration in which each
-    element stops on the pass where its own residual first reads
-    |I_z - u| < 1e-13: it takes that pass's Newton step if the step stays
-    inside its bracket, and is not stepped again.  Later passes evaluate
-    only the elements still iterating.  Those left when the 120 passes run
-    out are returned if their residual is at most 1e-10, and otherwise
-    NonConvergenceError is raised, naming the worst u and its bracket.
-    Endpoints are returned exactly.
+    2009).  Other shapes take a bracketed Halley iteration, as in Press et
+    al., Numerical Recipes 3rd ed. section 6.14 (invbetai).  It starts
+    from the tail forms I_z ~ z^a / (a B) for u < 0.1 and their mirror
+    for u > 0.9, and from the mean a/(a + b) between, except where a and
+    b are at least 1.  There the tail forms bound the root.  The start is
+    a tail form where the first term it leaves out, (b - 1) z / (a + 1)
+    or its mirror, is below 1e-2, and elsewhere the normal approximation
+    of Abramowitz & Stegun 26.5.22 (:func:`_normal_start`) clipped into
+    the bounds.  Below u = 1e-13 and above 1 - 1e-13 every start meets
+    the residual test at once, so there the start sets the relative
+    accuracy of z.  The Halley step reuses the density f of the Newton
+    step t = (I_z - u)/f: t / (1 - min(1, t f'/f) / 2), with
+    f'/f = (a - 1)/z - (b - 1)/(1 - z).
+    Each element stops on the pass where its own residual first reads
+    |I_z - u| < 1e-13: it takes that pass's step if the step stays inside
+    its bracket, and is not stepped again; a step that leaves the bracket
+    bisects it.  Later passes evaluate only the elements still iterating.
+    Those left when the 120 passes run out are returned if their residual
+    is at most 1e-10, and otherwise NonConvergenceError is raised, naming
+    the worst u and its bracket.  Endpoints are returned exactly.
     """
     u = np.asarray(u, dtype=float)
     if a == 1.0 or b == 1.0:
@@ -655,16 +701,29 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
     u = u.ravel()
     lnB = ln_beta(a, b)
     mean = a / (a + b)
-    z = np.full_like(u, mean)
     low = u < 0.1
     high = u > 0.9
     with np.errstate(divide="ignore", over="ignore"):
-        z[low] = np.clip(
+        z_low = np.clip(
             np.exp((np.log(np.maximum(u[low], 1e-320)) + math.log(a) + lnB) / a),
             1e-300, mean)
-        z[high] = np.clip(
+        z_high = np.clip(
             1.0 - np.exp((np.log1p(-np.minimum(u[high], 1.0 - 1e-16)) + math.log(b) + lnB) / b),
             mean, 1.0 - 1e-16)
+    if a >= 1.0 and b >= 1.0:
+        # I_z <= z^a / (a B) where b >= 1, and its mirror where a >= 1, so
+        # z_low and z_high bound the root: clipped into them, a start only
+        # comes closer to it
+        z = _normal_start(u, a, b)
+        z[low] = np.where(z_low * ((b - 1.0) / (a + 1.0)) < 1e-2, z_low,
+                          np.maximum(z[low], z_low))
+        z[high] = np.where((1.0 - z_high) * ((a - 1.0) / (b + 1.0)) < 1e-2, z_high,
+                           np.minimum(z[high], z_high))
+    else:
+        z = np.full_like(u, mean)
+        z[low] = z_low
+        z[high] = z_high
+    del z_low, z_high
     # the endpoints have residual 0, so they leave on the first pass
     z[u == 0.0] = 0.0
     z[u == 1.0] = 1.0
@@ -680,11 +739,26 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
         np.copyto(lo, za, where=g <= 0.0)
         done = np.abs(g) < 1e-13
         z_done = za[done]
-        # in place, so on the first pass in z itself; an overflowing
-        # density gives a step the bracket test rejects
+        # the step, in place on za (so on the first pass in z itself); an
+        # overflowing density or curvature gives a step the bracket test
+        # rejects
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            za -= g / np.exp((a - 1.0) * np.log(za) + (b - 1.0) * np.log1p(-za) - lnB)
-        del g   # freed before the next forward pass, which sets the peak memory
+            t = (a - 1.0) * np.log(za)
+            t += (b - 1.0) * np.log1p(-za)
+            t -= lnB
+            np.exp(t, out=t)
+            np.divide(g, t, out=t)
+            del g   # freed before the next forward pass, which sets the peak memory
+            c = (a - 1.0) / za
+            c -= (b - 1.0) / (1.0 - za)
+            c *= t
+            np.minimum(c, 1.0, out=c)
+            c *= -0.5
+            c += 1.0
+            t /= c
+            del c
+            za -= t
+            del t
         bad = ~np.isfinite(za) | (za <= lo) | (za >= hi)
         za[bad] = 0.5 * (lo[bad] + hi[bad])
         if done.any():

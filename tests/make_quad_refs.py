@@ -134,7 +134,7 @@ def _logit_v_at(theta, x: float) -> float:
     """logit of v = G1(x)^lambda, G1(x) = 1 - (1 - x^alpha)^beta, in logs;
     +inf where 1 - G1(x) underflows."""
     a, b, _, _, l = theta
-    b_la = b * math.log(-math.expm1(a * math.log(x)))  # log(1 - G1(x))
+    b_la = b * _log1mexp(a * math.log(x))  # log(1 - G1(x))
     if math.exp(b_la) == 0.0:
         return math.inf
     lv = l * _log1mexp(b_la)

@@ -21,6 +21,7 @@ from gkw.core import Params
 from gkw.series import DivergentIntegralError, SeriesValue
 
 import crosscheck
+import make_quad_refs
 from crosscheck import (
     CoeffTable,
     ExpansionDomainError,
@@ -891,6 +892,15 @@ class TestQuadratureOverV:
     # V ~ Beta(gamma, delta + 1).  References: SciPy quad in logit V at
     # relative tolerance 2e-14 (tests/make_quad_refs.py), frozen in
     # tests/data/quad-refs.json.
+
+    def test_reference_logit_is_finite_where_x_alpha_is_tiny(self):
+        # a sweep shape whose median is about 1e-135, so x^alpha is about
+        # 1e-60: log(1 - x^alpha) as log(-expm1(alpha log x)) read 0 there,
+        # and the logit of V at the median raised a math domain error
+        theta = (0.445, 0.0656, 0.0610, 0.124, 0.0819)
+        x = make_quad_refs.median(theta)
+        assert 0.0 < x < 1e-100
+        assert math.isfinite(make_quad_refs._logit_v_at(theta, x))
 
     @pytest.mark.parametrize("name", ["bathtub", "decreasing"])
     def test_order_statistics_and_j_match_the_references(self, name):

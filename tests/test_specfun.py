@@ -6,6 +6,7 @@ scipy.special serves as an independent sweep oracle.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkw import specfun
-from gkw.core import Params, power_transform_params
+from gkw.core import Params, power_transform_params, sample
 from gkw.specfun import (
     NonConvergenceError,
     beta_fn,
@@ -360,6 +361,14 @@ class TestLog1mExp:
                 assert specfun.log1mexp_tiny(float(v), math.log(-v)) == tiny[k]
 
 
+# a, b >= 1: the named shapes and a seeded set log-uniform in [1, 100].
+# Further out the forward kernel stalls for some (a, b) (fault F3, pinned
+# by test_inverse_raises_where_the_forward_kernel_stalls).
+_NORMAL_START_SHAPES = [(1.0001, 1.5), (1.5, 1.5), (2.0, 2.5), (50.0, 80.0), (400.0, 401.0)] + [
+    tuple(float(v) for v in ab)
+    for ab in np.exp(np.random.default_rng(2027).uniform(0.0, math.log(100.0), size=(8, 2)))]
+
+
 class TestArrayVariants:
     def test_reg_inc_beta_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -391,8 +400,8 @@ class TestArrayVariants:
 
     @pytest.mark.parametrize("a, b", [(1.5, 1.5), (2.0, 2.5)])
     def test_inverse_steps_only_unconverged_elements(self, a, b, monkeypatch):
-        # every element converges within six passes; the forward kernel
-        # then sees about 4.5n elements, against 50n when every pass
+        # every element converges within a few passes; the forward kernel
+        # then sees about 3n elements, against 50n when every pass
         # evaluated every element until all had converged together
         n = 10_000
         u = np.random.default_rng(8).uniform(0.0, 1.0, size=n)
@@ -403,6 +412,64 @@ class TestArrayVariants:
         z = specfun._inv_reg_inc_beta_arr(u, a, b)
         assert sum(seen) <= 6 * n, sum(seen) / n
         assert np.all(np.abs(forward(z, a, b) - u) < 1e-13)
+
+    @pytest.mark.parametrize("a, b", _NORMAL_START_SHAPES)
+    def test_inverse_from_normal_start_against_scipy(self, a, b):
+        # a, b >= 1 start from A&S 26.5.22, whose e^{2w} overflows in the
+        # far tails; no RuntimeWarning may escape
+        u = np.concatenate([[1e-300, 1e-200, 1e-16, 0.5, 1.0 - 1e-16],
+                            np.logspace(-300, -1, 60), 1.0 - np.logspace(-16, -1, 30),
+                            np.random.default_rng(27).uniform(0.0, 1.0, size=200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            z = specfun._inv_reg_inc_beta_arr(u, a, b)
+        assert np.all((z > 0.0) & (z < 1.0))
+        assert np.max(np.abs(sc.betainc(a, b, z) - u)) <= 1e-10
+        # the residual test is absolute, so z is held relatively only
+        # where u and 1 - u are well above it
+        body = (u >= 1e-6) & (u <= 1.0 - 1e-6)
+        np.testing.assert_allclose(z[body], sc.betaincinv(a, b, u[body]), rtol=1e-9)
+
+    def test_inverse_raises_where_the_forward_kernel_stalls(self):
+        # fault F3: at (491, 1.22) the array continued fraction stalls on
+        # body values of u; the inverse raises rather than return them
+        u = np.random.default_rng(27).uniform(0.0, 1.0, size=200)
+        with pytest.raises(NonConvergenceError):
+            specfun._inv_reg_inc_beta_arr(u, 490.769958965031, 1.2211944188075348)
+
+    @pytest.mark.parametrize("a, b, lo, hi", [(1.0001, 1.5, -290, -10), (1.5, 1.5, -290, -10),
+                                              (2.0, 2.5, -290, -10), (50.0, 80.0, -300, -240)])
+    def test_inverse_keeps_the_far_lower_tail(self, a, b, lo, hi):
+        # below u = 1e-13 every start meets the residual test at once; the
+        # normal start alone missed the quantile at u = 1e-300 by more than
+        # 40 orders of magnitude at (1.5, 1.5), and clipped into the tail
+        # forms by a factor 5.5 at (50, 80); the tail form gives it to
+        # 1e-13 (down to the 1e-300 floor of every start)
+        u = np.logspace(lo, hi, (hi - lo) // 10 + 1)
+        z = specfun._inv_reg_inc_beta_arr(u, a, b)
+        np.testing.assert_allclose(z, sc.betaincinv(a, b, u), rtol=1e-12)
+
+    def test_inverse_keeps_the_far_upper_tail(self):
+        # the mirror image, at (7.25, 2.5) and 1 - u from 2^-53 to 2^-47:
+        # 1 - z from the tail form holds 1e-5 relative, where the normal
+        # start clipped into the tail forms missed it by up to 3.6e-2
+        u = 1.0 - np.array([2.0**-53, 2.0**-52, 2.0**-50, 2.0**-47])
+        z = specfun._inv_reg_inc_beta_arr(u, 7.25, 2.5)
+        np.testing.assert_allclose(1.0 - z, sc.betaincinv(2.5, 7.25, 1.0 - u), rtol=1e-5)
+
+    def test_sampler_forward_passes(self, monkeypatch):
+        # 1e5 workhorse draws, V ~ Beta(1.5, 1.5): the normal start and
+        # Halley steps converge every draw in 3 forward passes of 299,140
+        # elements in all, where Newton steps from the mean took 6 passes
+        # and 447,498
+        n = 100_000
+        seen = []
+        forward = specfun._reg_inc_beta_arr
+        monkeypatch.setattr(specfun, "_reg_inc_beta_arr",
+                            lambda x, *args: seen.append(x.size) or forward(x, *args))
+        sample(Params(2.0, 3.0, 1.5, 0.5, 2.0), n, seed=7)
+        assert len(seen) <= 4, seen
+        assert sum(seen) <= 3.2 * n, sum(seen) / n
 
     @pytest.mark.parametrize("s", [0.01, 0.3, 1.0, 3.0, 100.0])
     @pytest.mark.parametrize("unit", ["b", "a"])
@@ -511,6 +578,18 @@ class TestLogChainKernelsBitForBit:
             want = np.where(log_neg < -20.0, log_neg - 0.5 * np.exp(log_neg),
                             _log1mexp_two_branch(s))
             got = specfun._log1mexp_tiny_arr(s, log_neg)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("offset", [math.log(2.5), -math.log(3.0), 0.5, -1e-300])
+    def test_log1mexp_tiny_arr_offset(self, offset):
+        # log(-s) given as offset + v patches exactly where the summed array
+        # would, with the same bits; v puts elements on both sides of -20
+        # once the offset is added
+        s = np.concatenate([_EDGES, -np.exp(np.array([-20.5, -20.0, -19.5]) - offset)])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = np.log(-s) - offset
+            want = specfun._log1mexp_tiny_arr(s, offset + v)
+            got = specfun._log1mexp_tiny_arr(s, v, offset)
         assert same_bits(got, want)
 
     def test_public_helpers_take_2d(self):
