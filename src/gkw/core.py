@@ -268,7 +268,8 @@ def _log_w_x(theta: Params, log_v, log_1mv=None):
 
         w = (1 - v^{1/lambda})^{1/beta} = 1 - x^alpha,  x = (1 - w)^{1/alpha}.
 
-    sample and quantile take it from log v alone.  Given log_1mv =
+    quantile takes it from log v alone, and maps v = 0 to x = 0 and v = 1
+    to x = 1 exactly, with no warning.  Given log_1mv =
     log(1 - v) as well, each log1mexp takes its first-order branch where
     its argument is below e^-20 in size, the mirror image of _Head: w
     keeps its precision where v^{1/lambda} rounds to 1, and x where w
@@ -440,9 +441,7 @@ def _expect(theta: Params, log_h, upper: float = 1.0, *, nodes: dict):
 # to this many points, the array kernels above.  On the benchmark's shapes one
 # point costs 13-27 us scalar against 0.1-0.4 ms in the array I_x (inverse:
 # 0.04-0.1 against 0.4-2 ms), and the scalar loop is still the cheaper at 9.
-# At a unit shape (gamma = 1 or delta = 0) the array inverse is a closed form,
-# about 10 us at 9 points against 0.2-0.7 ms for 9 scalar solves; the switch
-# holds there too, so up to 8 points keep the scalar Newton's values.
+# At a unit shape (gamma = 1 or delta = 0) both inverses are one closed form.
 _SCALAR_POINTS = 8
 
 
@@ -487,9 +486,11 @@ def _inc_beta_at_log_z(lz: np.ndarray, a: float, b: float, pointwise: bool) -> n
 
 
 def quantile(theta: Params, u: float) -> float:
-    """The x with cdf(theta, x) = u, via the inverse incomplete beta.
-
-    Exact at the endpoints.  Accuracy: |cdf(x) - u| <= 1e-9.
+    """The x with cdf(theta, x) = u: x(V) at V = I^{-1}(u; gamma, delta + 1),
+    by the scalar inverse kernel point by point up to _SCALAR_POINTS points
+    and the array kernel above; both take the same closed form where
+    gamma = 1 or delta = 0.  Exact at the endpoints.  Accuracy:
+    |cdf(x) - u| <= 1e-9.
     """
     g, d = theta.gamma, theta.delta
     us = np.asarray(u, dtype=float)
@@ -497,49 +498,31 @@ def quantile(theta: Params, u: float) -> float:
     if not np.all((us >= 0.0) & (us <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
     scalar = us.ndim == 0
-    us = np.atleast_1d(us).astype(float)
+    us = np.atleast_1d(us)
     if us.size > _SCALAR_POINTS:
         v = specfun._inv_reg_inc_beta_arr(us, g, d + 1.0)
     else:
         v = np.array([specfun.inv_reg_inc_beta(float(ui), g, d + 1.0) for ui in us])
-    out = np.empty_like(us)
-    zero = v == 0.0
-    one = v == 1.0
-    mid = ~(zero | one)
-    out[zero] = 0.0
-    out[one] = 1.0
-    if np.any(mid):
-        with np.errstate(divide="ignore"):
-            _, log_x = _log_w_x(theta, np.log(v[mid]))
-        out[mid] = np.exp(log_x)
+    with np.errstate(divide="ignore"):
+        _, log_x = _log_w_x(theta, np.log(v))
+    out = np.exp(log_x)
     return float(out[0]) if scalar else out
 
 
 def sample(theta: Params, n: int, seed: int) -> np.ndarray:
     """Draw n variates, deterministically for a given seed.
 
-    Inversion throughout: uniforms are pushed through the inverse
-    incomplete beta to get the underlying beta variate V with shape
-    (gamma, delta + 1), then X = [1 - (1 - V^{1/lambda})^{1/beta}]^{1/alpha}.
-    Where delta = 0 (Kw, EKw) V = U^{1/gamma}, and where gamma = 1 (Kw,
-    KwKw) V = 1 - (1 - U)^{1/(delta + 1)}, both exact; other laws take a
-    bracketed Halley solve (specfun._inv_reg_inc_beta_arr) in which each
-    draw stops once its own |I_V - U| < 1e-13.  Draws still unconverged
-    after 120 passes are kept if |I_V - U| <= 1e-10, and otherwise
-    NonConvergenceError is raised.  Every returned value is strictly
-    inside (0, 1).
+    :func:`quantile` at n seeded uniforms on (0, 1), so n <= _SCALAR_POINTS
+    draws take the scalar inverse kernel; each draw is clipped to
+    [5e-308, 1 - 2^-53], strictly inside (0, 1).  Raises
+    NonConvergenceError where the inverse does.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     rng = np.random.default_rng(seed)
     # uniforms on the open interval: integers in [1, 2^53) scaled down
     u = rng.integers(1, 1 << 53, size=n).astype(float) * 2.0**-53
-    v = specfun._inv_reg_inc_beta_arr(u, theta.gamma, theta.delta + 1.0)
-    v = np.clip(v, 5e-324, 1.0 - 2.0**-53)
-    with np.errstate(divide="ignore"):
-        _, log_x = _log_w_x(theta, np.log(v))
-    x = np.exp(log_x)
-    return np.clip(x, 5e-308, 1.0 - 2.0**-53)
+    return np.clip(quantile(theta, u), 5e-308, 1.0 - 2.0**-53)
 
 
 def power_transform_params(theta: Params, a: float) -> Params:

@@ -6,8 +6,8 @@ Lanczos log-gamma, continued-fraction regularized incomplete beta with
 the usual symmetry switch, a bracketed Newton inverse for single points
 and a bracketed Halley inverse for arrays (Press et al., Numerical
 Recipes 3rd ed. section 6.14, from the normal-approximation start of
-Abramowitz & Stegun 26.5.22 where both shapes are at least 1),
-recurrence plus asymptotic-series digamma/trigamma, and series /
+Abramowitz & Stegun 26.5.22 where both shapes are at least 1), both
+closed-form where a shape is 1, recurrence plus asymptotic-series digamma/trigamma, and series /
 continued-fraction incomplete gamma.
 
 Accuracy targets: ln_gamma 1e-13 (absolute for moderate arguments,
@@ -316,14 +316,18 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 def inv_reg_inc_beta(u: float, a: float, b: float) -> float:
     """Inverse of I_x(a, b): the z with |I_z(a, b) - u| <= 1e-10.
 
-    Bracketed Newton iteration with bisection fallback; endpoints are
-    returned exactly.  Raises NonConvergenceError (carrying the last
-    bracket) if the tolerance is not met within 200 steps.
+    Where a or b is 1, the closed form of :func:`_inv_reg_inc_beta_arr`.
+    Otherwise bracketed Newton iteration with bisection fallback, which
+    an underflowing or overflowing density takes; endpoints are returned
+    exactly.  Raises NonConvergenceError (carrying the last bracket) if
+    the tolerance is not met within 200 steps.
     """
     a, b = _check_positive("a", a), _check_positive("b", b)
     if not (isinstance(u, _REALS) and 0.0 <= u <= 1.0):
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     u = float(u)
+    if a == 1.0 or b == 1.0:
+        return float(_inv_reg_inc_beta_arr(np.array([u]), a, b)[0])
     if u == 0.0:
         return 0.0
     if u == 1.0:
@@ -354,16 +358,10 @@ def inv_reg_inc_beta(u: float, a: float, b: float) -> float:
         else:
             lo = z
         lpdf = (a - 1.0) * math.log(z) + (b - 1.0) * math.log1p(-z) - lnB
-        step_ok = False
-        if lpdf > -700.0:
-            dens = math.exp(lpdf)
-            if dens > 0.0 and math.isfinite(dens):
-                zn = z - g / dens
-                if lo < zn < hi:
-                    z = zn
-                    step_ok = True
-        if not step_ok:
-            z = 0.5 * (lo + hi)
+        # a Newton step where the density is a normal float and the step
+        # stays inside the bracket; a bisection otherwise
+        zn = z - g / math.exp(lpdf) if -700.0 < lpdf < 700.0 else lo
+        z = zn if lo < zn < hi else 0.5 * (lo + hi)
         if hi - lo < 4.0 * _EPS * max(z, 1e-300):
             gz = reg_inc_beta(z, a, b) - u
             if abs(gz) < 1e-10:

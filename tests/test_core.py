@@ -246,6 +246,17 @@ class TestQuantile:
         xs = quantile(Params(1.0, 1.0, 0.01, 0.0, 1.0), us)
         np.testing.assert_allclose(xs, us**100, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("theta", [(2, 3, 1, 0, 1), (2, 3, 1, 0, 2), (2, 2, 1, 1.5, 2),
+                                       (0.5, 0.5, 3, 0, 2), (1, 1, 0.01, 0, 1)],
+                             ids=["kw", "ekw", "kwkw", "spike", "F1"])
+    def test_unit_shape_point_equals_array(self, theta):
+        # gamma = 1 or delta = 0: one point and 9 points both take the
+        # inverse's closed form, where a point once took the scalar Newton
+        theta = Params(*map(float, theta))
+        us = np.linspace(0.1, 0.9, 9)
+        many = quantile(theta, us)
+        assert np.array_equal([quantile(theta, float(u)) for u in us], many)
+
     def test_round_trip(self):
         us = np.linspace(0.001, 0.999, 41)
         for theta in (WORKHORSE, Params(0.5, 1.0, 0.8, 0.0, 1.0)):
@@ -320,6 +331,16 @@ class TestSample:
         c = sample(WORKHORSE, 500, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("theta", [WORKHORSE, Params(1.0, 1.0, 0.01, 0.0, 1.0)],
+                             ids=["workhorse", "F1"])
+    @pytest.mark.parametrize("n", [5, 2000])
+    def test_is_quantile_at_seeded_uniforms(self, theta, n):
+        # on both sides of the size switch: the uniforms are integers in
+        # [1, 2^53) scaled down, and the draws their clipped quantiles
+        u = np.random.default_rng(3).integers(1, 1 << 53, size=n).astype(float) * 2.0**-53
+        want = np.clip(quantile(theta, u), 5e-308, 1.0 - 2.0**-53)
+        assert np.array_equal(sample(theta, n, seed=3), want)
 
     def test_open_interval(self):
         x = sample(WORKHORSE, 20000, seed=1)

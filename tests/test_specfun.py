@@ -183,6 +183,29 @@ class TestInvRegIncBeta:
     def test_nonconvergence_error_type(self):
         assert issubclass(NonConvergenceError, RuntimeError)
 
+    @pytest.mark.parametrize("a, b", [(0.01, 1.0), (3.0, 1.0), (1.0, 0.01), (1.0, 2.5),
+                                      (1.0, 1.0)])
+    def test_unit_shape_is_the_array_closed_form(self, a, b, monkeypatch):
+        # where a or b is 1 the one point takes the array kernel's closed
+        # form, bit for bit, and no forward evaluation
+        def fail(*args):
+            raise AssertionError("forward kernel called")
+
+        monkeypatch.setattr(specfun, "reg_inc_beta", fail)
+        for u in (1e-300, 1e-5, 0.1, 0.5, 0.9, 1.0 - 1e-12):
+            assert inv_reg_inc_beta(u, a, b) == specfun._inv_reg_inc_beta_arr(np.array([u]), a, b)[0]
+
+    def test_overflowing_density_bisects(self):
+        # at (0.01, 2) the start z = 1e-300 has log-density 679, and the
+        # bisection takes z below it to where the log-density passes 709:
+        # math.exp once raised OverflowError there.  The contract is a
+        # value within 1e-10 or NonConvergenceError
+        try:
+            z = inv_reg_inc_beta(1e-5, 0.01, 2.0)
+        except NonConvergenceError:
+            return
+        assert abs(reg_inc_beta(z, 0.01, 2.0) - 1e-5) <= 1e-10
+
 
 class TestPolygamma:
     def test_euler_mascheroni(self):
