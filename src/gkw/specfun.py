@@ -18,8 +18,10 @@ digamma/trigamma 1e-10 absolute.
 All functions are pure; scalar entry points take any real Python or
 NumPy scalar, as core.Params does, and return Python floats, and the
 three log-space helpers also take arrays (they wrap their array
-kernels).  A few array variants (prefixed ``_``) exist for the hot paths
-of the sampler and are verified against the scalar versions in the tests.
+kernels).  The array variants (prefixed ``_``) of the incomplete beta
+and its inverse serve core's cdf, quantile and sample above 8 points;
+their iterations update preallocated arrays in place, and the tests
+verify them against the scalar versions.
 ``_ln_gamma``, ``_ln_beta`` and ``_digamma_diff`` are the public
 functions' arithmetic without their argument checks, for the
 log-likelihood pass and score, which call them with the shapes of a
@@ -576,56 +578,119 @@ def lower_inc_gamma(a: float, x: float) -> float:
 
 
 def _reg_inc_beta_arr(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Vectorized I_x(a, b) for scalar shape parameters."""
+    """Vectorized I_x(a, b) for scalar shape parameters.
+
+    On each side of the switch point a/(a + b) the continued fraction of
+    :func:`_betacf_arr` times the front factor
+    exp(a log x + b log1p(-x) - ln B(a, b)) / a, the side above taken at
+    1 - x with a and b swapped.  One array per side holds the front factor,
+    then the product, formed in place.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     direct = x <= a / (a + b)
+    # each side deletes its arrays before the other side's continued
+    # fraction, which sets the peak memory
     for flip in (False, True):
         sel = direct if not flip else ~direct
         if not np.any(sel):
             continue
+        xa = x[sel]
         if flip:
-            xa, aa, bb = 1.0 - x[sel], b, a
+            np.subtract(1.0, xa, out=xa)
+            aa, bb = b, a
         else:
-            xa, aa, bb = x[sel], a, b
+            aa, bb = a, b
         val = _betacf_arr(aa, bb, xa)
         with np.errstate(divide="ignore"):
-            lf = aa * np.log(xa) + bb * np.log1p(-xa) - ln_beta(aa, bb)
-        res = np.where(xa > 0.0, np.exp(lf) / aa * val, 0.0)
-        res = np.clip(res, 0.0, 1.0)
-        out[sel] = 1.0 - res if flip else res
+            res = np.log(xa)
+            res *= aa
+            t = np.negative(xa)
+            np.log1p(t, out=t)
+            t *= bb
+            res += t
+            del t
+            res -= ln_beta(aa, bb)
+        np.exp(res, out=res)
+        res /= aa
+        res *= val
+        del val
+        # zero where xa is zero or NaN
+        np.copyto(res, 0.0, where=~(xa > 0.0))
+        np.clip(res, 0.0, 1.0, out=res)
+        if flip:
+            np.subtract(1.0, res, out=res)
+        out[sel] = res
+        del res
     out[x == 0.0] = 0.0
     out[x == 1.0] = 1.0
     return out
 
 
+def _lift_below_fpmin(v: np.ndarray, scratch: np.ndarray) -> None:
+    """Lift every |v| below _FPMIN to _FPMIN, keeping its sign, in place.
+    That leaves every other element as it is, so the lift runs only where
+    |v|, formed in scratch, has a minimum below _FPMIN or a NaN."""
+    np.abs(v, out=scratch)
+    if not scratch.min(initial=np.inf) >= _FPMIN:
+        np.maximum(scratch, _FPMIN, out=scratch)
+        np.copysign(scratch, v, out=v)
+
+
 def _betacf_arr(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The continued fraction of I_x(a, b) at every element of x.
+
+    The modified Lentz recurrence of Press et al., Numerical Recipes 3rd
+    ed. section 6.4, as in :func:`_betacf`.  Each half-step updates five
+    arrays in place: c, d and the product h of the recurrence, the
+    coefficient aa (a scalar, m (b - m) or -(a + m)(a + b + m), times x,
+    over a scalar denominator) and one scratch array.  The guard lifts
+    every |c| and |d| below _FPMIN to _FPMIN with its sign kept (the
+    scalar kernel sets +_FPMIN).  It changes no other element, so it runs
+    only on a step where an abs and a min show an element below _FPMIN or
+    a NaN (:func:`_lift_below_fpmin`).
+
+    Every element iterates until all of them meet |d c - 1| < 3 eps on
+    the same step.  An element that has met the test keeps taking factors
+    d c within rounding of 1, so its last bits depend on the slowest
+    element, and a per-element stop would move them.  At large a and b
+    (fault F3: (1e4, 1e4), (300, 0.05), (491, 1.22)) rounding puts some
+    element that has met the test 3 eps or more from 1 on every later
+    step.  No step then brings all of them under it, and after _ITMAX
+    steps the kernel raises NonConvergenceError where the scalar kernel,
+    stopping at each point on its own, converges.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copysign(np.maximum(np.abs(d), _FPMIN), d, out=d)
-    d = 1.0 / d
+    d = np.multiply(x, qab)
+    d /= qap
+    np.subtract(1.0, d, out=d)
+    s = np.empty_like(x)
+    _lift_below_fpmin(d, s)
+    np.divide(1.0, d, out=d)
     h = d.copy()
+    aa = np.empty_like(x)
     for m in range(1, _ITMAX + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copysign(np.maximum(np.abs(d), _FPMIN), d, out=d)
-        c = 1.0 + aa / c
-        np.copysign(np.maximum(np.abs(c), _FPMIN), c, out=c)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copysign(np.maximum(np.abs(d), _FPMIN), d, out=d)
-        c = 1.0 + aa / c
-        np.copysign(np.maximum(np.abs(c), _FPMIN), c, out=c)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < 3.0 * _EPS):
+        for num, den in ((m * (b - m), (qam + m2) * (a + m2)),
+                         (-(a + m) * (qab + m), (a + m2) * (qap + m2))):
+            np.multiply(x, num, out=aa)
+            aa /= den
+            d *= aa
+            d += 1.0
+            _lift_below_fpmin(d, s)
+            np.divide(aa, c, out=c)
+            c += 1.0
+            _lift_below_fpmin(c, s)
+            np.divide(1.0, d, out=d)
+            np.multiply(d, c, out=s)
+            h *= s
+        # s holds the second half-step's d c
+        s -= 1.0
+        np.abs(s, out=s)
+        if s.max(initial=0.0) < 3.0 * _EPS:
             return h
     raise NonConvergenceError(
         f"vectorized incomplete beta continued fraction stalled at a={a}, b={b}"
@@ -727,7 +792,8 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
     z[u == 1.0] = 1.0
     # The first pass runs on the whole arrays; the elements still iterating
     # are copied out when some leave (a NaN residual never does).
-    g = _reg_inc_beta_arr(z, a, b) - u
+    g = _reg_inc_beta_arr(z, a, b)
+    g -= u
     act = np.ones(u.shape, dtype=bool)
     za, ua = z, u
     lo = np.zeros_like(u)
@@ -741,14 +807,23 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
         # overflowing density or curvature gives a step the bracket test
         # rejects
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = (a - 1.0) * np.log(za)
-            t += (b - 1.0) * np.log1p(-za)
+            t = np.log(za)
+            t *= a - 1.0
+            s = np.negative(za)
+            np.log1p(s, out=s)
+            s *= b - 1.0
+            t += s
             t -= lnB
             np.exp(t, out=t)
             np.divide(g, t, out=t)
-            del g   # freed before the next forward pass, which sets the peak memory
-            c = (a - 1.0) / za
-            c -= (b - 1.0) / (1.0 - za)
+            # c takes g's array, freed with it before the next forward
+            # pass, which sets the peak memory
+            c = np.divide(a - 1.0, za, out=g)
+            del g
+            np.subtract(1.0, za, out=s)
+            np.divide(b - 1.0, s, out=s)
+            c -= s
+            del s
             c *= t
             np.minimum(c, 1.0, out=c)
             c *= -0.5
@@ -767,7 +842,8 @@ def _inv_reg_inc_beta_arr(u: np.ndarray, a: float, b: float) -> np.ndarray:
             za, ua, lo, hi = za[keep], ua[keep], lo[keep], hi[keep]
             if not za.size:
                 break
-        g = _reg_inc_beta_arr(za, a, b) - ua
+        g = _reg_inc_beta_arr(za, a, b)
+        g -= ua
     if za.size:
         # the 120th pass measured the residual of the z still iterating
         worst = int(np.argmax(np.abs(g)))

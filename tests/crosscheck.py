@@ -10,7 +10,9 @@ Importable module (not collected: its name does not start with test_).
 None of this ships in the package; the library has one route per
 quantity, the quadrature over V of gkw.series, and these are the
 independent ones.  ``same_bits`` compares a rewritten kernel with its
-reference to the bit.
+reference to the bit; ``reg_inc_beta_arr_alloc`` and ``betacf_arr_alloc``
+are the array incomplete beta as it was before it worked in place, the
+reference its in-place form must match.
 
 The expansions.  The cdf admits the weighted expansion
 
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gkw import core, series
+from gkw import core, series, specfun
 from gkw.core import Params
 from gkw.series import SeriesValue
 from gkw.specfun import ln_beta
@@ -60,6 +62,66 @@ def same_bits(got, want) -> bool:
         return False
     nan = np.isnan(got) & np.isnan(want)
     return np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
+def reg_inc_beta_arr_alloc(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """specfun._reg_inc_beta_arr with a fresh array for every operation."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    direct = x <= a / (a + b)
+    for flip in (False, True):
+        sel = direct if not flip else ~direct
+        if not np.any(sel):
+            continue
+        if flip:
+            xa, aa, bb = 1.0 - x[sel], b, a
+        else:
+            xa, aa, bb = x[sel], a, b
+        val = betacf_arr_alloc(aa, bb, xa)
+        with np.errstate(divide="ignore"):
+            lf = aa * np.log(xa) + bb * np.log1p(-xa) - ln_beta(aa, bb)
+        res = np.where(xa > 0.0, np.exp(lf) / aa * val, 0.0)
+        res = np.clip(res, 0.0, 1.0)
+        out[sel] = 1.0 - res if flip else res
+    out[x == 0.0] = 0.0
+    out[x == 1.0] = 1.0
+    return out
+
+
+def betacf_arr_alloc(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """specfun._betacf_arr with a fresh array for every operation and the
+    _FPMIN guard applied at every step."""
+    fpmin, eps = specfun._FPMIN, specfun._EPS
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    np.copysign(np.maximum(np.abs(d), fpmin), d, out=d)
+    d = 1.0 / d
+    h = d.copy()
+    for m in range(1, specfun._ITMAX + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        np.copysign(np.maximum(np.abs(d), fpmin), d, out=d)
+        c = 1.0 + aa / c
+        np.copysign(np.maximum(np.abs(c), fpmin), c, out=c)
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        np.copysign(np.maximum(np.abs(d), fpmin), d, out=d)
+        c = 1.0 + aa / c
+        np.copysign(np.maximum(np.abs(c), fpmin), c, out=c)
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if np.all(np.abs(delta - 1.0) < 3.0 * eps):
+            return h
+    raise specfun.NonConvergenceError(
+        f"vectorized incomplete beta continued fraction stalled at a={a}, b={b}"
+    )
 
 
 def fd_grad(f, x, h_rel: float = 1e-6) -> np.ndarray:

@@ -6,6 +6,7 @@ scipy.special serves as an independent sweep oracle.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -33,7 +34,7 @@ from gkw.specfun import (
     trigamma_diff,
 )
 
-from crosscheck import same_bits
+from crosscheck import betacf_arr_alloc, reg_inc_beta_arr_alloc, same_bits
 
 
 class TestLnGamma:
@@ -392,7 +393,109 @@ _NORMAL_START_SHAPES = [(1.0001, 1.5), (1.5, 1.5), (2.0, 2.5), (50.0, 80.0), (40
     for ab in np.exp(np.random.default_rng(2027).uniform(0.0, math.log(100.0), size=(8, 2)))]
 
 
+# The V laws (gamma, delta + 1) of 24 seeded shapes from the sweep's box:
+# gamma log-uniform in [0.05, 50], delta 0 with probability 0.3 and
+# otherwise log-uniform in [0.01, 50]
+def _sweep_v_laws(n, seed):
+    rng = np.random.default_rng(seed)
+    gamma = np.exp(rng.uniform(math.log(0.05), math.log(50.0), size=n))
+    delta = np.where(rng.uniform(size=n) < 0.3, 0.0,
+                     np.exp(rng.uniform(math.log(0.01), math.log(50.0), size=n)))
+    return [(float(g), float(d) + 1.0) for g, d in zip(gamma, delta)]
+
+
+_V_LAWS = [(1.5, 1.5), (2.0, 2.5), (50.0, 80.0), (400.0, 401.0)]
+_SWEEP_V_LAWS = _sweep_v_laws(24, 29)
+
+
+def _outcome(kernel, *args):
+    """What kernel returns, or the type and message of what it raises, and
+    the messages of the warnings it gives: a rewritten kernel must match
+    its reference in each."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = kernel(*args)
+        except Exception as exc:  # any raise, compared below, not handled
+            value = type(exc), str(exc)
+    return value, sorted({str(w.message) for w in caught})
+
+
+def _same_outcome(got, want) -> bool:
+    (value, warned), (ref, ref_warned) = got, want
+    if warned != ref_warned:
+        return False
+    if isinstance(ref, tuple):
+        return value == ref
+    return not isinstance(value, tuple) and same_bits(value, ref)
+
+
+def _in_place_cases():
+    for i, (a, b) in enumerate(_V_LAWS + _SWEEP_V_LAWS):
+        for n in (1, 9, 2000) + ((100_000,) if i < len(_V_LAWS) else ()):
+            yield pytest.param(a, b, n, id=f"{a:.4g}-{b:.4g}-n{n}")
+
+
 class TestArrayVariants:
+    @pytest.mark.parametrize("a, b, n", list(_in_place_cases()))
+    def test_in_place_kernel_is_bit_identical(self, a, b, n):
+        # the in-place continued fraction and front factor keep every
+        # operation and its order, so every value matches the allocating
+        # kernels to the bit, as does any exception
+        x = np.random.default_rng(n).uniform(0.0, 1.0, size=n)
+        if n > 1:
+            x[:2] = [0.0, 1.0]
+        want = _outcome(reg_inc_beta_arr_alloc, x, a, b)
+        assert _same_outcome(_outcome(specfun._reg_inc_beta_arr, x, a, b), want)
+        xd = x[x <= a / (a + b)]
+        if xd.size:
+            want = _outcome(betacf_arr_alloc, a, b, xd)
+            assert _same_outcome(_outcome(specfun._betacf_arr, a, b, xd), want)
+
+    @pytest.mark.parametrize("a, b", _V_LAWS + _SWEEP_V_LAWS[:4])
+    def test_in_place_kernel_at_edges(self, a, b):
+        # x = 0 and x = 1 alone; a NaN, on which the continued fraction
+        # stalls; and the continued fraction at x = (a + 1)/(a + b), where
+        # its first d is 0 and the _FPMIN guard lifts it
+        for x in ([0.0], [1.0], [0.0, 1.0], [0.25, math.nan, 0.75]):
+            x = np.array(x)
+            want = _outcome(reg_inc_beta_arr_alloc, x, a, b)
+            assert _same_outcome(_outcome(specfun._reg_inc_beta_arr, x, a, b), want)
+        switch = (a + 1.0) / (a + b)
+        assert 1.0 - (a + b) * switch / (a + 1.0) == 0.0
+        for x in ([switch] * 3, [switch, math.nan]):
+            x = np.array(x)
+            want = _outcome(betacf_arr_alloc, a, b, x)
+            assert _same_outcome(_outcome(specfun._betacf_arr, a, b, x), want)
+
+    @pytest.mark.parametrize("a, b", [(1e4, 1e4), (300.0, 0.05),
+                                      (490.769958965031, 1.2211944188075348)])
+    def test_in_place_kernel_stalls_as_it_did(self, a, b):
+        # fault F3 and the (491, 1.22) stall: near the mean the continued
+        # fraction raises, with the message it raised before
+        mean = a / (a + b)
+        x = np.clip(mean + np.linspace(-0.1, 0.1, 2001) * min(mean, 1.0 - mean), 0.0, 1.0)
+        want = _outcome(reg_inc_beta_arr_alloc, x, a, b)
+        assert want[0][0] is NonConvergenceError
+        assert _same_outcome(_outcome(specfun._reg_inc_beta_arr, x, a, b), want)
+
+    def test_working_set(self):
+        # 1e5 points: the continued fraction holds five arrays the size of
+        # x (c, d, h, aa and one scratch array), where a fresh array for
+        # each operation peaked at 7.0 of them.  I_x on x uniform in (0, 1),
+        # with x itself counted, peaks at 5.25, and peaked at 7.75.
+        def peak(kernel, *args):
+            tracemalloc.start()
+            try:
+                kernel(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        x = np.random.default_rng(1).uniform(0.0, 1.0, size=100_000)
+        assert peak(specfun._betacf_arr, 1.5, 1.5, 0.5 * x) <= 5.5 * x.nbytes
+        assert x.nbytes + peak(specfun._reg_inc_beta_arr, x, 1.5, 1.5) <= 6.25 * x.nbytes
+
     def test_reg_inc_beta_matches_scalar(self):
         rng = np.random.default_rng(5)
         for a, b in [(1.5, 2.5), (0.4, 0.9), (6.0, 1.2)]:
