@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .specfun import _log1mexp_arr, _log1mexp_tiny_arr, _log_neg_log1mexp_arr, log1mexp
+from .specfun import _log1mexp_arr, _log1mexp_tiny_arr, _log_neg_log1mexp_arr
 
 __all__ = [
     "Params",
@@ -262,35 +262,32 @@ def _log_z(theta: Params, log_x):
         return theta.lam * _Head(theta.alpha, theta.beta, log_x).ly
 
 
-def _log_w_x(theta: Params, log_v, log_1mv=None):
-    """(log w, log x) at a 1-d array of log v, for the map X = x(V) with
-    V ~ Beta(gamma, delta + 1):
+def _log_w_x(theta: Params, log_v, log_neg_log_v):
+    """(log w, log x) at a 1-d array of log v, given log(-log v) as well,
+    for the map X = x(V) with V ~ Beta(gamma, delta + 1):
 
         w = (1 - v^{1/lambda})^{1/beta} = 1 - x^alpha,  x = (1 - w)^{1/alpha}.
 
-    quantile takes it from log v alone, and maps v = 0 to x = 0 and v = 1
-    to x = 1 exactly, with no warning.  Given log_1mv =
-    log(1 - v) as well, each log1mexp takes its first-order branch where
-    its argument is below e^-20 in size, the mirror image of _Head: w
-    keeps its precision where v^{1/lambda} rounds to 1, and x where w
-    does.  Run that form under np.errstate(divide="ignore",
-    invalid="ignore").
+    Each log1mexp takes its first-order branch where its argument is below
+    e^-20 in size, the mirror image of _Head: w keeps its precision where
+    v^{1/lambda} rounds to 1, and x where w does, so a tail draw never
+    rounds to 0 or 1 on the way.  v = 0 maps to x = 0 and v = 1 to x = 1.
+    Run under np.errstate(divide="ignore", invalid="ignore").
     """
     a, b, l = theta.alpha, theta.beta, theta.lam
     s = log_v / l
-    if log_1mv is None:
-        log_w = log1mexp(s) / b
-        return log_w, log1mexp(log_w) / a
-    lw1 = _log1mexp_tiny_arr(s, _log_neg_log1mexp_arr(log_1mv, log_v), -math.log(l))
+    lw1 = _log1mexp_tiny_arr(s, log_neg_log_v, -math.log(l))
     log_w = lw1 / b
     # log(-log w) = log(-lw1) - log beta
-    return log_w, _log1mexp_tiny_arr(log_w, _log_neg_log1mexp_arr(s, lw1), -math.log(b)) / a
+    log_x = _log1mexp_tiny_arr(log_w, _log_neg_log1mexp_arr(s, lw1), -math.log(b))
+    log_x /= a
+    return log_w, log_x
 
 
 class _AtV:
     """The law at a 1-d array of v, given as lv = log v and l1v =
     log(1 - v), with v a draw of V ~ Beta(gamma, delta + 1) and x = x(v):
-    log_w and log_x, by _log_w_x with its first-order branches, and on
+    log_w and log_x by _log_w_x, taking log(-log v) from l1v near v = 1, and on
     first use log_f = log f(x) and log_cdf = (log F(x), log(1 - F(x))),
     F(x) = I_v(gamma, delta + 1).  None is formed from x or v, so no tail
     rounds to 0 or 1:
@@ -304,7 +301,7 @@ class _AtV:
     def __init__(self, theta: Params, lv: np.ndarray, l1v: np.ndarray, pointwise: bool):
         self.theta, self.lv, self.l1v, self.pointwise = theta, lv, l1v, pointwise
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.log_w, self.log_x = _log_w_x(theta, lv, l1v)
+            self.log_w, self.log_x = _log_w_x(theta, lv, _log_neg_log1mexp_arr(l1v, lv))
 
     @functools.cached_property
     def log_f(self) -> np.ndarray:
@@ -442,9 +439,9 @@ def _expect(theta: Params, log_h, upper: float = 1.0, *, nodes: dict):
 # (2-core x86-64, Python 3.11, NumPy 2.4) one point costs 4-9 us in the
 # scalar I_x, against 0.08-0.36 ms for the array I_x on 9 points, and 35-42
 # us in the scalar inverse, against 0.7-1.2 ms for the array inverse on 9:
-# the scalar loop is still the cheaper at 9.  At a unit shape (gamma = 1 or
-# delta = 0) both inverses are one closed form, 4-6 us for one point and
-# 3-5 us for 9 together.
+# the scalar loop is still the cheaper at 9.  quantile takes a unit shape
+# (gamma = 1 or delta = 0) by the array closed form at every size: 27-30 us
+# for 8 Kw, KwKw or spike quantiles, against 62-78 us point by point.
 _SCALAR_POINTS = 8
 
 
@@ -491,9 +488,9 @@ def _inc_beta_at_log_z(lz: np.ndarray, a: float, b: float, pointwise: bool) -> n
 def quantile(theta: Params, u: float) -> float:
     """The x with cdf(theta, x) = u: x(V) at V = I^{-1}(u; gamma, delta + 1),
     by the scalar inverse kernel point by point up to _SCALAR_POINTS points
-    and the array kernel above; both take the same closed form where
-    gamma = 1 or delta = 0.  Exact at the endpoints.  Accuracy:
-    |cdf(x) - u| <= 1e-9.
+    and the array kernel above, or its closed form at any size where
+    gamma = 1 or delta = 0; then _log_w_x from log v and log(-log v).
+    Exact at the endpoints.  Accuracy: |cdf(x) - u| <= 1e-9.
     """
     g, d = theta.gamma, theta.delta
     us = np.asarray(u, dtype=float)
@@ -502,13 +499,15 @@ def quantile(theta: Params, u: float) -> float:
         raise ValueError("u must lie in [0, 1]")
     scalar = us.ndim == 0
     us = np.atleast_1d(us)
-    if us.size > _SCALAR_POINTS:
+    if us.size > _SCALAR_POINTS or g == 1.0 or d == 0.0:
         v = specfun._inv_reg_inc_beta_arr(us, g, d + 1.0)
     else:
         v = np.array([specfun.inv_reg_inc_beta(float(ui), g, d + 1.0) for ui in us])
-    with np.errstate(divide="ignore"):
-        _, log_x = _log_w_x(theta, np.log(v))
-    out = np.exp(log_x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_v = np.log(v)
+        # log(-log v), in v's array
+        _, out = _log_w_x(theta, log_v, np.log(np.negative(log_v, out=v), out=v))
+        np.exp(out, out=out)
     return float(out[0]) if scalar else out
 
 
@@ -516,9 +515,9 @@ def sample(theta: Params, n: int, seed: int) -> np.ndarray:
     """Draw n variates, deterministically for a given seed.
 
     :func:`quantile` at n seeded uniforms on (0, 1), so n <= _SCALAR_POINTS
-    draws take the scalar inverse kernel; each draw is clipped to
-    [5e-308, 1 - 2^-53], strictly inside (0, 1).  Raises
-    NonConvergenceError where the inverse does.
+    draws take the scalar inverse kernel where gamma != 1 and delta != 0;
+    each draw is clipped to [5e-308, 1 - 2^-53], strictly inside (0, 1).
+    Raises NonConvergenceError where the inverse does.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")

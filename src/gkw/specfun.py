@@ -622,7 +622,7 @@ def _reg_inc_beta_arr(x: np.ndarray, a: float, b: float) -> np.ndarray:
             np.subtract(1.0, res, out=res)
         out[sel] = res
         del res
-    out[x == 0.0] = 0.0
+    # where a / (a + b) rounds to 1, x = 1 is on the direct side, which gives 0
     out[x == 1.0] = 1.0
     return out
 

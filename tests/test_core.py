@@ -8,6 +8,7 @@ with a Kolmogorov-Smirnov statistic.
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -257,6 +258,31 @@ class TestQuantile:
         many = quantile(theta, us)
         assert np.array_equal([quantile(theta, float(u)) for u in us], many)
 
+    @pytest.mark.parametrize("theta", [(2, 3, 1, 0, 1), (2, 2, 1, 1.5, 2), (0.5, 0.5, 3, 0, 2),
+                                       (1, 1, 0.01, 0, 1)], ids=["kw", "kwkw", "spike", "F1"])
+    def test_unit_shape_takes_no_scalar_inverse(self, theta, monkeypatch):
+        # 1 to 8 points take the array closed form together, not one
+        # scalar inverse call per point
+        def fail(*args):
+            raise AssertionError("scalar inverse called")
+
+        monkeypatch.setattr(core.specfun, "inv_reg_inc_beta", fail)
+        theta = Params(*map(float, theta))
+        for n in range(1, core._SCALAR_POINTS + 1):
+            us = np.linspace(0.1, 0.9, n)
+            assert np.all(np.abs(cdf(theta, quantile(theta, us)) - us) <= 1e-9)
+
+    def test_deep_left_tail(self):
+        # v^{1/lambda} = 1.6e-17 at u = 1e-5, so 1 - v^{1/lambda} rounds to
+        # 1 and the map once returned x = 0; log x from 50-digit mpmath
+        theta = Params(10.0, 0.5, 0.05, 0.0, 0.3)
+        want = math.exp(-76.683521715078860)
+        many = np.full(9, 0.5)
+        many[4] = 1e-5
+        for q in (quantile(theta, 1e-5), quantile(theta, many)[4]):
+            assert abs(q / want - 1.0) <= 1e-13, q
+            assert abs(cdf(theta, q) - 1e-5) <= 1e-9
+
     def test_round_trip(self):
         us = np.linspace(0.001, 0.999, 41)
         for theta in (WORKHORSE, Params(0.5, 1.0, 0.8, 0.0, 1.0)):
@@ -341,6 +367,37 @@ class TestSample:
         u = np.random.default_rng(3).integers(1, 1 << 53, size=n).astype(float) * 2.0**-53
         want = np.clip(quantile(theta, u), 5e-308, 1.0 - 2.0**-53)
         assert np.array_equal(sample(theta, n, seed=3), want)
+
+    # four laws of the 250-shape sweep (rng seed 20261019, indices 61, 76,
+    # 187 and 190) at which the map sent tail draws to the 5e-308 clip or
+    # lost their precision: 1 - v^{1/lambda} or x^alpha rounded to 1
+    @pytest.mark.parametrize("theta", [
+        (12.096858480608525, 0.17535087260995108, 0.1324422171808404,
+         1.0107067198176334, 0.08726982239713531),
+        (3.8709044677286015, 2.2454779628649524, 0.18196173118177109,
+         0.16237138756133404, 0.053727826844171864),
+        (1.2562920000587707, 14.2052452139434, 0.06839871611657185, 0.0,
+         0.12228968667275411),
+        (3.306984911996798, 0.5361388440893645, 0.06773931846672063, 0.0,
+         0.10073544310605888),
+    ], ids=["sweep61", "sweep76", "sweep187", "sweep190"])
+    def test_tail_draws_are_x_of_v(self, theta):
+        # every draw is x(v) at its v to 1e-11, against 50-digit mpmath
+        theta = Params(*theta)
+        n = 2000
+        u = np.random.default_rng(1).integers(1, 1 << 53, size=n).astype(float) * 2.0**-53
+        v = core.specfun._inv_reg_inc_beta_arr(u, theta.gamma, theta.delta + 1.0)
+        with mpmath.workdps(50):
+            a, b, lam = (mpmath.mpf(p) for p in (theta.alpha, theta.beta, theta.lam))
+            want = []
+            for vi in v:
+                s = mpmath.log(vi) / lam
+                t = mpmath.exp(s)
+                log_w = (mpmath.log1p(-t) if t < 0.5 else mpmath.log(-mpmath.expm1(s))) / b
+                want.append(float(mpmath.exp(mpmath.log(-mpmath.expm1(log_w)) / a)))
+        want = np.clip(want, 5e-308, 1.0 - 2.0**-53)
+        x = sample(theta, n, seed=1)
+        assert np.max(np.abs(x / want - 1.0)) <= 1e-11
 
     def test_open_interval(self):
         x = sample(WORKHORSE, 20000, seed=1)

@@ -1270,7 +1270,7 @@ class TestSharedTables:
         monkeypatch.setattr(series, "_quad", quad)
         cdfs = _Recorder(core._inc_beta_at_log_z, lambda lz, a, b: lz.size)
         monkeypatch.setattr(core, "_inc_beta_at_log_z", cdfs)
-        nodes = _Recorder(core._log_w_x, lambda theta, lv, l1v=None: lv.size)
+        nodes = _Recorder(core._log_w_x, lambda theta, lv, log_neg_lv: lv.size)
         monkeypatch.setattr(core, "_log_w_x", nodes)
         got = series.l_moments(BATHTUB, 4)
         assert all(v.method == "quadrature" and v.converged for v in got)

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkw import specfun
-from gkw.core import Params, power_transform_params, sample
+from gkw.core import Params, cdf, power_transform_params, sample
 from gkw.specfun import (
     NonConvergenceError,
     beta_fn,
@@ -467,6 +467,15 @@ class TestArrayVariants:
             x = np.array(x)
             want = _outcome(betacf_arr_alloc, a, b, x)
             assert _same_outcome(_outcome(specfun._betacf_arr, a, b, x), want)
+
+    def test_unit_x_where_the_switch_point_rounds_to_one(self):
+        # 1e16 / (1e16 + 1) rounds to 1, so x = 1 falls on the direct side,
+        # whose front factor is 0 there: I_1 = 1 all the same, and so is the
+        # cdf of a law whose z rounds to 1 at x < 1
+        x = np.array([0.0, 0.5, 1.0])
+        assert specfun._reg_inc_beta_arr(x, 1e16, 1.0).tolist() == [0.0, 0.0, 1.0]
+        theta = Params(1.0, 100.0, 1e16, 0.0, 1.0)
+        assert cdf(theta, np.full(9, 0.999)).tolist() == [1.0] * 9
 
     @pytest.mark.parametrize("a, b", [(1e4, 1e4), (300.0, 0.05),
                                       (490.769958965031, 1.2211944188075348)])
